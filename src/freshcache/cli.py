@@ -27,8 +27,8 @@ from .errors import (
 from .freshness import file_freshness, system_freshness, user_freshness
 from .model import INFEASIBILITY_CODES, Scenario, validate_scheme, with_scaled_rates
 from .oracle import GRID_MAX_ENTRIES, brute_force_assignments, grid_allocate
-from .rate_alloc import AllocationInput, kkt_check
-from .search import SolveResult, evaluate_scheme, solve_exhaustive, solve_sampled
+from .rate_alloc import kkt_check
+from .search import SolveResult, evaluate_scheme, relay_inputs, solve_exhaustive, solve_sampled
 from .scenario_io import (
     load_scenario,
     parse_rates,
@@ -148,39 +148,26 @@ def _cmd_allocate(args) -> int:
     lines = ["file_index,user_index,relay_index,relay_rate"]
     reports = []
     _objective, per_relay = evaluate_scheme(scenario, scheme)
+    inputs = relay_inputs(scenario, scheme)
     rows = []
     for relay_id in sorted(per_relay):
         alloc = per_relay[relay_id]
         for (uid, fid), rate in alloc.rates.items():
             rows.append((fid, uid, relay_id, rate))
-        entries = tuple(
-            e
-            for e in _relay_entries(scenario, scheme, relay_id)
-        )
-        report = kkt_check(AllocationInput(entries, scenario.relays[relay_id - 1].rate_budget), alloc, KKT_TOLERANCE)
+        report = kkt_check(inputs[relay_id], alloc, KKT_TOLERANCE)
         diag = alloc.diagnostics
         reports.append(
             f"relay={relay_id} alpha={diag.alpha:.6f} beta={diag.beta:.6f} "
             f"water_level={diag.water_level:.6f} stationarity={report.stationarity_residual:.3e} "
             f"budget_slackness={report.budget_slackness_residual:.3e} "
-            f"drop_slackness={report.drop_slackness_residual:.3e} satisfied={report.satisfied}"
+            f"drop_slackness={report.drop_slackness_residual:.3e} "
+            f"dual_feasibility={report.dual_feasibility_residual:.3e} satisfied={report.satisfied}"
         )
     rows.sort()
     lines.extend(f"{fid},{uid},{relay_id},{rate:.4f}" for fid, uid, relay_id, rate in rows)
     lines.extend(reports)
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
-
-
-def _relay_entries(scenario: Scenario, scheme, relay_id: int):
-    from .rate_alloc import AllocationEntry
-
-    for user in scenario.users:
-        for h in user.holdings:
-            if scheme.assignment.get((user.user_id, h.file_id)) == relay_id:
-                yield AllocationEntry(
-                    (user.user_id, h.file_id), h.user_rate, scenario.file_by_id[h.file_id].server_rate
-                )
 
 
 def _cmd_freshness(args) -> int:
@@ -234,13 +221,14 @@ def _cmd_verify(args) -> int:
         f"assignments_match={assignments_match}",
     ]
     grids_ok = True
+    inputs = relay_inputs(scenario, solver.best_scheme)
     for relay_id in sorted(solver.best_rates):
         alloc = solver.best_rates[relay_id]
-        entries = tuple(_relay_entries(scenario, solver.best_scheme, relay_id))
+        alloc_input = inputs[relay_id]
+        entries = alloc_input.entries
         if len(entries) > GRID_MAX_ENTRIES:
             lines.append(f"grid_check relay={relay_id} skipped ({len(entries)} entries)")
             continue
-        alloc_input = AllocationInput(entries, scenario.relays[relay_id - 1].rate_budget)
         closed = sum(
             (e.user_rate / (e.user_rate + e.server_rate)) * alloc.rates[e.key] / (alloc.rates[e.key] + e.server_rate)
             for e in entries
@@ -284,7 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=int, default=10_000, help="evaluation budget for sampled mode")
             p.add_argument("--seed", type=int, default=0, help="seed for sampled mode")
             p.add_argument("--allow-empty-relay", action="store_true", help="permit relays with no assigned holdings")
-            p.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker processes for exhaustive mode")
+            p.add_argument(
+                "--threads", type=int, default=os.cpu_count() or 1,
+                help="accepted for compatibility; exhaustive search runs in one process",
+            )
 
     p_solve = sub.add_parser("solve", help="find the best placement and its rate allocation")
     add_common(p_solve, with_solver=True)

@@ -84,32 +84,6 @@ def grid_allocate(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float
     return rates, objective
 
 
-def grid_allocate_enumerated(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float, ...], float]:
-    """Literal enumeration of every grid point; cross-checks grid_allocate at small sizes."""
-    entries = alloc_input.entries
-    n = len(entries)
-    if n == 0:
-        raise DomainError("grid allocation requires at least one entry")
-    if (steps + 1) ** n > 2_000_000:
-        raise OracleScaleError(f"literal grid enumeration too large: ({steps + 1})**{n}")
-    budget = alloc_input.rate_budget
-    mus = [e.user_rate / (e.user_rate + e.server_rate) for e in entries]
-    best_units: tuple[int, ...] | None = None
-    best_val = -math.inf
-    for units in itertools.product(range(steps + 1), repeat=n):
-        if sum(units) > steps:
-            continue
-        val = 0.0
-        for mu, e, u in zip(mus, entries, units):
-            r = budget * u / steps
-            val += mu * r / (r + e.server_rate)
-        if val > best_val:
-            best_val = val
-            best_units = units
-    assert best_units is not None
-    return tuple(budget * u / steps for u in best_units), best_val
-
-
 def brute_force_assignments(
     scenario: Scenario,
     *,

@@ -53,6 +53,7 @@ class KktReport:
     stationarity_residual: float       # max |delta - gradient| over entries with positive rate
     budget_slackness_residual: float   # |sum(rates) - budget| * water level
     drop_slackness_residual: float     # max |(delta - gradient) * rate| over all entries
+    dual_feasibility_residual: float   # max (mu/s - delta)+ over entries with rate zero
     tolerance: float
     satisfied: bool
 
@@ -147,9 +148,14 @@ def allocate(alloc_input: AllocationInput) -> RateAllocation:
 def kkt_check(alloc_input: AllocationInput, allocation: RateAllocation, tolerance: float) -> KktReport:
     """First-order optimality residuals for a proposed allocation.
 
+    The water level delta is derived from the allocation itself, never from
+    its diagnostics: the largest gradient over entries with positive rate, or
+    the largest mu/s when no entry has one.
     Stationarity: active entries must sit exactly at the water level.
     Budget slackness: a positive water level forces the budget to be spent.
     Drop slackness: an entry below the water level must carry rate zero.
+    Dual feasibility: a zero-rate entry's marginal return at rate zero, mu/s,
+    must not exceed the water level.
     """
     if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or not math.isfinite(tolerance) or tolerance <= 0:
         raise DomainError(f"tolerance must be a finite positive number, got {tolerance!r}")
@@ -158,33 +164,30 @@ def kkt_check(alloc_input: AllocationInput, allocation: RateAllocation, toleranc
     if set(allocation.rates) != input_keys:
         raise AllocationMismatchError("allocation keys do not match the input entries")
 
-    delta = allocation.diagnostics.water_level
-    stationarity = 0.0
-    drop_slack = 0.0
+    active = []      # (rate, gradient) of entries with positive rate
+    idle = []        # mu/s of entries with rate zero
     for e in alloc_input.entries:
         lam = allocation.rates[e.key]
         if lam < 0 or not math.isfinite(lam):
             raise DomainError(f"rate for {e.key} must be finite and non-negative, got {lam!r}")
         mu = e.user_rate / (e.user_rate + e.server_rate)
-        gradient = mu * e.server_rate / (lam + e.server_rate) ** 2
         if lam > 0.0:
-            stationarity = max(stationarity, abs(delta - gradient))
-            drop_slack = max(drop_slack, abs((delta - gradient) * lam))
+            active.append((lam, mu * e.server_rate / (lam + e.server_rate) ** 2))
+        else:
+            idle.append(mu / e.server_rate)
 
-    total = sum(allocation.rates.values())
-    slack = abs(total - alloc_input.rate_budget)
-    if slack == 0.0:
-        budget_res = 0.0
-    elif math.isfinite(delta):
-        budget_res = slack * delta
-    else:
-        budget_res = math.inf
+    delta = max(g for _lam, g in active) if active else max(idle)
+    stationarity = max((abs(delta - g) for _lam, g in active), default=0.0)
+    drop_slack = max((abs((delta - g) * lam) for lam, g in active), default=0.0)
+    dual = max((max(m - delta, 0.0) for m in idle), default=0.0)
+    budget_res = abs(sum(allocation.rates.values()) - alloc_input.rate_budget) * delta
 
-    satisfied = stationarity <= tolerance and budget_res <= tolerance and drop_slack <= tolerance
+    satisfied = max(stationarity, budget_res, drop_slack, dual) <= tolerance
     return KktReport(
         stationarity_residual=stationarity,
         budget_slackness_residual=budget_res,
         drop_slackness_residual=drop_slack,
+        dual_feasibility_residual=dual,
         tolerance=tolerance,
         satisfied=satisfied,
     )

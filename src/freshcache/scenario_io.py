@@ -242,10 +242,14 @@ def fixture_path(name: str) -> Path:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Load a scenario from a file path, falling back to a bundled fixture stem."""
+    """Load a scenario from a file path, or a bundled fixture by bare name such as ``table1``.
+
+    Only a name with no directory part and no suffix falls back to a fixture;
+    any other missing path raises FileNotFoundError.
+    """
     p = Path(path)
-    if not p.is_file():
-        p = fixture_path(Path(path).stem)
+    if not p.is_file() and str(path) == p.name and not p.suffix:
+        p = fixture_path(p.name)
     return parse_scenario(p.read_text())
 
 

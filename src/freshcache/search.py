@@ -6,10 +6,14 @@ subsets per relay.  Every enumerated assignment is therefore distinct, and
 the whole space is visited exactly once.  The sampled mode is a restarting
 hill climber that spends an exact evaluation budget.
 
-Both modes score candidates through the same ``waterfill`` routine the public
-``allocate`` uses and accumulate the objective in the same order as
-``system_freshness``, so reported objective values match a re-evaluation
-through the public API bit for bit.
+Both modes run in one process and score candidates through ``_evaluate``.
+Relay k's rates depend only on its block of holdings, so each solve memoizes
+``waterfill`` per (relay, block); a hill-climbing move changes only two
+blocks.  The memo stops growing at ``_MEMO_ENTRIES`` because with two relays
+each block is the other's complement and never repeats.  Rates come from the
+``waterfill`` the public ``allocate`` uses and the objective is summed in the
+per-user order of ``system_freshness``, so reported objective values match a
+re-evaluation through the public API bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
@@ -39,6 +42,11 @@ DEFAULT_ENUMERATION_LIMIT = 10_000_000
 
 # Consecutive non-improving moves before the hill climber restarts.
 _PATIENCE = 30
+
+# Most (relay, block) water-fill results one solve keeps; see the module docstring.
+_MEMO_ENTRIES = 1 << 12
+
+_Memo = dict[tuple[int, tuple[int, ...]], list[float]]   # (relay index, block) -> block rates
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,6 @@ class _EvalContext:
     budgets: tuple[float, ...]
     capacities: tuple[int, ...]
     user_plans: tuple[tuple[int, ...], ...]  # ctx indices per user, in holdings order
-    keys: tuple[tuple[int, int], ...]        # ctx index -> (user_id, file_id)
     canon_pos: tuple[int, ...]               # ctx index -> position in canonical holding order
 
 
@@ -134,13 +141,12 @@ def _build_context(scenario: Scenario) -> _EvalContext:
                     s,
                     mu,
                     tuple(h.request_prob * p for p in user.relay_prefs),
-                    (user.user_id, h.file_id),
                     position,
                 )
             )
             position += 1
     order = sorted(range(len(raw)), key=lambda i: raw[i][0])
-    ctx_of_canon = {raw[i][6]: ctx_i for ctx_i, i in enumerate(order)}
+    ctx_of_canon = {raw[i][5]: ctx_i for ctx_i, i in enumerate(order)}
     user_plans = []
     position = 0
     for user in scenario.users:
@@ -158,20 +164,26 @@ def _build_context(scenario: Scenario) -> _EvalContext:
         budgets=tuple(r.rate_budget for r in scenario.relays),
         capacities=tuple(r.capacity for r in scenario.relays),
         user_plans=tuple(user_plans),
-        keys=tuple(raw[i][5] for i in order),
-        canon_pos=tuple(raw[i][6] for i in order),
+        canon_pos=tuple(raw[i][5] for i in order),
     )
 
 
-def _evaluate(ctx: _EvalContext, rel_of: Sequence[int], blocks: Sequence[Sequence[int]]) -> float:
-    """sum_form objective for one assignment; bit-identical to the public evaluation."""
+def _evaluate(ctx: _EvalContext, memo: _Memo, rel_of: Sequence[int], blocks: Sequence[tuple[int, ...]]) -> float:
+    """sum_form objective for one assignment; bit-identical to the public evaluation.
+
+    ``blocks[k]`` holds relay k's ctx indices in ascending order.
+    """
     rates = [0.0] * ctx.n
     for k, block in enumerate(blocks):
         if not block:
             continue
-        ws = [ctx.weights[i] for i in block]
-        ss = [ctx.server_rates[i] for i in block]
-        block_rates, _, _, _ = waterfill(ws, ss, ctx.budgets[k])
+        block_rates = memo.get((k, block))
+        if block_rates is None:
+            ws = [ctx.weights[i] for i in block]
+            ss = [ctx.server_rates[i] for i in block]
+            block_rates = waterfill(ws, ss, ctx.budgets[k])[0]
+            if len(memo) < _MEMO_ENTRIES:
+                memo[(k, block)] = block_rates
         for i, r in zip(block, block_rates):
             rates[i] = r
     total = 0.0
@@ -193,6 +205,35 @@ def _canonical_vector(ctx: _EvalContext, rel_of: Sequence[int]) -> tuple[int, ..
     return tuple(vec)
 
 
+class _Search:
+    """Per-solve state: the water-fill memo, the evaluation count, the running best and its trace."""
+
+    def __init__(self, ctx: _EvalContext) -> None:
+        self.ctx = ctx
+        self.memo: _Memo = {}
+        self.evaluated = 0
+        self.val = -math.inf
+        self.vec: tuple[int, ...] | None = None
+        self.trace: list[tuple[int, float]] = []
+
+    def score(self, rel_of: Sequence[int], blocks: Sequence[tuple[int, ...]]) -> float:
+        """Evaluate the next assignment; a tie keeps the smaller canonical vector."""
+        val = _evaluate(self.ctx, self.memo, rel_of, blocks)
+        self.evaluated += 1
+        if val > self.val:
+            self.val = val
+            self.vec = _canonical_vector(self.ctx, rel_of)
+            self.trace.append((self.evaluated, val))
+        elif val == self.val:
+            self.vec = min(self.vec, _canonical_vector(self.ctx, rel_of))
+        return val
+
+    def result(self, scenario: Scenario) -> SolveResult:
+        assert self.vec is not None
+        objective = ObjectiveValue(self.val, self.val / scenario.n_users)
+        return make_solve_result(scenario, self.vec, objective, self.trace, self.evaluated)
+
+
 def _iter_block_sets(counts: tuple[int, ...], pool: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
     if len(counts) == 1:
         yield (pool,)
@@ -205,43 +246,23 @@ def _iter_block_sets(counts: tuple[int, ...], pool: tuple[int, ...]) -> Iterator
             yield (subset,) + tail
 
 
-def _search_partition(ctx: _EvalContext, counts: tuple[int, ...], start_index: int):
-    """Best assignment within one partition plus its improvement trace."""
-    best_val = -math.inf
-    best_vec: tuple[int, ...] | None = None
-    improvements: list[tuple[int, float]] = []
-    idx = start_index
-    pool = tuple(range(ctx.n))
-    rel_of = [0] * ctx.n
-    for blocks in _iter_block_sets(counts, pool):
-        idx += 1
-        for k, block in enumerate(blocks):
-            for i in block:
-                rel_of[i] = k
-        val = _evaluate(ctx, rel_of, blocks)
-        if val > best_val:
-            best_val = val
-            best_vec = _canonical_vector(ctx, rel_of)
-            improvements.append((idx, val))
-        elif val == best_val:
-            vec = _canonical_vector(ctx, rel_of)
-            if best_vec is None or vec < best_vec:
-                best_vec = vec
-    return best_val, best_vec, improvements, idx - start_index
+def relay_inputs(scenario: Scenario, scheme: CacheScheme) -> dict[int, AllocationInput]:
+    """Group a placement's holdings into per-relay allocation inputs.
 
-
-_WORKER_CTX: _EvalContext | None = None
-
-
-def _init_worker(ctx: _EvalContext) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
-def _worker_search(task: tuple[tuple[int, ...], int]):
-    counts, start = task
-    assert _WORKER_CTX is not None
-    return _search_partition(_WORKER_CTX, counts, start)
+    Keyed by relay id in scenario order; entries keep user/holding order.
+    Relays with no holdings are omitted.
+    """
+    grouped: dict[int, list[AllocationEntry]] = {}
+    for user in scenario.users:
+        for h in user.holdings:
+            key = (user.user_id, h.file_id)
+            entry = AllocationEntry(key, h.user_rate, scenario.file_by_id[h.file_id].server_rate)
+            grouped.setdefault(scheme.assignment.get(key), []).append(entry)
+    return {
+        relay.relay_id: AllocationInput(tuple(grouped[relay.relay_id]), relay.rate_budget)
+        for relay in scenario.relays
+        if relay.relay_id in grouped
+    }
 
 
 def evaluate_scheme(scenario: Scenario, scheme: CacheScheme) -> tuple[ObjectiveValue, dict[int, RateAllocation]]:
@@ -250,20 +271,9 @@ def evaluate_scheme(scenario: Scenario, scheme: CacheScheme) -> tuple[ObjectiveV
     The scheme must be valid for the scenario.  Relays with no holdings are
     omitted from the returned allocation map.
     """
-    per_relay: dict[int, RateAllocation] = {}
+    per_relay = {relay_id: allocate(alloc_input) for relay_id, alloc_input in relay_inputs(scenario, scheme).items()}
     flat: dict[tuple[int, int], float] = {}
-    for relay in scenario.relays:
-        entries = []
-        for user in scenario.users:
-            for h in user.holdings:
-                if scheme.assignment.get((user.user_id, h.file_id)) == relay.relay_id:
-                    entries.append(
-                        AllocationEntry((user.user_id, h.file_id), h.user_rate, scenario.file_by_id[h.file_id].server_rate)
-                    )
-        if not entries:
-            continue
-        alloc = allocate(AllocationInput(tuple(entries), relay.rate_budget))
-        per_relay[relay.relay_id] = alloc
+    for alloc in per_relay.values():
         flat.update(alloc.rates)
     return system_freshness(scenario, scheme, flat), per_relay
 
@@ -306,7 +316,7 @@ def solve_exhaustive(
 
     Raises SearchBudgetError if the distinct assignment count exceeds
     ``limit`` and InfeasibleError if the capacities admit no placement.
-    Results are identical for any ``threads`` value.
+    ``threads`` is validated and otherwise ignored: the search runs serially.
     """
     if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
         raise DomainError(f"limit must be a positive integer, got {limit!r}")
@@ -319,38 +329,21 @@ def solve_exhaustive(
     parts = [p.counts for p in enumerate_partitions(ctx.n, ctx.capacities, allow_empty_relay=allow_empty_relay)]
     if not parts:
         raise InfeasibleError("no feasible cache scheme under the capacity constraints")
-    sizes = [_partition_size(c, ctx.n) for c in parts]
-    total = sum(sizes)
+    total = sum(_partition_size(c, ctx.n) for c in parts)
     if total > limit:
         raise SearchBudgetError(f"distinct assignment count {total} exceeds the enumeration limit {limit}")
 
-    starts = []
-    offset = 0
-    for size in sizes:
-        starts.append(offset)
-        offset += size
-    tasks = list(zip(parts, starts))
-
-    if threads == 1 or len(tasks) == 1:
-        results = [_search_partition(ctx, counts, start) for counts, start in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks)), initializer=_init_worker, initargs=(ctx,)) as pool:
-            results = list(pool.map(_worker_search, tasks, chunksize=1))
-
-    merged_val = -math.inf
-    merged_vec: tuple[int, ...] | None = None
-    trace: list[tuple[int, float]] = []
-    for val, vec, improvements, _count in results:
-        for i, v in improvements:
-            if v > merged_val:
-                merged_val = v
-                merged_vec = None
-                trace.append((i, v))
-        if vec is not None and val == merged_val:
-            if merged_vec is None or vec < merged_vec:
-                merged_vec = vec
-    assert merged_vec is not None
-    return make_solve_result(scenario, merged_vec, ObjectiveValue(merged_val, merged_val / scenario.n_users), trace, total)
+    search = _Search(ctx)
+    pool = tuple(range(ctx.n))
+    rel_of = [0] * ctx.n
+    for counts in parts:
+        for blocks in _iter_block_sets(counts, pool):
+            for k, block in enumerate(blocks):
+                for i in block:
+                    rel_of[i] = k
+            search.score(rel_of, blocks)
+    assert search.evaluated == total
+    return search.result(scenario)
 
 
 def _random_assignment(ctx: _EvalContext, rng: random.Random, allow_empty_relay: bool):
@@ -412,36 +405,19 @@ def solve_sampled(
         raise InfeasibleError("no feasible cache scheme under the capacity constraints")
 
     rng = random.Random(seed)
-    best_val = -math.inf
-    best_vec: tuple[int, ...] | None = None
-    trace: list[tuple[int, float]] = []
-    evals = 0
-
-    def consider(val: float, rel_of: list[int]) -> None:
-        nonlocal best_val, best_vec
-        if val > best_val:
-            best_val = val
-            best_vec = _canonical_vector(ctx, rel_of)
-            trace.append((evals, val))
-        elif val == best_val:
-            vec = _canonical_vector(ctx, rel_of)
-            if best_vec is None or vec < best_vec:
-                best_vec = vec
+    search = _Search(ctx)
 
     def evaluate(rel_of: list[int]) -> float:
         blocks: list[list[int]] = [[] for _ in range(k)]
         for i, r in enumerate(rel_of):
             blocks[r].append(i)
-        return _evaluate(ctx, rel_of, blocks)
+        return search.score(rel_of, [tuple(b) for b in blocks])
 
-    while evals < budget:
+    while search.evaluated < budget:
         rel_of, counts = _random_assignment(ctx, rng, allow_empty_relay)
-        val = evaluate(rel_of)
-        evals += 1
-        consider(val, rel_of)
-        current = val
+        current = evaluate(rel_of)
         failures = 0
-        while failures < _PATIENCE and evals < budget:
+        while failures < _PATIENCE and search.evaluated < budget:
             move = _propose_move(ctx, rng, rel_of, counts, min_count)
             if move is None:
                 break
@@ -451,8 +427,6 @@ def solve_sampled(
             counts[src] -= 1
             counts[dst] += 1
             val = evaluate(rel_of)
-            evals += 1
-            consider(val, rel_of)
             if val > current:
                 current = val
                 failures = 0
@@ -462,5 +436,5 @@ def solve_sampled(
                 counts[dst] -= 1
                 failures += 1
 
-    assert best_vec is not None and evals == budget
-    return make_solve_result(scenario, best_vec, ObjectiveValue(best_val, best_val / scenario.n_users), trace, evals)
+    assert search.evaluated == budget
+    return search.result(scenario)

@@ -115,6 +115,13 @@ relays:
         assert code == 5
         assert "error" in captured.err
 
+    def test_missing_path_named_like_a_fixture_exit_code(self, tmp_path, capsys):
+        code = main(["solve", "--scenario", str(tmp_path / "no" / "such" / "table1.yaml")])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.out == ""
+        assert "error" in captured.err
+
 
 class TestAllocateCommand:
     def test_rate_table_and_kkt_reports(self, scheme_file, capsys):

@@ -197,6 +197,22 @@ class TestKktCheck:
         assert report.budget_slackness_residual > 1e-6
         assert not report.satisfied
 
+    def test_unequal_split_of_equal_entries_fails_dual_feasibility(self):
+        # Two identical entries, the whole budget on the first, and diagnostics
+        # claiming the first entry's gradient as the water level.
+        entries = (AllocationEntry((1, 1), 5.0, 2.0), AllocationEntry((1, 2), 5.0, 2.0))
+        alloc_input = AllocationInput(entries, 4.0)
+        claimed = dataclasses.replace(
+            allocate(alloc_input).diagnostics, water_level=5 / 7 * 2 / 36, dropped_keys=frozenset({(1, 2)})
+        )
+        lopsided = RateAllocation(rates={(1, 1): 4.0, (1, 2): 0.0}, diagnostics=claimed)
+        report = kkt_check(alloc_input, lopsided, 1e-6)
+        assert report.stationarity_residual == 0.0
+        assert report.budget_slackness_residual == 0.0
+        assert report.dual_feasibility_residual == pytest.approx(5 / 14 - 5 / 7 * 2 / 36)
+        assert not report.satisfied
+        assert kkt_check(alloc_input, allocate(alloc_input), 1e-6).dual_feasibility_residual == 0.0
+
     def test_zero_budget_is_degenerate_but_satisfied(self):
         alloc_input = AllocationInput((AllocationEntry((1, 1), 5.0, 3.0),), 0.0)
         report = kkt_check(alloc_input, allocate(alloc_input), 1e-6)

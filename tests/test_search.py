@@ -2,9 +2,12 @@
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freshcache import (
     AllocationEntry,
@@ -18,6 +21,7 @@ from freshcache import (
     SearchBudgetError,
     UserSpec,
     allocate,
+    brute_force_assignments,
     enumerate_partitions,
     evaluate_scheme,
     solve_exhaustive,
@@ -25,6 +29,7 @@ from freshcache import (
     system_freshness,
     validate_scheme,
 )
+from freshcache.search import _MEMO_ENTRIES
 
 from conftest import REFERENCE_ASSIGNMENT, random_scenario
 
@@ -245,3 +250,39 @@ class TestSolveSampled:
         )
         with pytest.raises(InfeasibleError):
             solve_sampled(scenario, budget=10, seed=0)
+
+
+def _with_capacities(scenario, capacities):
+    relays = tuple(dataclasses.replace(r, capacity=c) for r, c in zip(scenario.relays, capacities))
+    return dataclasses.replace(scenario, relays=relays)
+
+
+class TestRelayMemo:
+    def test_more_blocks_than_the_memo_holds(self):
+        # Two relays of capacity 7 over 14 holdings: every block is the other's
+        # complement, so each of the 2 * C(14, 7) (relay, block) pairs is new.
+        scenario = _with_capacities(random_scenario(random.Random(1414), 14, 4, 2), (7, 7))
+        assert 2 * math.comb(14, 7) > _MEMO_ENTRIES
+        result = solve_exhaustive(scenario)
+        reference = brute_force_assignments(scenario)
+        assert result.evaluated_count == math.comb(14, 7)
+        assert result.objective.sum_form == reference.objective.sum_form
+        assert result.best_scheme.assignment == reference.best_scheme.assignment
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_exhaustive_equals_brute_force(self, data):
+        n_relays = data.draw(st.integers(1, 4))
+        # Largest file count whose raw n_relays**n_files stays within the oracle's limit, capped at 9.
+        n_files = data.draw(st.integers(n_relays, 8 if n_relays == 4 else 9))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        scenario = random_scenario(rng, n_files, rng.randint(1, n_files), n_relays)
+        # One optional spare slot varies the partitions without blowing up the oracle's run time.
+        caps = [r.capacity for r in scenario.relays]
+        caps[rng.randrange(n_relays)] += data.draw(st.integers(0, 1))
+        scenario = _with_capacities(scenario, caps)
+        allow_empty_relay = data.draw(st.booleans())
+        result = solve_exhaustive(scenario, allow_empty_relay=allow_empty_relay)
+        reference = brute_force_assignments(scenario, allow_empty_relay=allow_empty_relay)
+        assert result.objective.sum_form == reference.objective.sum_form
+        assert result.best_scheme.assignment == reference.best_scheme.assignment
