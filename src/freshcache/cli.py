@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--allow-empty-relay", action="store_true", help="permit relays with no assigned holdings")
             p.add_argument(
                 "--threads", type=int, default=os.cpu_count() or 1,
-                help="accepted for compatibility; exhaustive search runs in one process",
+                help="accepted for compatibility; has no effect (exhaustive search runs in one process)",
             )
 
     p_solve = sub.add_parser("solve", help="find the best placement and its rate allocation")
@@ -305,7 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="cross-check the solver against brute-force oracles")
     add_common(p_verify)
     p_verify.add_argument("--allow-empty-relay", action="store_true")
-    p_verify.add_argument("--threads", type=int, default=1)
+    p_verify.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; has no effect (exhaustive search runs in one process)",
+    )
     p_verify.add_argument("--grid-steps", type=int, default=1000)
     p_verify.set_defaults(func=_cmd_verify)
 

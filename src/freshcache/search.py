@@ -9,11 +9,13 @@ hill climber that spends an exact evaluation budget.
 Both modes run in one process and score candidates through ``_evaluate``.
 Relay k's rates depend only on its block of holdings, so each solve memoizes
 ``waterfill`` per (relay, block); a hill-climbing move changes only two
-blocks.  The memo stops growing at ``_MEMO_ENTRIES`` because with two relays
-each block is the other's complement and never repeats.  Rates come from the
-``waterfill`` the public ``allocate`` uses and the objective is summed in the
-per-user order of ``system_freshness``, so reported objective values match a
-re-evaluation through the public API bit for bit.
+blocks.  The memo is cleared when it reaches ``_MEMO_ENTRIES``, which bounds
+memory yet keeps the recent blocks both walks revisit.  An exhaustive walk
+over two relays skips it: each block is the other's complement, so none
+repeats.  Rates come from the ``waterfill`` the public ``allocate`` uses and
+the objective is summed in the per-user order of ``system_freshness``, so
+reported objective values match a re-evaluation through the public API bit
+for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ DEFAULT_ENUMERATION_LIMIT = 10_000_000
 # Consecutive non-improving moves before the hill climber restarts.
 _PATIENCE = 30
 
-# Most (relay, block) water-fill results one solve keeps; see the module docstring.
+# (relay, block) water-fill results one solve keeps before it clears them; see the module docstring.
 _MEMO_ENTRIES = 1 << 12
 
 _Memo = dict[tuple[int, tuple[int, ...]], list[float]]   # (relay index, block) -> block rates
@@ -128,9 +130,10 @@ class _EvalContext:
 
 
 def _build_context(scenario: Scenario) -> _EvalContext:
-    raw = []
-    position = 0
+    raw = []     # indexed by position in canonical holding order
+    spans = []   # per user, the positions of its holdings
     for user in scenario.users:
+        spans.append(range(len(raw), len(raw) + len(user.holdings)))
         for h in user.holdings:
             s = scenario.file_by_id[h.file_id].server_rate
             mu = h.user_rate / (h.user_rate + s)
@@ -141,20 +144,10 @@ def _build_context(scenario: Scenario) -> _EvalContext:
                     s,
                     mu,
                     tuple(h.request_prob * p for p in user.relay_prefs),
-                    position,
                 )
             )
-            position += 1
     order = sorted(range(len(raw)), key=lambda i: raw[i][0])
-    ctx_of_canon = {raw[i][5]: ctx_i for ctx_i, i in enumerate(order)}
-    user_plans = []
-    position = 0
-    for user in scenario.users:
-        plan = []
-        for _h in user.holdings:
-            plan.append(ctx_of_canon[position])
-            position += 1
-        user_plans.append(tuple(plan))
+    ctx_of_canon = {pos: ctx_i for ctx_i, pos in enumerate(order)}
     return _EvalContext(
         n=len(raw),
         weights=tuple(raw[i][1] for i in order),
@@ -163,26 +156,29 @@ def _build_context(scenario: Scenario) -> _EvalContext:
         coef=tuple(raw[i][4] for i in order),
         budgets=tuple(r.rate_budget for r in scenario.relays),
         capacities=tuple(r.capacity for r in scenario.relays),
-        user_plans=tuple(user_plans),
-        canon_pos=tuple(raw[i][5] for i in order),
+        user_plans=tuple(tuple(ctx_of_canon[pos] for pos in span) for span in spans),
+        canon_pos=tuple(order),
     )
 
 
-def _evaluate(ctx: _EvalContext, memo: _Memo, rel_of: Sequence[int], blocks: Sequence[tuple[int, ...]]) -> float:
+def _evaluate(ctx: _EvalContext, memo: _Memo | None, rel_of: Sequence[int], blocks: Sequence[tuple[int, ...]]) -> float:
     """sum_form objective for one assignment; bit-identical to the public evaluation.
 
-    ``blocks[k]`` holds relay k's ctx indices in ascending order.
+    ``blocks[k]`` holds relay k's ctx indices in ascending order.  ``memo`` is
+    None when no block can repeat.
     """
     rates = [0.0] * ctx.n
     for k, block in enumerate(blocks):
         if not block:
             continue
-        block_rates = memo.get((k, block))
+        block_rates = None if memo is None else memo.get((k, block))
         if block_rates is None:
             ws = [ctx.weights[i] for i in block]
             ss = [ctx.server_rates[i] for i in block]
             block_rates = waterfill(ws, ss, ctx.budgets[k])[0]
-            if len(memo) < _MEMO_ENTRIES:
+            if memo is not None:
+                if len(memo) >= _MEMO_ENTRIES:
+                    memo.clear()
                 memo[(k, block)] = block_rates
         for i, r in zip(block, block_rates):
             rates[i] = r
@@ -208,9 +204,9 @@ def _canonical_vector(ctx: _EvalContext, rel_of: Sequence[int]) -> tuple[int, ..
 class _Search:
     """Per-solve state: the water-fill memo, the evaluation count, the running best and its trace."""
 
-    def __init__(self, ctx: _EvalContext) -> None:
+    def __init__(self, ctx: _EvalContext, *, memoize: bool = True) -> None:
         self.ctx = ctx
-        self.memo: _Memo = {}
+        self.memo: _Memo | None = {} if memoize else None
         self.evaluated = 0
         self.val = -math.inf
         self.vec: tuple[int, ...] | None = None
@@ -333,7 +329,7 @@ def solve_exhaustive(
     if total > limit:
         raise SearchBudgetError(f"distinct assignment count {total} exceeds the enumeration limit {limit}")
 
-    search = _Search(ctx)
+    search = _Search(ctx, memoize=len(ctx.budgets) > 2)
     pool = tuple(range(ctx.n))
     rel_of = [0] * ctx.n
     for counts in parts:

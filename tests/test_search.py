@@ -29,6 +29,7 @@ from freshcache import (
     system_freshness,
     validate_scheme,
 )
+from freshcache import search as search_module
 from freshcache.search import _MEMO_ENTRIES
 
 from conftest import REFERENCE_ASSIGNMENT, random_scenario
@@ -260,7 +261,8 @@ def _with_capacities(scenario, capacities):
 class TestRelayMemo:
     def test_more_blocks_than_the_memo_holds(self):
         # Two relays of capacity 7 over 14 holdings: every block is the other's
-        # complement, so each of the 2 * C(14, 7) (relay, block) pairs is new.
+        # complement, so each of the 2 * C(14, 7) (relay, block) pairs is new
+        # and the exhaustive walk runs without the memo.
         scenario = _with_capacities(random_scenario(random.Random(1414), 14, 4, 2), (7, 7))
         assert 2 * math.comb(14, 7) > _MEMO_ENTRIES
         result = solve_exhaustive(scenario)
@@ -268,6 +270,32 @@ class TestRelayMemo:
         assert result.evaluated_count == math.comb(14, 7)
         assert result.objective.sum_form == reference.objective.sum_form
         assert result.best_scheme.assignment == reference.best_scheme.assignment
+
+    def test_clearing_a_full_memo_keeps_every_result(self, monkeypatch):
+        # A cap of 8 makes both walks clear the memo over and over.
+        calls = [0]
+        waterfill = search_module.waterfill
+
+        def counting_waterfill(*args):
+            calls[0] += 1
+            return waterfill(*args)
+
+        monkeypatch.setattr(search_module, "waterfill", counting_waterfill)
+        scenario = random_scenario(random.Random(909), 9, 3, 3)
+        runs = []
+        for cap in (_MEMO_ENTRIES, 8):
+            monkeypatch.setattr(search_module, "_MEMO_ENTRIES", cap)
+            calls[0] = 0
+            results = (solve_exhaustive(scenario), solve_sampled(scenario, budget=400, seed=3))
+            runs.append((calls[0], results))
+        (full_calls, full), (small_calls, small) = runs
+        assert small_calls > full_calls
+        for a, b in zip(full, small):
+            assert a.objective.sum_form == b.objective.sum_form
+            assert a.best_scheme.assignment == b.best_scheme.assignment
+            assert a.trace == b.trace
+            assert a.evaluated_count == b.evaluated_count
+        assert small[0].objective.sum_form == brute_force_assignments(scenario).objective.sum_form
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
