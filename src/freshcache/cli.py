@@ -2,7 +2,7 @@
 
 Subcommands: solve, allocate, freshness, simulate, verify, sweep.
 Exit codes: 0 success, 1 verification mismatch, 2 validation/parse failure,
-3 infeasible instance, 4 search/oracle guard tripped, 5 I/O failure.
+3 infeasible instance, 4 search/oracle/simulator guard tripped, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import (
     ScenarioParseError,
     ScenarioValidationError,
     SearchBudgetError,
+    SimulationScaleError,
 )
 from .freshness import file_freshness, system_freshness, user_freshness
 from .model import INFEASIBILITY_CODES, Scenario, validate_scheme, with_scaled_rates
@@ -338,7 +339,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (SearchBudgetError, OracleScaleError) as exc:
+    except (SearchBudgetError, OracleScaleError, SimulationScaleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (DomainError, IncompleteAllocationError, AllocationMismatchError) as exc:

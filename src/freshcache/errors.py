@@ -39,6 +39,10 @@ class OracleScaleError(FreshCacheError):
     """A brute-force oracle was asked to handle more than it safely can."""
 
 
+class SimulationScaleError(FreshCacheError):
+    """A simulation would draw more events than the simulator safely holds in memory."""
+
+
 class ScenarioParseError(FreshCacheError):
     """A scenario or scheme document is malformed."""
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import DomainError, IncompleteAllocationError
-from .model import CacheScheme, Scenario
+from .model import CacheScheme, Scenario, check_non_negative, check_positive
 
 # Flat rate table: (user_id, file_id) -> relay refresh rate for that holding.
 RateTable = Mapping[tuple[int, int], float]
@@ -33,15 +32,9 @@ def file_freshness(user_rate: float, server_rate: float, relay_rate: float) -> f
     processes the copy is fresh a fraction (u/(u+s)) * (r/(r+s)) of the time.
     A relay that never refreshes (relay_rate 0) yields exactly 0.
     """
-    for name, value in (("user_rate", user_rate), ("server_rate", server_rate), ("relay_rate", relay_rate)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise DomainError(f"{name} must be a finite number, got {value!r}")
-    if user_rate <= 0:
-        raise DomainError(f"user_rate must be positive, got {user_rate!r}")
-    if server_rate <= 0:
-        raise DomainError(f"server_rate must be positive, got {server_rate!r}")
-    if relay_rate < 0:
-        raise DomainError(f"relay_rate must be non-negative, got {relay_rate!r}")
+    check_positive("user_rate", user_rate)
+    check_positive("server_rate", server_rate)
+    check_non_negative("relay_rate", relay_rate)
     return (user_rate / (user_rate + server_rate)) * (relay_rate / (relay_rate + server_rate))
 
 

@@ -106,8 +106,25 @@ class Violation:
     message: str
 
 
-def _bad_number(value) -> bool:
-    return isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)
+def is_number(value, integer=False) -> bool:
+    """The package's one number rule: a finite int or float, or any int when ``integer``; never a bool."""
+    if isinstance(value, bool):
+        return False
+    if integer:
+        return isinstance(value, int)
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def check_positive(name, value, integer=False) -> None:
+    """Raise DomainError unless ``value`` is a number (an int when ``integer``) above zero."""
+    if not is_number(value, integer) or value <= 0:
+        raise DomainError(f"{name} must be a positive {'integer' if integer else 'finite number'}, got {value!r}")
+
+
+def check_non_negative(name, value, integer=False) -> None:
+    """Raise DomainError unless ``value`` is a number (an int when ``integer``) of at least zero."""
+    if not is_number(value, integer) or value < 0:
+        raise DomainError(f"{name} must be a non-negative {'integer' if integer else 'finite number'}, got {value!r}")
 
 
 def validate_scenario(scenario: Scenario) -> list[Violation]:
@@ -132,16 +149,16 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         add(Violation("relay-ids", "relay ids must be 1..K in order"))
 
     for f in files:
-        if _bad_number(f.server_rate) or f.server_rate <= 0:
+        if not is_number(f.server_rate) or f.server_rate <= 0:
             add(Violation("server-rate", f"file {f.file_id}: server_rate must be positive, got {f.server_rate!r}"))
 
     cap_total = 0
     for r in relays:
-        if isinstance(r.capacity, bool) or not isinstance(r.capacity, int) or r.capacity < 0:
+        if not is_number(r.capacity, True) or r.capacity < 0:
             add(Violation("capacity-range", f"relay {r.relay_id}: capacity must be a non-negative integer, got {r.capacity!r}"))
         else:
             cap_total += r.capacity
-        if _bad_number(r.rate_budget) or r.rate_budget < 0:
+        if not is_number(r.rate_budget) or r.rate_budget < 0:
             add(Violation("rate-budget", f"relay {r.relay_id}: rate_budget must be non-negative, got {r.rate_budget!r}"))
     if n > 0 and cap_total < n:
         add(Violation("capacity-aggregate", f"aggregate capacity below file count: {cap_total} < {n}"))
@@ -154,13 +171,10 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         if len(u.relay_prefs) != k:
             add(Violation("relay-prefs-len", f"user {u.user_id}: relay_prefs length {len(u.relay_prefs)} != relay count {k}"))
         else:
-            bad_pref = False
-            for p in u.relay_prefs:
-                if _bad_number(p) or p < 0 or p > 1:
-                    add(Violation("relay-prefs-range", f"user {u.user_id}: relay preference {p!r} outside [0, 1]"))
-                    bad_pref = True
-                    break
-            if not bad_pref and abs(math.fsum(u.relay_prefs) - 1.0) > PROB_TOL:
+            bad = [p for p in u.relay_prefs if not is_number(p) or p < 0 or p > 1]
+            if bad:
+                add(Violation("relay-prefs-range", f"user {u.user_id}: relay preference {bad[0]!r} outside [0, 1]"))
+            elif abs(math.fsum(u.relay_prefs) - 1.0) > PROB_TOL:
                 add(Violation("relay-prefs-sum", f"user {u.user_id}: relay_prefs sum != 1 (got {math.fsum(u.relay_prefs)!r})"))
 
         seen: set[int] = set()
@@ -171,9 +185,9 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             seen.add(h.file_id)
             if h.file_id not in valid_file_ids:
                 add(Violation("holding-unknown-file", f"user {u.user_id}: holding references unknown file {h.file_id}"))
-            if _bad_number(h.user_rate) or h.user_rate <= 0:
+            if not is_number(h.user_rate) or h.user_rate <= 0:
                 add(Violation("user-rate", f"user {u.user_id}, file {h.file_id}: user_rate must be positive, got {h.user_rate!r}"))
-            if _bad_number(h.request_prob) or h.request_prob < 0 or h.request_prob > 1:
+            if not is_number(h.request_prob) or h.request_prob < 0 or h.request_prob > 1:
                 add(Violation("request-prob", f"user {u.user_id}, file {h.file_id}: request_prob {h.request_prob!r} outside [0, 1]"))
                 prob_ok = False
         if prob_ok and abs(math.fsum(h.request_prob for h in u.holdings) - 1.0) > PROB_TOL:
@@ -191,7 +205,7 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         add(Violation("popularity-mode", f"unknown popularity mode {scenario.popularity_mode!r}"))
     if scenario.popularity_mode == "zipf":
         e = scenario.zipf_exponent
-        if e is None or _bad_number(e) or e < 0:
+        if not is_number(e) or e < 0:
             add(Violation("zipf-exponent", f"zipf mode requires a non-negative exponent, got {e!r}"))
 
     return report
@@ -234,14 +248,10 @@ def validate_scheme(scenario: Scenario, scheme: CacheScheme) -> list[Violation]:
 
 def zipf_popularity(exponent: float, n: int) -> tuple[float, ...]:
     """Rank-based request probabilities p_i proportional to i**(-exponent), ranks 1..n."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"file count must be an integer, got {n!r}")
+    check_non_negative("file count", n, True)
     if n == 0:
         raise EmptyDomainError("popularity distribution over zero files")
-    if n < 0:
-        raise DomainError(f"file count must be positive, got {n}")
-    if _bad_number(exponent) or exponent < 0:
-        raise DomainError(f"zipf exponent must be a finite non-negative number, got {exponent!r}")
+    check_non_negative("zipf exponent", exponent)
     weights = [float(rank) ** -exponent for rank in range(1, n + 1)]
     total = math.fsum(weights)
     return tuple(w / total for w in weights)
@@ -261,8 +271,7 @@ def per_user_request_probs(popularity: Sequence[float], user: UserSpec) -> tuple
         if idx < 0 or idx >= len(popularity):
             raise DomainError(f"popularity vector has no entry for file {h.file_id}")
         p = popularity[idx]
-        if _bad_number(p) or p < 0:
-            raise DomainError(f"popularity for file {h.file_id} must be a finite non-negative number, got {p!r}")
+        check_non_negative(f"popularity for file {h.file_id}", p)
         restricted.append(float(p))
     total = math.fsum(restricted)
     if total <= 0.0:
@@ -274,8 +283,7 @@ def with_scaled_rates(scenario: Scenario, target: str, factor: float) -> Scenari
     """Return a copy with every user ("user") or server ("server") rate scaled by ``factor``."""
     if target not in ("user", "server"):
         raise DomainError(f"scale target must be 'user' or 'server', got {target!r}")
-    if _bad_number(factor) or factor <= 0:
-        raise DomainError(f"scale factor must be positive, got {factor!r}")
+    check_positive("scale factor", factor)
     if target == "server":
         files = tuple(FileSpec(f.file_id, f.server_rate * factor) for f in scenario.files)
         return dataclasses.replace(scenario, files=files)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError, OracleScaleError
 from .freshness import ObjectiveValue, system_freshness
-from .model import CacheScheme, Scenario
+from .model import CacheScheme, Scenario, check_non_negative, check_positive
 from .rate_alloc import AllocationEntry, AllocationInput, allocate
 
 GRID_MAX_ENTRIES = 4
@@ -37,17 +37,14 @@ def grid_allocate(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float
         raise DomainError("grid allocation requires at least one entry")
     if n > GRID_MAX_ENTRIES:
         raise OracleScaleError(f"grid oracle limited to {GRID_MAX_ENTRIES} entries, got {n}")
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-        raise DomainError(f"steps must be a positive integer, got {steps!r}")
+    check_positive("steps", steps, True)
     if steps > GRID_MAX_STEPS:
         raise OracleScaleError(f"grid oracle limited to {GRID_MAX_STEPS} steps, got {steps}")
     budget = alloc_input.rate_budget
-    if isinstance(budget, bool) or not isinstance(budget, (int, float)) or not math.isfinite(budget) or budget < 0:
-        raise DomainError(f"rate budget must be a finite non-negative number, got {budget!r}")
+    check_non_negative("rate budget", budget)
     for e in entries:
-        for name, value in (("user_rate", e.user_rate), ("server_rate", e.server_rate)):
-            if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
-                raise DomainError(f"{name} must be a finite positive number, got {value!r}")
+        check_positive("user_rate", e.user_rate)
+        check_positive("server_rate", e.server_rate)
 
     grid = budget * np.arange(steps + 1) / steps
     gains = []

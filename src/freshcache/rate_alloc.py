@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AllocationMismatchError, DomainError
+from .model import check_non_negative, check_positive
 
 Key = tuple[int, int]
 
@@ -60,9 +61,8 @@ class KktReport:
 
 def weight(user_rate: float, server_rate: float) -> float:
     """sqrt(u*s/(u+s)): the square-root weight that sets the water level. Symmetric in u, s."""
-    for name, value in (("user_rate", user_rate), ("server_rate", server_rate)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
-            raise DomainError(f"{name} must be a finite positive number, got {value!r}")
+    check_positive("user_rate", user_rate)
+    check_positive("server_rate", server_rate)
     return math.sqrt(user_rate * server_rate / (user_rate + server_rate))
 
 
@@ -106,17 +106,15 @@ def waterfill(weights: list[float], server_rates: list[float], budget: float):
     return rates, dropped, alpha, beta
 
 
-def _validate_input(alloc_input: AllocationInput) -> None:
+def _validate_input(alloc_input: AllocationInput) -> list[float]:
+    """Check an allocation input; return each entry's weight, in entry order."""
     if not alloc_input.entries:
         raise DomainError("allocation requires at least one entry")
-    budget = alloc_input.rate_budget
-    if isinstance(budget, bool) or not isinstance(budget, (int, float)) or not math.isfinite(budget) or budget < 0:
-        raise DomainError(f"rate budget must be a finite non-negative number, got {budget!r}")
+    check_non_negative("rate budget", alloc_input.rate_budget)
     keys = [e.key for e in alloc_input.entries]
     if len(set(keys)) != len(keys):
         raise DomainError("allocation entries contain duplicate keys")
-    for e in alloc_input.entries:
-        weight(e.user_rate, e.server_rate)  # re-uses the positivity checks
+    return [weight(e.user_rate, e.server_rate) for e in alloc_input.entries]
 
 
 def allocate(alloc_input: AllocationInput) -> RateAllocation:
@@ -126,9 +124,8 @@ def allocate(alloc_input: AllocationInput) -> RateAllocation:
     marginal return cannot reach the water level receive rate 0 and are
     reported in the diagnostics.
     """
-    _validate_input(alloc_input)
-    ordered = sorted(alloc_input.entries, key=sort_key)
-    ws = [weight(e.user_rate, e.server_rate) for e in ordered]
+    weights = _validate_input(alloc_input)
+    ordered, ws = zip(*sorted(zip(alloc_input.entries, weights), key=lambda pair: sort_key(pair[0])))
     ss = [e.server_rate for e in ordered]
     rates_list, dropped_flags, alpha, beta = waterfill(ws, ss, alloc_input.rate_budget)
 
@@ -157,8 +154,7 @@ def kkt_check(alloc_input: AllocationInput, allocation: RateAllocation, toleranc
     Dual feasibility: a zero-rate entry's marginal return at rate zero, mu/s,
     must not exceed the water level.
     """
-    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or not math.isfinite(tolerance) or tolerance <= 0:
-        raise DomainError(f"tolerance must be a finite positive number, got {tolerance!r}")
+    check_positive("tolerance", tolerance)
     _validate_input(alloc_input)
     input_keys = {e.key for e in alloc_input.entries}
     if set(allocation.rates) != input_keys:
@@ -168,8 +164,7 @@ def kkt_check(alloc_input: AllocationInput, allocation: RateAllocation, toleranc
     idle = []        # mu/s of entries with rate zero
     for e in alloc_input.entries:
         lam = allocation.rates[e.key]
-        if lam < 0 or not math.isfinite(lam):
-            raise DomainError(f"rate for {e.key} must be finite and non-negative, got {lam!r}")
+        check_non_negative(f"rate for {e.key}", lam)
         mu = e.user_rate / (e.user_rate + e.server_rate)
         if lam > 0.0:
             active.append((lam, mu * e.server_rate / (lam + e.server_rate) ** 2))

@@ -8,7 +8,6 @@ optional ``popularity`` block.  Request probabilities are given per holding
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -25,6 +24,7 @@ from .model import (
     RelaySpec,
     Scenario,
     UserSpec,
+    is_number,
     per_user_request_probs,
     validate_scenario,
     zipf_popularity,
@@ -84,11 +84,16 @@ def _check_keys(node: Mapping, allowed: set, what: str) -> None:
         raise ScenarioParseError(f"{what}: unknown field '{unknown[0]}'", field=str(unknown[0]))
 
 
+def _is_yaml_number(value) -> bool:
+    """An int or a float; ``.inf`` and ``.nan`` pass so that ``validate_scenario`` reports them by code."""
+    return isinstance(value, float) or is_number(value, True)
+
+
 def _get_number(node: Mapping, key: str, what: str) -> float:
     if key not in node:
         raise ScenarioParseError(f"{what}: missing required field '{key}'", field=key)
     value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_yaml_number(value):
         raise ScenarioParseError(f"{what}: field '{key}' must be a number, got {value!r}", field=key)
     return float(value)
 
@@ -97,7 +102,7 @@ def _get_int(node: Mapping, key: str, what: str) -> int:
     if key not in node:
         raise ScenarioParseError(f"{what}: missing required field '{key}'", field=key)
     value = node[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_number(value, True):
         raise ScenarioParseError(f"{what}: field '{key}' must be an integer, got {value!r}", field=key)
     return value
 
@@ -166,7 +171,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioParseError(f"user {uid}: missing required field 'relay_prefs'", field="relay_prefs")
         prefs = []
         for p in _require_list(node["relay_prefs"], f"user {uid} relay_prefs"):
-            if isinstance(p, bool) or not isinstance(p, (int, float)):
+            if not _is_yaml_number(p):
                 raise ScenarioParseError(f"user {uid}: relay_prefs entries must be numbers, got {p!r}", field="relay_prefs")
             prefs.append(float(p))
         raw_users.append((uid, tuple(holdings), tuple(prefs)))
@@ -184,7 +189,7 @@ def parse_scenario(text: str) -> Scenario:
         )
 
     if mode == "zipf":
-        if exponent is None or isinstance(exponent, bool) or not math.isfinite(exponent) or exponent < 0:
+        if not is_number(exponent) or exponent < 0:
             raise ScenarioParseError(f"popularity: zipf exponent must be finite and non-negative, got {exponent!r}", field="exponent")
         popularity = zipf_popularity(exponent, len(files))
         for uid, holdings, prefs in raw_users:

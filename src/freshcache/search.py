@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
 
-from .errors import DomainError, InfeasibleError, SearchBudgetError
+from .errors import InfeasibleError, SearchBudgetError
 from .freshness import ObjectiveValue, system_freshness
-from .model import CacheScheme, Scenario
+from .model import CacheScheme, Scenario, check_non_negative, check_positive
 from .rate_alloc import (
     AllocationEntry,
     AllocationInput,
@@ -69,17 +69,15 @@ class SolveResult:
 
 
 def enumerate_partitions(n: int, capacities: Sequence[int], *, allow_empty_relay: bool = False) -> Iterator[Partition]:
-    """Yield every split of ``n`` holdings into per-relay counts, lexicographically.
+    """Every split of ``n`` holdings into per-relay counts, lexicographically.
 
     Counts respect each relay's capacity and, unless ``allow_empty_relay`` is
-    set, must be at least 1.
+    set, must be at least 1.  Bad arguments raise on the call, not on iteration.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise DomainError(f"holding count must be a non-negative integer, got {n!r}")
+    check_non_negative("holding count", n, True)
     caps = list(capacities)
     for c in caps:
-        if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-            raise DomainError(f"capacities must be non-negative integers, got {c!r}")
+        check_non_negative("capacity", c, True)
     k = len(caps)
     lo = 0 if allow_empty_relay else 1
     suffix_cap = [0] * (k + 1)
@@ -96,8 +94,7 @@ def enumerate_partitions(n: int, capacities: Sequence[int], *, allow_empty_relay
         for c in range(lo_c, hi_c + 1):
             yield from rec(idx + 1, remaining - c, prefix + (c,))
 
-    for counts in rec(0, n, ()):
-        yield Partition(counts)
+    return (Partition(counts) for counts in rec(0, n, ()))
 
 
 def _partition_size(counts: Sequence[int], n: int) -> int:
@@ -314,10 +311,8 @@ def solve_exhaustive(
     ``limit`` and InfeasibleError if the capacities admit no placement.
     ``threads`` is validated and otherwise ignored: the search runs serially.
     """
-    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
-        raise DomainError(f"limit must be a positive integer, got {limit!r}")
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise DomainError(f"threads must be a positive integer, got {threads!r}")
+    check_positive("limit", limit, True)
+    check_positive("threads", threads, True)
     ctx = _build_context(scenario)
     if ctx.n == 0 or not ctx.budgets:
         raise InfeasibleError("scenario has no holdings or no relays to assign them to")
@@ -390,8 +385,7 @@ def solve_sampled(
     Spends exactly ``budget`` objective evaluations; deterministic for a given
     (scenario, budget, seed) regardless of process or thread count.
     """
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
-        raise DomainError(f"budget must be a positive integer, got {budget!r}")
+    check_positive("budget", budget, True)
     ctx = _build_context(scenario)
     k = len(ctx.budgets)
     if ctx.n == 0 or k == 0:

@@ -22,11 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IncompleteAllocationError
+from .errors import IncompleteAllocationError, SimulationScaleError
 from .freshness import ObjectiveValue, RateTable
-from .model import CacheScheme, Scenario
+from .model import CacheScheme, Scenario, check_non_negative, check_positive
 
 _BATCHES = 20
+# Expected events one stream may draw: 16x the tests' largest (rate 12, horizon 1e5), 160 MB of float64.
+_MAX_STREAM_EVENTS = 20_000_000
 # Two-sided 95% Student-t quantile at 19 degrees of freedom (20 batch means).
 _T_CRIT_19 = 2.093
 
@@ -72,22 +74,17 @@ def _event_before(times: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.where(counts > 0, times[np.maximum(counts - 1, 0)], -np.inf)
 
 
-def _validate_rates(user_rate: float, server_rate: float, relay_rate: float, horizon: float) -> None:
-    for name, value, low_ok in (
-        ("user_rate", user_rate, False),
-        ("server_rate", server_rate, False),
-        ("relay_rate", relay_rate, True),
-        ("horizon", horizon, False),
-    ):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise DomainError(f"{name} must be a finite number, got {value!r}")
-        if value < 0 or (value == 0 and not low_ok):
-            raise DomainError(f"{name} must be positive, got {value!r}")
-
-
 def simulate_file(user_rate: float, server_rate: float, relay_rate: float, horizon: float, seed: int) -> SimEstimate:
-    """Simulate one holding and estimate the long-run freshness fraction."""
-    _validate_rates(user_rate, server_rate, relay_rate, horizon)
+    """Simulate one holding and estimate the long-run freshness fraction.
+
+    Raises SimulationScaleError, before any draw, if a stream's rate * horizon exceeds ``_MAX_STREAM_EVENTS``.
+    """
+    check_positive("user_rate", user_rate)
+    check_positive("server_rate", server_rate)
+    check_non_negative("relay_rate", relay_rate)
+    check_positive("horizon", horizon)
+    if max(user_rate, server_rate, relay_rate) * horizon > _MAX_STREAM_EVENTS:
+        raise SimulationScaleError(f"horizon {horizon:g} makes a stream expect over {_MAX_STREAM_EVENTS} events")
     rng = np.random.default_rng(seed)
     # Stream draw order is fixed so a seed fully determines the run.
     server_t = _event_times(rng, server_rate, horizon)

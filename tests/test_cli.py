@@ -176,6 +176,18 @@ class TestSimulateCommand:
         assert any(l.startswith("aggregate_sum_estimate=") for l in lines)
         assert any(l.startswith("analytic_sum=0.531855") for l in lines)
 
+    def test_horizon_beyond_memory_exits_4(self, scheme_file, rates_file, capsys):
+        code = main(
+            [
+                "simulate", "--scenario", "table1", "--scheme", scheme_file,
+                "--rates", rates_file, "--horizon", "1e16", "--seed", "1",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "error:" in captured.err
+
 
 class TestVerifyCommand:
     def test_table1_passes(self, capsys):

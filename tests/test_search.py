@@ -13,6 +13,7 @@ from freshcache import (
     AllocationEntry,
     AllocationInput,
     CacheScheme,
+    DomainError,
     FileSpec,
     Holding,
     InfeasibleError,
@@ -74,6 +75,11 @@ class TestEnumeratePartitions:
             if sum(c) == 5
         ]
         assert got == expected
+
+    def test_bad_arguments_raise_before_iteration(self):
+        for n, caps in ((-1, [2]), (1.0, [2]), (2, [True]), (2, [2, -1])):
+            with pytest.raises(DomainError):
+                enumerate_partitions(n, caps)
 
 
 class TestEvaluateScheme:

@@ -11,10 +11,12 @@ import pytest
 from freshcache import (
     DomainError,
     IncompleteAllocationError,
+    SimulationScaleError,
     file_freshness,
     simulate_file,
     simulate_system,
 )
+from freshcache import simulator
 from freshcache.simulator import stream_seed
 
 from conftest import REFERENCE_RATES
@@ -90,6 +92,14 @@ class TestSimulateFile:
             simulate_file(1.0, 1.0, 1.0, 0.0, 0)
         with pytest.raises(DomainError):
             simulate_file(1.0, 1.0, math.inf, 100.0, 0)
+
+    def test_stream_too_large_to_draw(self):
+        # The limit leaves 10x room over the largest stream the tests draw (rate 12, horizon 1e5).
+        assert 10 * 12 * 1e5 <= simulator._MAX_STREAM_EVENTS <= 1e8
+        # Each of the three streams is checked, the relay's too.
+        for rates in ((12.0, 1.0, 1.0), (1.0, 12.0, 1.0), (1.0, 1.0, 12.0)):
+            with pytest.raises(SimulationScaleError):
+                simulate_file(*rates, horizon=1e16, seed=0)
 
 
 class TestStreamSeed:
