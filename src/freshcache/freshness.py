@@ -51,7 +51,10 @@ def user_freshness(scenario: Scenario, scheme: CacheScheme, rates: RateTable, us
             raise IncompleteAllocationError(f"no relay assigned for user {user.user_id}, file {h.file_id}")
         if key not in rates:
             raise IncompleteAllocationError(f"missing refresh rate for user {user.user_id}, file {h.file_id}")
-        fresh = file_freshness(h.user_rate, scenario.file_by_id[h.file_id].server_rate, rates[key])
+        u, s = scenario.holding_rates[key]
+        r = rates[key]
+        check_non_negative("relay_rate", r)
+        fresh = (u / (u + s)) * (r / (r + s))   # file_freshness, with the scenario's rates checked once
         total += h.request_prob * user.relay_prefs[relay_id - 1] * fresh
     return total
 

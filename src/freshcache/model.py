@@ -88,6 +88,18 @@ class Scenario:
         return {u.user_id: u for u in self.users}
 
     @cached_property
+    def holding_rates(self) -> dict[tuple[int, int], tuple[float, float]]:
+        """(user_id, file_id) -> (user_rate, server_rate), each checked positive once per scenario."""
+        out = {}
+        for u in self.users:
+            for h in u.holdings:
+                server_rate = self.file_by_id[h.file_id].server_rate
+                check_positive("user_rate", h.user_rate)
+                check_positive("server_rate", server_rate)
+                out[(u.user_id, h.file_id)] = (h.user_rate, server_rate)
+        return out
+
+    @cached_property
     def holding_pairs(self) -> tuple[tuple[int, int], ...]:
         """(user_id, file_id) pairs in document order; the canonical assignment order."""
         return tuple((u.user_id, h.file_id) for u in self.users for h in u.holdings)

@@ -6,16 +6,25 @@ subsets per relay.  Every enumerated assignment is therefore distinct, and
 the whole space is visited exactly once.  The sampled mode is a restarting
 hill climber that spends an exact evaluation budget.
 
-Both modes run in one process and score candidates through ``_evaluate``.
-Relay k's rates depend only on its block of holdings, so each solve memoizes
-``waterfill`` per (relay, block); a hill-climbing move changes only two
-blocks.  The memo is cleared when it reaches ``_MEMO_ENTRIES``, which bounds
-memory yet keeps the recent blocks both walks revisit.  An exhaustive walk
-over two relays skips it: each block is the other's complement, so none
-repeats.  Rates come from the ``waterfill`` the public ``allocate`` uses and
-the objective is summed in the per-user order of ``system_freshness``, so
-reported objective values match a re-evaluation through the public API bit
-for bit.
+Relay k's rates depend only on its block of holdings, so the objective is a
+sum over relays of block values: relay k's water-filled objective terms over
+its block.  Both modes run in one process and keep block values, rates
+included, in a memo keyed by relay index and block bitmask.  The memo is
+cleared when it reaches ``_MEMO_ENTRIES``, which bounds memory yet keeps the
+recent blocks both modes revisit; an exhaustive walk over two relays keeps
+nothing, because each block is the other's complement and none repeats.  The
+exhaustive walk takes each relay's blocks as ``itertools.combinations`` of the
+bits the relays before it left, looks up an outer relay's value once per
+block, and runs the last two relays as one loop whose last block is the
+remainder.  A hill-climbing move changes two blocks.
+
+Block sums only rank candidates.  One that falls below the running best (in
+sampled mode, the climber's current value) by more than a tiny relative
+margin cannot tie it and is only counted; the rest are re-scored through the
+canonical sum, per user in the order of ``system_freshness``, with rates from
+the ``waterfill`` the public ``allocate`` uses.  Reported values, the trace
+and the tie-break come only from that sum, so they match a re-evaluation
+through the public API bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
@@ -30,14 +40,7 @@ from typing import Iterator, Sequence
 from .errors import InfeasibleError, SearchBudgetError
 from .freshness import ObjectiveValue, system_freshness
 from .model import CacheScheme, Scenario, check_non_negative, check_positive
-from .rate_alloc import (
-    AllocationEntry,
-    AllocationInput,
-    RateAllocation,
-    allocate,
-    waterfill,
-    weight,
-)
+from .rate_alloc import AllocationEntry, AllocationInput, RateAllocation, allocate, waterfill, weight
 from .scenario_io import ResultTable, build_result_table
 
 DEFAULT_ENUMERATION_LIMIT = 10_000_000
@@ -45,10 +48,10 @@ DEFAULT_ENUMERATION_LIMIT = 10_000_000
 # Consecutive non-improving moves before the hill climber restarts.
 _PATIENCE = 30
 
-# (relay, block) water-fill results one solve keeps before it clears them; see the module docstring.
+# Block values one solve keeps before it clears them; see the module docstring.
 _MEMO_ENTRIES = 1 << 12
 
-_Memo = dict[tuple[int, tuple[int, ...]], list[float]]   # (relay index, block) -> block rates
+_Block = tuple[float, list[int], list[float], int]   # (block value, ascending ctx indices, their rates, bitmask)
 
 
 @dataclass(frozen=True)
@@ -97,15 +100,6 @@ def enumerate_partitions(n: int, capacities: Sequence[int], *, allow_empty_relay
     return (Partition(counts) for counts in rec(0, n, ()))
 
 
-def _partition_size(counts: Sequence[int], n: int) -> int:
-    size = 1
-    remaining = n
-    for c in counts:
-        size *= comb(remaining, c)
-        remaining -= c
-    return size
-
-
 @dataclass(frozen=True)
 class _EvalContext:
     """Scenario data laid out for fast repeated evaluation.
@@ -123,7 +117,7 @@ class _EvalContext:
     budgets: tuple[float, ...]
     capacities: tuple[int, ...]
     user_plans: tuple[tuple[int, ...], ...]  # ctx indices per user, in holdings order
-    canon_pos: tuple[int, ...]               # ctx index -> position in canonical holding order
+    canon_order: tuple[int, ...]             # ctx indices in canonical holding order
 
 
 def _build_context(scenario: Scenario) -> _EvalContext:
@@ -134,15 +128,8 @@ def _build_context(scenario: Scenario) -> _EvalContext:
         for h in user.holdings:
             s = scenario.file_by_id[h.file_id].server_rate
             mu = h.user_rate / (h.user_rate + s)
-            raw.append(
-                (
-                    (mu / s, user.user_id, h.file_id),
-                    weight(h.user_rate, s),
-                    s,
-                    mu,
-                    tuple(h.request_prob * p for p in user.relay_prefs),
-                )
-            )
+            coef = tuple(h.request_prob * p for p in user.relay_prefs)
+            raw.append(((mu / s, user.user_id, h.file_id), weight(h.user_rate, s), s, mu, coef))
     order = sorted(range(len(raw)), key=lambda i: raw[i][0])
     ctx_of_canon = {pos: ctx_i for ctx_i, pos in enumerate(order)}
     return _EvalContext(
@@ -154,89 +141,119 @@ def _build_context(scenario: Scenario) -> _EvalContext:
         budgets=tuple(r.rate_budget for r in scenario.relays),
         capacities=tuple(r.capacity for r in scenario.relays),
         user_plans=tuple(tuple(ctx_of_canon[pos] for pos in span) for span in spans),
-        canon_pos=tuple(order),
+        canon_order=tuple(ctx_of_canon[pos] for pos in range(len(raw))),
     )
-
-
-def _evaluate(ctx: _EvalContext, memo: _Memo | None, rel_of: Sequence[int], blocks: Sequence[tuple[int, ...]]) -> float:
-    """sum_form objective for one assignment; bit-identical to the public evaluation.
-
-    ``blocks[k]`` holds relay k's ctx indices in ascending order.  ``memo`` is
-    None when no block can repeat.
-    """
-    rates = [0.0] * ctx.n
-    for k, block in enumerate(blocks):
-        if not block:
-            continue
-        block_rates = None if memo is None else memo.get((k, block))
-        if block_rates is None:
-            ws = [ctx.weights[i] for i in block]
-            ss = [ctx.server_rates[i] for i in block]
-            block_rates = waterfill(ws, ss, ctx.budgets[k])[0]
-            if memo is not None:
-                if len(memo) >= _MEMO_ENTRIES:
-                    memo.clear()
-                memo[(k, block)] = block_rates
-        for i, r in zip(block, block_rates):
-            rates[i] = r
-    total = 0.0
-    for plan in ctx.user_plans:
-        acc = 0.0
-        for i in plan:
-            r = rates[i]
-            fresh = ctx.mus[i] * (r / (r + ctx.server_rates[i]))
-            acc += ctx.coef[i][rel_of[i]] * fresh
-        total += acc
-    return total
 
 
 def _canonical_vector(ctx: _EvalContext, rel_of: Sequence[int]) -> tuple[int, ...]:
     """Relay ids (1-based) in canonical holding order; the tie-break representation."""
-    vec = [0] * ctx.n
-    for i in range(ctx.n):
-        vec[ctx.canon_pos[i]] = rel_of[i] + 1
-    return tuple(vec)
+    return tuple(rel_of[i] + 1 for i in ctx.canon_order)
 
 
 class _Search:
-    """Per-solve state: the water-fill memo, the evaluation count, the running best and its trace."""
+    """Per-solve state: the block memo, the evaluation count, the running best and its trace."""
 
     def __init__(self, ctx: _EvalContext, *, memoize: bool = True) -> None:
         self.ctx = ctx
-        self.memo: _Memo | None = {} if memoize else None
+        self.memo: dict[int, _Block] = {}   # key: relay index << n | block bitmask
+        self.memoize = memoize
+        # Rank-gate margin, relative.  Every term is non-negative and a block sum
+        # adds the same terms as the canonical sum in another order, so the two
+        # differ by at most 2n*eps of the canonical value.  1e-12 exceeds that by
+        # orders of magnitude for any n an enumeration reaches; the max keeps
+        # the gate exact for every n.
+        self.rel = max(1e-12, 2 * ctx.n * sys.float_info.epsilon)
         self.evaluated = 0
         self.val = -math.inf
+        self.floor = -math.inf   # a block sum below this cannot reach self.val
         self.vec: tuple[int, ...] | None = None
         self.trace: list[tuple[int, float]] = []
 
-    def score(self, rel_of: Sequence[int], blocks: Sequence[tuple[int, ...]]) -> float:
-        """Evaluate the next assignment; a tie keeps the smaller canonical vector."""
-        val = _evaluate(self.ctx, self.memo, rel_of, blocks)
-        self.evaluated += 1
+    def block(self, k: int, mask: int) -> _Block:
+        """Relay k over the holdings in ``mask``: its objective terms summed in index order, indices, rates, mask."""
+        hit = self.memo.get(k << self.ctx.n | mask)
+        if hit is not None:
+            return hit
+        ctx = self.ctx
+        idx = [i for i in range(ctx.n) if mask >> i & 1]
+        ss = [ctx.server_rates[i] for i in idx]
+        rates = waterfill([ctx.weights[i] for i in idx], ss, ctx.budgets[k])[0] if idx else []
+        value = 0.0
+        for i, r, s in zip(idx, rates, ss):
+            value += ctx.coef[i][k] * (ctx.mus[i] * (r / (r + s)))
+        if self.memoize:
+            if len(self.memo) >= _MEMO_ENTRIES:
+                self.memo.clear()
+            self.memo[k << ctx.n | mask] = value, idx, rates, mask
+        return value, idx, rates, mask
+
+    def offer(self, index: int, parts: Sequence[_Block]) -> float:
+        """Canonical value of evaluation ``index``, whose relay k holds ``parts[k]``; a tie keeps the smaller vector."""
+        ctx = self.ctx
+        rates = [0.0] * ctx.n
+        rel_of = [0] * ctx.n
+        for k, (_value, idx, block_rates, _mask) in enumerate(parts):
+            for i, r in zip(idx, block_rates):
+                rates[i] = r
+                rel_of[i] = k
+        val = 0.0
+        for plan in ctx.user_plans:
+            acc = 0.0
+            for i in plan:
+                r = rates[i]
+                fresh = ctx.mus[i] * (r / (r + ctx.server_rates[i]))
+                acc += ctx.coef[i][rel_of[i]] * fresh
+            val += acc
         if val > self.val:
             self.val = val
-            self.vec = _canonical_vector(self.ctx, rel_of)
-            self.trace.append((self.evaluated, val))
+            self.floor = val - self.rel * val
+            self.vec = _canonical_vector(ctx, rel_of)
+            self.trace.append((index, val))
         elif val == self.val:
-            self.vec = min(self.vec, _canonical_vector(self.ctx, rel_of))
+            self.vec = min(self.vec, _canonical_vector(ctx, rel_of))
         return val
+
+    def walk(self, counts: tuple[int, ...], rest: int, prefix: float = 0.0, parts: tuple[_Block, ...] = ()) -> None:
+        """Score every split of bitmask ``rest`` over relays ``len(parts)`` onwards, in enumeration order.
+
+        Relay k takes each ``counts[k]``-subset of what the relays before it
+        left, in ``itertools.combinations`` order; the last relay takes the rest.
+        """
+        k = len(parts)
+        bits = [1 << i for i in range(self.ctx.n) if rest >> i & 1]
+        if k < len(counts) - 2:
+            for combo in itertools.combinations(bits, counts[k]):
+                mask = sum(combo)
+                part = self.block(k, mask)
+                self.walk(counts, rest ^ mask, prefix + part[0], parts + (part,))
+            return
+        # The last two relays, in one loop with the memo lookups inlined.  With a
+        # single relay, the second is a relay index past the end with an empty block.
+        get, block = self.memo.get, self.block
+        key_a, key_b = k << self.ctx.n, k + 1 << self.ctx.n
+        start = self.evaluated
+        for index, combo in enumerate(itertools.combinations(bits, counts[k]), start + 1):
+            mask = sum(combo)
+            a = get(key_a | mask) or block(k, mask)
+            b = get(key_b | rest ^ mask) or block(k + 1, rest ^ mask)
+            if prefix + a[0] + b[0] >= self.floor:
+                self.offer(index, parts + (a, b))
+        self.evaluated = start + comb(len(bits), counts[k])
+
+    def step(self, parts: Sequence[_Block], current: float) -> float:
+        """Count one hill-climbing evaluation: its canonical value, or -inf when its block sum shows it is below ``current``.
+
+        ``current`` never exceeds the running best, so a skipped move can neither beat nor tie it.
+        """
+        self.evaluated += 1
+        if sum(p[0] for p in parts) < current - self.rel * abs(current):
+            return -math.inf
+        return self.offer(self.evaluated, parts)
 
     def result(self, scenario: Scenario) -> SolveResult:
         assert self.vec is not None
         objective = ObjectiveValue(self.val, self.val / scenario.n_users)
         return make_solve_result(scenario, self.vec, objective, self.trace, self.evaluated)
-
-
-def _iter_block_sets(counts: tuple[int, ...], pool: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if len(counts) == 1:
-        yield (pool,)
-        return
-    head, rest_counts = counts[0], counts[1:]
-    for subset in itertools.combinations(pool, head):
-        taken = set(subset)
-        rest = tuple(i for i in pool if i not in taken)
-        for tail in _iter_block_sets(rest_counts, rest):
-            yield (subset,) + tail
 
 
 def relay_inputs(scenario: Scenario, scheme: CacheScheme) -> dict[int, AllocationInput]:
@@ -265,9 +282,7 @@ def evaluate_scheme(scenario: Scenario, scheme: CacheScheme) -> tuple[ObjectiveV
     omitted from the returned allocation map.
     """
     per_relay = {relay_id: allocate(alloc_input) for relay_id, alloc_input in relay_inputs(scenario, scheme).items()}
-    flat: dict[tuple[int, int], float] = {}
-    for alloc in per_relay.values():
-        flat.update(alloc.rates)
+    flat = {key: r for alloc in per_relay.values() for key, r in alloc.rates.items()}
     return system_freshness(scenario, scheme, flat), per_relay
 
 
@@ -284,9 +299,7 @@ def make_solve_result(
     assert abs(recheck.sum_form - objective.sum_form) <= 1e-12 * max(1.0, abs(objective.sum_form)), (
         "fast-path objective diverged from the public evaluation"
     )
-    flat: dict[tuple[int, int], float] = {}
-    for alloc in per_relay.values():
-        flat.update(alloc.rates)
+    flat = {key: r for alloc in per_relay.values() for key, r in alloc.rates.items()}
     table = build_result_table(scenario, scheme, flat, objective)
     return SolveResult(
         best_scheme=scheme,
@@ -320,19 +333,13 @@ def solve_exhaustive(
     parts = [p.counts for p in enumerate_partitions(ctx.n, ctx.capacities, allow_empty_relay=allow_empty_relay)]
     if not parts:
         raise InfeasibleError("no feasible cache scheme under the capacity constraints")
-    total = sum(_partition_size(c, ctx.n) for c in parts)
+    total = sum(math.factorial(ctx.n) // math.prod(map(math.factorial, c)) for c in parts)   # n! / prod(c_k!) each
     if total > limit:
         raise SearchBudgetError(f"distinct assignment count {total} exceeds the enumeration limit {limit}")
 
     search = _Search(ctx, memoize=len(ctx.budgets) > 2)
-    pool = tuple(range(ctx.n))
-    rel_of = [0] * ctx.n
     for counts in parts:
-        for blocks in _iter_block_sets(counts, pool):
-            for k, block in enumerate(blocks):
-                for i in block:
-                    rel_of[i] = k
-            search.score(rel_of, blocks)
+        search.walk(counts, (1 << ctx.n) - 1)
     assert search.evaluated == total
     return search.result(scenario)
 
@@ -396,16 +403,10 @@ def solve_sampled(
 
     rng = random.Random(seed)
     search = _Search(ctx)
-
-    def evaluate(rel_of: list[int]) -> float:
-        blocks: list[list[int]] = [[] for _ in range(k)]
-        for i, r in enumerate(rel_of):
-            blocks[r].append(i)
-        return search.score(rel_of, [tuple(b) for b in blocks])
-
     while search.evaluated < budget:
         rel_of, counts = _random_assignment(ctx, rng, allow_empty_relay)
-        current = evaluate(rel_of)
+        parts = [search.block(r, sum(1 << i for i in range(ctx.n) if rel_of[i] == r)) for r in range(k)]
+        current = search.step(parts, -math.inf)
         failures = 0
         while failures < _PATIENCE and search.evaluated < budget:
             move = _propose_move(ctx, rng, rel_of, counts, min_count)
@@ -413,17 +414,15 @@ def solve_sampled(
                 break
             i, dst = move
             src = rel_of[i]
-            rel_of[i] = dst
-            counts[src] -= 1
-            counts[dst] += 1
-            val = evaluate(rel_of)
+            trial = parts.copy()
+            trial[src], trial[dst] = search.block(src, parts[src][3] ^ 1 << i), search.block(dst, parts[dst][3] ^ 1 << i)
+            val = search.step(trial, current)
             if val > current:
-                current = val
-                failures = 0
+                parts, current, failures = trial, val, 0
+                rel_of[i] = dst
+                counts[src] -= 1
+                counts[dst] += 1
             else:
-                rel_of[i] = src
-                counts[src] += 1
-                counts[dst] -= 1
                 failures += 1
 
     assert search.evaluated == budget

@@ -15,9 +15,13 @@ import freshcache
 from freshcache import (
     AllocationEntry,
     AllocationInput,
+    CacheScheme,
     DomainError,
+    FileSpec,
     Holding,
     RateAllocation,
+    RelaySpec,
+    Scenario,
     UserSpec,
     allocate,
     file_freshness,
@@ -28,6 +32,7 @@ from freshcache import (
     simulate_file,
     solve_exhaustive,
     solve_sampled,
+    system_freshness,
     weight,
     with_scaled_rates,
     zipf_popularity,
@@ -100,3 +105,16 @@ def test_number_rule_is_written_once():
         if pattern.search(line)
     ]
     assert hits == [], f"bool checks outside model.is_number: {hits}"
+
+
+@pytest.mark.parametrize("value", [True, math.nan], ids=["True", "nan"])
+def test_system_freshness_rejects_a_bad_user_rate(value):
+    # Built directly, so no validation ran; the rate check is cached per scenario only once it passes.
+    scenario = Scenario(
+        files=(FileSpec(1, 2.0),),
+        users=(UserSpec(1, (Holding(1, value, 1.0),), (1.0,)),),
+        relays=(RelaySpec(1, 1, 4.0),),
+    )
+    for _call in range(2):
+        with pytest.raises(DomainError):
+            system_freshness(scenario, CacheScheme({(1, 1): 1}), {(1, 1): 1.0})
