@@ -42,9 +42,6 @@ def grid_allocate(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float
         raise OracleScaleError(f"grid oracle limited to {GRID_MAX_STEPS} steps, got {steps}")
     budget = alloc_input.rate_budget
     check_non_negative("rate budget", budget)
-    for e in entries:
-        check_positive("user_rate", e.user_rate)
-        check_positive("server_rate", e.server_rate)
 
     grid = budget * np.arange(steps + 1) / steps
     gains = []
@@ -91,7 +88,9 @@ def brute_force_assignments(
 
     Enumeration is the plain K**H product in canonical holding order with
     infeasible assignments skipped, so ties resolve to the lexicographically
-    smallest assignment vector automatically.  Returns a SolveResult.
+    smallest assignment vector automatically.  Each relay's block is allocated
+    through the public ``allocate`` and every assignment is scored through
+    ``system_freshness``.  Returns a SolveResult.
     """
     from .search import make_solve_result  # local import: search depends on this module's callers, not vice versa
 
@@ -105,10 +104,12 @@ def brute_force_assignments(
 
     capacities = [r.capacity for r in scenario.relays]
     min_count = 0 if allow_empty_relay else 1
-    entry_info = []
-    for user in scenario.users:
-        for h in user.holdings:
-            entry_info.append((user.user_id, h.file_id, h.user_rate, scenario.file_by_id[h.file_id].server_rate))
+    entries = [AllocationEntry(pair, *scenario.holding_rates[pair]) for pair in pairs]
+    # Rates of each (relay index, holding positions) block, allocated once.  At
+    # K <= 2 no block repeats (at K = 2 each block fixes the other), so nothing
+    # is stored.  At K >= 3 there are at most K * 2**H blocks; the default
+    # limit keeps H <= 10 there, so at most 3 * 2**10 = 3,072 entries.
+    block_rates: dict[tuple[int, tuple[int, ...]], dict[tuple[int, int], float]] = {}
 
     best_val = -math.inf
     best_vector: tuple[int, ...] | None = None
@@ -116,23 +117,24 @@ def brute_force_assignments(
     evaluated = 0
 
     for vector in itertools.product(range(k), repeat=len(pairs)):
-        counts = [0] * k
-        for rel in vector:
-            counts[rel] += 1
-        if any(c < min_count or c > cap for c, cap in zip(counts, capacities)):
+        blocks: list[list[int]] = [[] for _ in range(k)]
+        for pos, rel in enumerate(vector):
+            blocks[rel].append(pos)
+        if any(len(b) < min_count or len(b) > cap for b, cap in zip(blocks, capacities)):
             continue
         evaluated += 1
         scheme = CacheScheme({pair: rel + 1 for pair, rel in zip(pairs, vector)})
         flat: dict[tuple[int, int], float] = {}
-        for relay in scenario.relays:
-            relay_entries = tuple(
-                AllocationEntry((uid, fid), u_rate, s_rate)
-                for (uid, fid, u_rate, s_rate), rel in zip(entry_info, vector)
-                if rel + 1 == relay.relay_id
-            )
-            if not relay_entries:
+        for idx, (relay, block) in enumerate(zip(scenario.relays, blocks)):
+            if not block:
                 continue
-            flat.update(allocate(AllocationInput(relay_entries, relay.rate_budget)).rates)
+            key = (idx, tuple(block))
+            rates = block_rates.get(key)
+            if rates is None:
+                rates = allocate(AllocationInput(tuple(entries[p] for p in block), relay.rate_budget)).rates
+                if k > 2:
+                    block_rates[key] = rates
+            flat.update(rates)
         val = system_freshness(scenario, scheme, flat).sum_form
         if val > best_val:
             best_val = val

@@ -6,7 +6,9 @@ r_j >= 0 under sum_j r_j <= G.  The optimum therefore equalizes marginal
 returns at a common water level delta = (alpha/beta)**2 and zeroes out
 entries whose marginal return at rate zero is already below that level.
 ``allocate`` implements the sorted single-pass closed form; ``kkt_check``
-verifies first-order optimality residuals independently of it.
+verifies first-order optimality residuals independently of it.  An
+``AllocationEntry`` checks its rates once, when it is built, so neither
+re-checks them per call.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ class AllocationEntry:
     key: Key
     user_rate: float
     server_rate: float
+
+    def __post_init__(self):
+        check_positive("user_rate", self.user_rate)
+        check_positive("server_rate", self.server_rate)
 
 
 @dataclass(frozen=True)
@@ -106,15 +112,14 @@ def waterfill(weights: list[float], server_rates: list[float], budget: float):
     return rates, dropped, alpha, beta
 
 
-def _validate_input(alloc_input: AllocationInput) -> list[float]:
-    """Check an allocation input; return each entry's weight, in entry order."""
+def _validate_input(alloc_input: AllocationInput) -> None:
+    """Structural checks of an allocation input; its entries checked their own rates when built."""
     if not alloc_input.entries:
         raise DomainError("allocation requires at least one entry")
     check_non_negative("rate budget", alloc_input.rate_budget)
     keys = [e.key for e in alloc_input.entries]
     if len(set(keys)) != len(keys):
         raise DomainError("allocation entries contain duplicate keys")
-    return [weight(e.user_rate, e.server_rate) for e in alloc_input.entries]
 
 
 def allocate(alloc_input: AllocationInput) -> RateAllocation:
@@ -124,17 +129,11 @@ def allocate(alloc_input: AllocationInput) -> RateAllocation:
     marginal return cannot reach the water level receive rate 0 and are
     reported in the diagnostics.
     """
-    weights = _validate_input(alloc_input)
-    ordered, ws = zip(*sorted(zip(alloc_input.entries, weights), key=lambda pair: sort_key(pair[0])))
+    _validate_input(alloc_input)
+    ordered = sorted(alloc_input.entries, key=sort_key)
+    ws = [math.sqrt(e.user_rate * e.server_rate / (e.user_rate + e.server_rate)) for e in ordered]   # as weight() computes it
     ss = [e.server_rate for e in ordered]
     rates_list, dropped_flags, alpha, beta = waterfill(ws, ss, alloc_input.rate_budget)
-
-    # The single pass assigns each surviving rate using the alpha/beta current
-    # at its turn; consistency with the final sums is what makes the result a
-    # fixed point.  Guard against float-ordering edge cases breaking that.
-    for j in range(len(ordered)):
-        assert dropped_flags[j] == (ws[j] * beta <= ss[j] * alpha), "water-filling pass did not reach a fixed point"
-
     rates = {e.key: r for e, r in zip(ordered, rates_list)}
     dropped = frozenset(e.key for e, flag in zip(ordered, dropped_flags) if flag)
     water_level = (alpha / beta) ** 2 if beta > 0 else math.inf

@@ -56,6 +56,8 @@ REAL_ARGS = [
     ("file_freshness.relay_rate", lambda v: file_freshness(5.0, 2.0, v)),
     ("weight.user_rate", lambda v: weight(v, 2.0)),
     ("weight.server_rate", lambda v: weight(5.0, v)),
+    ("AllocationEntry.user_rate", lambda v: AllocationEntry((1, 1), v, 2.0)),
+    ("AllocationEntry.server_rate", lambda v: AllocationEntry((1, 1), 5.0, v)),
     ("allocate.budget", lambda v: allocate(AllocationInput((ENTRY,), v))),
     ("allocate.user_rate", lambda v: allocate(AllocationInput((AllocationEntry((1, 1), v, 2.0),), 4.0))),
     ("kkt_check.tolerance", lambda v: kkt_check(INPUT, allocate(INPUT), v)),
@@ -92,6 +94,14 @@ CASES = [
 def test_bad_number_raises_domain_error(call, value):
     with pytest.raises(DomainError):
         call(value)
+
+
+@pytest.mark.parametrize("value", [0, 0.0, -1.0], ids=["0", "0.0", "negative"])
+def test_allocation_entry_rejects_a_non_positive_rate(value):
+    with pytest.raises(DomainError):
+        AllocationEntry((1, 1), value, 2.0)
+    with pytest.raises(DomainError):
+        AllocationEntry((1, 1), 5.0, value)
 
 
 def test_number_rule_is_written_once():
