@@ -28,8 +28,8 @@ from .errors import (
 from .freshness import file_freshness, system_freshness, user_freshness
 from .model import INFEASIBILITY_CODES, Scenario, validate_scheme, with_scaled_rates
 from .oracle import GRID_MAX_ENTRIES, brute_force_assignments, grid_allocate
-from .rate_alloc import kkt_check
-from .search import SolveResult, evaluate_scheme, relay_inputs, solve_exhaustive, solve_sampled
+from .rate_alloc import allocate, kkt_check
+from .search import SolveResult, relay_inputs, solve_exhaustive, solve_sampled
 from .scenario_io import (
     load_scenario,
     parse_rates,
@@ -148,11 +148,10 @@ def _cmd_allocate(args) -> int:
     scheme = _load_scheme(args.scheme, scenario)
     lines = ["file_index,user_index,relay_index,relay_rate"]
     reports = []
-    _objective, per_relay = evaluate_scheme(scenario, scheme)
     inputs = relay_inputs(scenario, scheme)
     rows = []
-    for relay_id in sorted(per_relay):
-        alloc = per_relay[relay_id]
+    for relay_id in sorted(inputs):
+        alloc = allocate(inputs[relay_id])
         for (uid, fid), rate in alloc.rates.items():
             rows.append((fid, uid, relay_id, rate))
         report = kkt_check(inputs[relay_id], alloc, KKT_TOLERANCE)

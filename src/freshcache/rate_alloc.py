@@ -86,13 +86,16 @@ def waterfill(weights: list[float], server_rates: list[float], budget: float):
     the surviving entries (beta includes the budget).  Every caller that needs
     numerically identical results must funnel through this function.
     """
+    n = len(weights)
+    if budget == 0:
+        # At a zero budget every entry drops; the pass below would leave float residue on mu/s ties.
+        return [0.0] * n, [True] * n, 0.0, 0.0
     alpha = 0.0
     beta = budget
     for w in weights:
         alpha += w
     for s in server_rates:
         beta += s
-    n = len(weights)
     rates = [0.0] * n
     dropped = [False] * n
     for j in range(n):
@@ -105,8 +108,8 @@ def waterfill(weights: list[float], server_rates: list[float], budget: float):
         else:
             rates[j] = beta * w / alpha - s
     if n and all(dropped):
-        # Nothing survived (only possible when the budget is zero); clear the
-        # float residue so the sums are the exact mathematical zeros.
+        # Nothing survived: a positive budget too small to register next to the
+        # server rates.  Clear the float residue so the sums are the exact zeros.
         alpha = 0.0
         beta = 0.0
     return rates, dropped, alpha, beta

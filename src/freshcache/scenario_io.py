@@ -302,6 +302,8 @@ def parse_rates(text: str) -> dict[tuple[int, int], float]:
         node = _require_mapping(node, "rate entry")
         _check_keys(node, {"user", "file", "rate"}, "rate entry")
         key = (_get_int(node, "user", "rate entry"), _get_int(node, "file", "rate entry"))
+        if key in rates:
+            raise ScenarioParseError(f"rate entry: duplicate holding (user {key[0]}, file {key[1]})")
         rates[key] = _get_number(node, "rate", "rate entry")
     return rates
 

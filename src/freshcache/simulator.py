@@ -5,9 +5,12 @@ drawn over a finite horizon: server updates, relay refresh requests, and user
 refresh requests.  The freshness state machine is replayed exactly on those
 streams: a server update makes both cached copies outdated, a relay request
 refreshes the relay copy, and a user request adopts the relay copy's current
-state.  Both copies start outdated.  The primary estimator is the fraction of
-the horizon during which the user copy is fresh; a renewal (cycle-ratio)
-estimator over successful refresh cycles serves as a cross-check.
+state.  Both copies start outdated, so each server cycle holds at most one
+fresh interval: from its first user request that finds the relay copy fresh
+to the cycle's end.  The primary estimator is the fraction of the horizon
+those intervals cover, with 20 batch means from a running total of fresh
+time at the batch edges; a renewal (cycle-ratio) estimator over successful
+refresh cycles serves as a cross-check.
 
 Simultaneous events would be processed server update first, then relay
 request, then user request; with continuous exponential draws ties have
@@ -67,13 +70,6 @@ def _event_times(rng: np.random.Generator, rate: float, horizon: float) -> np.nd
     return times[times < horizon]
 
 
-def _event_before(times: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Time of the counts-th event (1-based), or -inf where counts is zero."""
-    if times.size == 0:
-        return np.full(counts.shape, -np.inf)
-    return np.where(counts > 0, times[np.maximum(counts - 1, 0)], -np.inf)
-
-
 def simulate_file(user_rate: float, server_rate: float, relay_rate: float, horizon: float, seed: int) -> SimEstimate:
     """Simulate one holding and estimate the long-run freshness fraction.
 
@@ -91,52 +87,35 @@ def simulate_file(user_rate: float, server_rate: float, relay_rate: float, horiz
     relay_t = _event_times(rng, relay_rate, horizon)
     user_t = _event_times(rng, user_rate, horizon)
 
-    starts = np.empty(0)
-    ends = np.empty(0)
-    valid_times = np.empty(0)
-    if user_t.size:
-        # Number of server updates / relay requests at or before each user request.
-        n_server = np.searchsorted(server_t, user_t, side="right")
-        n_relay = np.searchsorted(relay_t, user_t, side="right")
-        last_server = _event_before(server_t, n_server)
-        last_relay = _event_before(relay_t, n_relay)
-        # The relay copy is fresh iff it refreshed after the last server update;
-        # before any refresh it is outdated (both copies start outdated).
-        valid = last_relay > last_server
-        valid_times = user_t[valid]
-        valid_cycle = n_server[valid]  # index of the next server update
-        if valid_times.size:
-            # The user copy stays fresh from the first successful request of a
-            # server cycle until the next server update (repeat requests within
-            # the cycle change nothing).
-            _, first_pos = np.unique(valid_cycle, return_index=True)
-            starts = valid_times[first_pos]
-            end_idx = valid_cycle[first_pos]
-            guarded = np.minimum(end_idx, max(server_t.size - 1, 0))
-            ends = np.where(end_idx < server_t.size, server_t[guarded] if server_t.size else horizon, horizon)
+    # Server cycle j runs from bounds[j] to bounds[j + 1]; -inf stands for no update yet.
+    bounds = np.concatenate(([-np.inf], server_t, [horizon]))
+    cycle = np.searchsorted(server_t, user_t, side="right")
+    n_relay = np.searchsorted(relay_t, user_t, side="right")
+    # A request succeeds iff the relay's last refresh (-inf: none yet) came after the cycle began.
+    valid = np.concatenate(([-np.inf], relay_t))[n_relay] > bounds[cycle]
+    valid_times = user_t[valid]
+    valid_cycle = cycle[valid]
+    # Fresh from a cycle's first successful request to the cycle's end.
+    first = np.diff(valid_cycle, prepend=-1) > 0
+    starts = valid_times[first]
+    ends = bounds[valid_cycle[first] + 1]
+    lengths = ends - starts
+    estimate = float(lengths.sum()) / horizon
 
-    fresh_total = float((ends - starts).sum())
-    estimate = fresh_total / horizon
-
+    # Fresh time up to each batch edge: the intervals started by then, less the last one's overrun.
     edges = np.linspace(0.0, horizon, _BATCHES + 1)
-    if starts.size:
-        lo = edges[:-1, None]
-        hi = edges[1:, None]
-        overlap = np.clip(np.minimum(ends[None, :], hi) - np.maximum(starts[None, :], lo), 0.0, None)
-        fractions = overlap.sum(axis=1) / (horizon / _BATCHES)
-    else:
-        fractions = np.zeros(_BATCHES)
+    started = np.searchsorted(starts, edges, side="right")
+    fresh_to_edge = np.concatenate(([0.0], np.cumsum(lengths)))[started]
+    fresh_to_edge -= np.maximum(np.concatenate(([-np.inf], ends))[started] - edges, 0.0)
+    fractions = np.diff(fresh_to_edge) / (horizon / _BATCHES)
     half_width = float(_T_CRIT_19 * fractions.std(ddof=1) / math.sqrt(_BATCHES))
 
-    n_valid = int(valid_times.size)
-    cycles = max(0, n_valid - 1)
-    if cycles > 0:
-        span = float(valid_times[-1] - valid_times[0])
-        lo_t, hi_t = float(valid_times[0]), float(valid_times[-1])
-        in_span = np.clip(np.minimum(ends, hi_t) - np.maximum(starts, lo_t), 0.0, None).sum()
-        cycle_ratio = float(in_span / span) if span > 0 else math.nan
-    else:
-        cycle_ratio = math.nan
+    # Every interval starts within the span of successful requests; only the last may end past it.
+    cycles = max(0, valid_times.size - 1)
+    cycle_ratio = math.nan
+    if cycles > 0 and valid_times[-1] > valid_times[0]:
+        in_span = (np.minimum(ends, valid_times[-1]) - starts).sum()
+        cycle_ratio = float(in_span / (valid_times[-1] - valid_times[0]))
 
     return SimEstimate(
         freshness_estimate=estimate,

@@ -159,6 +159,15 @@ class TestFreshnessCommand:
         assert "objective_sum=0.531855" in lines
         assert "objective_mean=0.132964" in lines
 
+    def test_duplicate_rate_entry_exit_code(self, tmp_path, scheme_file, capsys):
+        rates = tmp_path / "dup_rates.yaml"
+        rates.write_text(serialize_rates(REFERENCE_RATES) + "- {user: 1, file: 1, rate: 9.0}\n")
+        code = main(["freshness", "--scenario", "table1", "--scheme", scheme_file, "--rates", str(rates)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "duplicate" in captured.err
+
 
 class TestSimulateCommand:
     def test_csv_output(self, scheme_file, rates_file, capsys):

@@ -108,6 +108,23 @@ class TestAllocate:
         assert alloc.diagnostics.dropped_keys == {(1, 1), (1, 2), (1, 3)}
         assert alloc.diagnostics.water_level == math.inf
 
+    def test_zero_budget_with_tied_entries_leaves_no_residue(self):
+        # Three entries tie on mu/s; a plain water-filling pass leaves rates of ~1e-15 on them.
+        entries = tuple(AllocationEntry((1, f), 1.0, 15.0) for f in (1, 2, 3)) + (AllocationEntry((1, 4), 1.0, 16.0),)
+        alloc = allocate(AllocationInput(entries, 0.0))
+        assert list(alloc.rates.values()) == [0.0] * 4
+        assert alloc.diagnostics.dropped_keys == {e.key for e in entries}
+        assert (alloc.diagnostics.alpha, alloc.diagnostics.beta) == (0.0, 0.0)
+        assert alloc.diagnostics.water_level == math.inf
+
+    def test_negligible_budget_drops_everything_without_residue(self):
+        # 1e-20 vanishes next to the server rates, so the pass drops every entry, leaving alpha at ~1e-16 unless cleared.
+        entries = (AllocationEntry((1, 1), 1.0, 1.0), AllocationEntry((1, 2), 1.0, 2.0), AllocationEntry((1, 3), 2.0, 2.0))
+        alloc = allocate(AllocationInput(entries, 1e-20))
+        assert list(alloc.rates.values()) == [0.0] * 3
+        assert (alloc.diagnostics.alpha, alloc.diagnostics.beta) == (0.0, 0.0)
+        assert alloc.diagnostics.water_level == math.inf
+
     def test_entry_order_is_irrelevant(self):
         rng = random.Random(11)
         base = make_allocation_input(rng, 6)

@@ -166,6 +166,11 @@ class TestRoundTrips:
         with pytest.raises(ScenarioParseError):
             parse_scheme(text)
 
+    def test_rates_duplicate_entry_rejected(self):
+        text = "rates:\n- {user: 1, file: 1, rate: 2.0}\n- {user: 1, file: 1, rate: 3.0}\n"
+        with pytest.raises(ScenarioParseError):
+            parse_rates(text)
+
 
 class TestFixturePaths:
     def test_bundled_fixture_exists(self):
