@@ -192,15 +192,13 @@ def _cmd_simulate(args) -> int:
     sim = simulate_system(scenario, scheme, rates, args.horizon, args.seed)
     analytic = system_freshness(scenario, scheme, rates)
     lines = ["user_index,file_index,relay_index,relay_rate,analytic,estimate,half_width_95,cycles"]
-    for user in scenario.users:
-        for h in user.holdings:
-            key = (user.user_id, h.file_id)
-            est = sim.estimates[key]
-            point = file_freshness(h.user_rate, scenario.file_by_id[h.file_id].server_rate, rates[key])
-            lines.append(
-                f"{user.user_id},{h.file_id},{scheme.assignment[key]},{rates[key]:.4f},"
-                f"{point:.6f},{est.freshness_estimate:.6f},{est.half_width_95:.6f},{est.cycles_observed}"
-            )
+    for (uid, fid), e in scenario.entries.items():
+        est, rate = sim.estimates[uid, fid], rates[uid, fid]
+        point = file_freshness(e.user_rate, e.server_rate, rate)
+        lines.append(
+            f"{uid},{fid},{scheme.assignment[uid, fid]},{rate:.4f},"
+            f"{point:.6f},{est.freshness_estimate:.6f},{est.half_width_95:.6f},{est.cycles_observed}"
+        )
     lines.append(f"aggregate_sum_estimate={sim.aggregate.sum_form:.6f}")
     lines.append(f"aggregate_mean_estimate={sim.aggregate.mean_form:.6f}")
     lines.append(f"analytic_sum={analytic.sum_form:.6f}")
@@ -229,10 +227,7 @@ def _cmd_verify(args) -> int:
         if len(entries) > GRID_MAX_ENTRIES:
             lines.append(f"grid_check relay={relay_id} skipped ({len(entries)} entries)")
             continue
-        closed = sum(
-            (e.user_rate / (e.user_rate + e.server_rate)) * alloc.rates[e.key] / (alloc.rates[e.key] + e.server_rate)
-            for e in entries
-        )
+        closed = sum(e.mu * alloc.rates[e.key] / (alloc.rates[e.key] + e.server_rate) for e in entries)
         _grid_rates, grid_obj = grid_allocate(alloc_input, args.grid_steps)
         ok = grid_obj <= closed + 1e-4
         grids_ok = grids_ok and ok

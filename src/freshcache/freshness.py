@@ -38,23 +38,42 @@ def file_freshness(user_rate: float, server_rate: float, relay_rate: float) -> f
     return (user_rate / (user_rate + server_rate)) * (relay_rate / (relay_rate + server_rate))
 
 
+def holding_placement(scenario: Scenario, scheme: CacheScheme, rates: RateTable, key: tuple[int, int]) -> tuple[int, float]:
+    """The relay id and refresh rate of holding ``key``.
+
+    Raises IncompleteAllocationError when the scheme or the rate table lacks
+    the holding, and DomainError when its relay id is not one of 1..K.
+    """
+    relay_id = scheme.assignment.get(key)
+    if relay_id is None:
+        raise IncompleteAllocationError(f"no relay assigned for user {key[0]}, file {key[1]}")
+    if key not in rates:
+        raise IncompleteAllocationError(f"missing refresh rate for user {key[0]}, file {key[1]}")
+    if not 0 < relay_id <= scenario.n_relays:
+        raise DomainError(f"holding (user {key[0]}, file {key[1]}) assigned to unknown relay {relay_id}")
+    return relay_id, rates[key]
+
+
 def user_freshness(scenario: Scenario, scheme: CacheScheme, rates: RateTable, user_id: int) -> float:
     """Request-weighted freshness of one user's holdings under a placement and rate table."""
     user = scenario.user_by_id.get(user_id)
     if user is None:
         raise DomainError(f"unknown user id {user_id}")
+    entries, assignment, k = scenario.entries, scheme.assignment, scenario.n_relays
     total = 0.0
     for h in user.holdings:
         key = (user.user_id, h.file_id)
-        relay_id = scheme.assignment.get(key)
-        if relay_id is None:
-            raise IncompleteAllocationError(f"no relay assigned for user {user.user_id}, file {h.file_id}")
-        if key not in rates:
-            raise IncompleteAllocationError(f"missing refresh rate for user {user.user_id}, file {h.file_id}")
-        u, s = scenario.holding_rates[key]
-        r = rates[key]
+        # holding_placement's rule, inline on the success path: this loop scores every oracle assignment.
+        try:
+            relay_id = assignment[key]
+            r = rates[key]
+        except KeyError:
+            relay_id, r = holding_placement(scenario, scheme, rates, key)   # raises: names what is missing
+        if not 0 < relay_id <= k:
+            holding_placement(scenario, scheme, rates, key)   # raises: the relay is not one of 1..K
         check_non_negative("relay_rate", r)
-        fresh = (u / (u + s)) * (r / (r + s))   # file_freshness, with the scenario's rates checked once
+        e = entries[key]
+        fresh = e.mu * (r / (r + e.server_rate))   # file_freshness, with the scenario's rates checked once
         total += h.request_prob * user.relay_prefs[relay_id - 1] * fresh
     return total
 

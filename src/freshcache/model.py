@@ -5,13 +5,18 @@ relays that cache copies subject to a per-relay capacity and a total
 refresh-rate budget, and a set of users that each hold a private subset of
 the files.  A cache scheme assigns every (user, file) holding to exactly one
 relay.  All ids are 1-based and contiguous.
+
+``AllocationEntry`` is the package's one per-holding record: built once per
+holding, it checks the holding's two rates and derives from them the
+objective factor mu, the water-filling weight and, through
+``rate_alloc.sort_key``, the processing order every layer reads.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -24,6 +29,8 @@ PROB_TOL = 1e-9
 # Violation codes whose presence means the instance admits no cache scheme at
 # all, as opposed to being merely malformed.
 INFEASIBILITY_CODES = frozenset({"capacity-aggregate"})
+
+Key = tuple[int, int]   # a holding: (user_id, file_id)
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,33 @@ class RelaySpec:
     rate_budget: float  # total refresh rate the relay can spend on its holdings
 
 
+def weight(user_rate: float, server_rate: float) -> float:
+    """sqrt(u*s/(u+s)): the square-root weight that sets the water level. Symmetric in u, s; checks both rates."""
+    check_positive("user_rate", user_rate)
+    check_positive("server_rate", server_rate)
+    return math.sqrt(user_rate * server_rate / (user_rate + server_rate))
+
+
+@dataclass(frozen=True)
+class AllocationEntry:
+    """One holding, identified by (user_id, file_id), with its fixed rates and the values they set.
+
+    ``mu`` = u/(u+s) is the holding's objective factor, so its freshness at
+    relay rate r is mu * r/(r+s); ``weight`` is ``weight(u, s)``, which checks
+    both rates when the entry is built.
+    """
+
+    key: Key
+    user_rate: float
+    server_rate: float
+    mu: float = field(init=False, compare=False)
+    weight: float = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "weight", weight(self.user_rate, self.server_rate))
+        object.__setattr__(self, "mu", self.user_rate / (self.user_rate + self.server_rate))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A complete problem instance. Immutable; derived lookups are cached."""
@@ -88,16 +122,13 @@ class Scenario:
         return {u.user_id: u for u in self.users}
 
     @cached_property
-    def holding_rates(self) -> dict[tuple[int, int], tuple[float, float]]:
-        """(user_id, file_id) -> (user_rate, server_rate), each checked positive once per scenario."""
-        out = {}
-        for u in self.users:
-            for h in u.holdings:
-                server_rate = self.file_by_id[h.file_id].server_rate
-                check_positive("user_rate", h.user_rate)
-                check_positive("server_rate", server_rate)
-                out[(u.user_id, h.file_id)] = (h.user_rate, server_rate)
-        return out
+    def entries(self) -> dict[Key, AllocationEntry]:
+        """(user_id, file_id) -> the holding's entry, in document order; each holding's rates checked once per scenario."""
+        return {
+            (u.user_id, h.file_id): AllocationEntry((u.user_id, h.file_id), h.user_rate, self.file_by_id[h.file_id].server_rate)
+            for u in self.users
+            for h in u.holdings
+        }
 
     @cached_property
     def holding_pairs(self) -> tuple[tuple[int, int], ...]:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleError, OracleScaleError
 from .freshness import ObjectiveValue, system_freshness
 from .model import CacheScheme, Scenario, check_non_negative, check_positive
-from .rate_alloc import AllocationEntry, AllocationInput, allocate
+from .rate_alloc import AllocationInput, allocate
 
 GRID_MAX_ENTRIES = 4
 GRID_MAX_STEPS = 10_000
@@ -44,10 +44,7 @@ def grid_allocate(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float
     check_non_negative("rate budget", budget)
 
     grid = budget * np.arange(steps + 1) / steps
-    gains = []
-    for e in entries:
-        mu = e.user_rate / (e.user_rate + e.server_rate)
-        gains.append(mu * grid / (grid + e.server_rate))
+    gains = [e.mu * grid / (grid + e.server_rate) for e in entries]
 
     # value[b] = best objective of the first j entries using exactly b units
     value = gains[0]
@@ -73,8 +70,7 @@ def grid_allocate(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float
     rates = tuple(budget * u / steps for u in units)
     objective = 0.0
     for e, r in zip(entries, rates):
-        mu = e.user_rate / (e.user_rate + e.server_rate)
-        objective += mu * r / (r + e.server_rate)
+        objective += e.mu * r / (r + e.server_rate)
     return rates, objective
 
 
@@ -104,7 +100,7 @@ def brute_force_assignments(
 
     capacities = [r.capacity for r in scenario.relays]
     min_count = 0 if allow_empty_relay else 1
-    entries = [AllocationEntry(pair, *scenario.holding_rates[pair]) for pair in pairs]
+    entries = [scenario.entries[pair] for pair in pairs]
     # Rates of each (relay index, holding positions) block, allocated once.  At
     # K <= 2 no block repeats (at K = 2 each block fixes the other), so nothing
     # is stored.  At K >= 3 there are at most K * 2**H blocks; the default

@@ -6,9 +6,9 @@ r_j >= 0 under sum_j r_j <= G.  The optimum therefore equalizes marginal
 returns at a common water level delta = (alpha/beta)**2 and zeroes out
 entries whose marginal return at rate zero is already below that level.
 ``allocate`` implements the sorted single-pass closed form; ``kkt_check``
-verifies first-order optimality residuals independently of it.  An
-``AllocationEntry`` checks its rates once, when it is built, so neither
-re-checks them per call.
+verifies first-order optimality residuals independently of it.  Both read mu
+and the weight off each ``AllocationEntry`` (defined in ``model`` and
+re-exported here), which checks its rates once, when it is built.
 """
 
 from __future__ import annotations
@@ -17,22 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AllocationMismatchError, DomainError
-from .model import check_non_negative, check_positive
-
-Key = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class AllocationEntry:
-    """One cached holding, identified by (user_id, file_id), with its fixed rates."""
-
-    key: Key
-    user_rate: float
-    server_rate: float
-
-    def __post_init__(self):
-        check_positive("user_rate", self.user_rate)
-        check_positive("server_rate", self.server_rate)
+from .model import AllocationEntry, Key, check_non_negative, check_positive, weight  # noqa: F401  (weight re-exported)
 
 
 @dataclass(frozen=True)
@@ -65,17 +50,9 @@ class KktReport:
     satisfied: bool
 
 
-def weight(user_rate: float, server_rate: float) -> float:
-    """sqrt(u*s/(u+s)): the square-root weight that sets the water level. Symmetric in u, s."""
-    check_positive("user_rate", user_rate)
-    check_positive("server_rate", server_rate)
-    return math.sqrt(user_rate * server_rate / (user_rate + server_rate))
-
-
 def sort_key(entry: AllocationEntry) -> tuple[float, Key]:
     """Canonical processing order: ascending mu/s, ties broken by (user_id, file_id)."""
-    mu = entry.user_rate / (entry.user_rate + entry.server_rate)
-    return (mu / entry.server_rate, entry.key)
+    return (entry.mu / entry.server_rate, entry.key)
 
 
 def waterfill(weights: list[float], server_rates: list[float], budget: float):
@@ -134,9 +111,8 @@ def allocate(alloc_input: AllocationInput) -> RateAllocation:
     """
     _validate_input(alloc_input)
     ordered = sorted(alloc_input.entries, key=sort_key)
-    ws = [math.sqrt(e.user_rate * e.server_rate / (e.user_rate + e.server_rate)) for e in ordered]   # as weight() computes it
     ss = [e.server_rate for e in ordered]
-    rates_list, dropped_flags, alpha, beta = waterfill(ws, ss, alloc_input.rate_budget)
+    rates_list, dropped_flags, alpha, beta = waterfill([e.weight for e in ordered], ss, alloc_input.rate_budget)
     rates = {e.key: r for e, r in zip(ordered, rates_list)}
     dropped = frozenset(e.key for e, flag in zip(ordered, dropped_flags) if flag)
     water_level = (alpha / beta) ** 2 if beta > 0 else math.inf
@@ -167,11 +143,10 @@ def kkt_check(alloc_input: AllocationInput, allocation: RateAllocation, toleranc
     for e in alloc_input.entries:
         lam = allocation.rates[e.key]
         check_non_negative(f"rate for {e.key}", lam)
-        mu = e.user_rate / (e.user_rate + e.server_rate)
         if lam > 0.0:
-            active.append((lam, mu * e.server_rate / (lam + e.server_rate) ** 2))
+            active.append((lam, e.mu * e.server_rate / (lam + e.server_rate) ** 2))
         else:
-            idle.append(mu / e.server_rate)
+            idle.append(e.mu / e.server_rate)
 
     delta = max(g for _lam, g in active) if active else max(idle)
     stationarity = max((abs(delta - g) for _lam, g in active), default=0.0)

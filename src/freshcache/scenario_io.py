@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import yaml
 
-from .errors import IncompleteAllocationError, ScenarioParseError, ScenarioValidationError
-from .freshness import ObjectiveValue
+from .errors import ScenarioParseError, ScenarioValidationError
+from .freshness import ObjectiveValue, holding_placement
 from .model import (
     CacheScheme,
     FileSpec,
@@ -258,59 +258,49 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(p.read_text())
 
 
-def parse_scheme(text: str) -> CacheScheme:
-    """Parse a placement document: {assignment: [{user, file, relay}, ...]}."""
+def _parse_holding_doc(text: str, kind: str, top: str, entry: str, field: str, get) -> dict[tuple[int, int], object]:
+    """Read a ``{top: [{user, file, field}, ...]}`` document into (user_id, file_id) -> ``get(node, field, entry)``."""
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ScenarioParseError(f"malformed scheme document: {exc}") from exc
-    doc = _require_mapping(doc, "scheme document")
-    _check_keys(doc, {"assignment"}, "scheme document")
-    if "assignment" not in doc:
-        raise ScenarioParseError("scheme document: missing required field 'assignment'", field="assignment")
-    assignment: dict[tuple[int, int], int] = {}
-    for node in _require_list(doc["assignment"], "assignment"):
-        node = _require_mapping(node, "assignment entry")
-        _check_keys(node, {"user", "file", "relay"}, "assignment entry")
-        key = (_get_int(node, "user", "assignment entry"), _get_int(node, "file", "assignment entry"))
-        if key in assignment:
-            raise ScenarioParseError(f"assignment entry: duplicate holding (user {key[0]}, file {key[1]})")
-        assignment[key] = _get_int(node, "relay", "assignment entry")
-    return CacheScheme(assignment)
+        raise ScenarioParseError(f"malformed {kind} document: {exc}") from exc
+    doc = _require_mapping(doc, f"{kind} document")
+    _check_keys(doc, {top}, f"{kind} document")
+    if top not in doc:
+        raise ScenarioParseError(f"{kind} document: missing required field '{top}'", field=top)
+    out: dict[tuple[int, int], object] = {}
+    for node in _require_list(doc[top], top):
+        node = _require_mapping(node, entry)
+        _check_keys(node, {"user", "file", field}, entry)
+        key = (_get_int(node, "user", entry), _get_int(node, "file", entry))
+        if key in out:
+            raise ScenarioParseError(f"{entry}: duplicate holding (user {key[0]}, file {key[1]})")
+        out[key] = get(node, field, entry)
+    return out
+
+
+def _holding_doc(top: str, field: str, values: Mapping[tuple[int, int], object], cast) -> str:
+    """Write ``values`` as a ``{top: [{user, file, field}, ...]}`` document, sorted by holding."""
+    entries = [{"user": uid, "file": fid, field: cast(value)} for (uid, fid), value in sorted(values.items())]
+    return yaml.safe_dump({top: entries}, sort_keys=False)
+
+
+def parse_scheme(text: str) -> CacheScheme:
+    """Parse a placement document: {assignment: [{user, file, relay}, ...]}."""
+    return CacheScheme(_parse_holding_doc(text, "scheme", "assignment", "assignment entry", "relay", _get_int))
 
 
 def serialize_scheme(scheme: CacheScheme) -> str:
-    entries = [
-        {"user": uid, "file": fid, "relay": relay}
-        for (uid, fid), relay in sorted(scheme.assignment.items())
-    ]
-    return yaml.safe_dump({"assignment": entries}, sort_keys=False)
+    return _holding_doc("assignment", "relay", scheme.assignment, lambda relay: relay)
 
 
 def parse_rates(text: str) -> dict[tuple[int, int], float]:
     """Parse a rate table document: {rates: [{user, file, rate}, ...]}."""
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ScenarioParseError(f"malformed rates document: {exc}") from exc
-    doc = _require_mapping(doc, "rates document")
-    _check_keys(doc, {"rates"}, "rates document")
-    if "rates" not in doc:
-        raise ScenarioParseError("rates document: missing required field 'rates'", field="rates")
-    rates: dict[tuple[int, int], float] = {}
-    for node in _require_list(doc["rates"], "rates"):
-        node = _require_mapping(node, "rate entry")
-        _check_keys(node, {"user", "file", "rate"}, "rate entry")
-        key = (_get_int(node, "user", "rate entry"), _get_int(node, "file", "rate entry"))
-        if key in rates:
-            raise ScenarioParseError(f"rate entry: duplicate holding (user {key[0]}, file {key[1]})")
-        rates[key] = _get_number(node, "rate", "rate entry")
-    return rates
+    return _parse_holding_doc(text, "rates", "rates", "rate entry", "rate", _get_number)
 
 
 def serialize_rates(rates: Mapping[tuple[int, int], float]) -> str:
-    entries = [{"user": uid, "file": fid, "rate": float(rate)} for (uid, fid), rate in sorted(rates.items())]
-    return yaml.safe_dump({"rates": entries}, sort_keys=False)
+    return _holding_doc("rates", "rate", rates, float)
 
 
 def build_result_table(
@@ -321,24 +311,9 @@ def build_result_table(
 ) -> ResultTable:
     """One row per holding, sorted by file index, plus an objective footer."""
     rows = []
-    for user in scenario.users:
-        for h in user.holdings:
-            key = (user.user_id, h.file_id)
-            relay_id = scheme.assignment.get(key)
-            if relay_id is None:
-                raise IncompleteAllocationError(f"no relay assigned for user {user.user_id}, file {h.file_id}")
-            if key not in rates:
-                raise IncompleteAllocationError(f"missing refresh rate for user {user.user_id}, file {h.file_id}")
-            rows.append(
-                TableRow(
-                    file_index=h.file_id,
-                    user_index=user.user_id,
-                    user_rate=h.user_rate,
-                    relay_index=relay_id,
-                    relay_rate=rates[key],
-                    server_rate=scenario.file_by_id[h.file_id].server_rate,
-                )
-            )
+    for (uid, fid), e in scenario.entries.items():
+        relay_id, rate = holding_placement(scenario, scheme, rates, (uid, fid))
+        rows.append(TableRow(fid, uid, e.user_rate, relay_id, rate, e.server_rate))
     rows.sort(key=lambda r: (r.file_index, r.user_index))
     footer = TableFooter(
         user_count=scenario.n_users,

@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 from .errors import InfeasibleError, SearchBudgetError
 from .freshness import ObjectiveValue, system_freshness
 from .model import CacheScheme, Scenario, check_non_negative, check_positive
-from .rate_alloc import AllocationEntry, AllocationInput, RateAllocation, allocate, waterfill, weight
+from .rate_alloc import AllocationEntry, AllocationInput, RateAllocation, allocate, sort_key, waterfill
 from .scenario_io import ResultTable, build_result_table
 
 DEFAULT_ENUMERATION_LIMIT = 10_000_000
@@ -121,27 +121,19 @@ class _EvalContext:
 
 
 def _build_context(scenario: Scenario) -> _EvalContext:
-    raw = []     # indexed by position in canonical holding order
-    spans = []   # per user, the positions of its holdings
-    for user in scenario.users:
-        spans.append(range(len(raw), len(raw) + len(user.holdings)))
-        for h in user.holdings:
-            s = scenario.file_by_id[h.file_id].server_rate
-            mu = h.user_rate / (h.user_rate + s)
-            coef = tuple(h.request_prob * p for p in user.relay_prefs)
-            raw.append(((mu / s, user.user_id, h.file_id), weight(h.user_rate, s), s, mu, coef))
-    order = sorted(range(len(raw)), key=lambda i: raw[i][0])
-    ctx_of_canon = {pos: ctx_i for ctx_i, pos in enumerate(order)}
+    order = sorted(scenario.entries.values(), key=sort_key)
+    ctx_of = {e.key: i for i, e in enumerate(order)}
+    coef_of = {(u.user_id, h.file_id): tuple(h.request_prob * p for p in u.relay_prefs) for u in scenario.users for h in u.holdings}
     return _EvalContext(
-        n=len(raw),
-        weights=tuple(raw[i][1] for i in order),
-        server_rates=tuple(raw[i][2] for i in order),
-        mus=tuple(raw[i][3] for i in order),
-        coef=tuple(raw[i][4] for i in order),
+        n=len(order),
+        weights=tuple(e.weight for e in order),
+        server_rates=tuple(e.server_rate for e in order),
+        mus=tuple(e.mu for e in order),
+        coef=tuple(coef_of[e.key] for e in order),
         budgets=tuple(r.rate_budget for r in scenario.relays),
         capacities=tuple(r.capacity for r in scenario.relays),
-        user_plans=tuple(tuple(ctx_of_canon[pos] for pos in span) for span in spans),
-        canon_order=tuple(ctx_of_canon[pos] for pos in range(len(raw))),
+        user_plans=tuple(tuple(ctx_of[(u.user_id, h.file_id)] for h in u.holdings) for u in scenario.users),
+        canon_order=tuple(ctx_of[key] for key in scenario.entries),
     )
 
 
@@ -263,11 +255,8 @@ def relay_inputs(scenario: Scenario, scheme: CacheScheme) -> dict[int, Allocatio
     Relays with no holdings are omitted.
     """
     grouped: dict[int, list[AllocationEntry]] = {}
-    for user in scenario.users:
-        for h in user.holdings:
-            key = (user.user_id, h.file_id)
-            entry = AllocationEntry(key, h.user_rate, scenario.file_by_id[h.file_id].server_rate)
-            grouped.setdefault(scheme.assignment.get(key), []).append(entry)
+    for key, entry in scenario.entries.items():
+        grouped.setdefault(scheme.assignment.get(key), []).append(entry)
     return {
         relay.relay_id: AllocationInput(tuple(grouped[relay.relay_id]), relay.rate_budget)
         for relay in scenario.relays

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompleteAllocationError, SimulationScaleError
-from .freshness import ObjectiveValue, RateTable
+from .errors import SimulationScaleError
+from .freshness import ObjectiveValue, RateTable, holding_placement
 from .model import CacheScheme, Scenario, check_non_negative, check_positive
 
 _BATCHES = 20
@@ -143,18 +143,9 @@ def simulate_system(
     for user in scenario.users:
         for h in user.holdings:
             key = (user.user_id, h.file_id)
-            relay_id = scheme.assignment.get(key)
-            if relay_id is None:
-                raise IncompleteAllocationError(f"no relay assigned for user {user.user_id}, file {h.file_id}")
-            if key not in rates:
-                raise IncompleteAllocationError(f"missing refresh rate for user {user.user_id}, file {h.file_id}")
-            est = simulate_file(
-                h.user_rate,
-                scenario.file_by_id[h.file_id].server_rate,
-                rates[key],
-                horizon,
-                stream_seed(seed, user.user_id, h.file_id),
-            )
+            e = scenario.entries[key]
+            relay_id, rate = holding_placement(scenario, scheme, rates, key)
+            est = simulate_file(e.user_rate, e.server_rate, rate, horizon, stream_seed(seed, *key))
             estimates[key] = est
             total += h.request_prob * user.relay_prefs[relay_id - 1] * est.freshness_estimate
     return SystemSimResult(estimates=estimates, aggregate=ObjectiveValue(total, total / scenario.n_users))

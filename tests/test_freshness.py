@@ -135,3 +135,11 @@ class TestSystemFreshness:
     def test_incomplete_rates(self, table1, reference_scheme):
         with pytest.raises(IncompleteAllocationError):
             system_freshness(table1, reference_scheme, {})
+
+    @pytest.mark.parametrize("relay_id", [0, 4], ids=["relay-0", "relay-K+1"])
+    def test_relay_outside_one_to_k(self, table1, relay_id):
+        # Relay 0 would silently read the last relay's preference; relay K+1 would index past the end.
+        assignment = dict(REFERENCE_ASSIGNMENT)
+        assignment[(1, 1)] = relay_id
+        with pytest.raises(DomainError, match=f"unknown relay {relay_id}"):
+            system_freshness(table1, CacheScheme(assignment), REFERENCE_RATES)

@@ -1,12 +1,17 @@
 """Domain model, validation, and popularity distribution tests."""
 
+import ast
 import dataclasses
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+import freshcache
 from freshcache import (
+    AllocationEntry,
     CacheScheme,
     DegeneratePopularityError,
     DomainError,
@@ -17,11 +22,14 @@ from freshcache import (
     Scenario,
     UserSpec,
     per_user_request_probs,
+    rate_alloc,
     validate_scenario,
     validate_scheme,
+    weight,
     with_scaled_rates,
     zipf_popularity,
 )
+from freshcache.search import relay_inputs
 
 from conftest import REFERENCE_ASSIGNMENT, random_scenario
 
@@ -54,6 +62,51 @@ class TestScenarioStructure:
     def test_specs_are_immutable(self, table1):
         with pytest.raises(dataclasses.FrozenInstanceError):
             table1.files[0].server_rate = 99.0
+
+
+class TestHoldingEntries:
+    def test_one_entry_per_holding_in_document_order(self, table1):
+        assert tuple(table1.entries) == table1.holding_pairs
+        e = table1.entries[(3, 7)]
+        assert (e.key, e.user_rate, e.server_rate) == ((3, 7), 10, 6)
+        assert table1.entries is table1.entries
+
+    def test_derived_fields_are_neither_arguments_nor_compared(self):
+        e = AllocationEntry((1, 1), 5.0, 3.0)
+        assert (e.mu, e.weight) == (5.0 / 8.0, math.sqrt(15.0 / 8.0))
+        assert e == AllocationEntry((1, 1), 5.0, 3.0)
+        with pytest.raises(TypeError):
+            AllocationEntry((1, 1), 5.0, 3.0, 0.5)
+
+    def test_rate_alloc_reexports_the_model_record(self):
+        assert rate_alloc.AllocationEntry is AllocationEntry
+        assert rate_alloc.weight is weight
+
+    def test_relay_inputs_share_the_scenario_entries(self, table1):
+        inputs = relay_inputs(table1, CacheScheme(dict(REFERENCE_ASSIGNMENT)))
+        entries = [e for alloc_input in inputs.values() for e in alloc_input.entries]
+        assert len(entries) == len(table1.entries)
+        assert all(e is table1.entries[e.key] for e in entries)
+
+    def test_mu_is_written_once(self):
+        # mu = u/(u+s) comes from AllocationEntry; file_freshness, which takes bare rates, is the one other place.
+        src = Path(freshcache.__file__).parent
+        pattern = re.compile(r"\b(?:user_rate|u)\s*/\s*\(")
+        hits = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "model.py":
+                continue
+            text = path.read_text()
+            allowed = set()
+            if path.name == "freshness.py":
+                fn = next(n for n in ast.parse(text).body if isinstance(n, ast.FunctionDef) and n.name == "file_freshness")
+                allowed = set(range(fn.lineno, fn.end_lineno + 1))
+            hits += [
+                f"{path.name}:{lineno}"
+                for lineno, line in enumerate(text.splitlines(), 1)
+                if pattern.search(line) and lineno not in allowed
+            ]
+        assert hits == [], f"mu written outside model.AllocationEntry and freshness.file_freshness: {hits}"
 
 
 class TestValidateScenario:

@@ -18,6 +18,7 @@ from freshcache import (
     kkt_check,
     parse_scenario,
     serialize_scenario,
+    weight,
 )
 from freshcache.cli import KKT_TOLERANCE
 from freshcache.scenario_io import parse_rates, parse_scheme, serialize_rates, serialize_scheme
@@ -41,6 +42,14 @@ def allocation_inputs(draw, max_entries):
             rates.append((draw(RATE), draw(RATE)))
     entries = tuple(AllocationEntry((1, j), u, s) for j, (u, s) in enumerate(rates, start=1))
     return AllocationInput(entries, draw(BUDGET))
+
+
+@PROPERTY
+@given(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6))
+def test_entry_mu_and_weight_are_the_formulas_bit_for_bit(u, s):
+    e = AllocationEntry((1, 1), u, s)
+    assert e.mu == u / (u + s)
+    assert e.weight == weight(u, s)
 
 
 # A zero budget over entries tied on mu/s: float residue leaves two entries a

@@ -9,6 +9,7 @@ import math
 import pytest
 
 from freshcache import (
+    CacheScheme,
     DomainError,
     IncompleteAllocationError,
     SimulationScaleError,
@@ -19,7 +20,7 @@ from freshcache import (
 from freshcache import simulator
 from freshcache.simulator import stream_seed
 
-from conftest import REFERENCE_RATES
+from conftest import REFERENCE_ASSIGNMENT, REFERENCE_RATES
 
 
 class TestSimulateFile:
@@ -153,3 +154,10 @@ class TestSimulateSystem:
         del partial[(3, 7)]
         with pytest.raises(IncompleteAllocationError):
             simulate_system(table1, reference_scheme, partial, horizon=1e3, seed=0)
+
+    @pytest.mark.parametrize("relay_id", [0, 4], ids=["relay-0", "relay-K+1"])
+    def test_relay_outside_one_to_k(self, table1, relay_id):
+        assignment = dict(REFERENCE_ASSIGNMENT)
+        assignment[(1, 1)] = relay_id
+        with pytest.raises(DomainError, match=f"unknown relay {relay_id}"):
+            simulate_system(table1, CacheScheme(assignment), REFERENCE_RATES, horizon=1e3, seed=0)
