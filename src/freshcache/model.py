@@ -268,7 +268,7 @@ def validate_scheme(scenario: Scenario, scheme: CacheScheme) -> list[Violation]:
         rid = scheme.assignment.get((uid, fid))
         if rid is None:
             add(Violation("holding-unassigned", f"unassigned holding (user {uid}, file {fid})"))
-        elif rid not in relay_ids:
+        elif not is_number(rid, integer=True) or rid not in relay_ids:   # True == 1 and 1.0 == 1 would pass `in`
             add(Violation("relay-unknown", f"holding (user {uid}, file {fid}) assigned to unknown relay {rid}"))
         else:
             counts[rid] += 1

@@ -2,21 +2,18 @@
 
 ``grid_allocate`` maximizes the relay objective over a discretized budget
 simplex by exact dynamic programming, equivalent to enumerating every grid
-point.  ``brute_force_assignments`` enumerates raw relay assignments without
-any of the search module's enumeration machinery.  Both are deliberately
-small-scale and guarded.
+point.  ``brute_force_assignments`` scores the raw K**H assignment product in
+one numpy pass, sharing no enumeration or scoring code with the search
+module.  Both are deliberately small-scale and guarded.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, OracleScaleError
-from .freshness import ObjectiveValue, system_freshness
-from .model import CacheScheme, Scenario, check_non_negative, check_positive
+from .freshness import ObjectiveValue
+from .model import Scenario, check_non_negative, check_positive
 from .rate_alloc import AllocationInput, allocate
 
 GRID_MAX_ENTRIES = 4
@@ -80,64 +77,67 @@ def brute_force_assignments(
     allow_empty_relay: bool = False,
     limit: int = BRUTE_FORCE_LIMIT,
 ):
-    """Exhaustively try every raw relay assignment of every holding.
+    """Exhaustively try every raw relay assignment of every holding; returns a SolveResult.
 
-    Enumeration is the plain K**H product in canonical holding order with
-    infeasible assignments skipped, so ties resolve to the lexicographically
-    smallest assignment vector automatically.  Each relay's block is allocated
-    through the public ``allocate`` and every assignment is scored through
-    ``system_freshness``.  Returns a SolveResult.
+    The K**H product is an int8 matrix in ``itertools.product`` order, less the
+    rows that break a capacity or leave a relay empty.  Each distinct (relay,
+    block) pair is allocated once through the public ``allocate``, and each row
+    is scored with ``system_freshness``'s float expression in its order, so
+    values are bit-identical to scoring one assignment at a time.  ``argmax``
+    takes the first maximum: ties resolve to the lexicographically smallest vector.
     """
     from .search import make_solve_result  # local import: search depends on this module's callers, not vice versa
 
     pairs = scenario.holding_pairs
-    k = scenario.n_relays
+    k, h = scenario.n_relays, len(pairs)
     if k == 0 or not pairs:
         raise DomainError("scenario must have at least one relay and one holding")
-    raw_total = k ** len(pairs)
+    raw_total = k**h
     if raw_total > limit:
         raise OracleScaleError(f"{raw_total} raw assignments exceed the oracle limit {limit}")
 
-    capacities = [r.capacity for r in scenario.relays]
-    min_count = 0 if allow_empty_relay else 1
-    entries = [scenario.entries[pair] for pair in pairs]
-    # Rates of each (relay index, holding positions) block, allocated once.  At
-    # K <= 2 no block repeats (at K = 2 each block fixes the other), so nothing
-    # is stored.  At K >= 3 there are at most K * 2**H blocks; the default
-    # limit keeps H <= 10 there, so at most 3 * 2**10 = 3,072 entries.
-    block_rates: dict[tuple[int, tuple[int, ...]], dict[tuple[int, int], float]] = {}
-
-    best_val = -math.inf
-    best_vector: tuple[int, ...] | None = None
-    trace: list[tuple[int, float]] = []
-    evaluated = 0
-
-    for vector in itertools.product(range(k), repeat=len(pairs)):
-        blocks: list[list[int]] = [[] for _ in range(k)]
-        for pos, rel in enumerate(vector):
-            blocks[rel].append(pos)
-        if any(len(b) < min_count or len(b) > cap for b, cap in zip(blocks, capacities)):
-            continue
-        evaluated += 1
-        scheme = CacheScheme({pair: rel + 1 for pair, rel in zip(pairs, vector)})
-        flat: dict[tuple[int, int], float] = {}
-        for idx, (relay, block) in enumerate(zip(scenario.relays, blocks)):
-            if not block:
-                continue
-            key = (idx, tuple(block))
-            rates = block_rates.get(key)
-            if rates is None:
-                rates = allocate(AllocationInput(tuple(entries[p] for p in block), relay.rate_budget)).rates
-                if k > 2:
-                    block_rates[key] = rates
-            flat.update(rates)
-        val = system_freshness(scenario, scheme, flat).sum_form
-        if val > best_val:
-            best_val = val
-            best_vector = tuple(rel + 1 for rel in vector)
-            trace.append((evaluated, val))
-        # exact ties keep the earlier vector, which is lexicographically smaller
-
-    if best_vector is None:
+    # Column p repeats each relay k**(h-1-p) times, so the last holding varies fastest.
+    vectors = np.stack([np.tile(np.repeat(np.arange(k, dtype=np.int8), k ** (h - 1 - p)), k**p) for p in range(h)], axis=1)
+    feasible = np.ones(raw_total, dtype=bool)
+    for idx, relay in enumerate(scenario.relays):
+        count = (vectors == idx).sum(axis=1)
+        feasible &= (count >= (0 if allow_empty_relay else 1)) & (count <= relay.capacity)
+    vectors = vectors[feasible]
+    evaluated = len(vectors)
+    if evaluated == 0:
         raise InfeasibleError("no feasible assignment under the capacity constraints")
+
+    # One slot per distinct block of each relay, keyed by its packed membership row (exact for any H):
+    # slot_of[row, relay] is the row's slot, rate_of[p][slot] holding p's rate there (0.0 outside the block).
+    entries = [scenario.entries[pair] for pair in pairs]
+    tables, slot_of = [], np.empty((evaluated, k), dtype=np.int64)
+    for idx, relay in enumerate(scenario.relays):
+        members = vectors == idx
+        packed = np.packbits(members, axis=1)
+        _, first, inverse = np.unique(packed.view((np.void, packed.shape[1])).ravel(), return_index=True, return_inverse=True)
+        slot_of[:, idx] = sum(map(len, tables)) + inverse
+        table = np.zeros((len(first), h))
+        for slot, row in enumerate(first):
+            block = np.flatnonzero(members[row])
+            if len(block):
+                rates = allocate(AllocationInput(tuple(entries[p] for p in block), relay.rate_budget)).rates
+                table[slot, block] = [rates[pairs[p]] for p in block]
+        tables.append(table)
+    rate_of = np.concatenate(tables).T
+
+    values, rows, p = np.zeros(evaluated), np.arange(evaluated), 0
+    for user in scenario.users:
+        user_total = np.zeros(evaluated)
+        for holding in user.holdings:
+            e, relay_col = entries[p], vectors[:, p]
+            r = rate_of[p][slot_of[rows, relay_col]]
+            user_total += (holding.request_prob * np.array(user.relay_prefs)[relay_col]) * (e.mu * (r / (r + e.server_rate)))
+            p += 1
+        values += user_total
+
+    # The trace keeps each row that beats every earlier one, numbered from 1 like evaluated_count.
+    improving = np.flatnonzero(values > np.concatenate(([-np.inf], np.maximum.accumulate(values)[:-1])))
+    trace = [(int(i) + 1, float(values[i])) for i in improving]
+    best = int(np.argmax(values))
+    best_val, best_vector = float(values[best]), tuple(int(v) + 1 for v in vectors[best])
     return make_solve_result(scenario, best_vector, ObjectiveValue(best_val, best_val / scenario.n_users), trace, evaluated)

@@ -136,15 +136,17 @@ def simulate_system(
     """Simulate every holding independently and aggregate like the analytic objective.
 
     Each holding uses its own deterministic substream, so results do not
-    depend on iteration order.
+    depend on iteration order.  Every holding's relay and rate are checked
+    before the first draw, so bad input fails before any simulation.
     """
+    placements = {key: holding_placement(scenario, scheme, rates, key) for key in scenario.holding_pairs}
     estimates: dict[tuple[int, int], SimEstimate] = {}
     total = 0.0
     for user in scenario.users:
         for h in user.holdings:
             key = (user.user_id, h.file_id)
             e = scenario.entries[key]
-            relay_id, rate = holding_placement(scenario, scheme, rates, key)
+            relay_id, rate = placements[key]
             est = simulate_file(e.user_rate, e.server_rate, rate, horizon, stream_seed(seed, *key))
             estimates[key] = est
             total += h.request_prob * user.relay_prefs[relay_id - 1] * est.freshness_estimate

@@ -198,6 +198,18 @@ class TestSimulateCommand:
         assert "error:" in captured.err
 
 
+TABLE1_VERIFY_OUT = """\
+exhaustive_objective=0.531856297758
+oracle_objective=0.531856297758
+objectives_match=True
+assignments_match=True
+grid_check relay=1 skipped (5 entries)
+grid_check relay=2 closed=1.04847840 grid=1.04847809 ok=True
+grid_check relay=3 closed=0.45208980 grid=0.45208975 ok=True
+verify=PASS
+"""
+
+
 class TestVerifyCommand:
     def test_table1_passes(self, capsys):
         code = main(["verify", "--scenario", "table1"])
@@ -210,6 +222,13 @@ class TestVerifyCommand:
         # relay 1 holds five entries, above the grid oracle's guard
         assert any(l.startswith("grid_check relay=1 skipped") for l in lines)
         assert any(l.startswith("grid_check relay=2 closed=") and l.endswith("ok=True") for l in lines)
+
+    @pytest.mark.parametrize("flags", [[], ["--allow-empty-relay"]], ids=["strict", "allow-empty"])
+    def test_table1_output_is_pinned(self, flags, capsys):
+        # The 12-decimal oracle value must not drift; table1's optimum leaves no relay empty, so both match.
+        code = main(["verify", "--scenario", "table1", *flags])
+        assert code == 0
+        assert capsys.readouterr().out == TABLE1_VERIFY_OUT
 
     def test_scale_guard_exit_code(self, tmp_path, capsys):
         rng = random.Random(13)

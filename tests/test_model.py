@@ -253,6 +253,15 @@ class TestValidateScheme:
         assert "relay-unknown" in report
         assert "holding-unknown" in report
 
+    @pytest.mark.parametrize("relay_id", [True, 1.0], ids=["bool", "float"])
+    def test_non_integer_relay_id_is_unknown(self, table1, relay_id):
+        # Both compare equal to relay 1, so only the number rule can reject them.
+        bad = dict(REFERENCE_ASSIGNMENT)
+        bad[(1, 1)] = relay_id
+        report = validate_scheme(table1, CacheScheme(bad))
+        assert [v.code for v in report] == ["relay-unknown", "assignment-count"]
+        assert report[0].message == f"holding (user 1, file 1) assigned to unknown relay {relay_id}"
+
 
 class TestZipfPopularity:
     def test_exponent_zero_is_uniform(self):

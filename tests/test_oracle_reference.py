@@ -1,10 +1,10 @@
-"""The brute-force oracle against an unmemoized copy of its loop.
+"""The brute-force oracle against a plain loop over its assignments.
 
-``brute_force_assignments`` builds one ``AllocationEntry`` per holding and
-allocates each (relay, block) pair once.  The reference below builds a new
-entry tuple and calls ``allocate`` afresh for every relay of every feasible
-assignment, so objective, best vector, trace and evaluation count must all
-match exactly.
+``brute_force_assignments`` scores the whole K**H product in one numpy pass
+and allocates each distinct (relay, block) pair once.  The reference below
+walks ``itertools.product``, calls ``allocate`` afresh for every relay of
+every feasible assignment and scores each one through ``system_freshness``,
+so objective, best vector, trace and evaluation count must all match exactly.
 """
 
 import dataclasses
@@ -24,6 +24,7 @@ from freshcache import (
     CacheScheme,
     allocate,
     brute_force_assignments,
+    evaluate_scheme,
     load_scenario,
     solve_exhaustive,
     system_freshness,
@@ -94,6 +95,10 @@ CASES = {
     "k1": (lambda: random_scenario(random.Random(11), 8, 3, 1), False),
     "k2-n14-7/7": (lambda: _with_capacities(random_scenario(random.Random(12), 14, 4, 2), [7, 7]), False),
     "n8k4": (lambda: _with_capacities(random_scenario(random.Random(13), 8, 3, 4), [3, 2, 2, 2]), False),
+    # One raw vector, but 64+ holdings: a 64-bit block mask would wrap here.
+    "k1-h70": (lambda: random_scenario(random.Random(15), 70, 5, 1), False),
+    # 65,536 raw vectors: the largest K = 2 product under the default limit.
+    "k2-n16-8/8": (lambda: _with_capacities(random_scenario(random.Random(16), 16, 4, 2), [8, 8]), False),
 }
 
 
@@ -111,6 +116,18 @@ def test_memoized_oracle_matches_on_random_scenarios(data):
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     scenario = random_scenario(rng, n_files, rng.randint(1, n_files), n_relays)
     _assert_same(scenario, data.draw(st.booleans()))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_oracle_objective_is_the_public_evaluation_of_its_scheme(data):
+    # The oracle scores rows without system_freshness; its value must still be the evaluator's, bit for bit.
+    n_relays = data.draw(st.integers(1, 4))
+    n_files = data.draw(st.integers(n_relays, 8))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    scenario = random_scenario(rng, n_files, rng.randint(1, n_files), n_relays)
+    result = brute_force_assignments(scenario, allow_empty_relay=data.draw(st.booleans()))
+    assert result.objective.sum_form == evaluate_scheme(scenario, result.best_scheme)[0].sum_form
 
 
 def _count_calls(monkeypatch, module, name):

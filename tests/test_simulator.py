@@ -155,6 +155,15 @@ class TestSimulateSystem:
         with pytest.raises(IncompleteAllocationError):
             simulate_system(table1, reference_scheme, partial, horizon=1e3, seed=0)
 
+    def test_missing_last_rate_raises_before_any_draw(self, table1, reference_scheme, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulator, "simulate_file", lambda *args: calls.append(args))
+        partial = dict(REFERENCE_RATES)
+        del partial[table1.holding_pairs[-1]]
+        with pytest.raises(IncompleteAllocationError):
+            simulate_system(table1, reference_scheme, partial, horizon=1e3, seed=0)
+        assert calls == []
+
     @pytest.mark.parametrize("relay_id", [0, 4], ids=["relay-0", "relay-K+1"])
     def test_relay_outside_one_to_k(self, table1, relay_id):
         assignment = dict(REFERENCE_ASSIGNMENT)
