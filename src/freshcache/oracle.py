@@ -47,11 +47,12 @@ def grid_allocate(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float
     value = gains[0]
     choice_tables = []
     rows = np.arange(steps + 1)
-    spent = rows[:, None] - rows[None, :]         # units left for earlier entries
-    feasible = spent >= 0
-    spent_clipped = np.where(feasible, spent, 0)
+    padded = np.full(2 * steps + 1, -np.inf)
     for g in gains[1:]:
-        candidates = np.where(feasible, value[spent_clipped] + g[None, :], -np.inf)
+        # candidates[b, k] = value[b - k] + g[k]: a reversed sliding window over
+        # value behind `steps` -inf slots, so k > b is infeasible.
+        padded[steps:] = value
+        candidates = np.lib.stride_tricks.sliding_window_view(padded, steps + 1)[:, ::-1] + g
         best = np.argmax(candidates, axis=1)      # units given to this entry
         value = candidates[rows, best]
         choice_tables.append(best)

@@ -4,11 +4,13 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from freshcache import (
     AllocationEntry,
     AllocationInput,
+    CacheScheme,
     DomainError,
     FileSpec,
     Holding,
@@ -23,7 +25,45 @@ from freshcache import (
     solve_exhaustive,
 )
 
-from conftest import make_allocation_input, random_scenario
+from freshcache.search import relay_inputs
+
+from conftest import REFERENCE_ASSIGNMENT, make_allocation_input, random_scenario
+
+
+def grid_allocate_dense(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float, ...], float]:
+    """The earlier grid_allocate body: per stage, gather value[b - k] through a dense
+    (steps+1)**2 index matrix and mask the infeasible k > b with np.where."""
+    entries = alloc_input.entries
+    n = len(entries)
+    budget = alloc_input.rate_budget
+    grid = budget * np.arange(steps + 1) / steps
+    gains = [e.mu * grid / (grid + e.server_rate) for e in entries]
+
+    value = gains[0]
+    choice_tables = []
+    rows = np.arange(steps + 1)
+    spent = rows[:, None] - rows[None, :]
+    feasible = spent >= 0
+    spent_clipped = np.where(feasible, spent, 0)
+    for g in gains[1:]:
+        candidates = np.where(feasible, value[spent_clipped] + g[None, :], -np.inf)
+        best = np.argmax(candidates, axis=1)
+        value = candidates[rows, best]
+        choice_tables.append(best)
+
+    units = [0] * n
+    b = steps
+    for j in range(n - 1, 0, -1):
+        used = int(choice_tables[j - 1][b])
+        units[j] = used
+        b -= used
+    units[0] = b
+
+    rates = tuple(budget * u / steps for u in units)
+    objective = 0.0
+    for e, r in zip(entries, rates):
+        objective += e.mu * r / (r + e.server_rate)
+    return rates, objective
 
 
 def grid_allocate_enumerated(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float, ...], float]:
@@ -84,6 +124,22 @@ class TestGridAllocate:
             enum_rates, enum_obj = grid_allocate_enumerated(alloc_input, steps)
             assert dp_obj == enum_obj
             assert dp_rates == enum_rates
+
+    def test_matches_dense_reference(self):
+        rng = random.Random(7)
+        for i in range(120):
+            alloc_input = make_allocation_input(rng, rng.randint(1, 4))
+            if i % 10 == 0:
+                alloc_input = AllocationInput(alloc_input.entries, 0.0)
+            steps = rng.choice([1, 2, 3, rng.randint(1, 300)])
+            assert grid_allocate(alloc_input, steps) == grid_allocate_dense(alloc_input, steps)
+
+    def test_matches_dense_reference_on_table1(self, table1):
+        inputs = relay_inputs(table1, CacheScheme(assignment=dict(REFERENCE_ASSIGNMENT)))
+        checked = [ai for ai in inputs.values() if len(ai.entries) <= 4]
+        assert len(checked) == 2
+        for alloc_input in checked:
+            assert grid_allocate(alloc_input, 1000) == grid_allocate_dense(alloc_input, 1000)
 
     def test_never_beats_closed_form(self):
         rng = random.Random(99)

@@ -1,14 +1,17 @@
-"""The simulator against a copy of its per-request replay.
+"""The simulator against copies of its earlier per-request replay and event draws.
 
-``simulate_file`` searches the user requests once into the server stream and
-once into the relay stream, keeps each server cycle's first successful
-request, and reads the 20 batch means off a running total of fresh time at
-the batch edges.  The reference below is the earlier body, kept verbatim: an
-``_event_before`` lookup per request, ``np.unique`` for each cycle's first
-request, and a batches x intervals overlap matrix.  Both draw the same
-streams from the same seed, so the estimate, the cycle count and the cycle
-ratio must be equal; the half-width sums in another order and must agree
-within 1e-12.
+``simulate_file`` searches the relay refreshes into the server stream, keeps
+each server cycle's first refresh, and searches those into the user requests
+to find each cycle's first successful request; the batch means come off a
+running total of fresh time at the batch edges.  The reference below is an
+earlier body, kept verbatim: every user request searched into both other
+streams, an ``_event_before`` lookup per request, ``np.unique`` for each
+cycle's first request, and a batches x intervals overlap matrix.  Both draw
+the same streams from the same seed, so the estimate, the cycle count and the
+cycle ratio must be equal; the half-width sums in another order and must
+agree within 1e-12.  ``_event_times`` is pinned bit for bit to its earlier
+body, extension loop included, and a plain event loop confirms that the edge
+cases below reach the edges they name.
 """
 
 import math
@@ -21,6 +24,19 @@ from hypothesis import strategies as st
 from freshcache import SimulationScaleError, simulate_file
 from freshcache.model import check_non_negative, check_positive
 from freshcache.simulator import _BATCHES, _MAX_STREAM_EVENTS, _T_CRIT_19, SimEstimate, _event_times
+
+
+def reference_event_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
+    """Strictly increasing Poisson event times in (0, horizon)."""
+    if rate <= 0.0:
+        return np.empty(0)
+    expected = rate * horizon
+    n_guess = int(expected + 4.0 * math.sqrt(expected) + 16.0)
+    times = np.cumsum(rng.exponential(1.0 / rate, size=n_guess))
+    while times[-1] < horizon:
+        extra = np.cumsum(rng.exponential(1.0 / rate, size=max(16, n_guess // 4)))
+        times = np.concatenate([times, times[-1] + extra])
+    return times[times < horizon]
 
 
 def _event_before(times: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -167,3 +183,98 @@ rates = st.floats(min_value=0.05, max_value=12.0, allow_nan=False, allow_infinit
 )
 def test_matches_reference_property(u, s, r, horizon, seed):
     _assert_same(u, s, r, horizon, seed)
+
+
+class _ShortFirstBatch:
+    """A generator whose first batch of gaps is a quarter of the usual length, so the
+    first batch ends short of the horizon; later batches draw as usual."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self.batches = 0
+
+    def standard_exponential(self, size: int) -> np.ndarray:
+        gaps = self._rng.standard_exponential(size)
+        if self.batches == 0:
+            gaps *= 0.25
+        self.batches += 1
+        return gaps
+
+    def exponential(self, scale: float, size: int) -> np.ndarray:
+        return self.standard_exponential(size) * scale
+
+
+@pytest.mark.parametrize("rate", [0.0, 1e-4, 0.7, 3.15, 12.0])
+@pytest.mark.parametrize("horizon", [0.01, 1.0, 1e4])
+def test_event_times_match_reference(rate, horizon):
+    got = _event_times(np.random.default_rng(3), rate, horizon)
+    want = reference_event_times(np.random.default_rng(3), rate, horizon)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_event_times_extend_a_short_first_batch():
+    got_rng, want_rng = _ShortFirstBatch(5), _ShortFirstBatch(5)
+    got = _event_times(got_rng, 2.0, 100.0)
+    want = reference_event_times(want_rng, 2.0, 100.0)
+    assert got_rng.batches == want_rng.batches > 2
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert got[-1] < 100.0 < got[-1] + 5.0
+
+
+def _event_loop(u, s, r, horizon, seed):
+    """Replay the holding one event at a time: (fresh intervals, successful requests per fresh cycle)."""
+    rng = np.random.default_rng(seed)
+    server_t = _event_times(rng, s, horizon)
+    relay_t = _event_times(rng, r, horizon)
+    user_t = _event_times(rng, u, horizon)
+    # Ties: a refresh before an update at the same instant, a request after both.
+    events = sorted([(t, 1) for t in server_t] + [(t, 0) for t in relay_t] + [(t, 2) for t in user_t])
+    relay_fresh = user_fresh = False
+    start, successes, intervals, counts = 0.0, 0, [], []
+    for t, kind in events:
+        if kind == 1:
+            if user_fresh:
+                intervals.append((start, t))
+                counts.append(successes)
+            relay_fresh = user_fresh = False
+            successes = 0
+        elif kind == 0:
+            relay_fresh = True
+        elif relay_fresh:
+            successes += 1
+            if not user_fresh:
+                user_fresh, start = True, t
+    if user_fresh:
+        intervals.append((start, horizon))
+        counts.append(successes)
+    return (server_t, relay_t, user_t), intervals, counts
+
+
+# (user rate, server rate, relay rate, horizon, seed) for edges of the refresh-driven replay.
+EDGES = {
+    "several-requests-per-cycle": (5.6, 2.6, 5.5, 5.0, 12),
+    "last-cycle-ends-at-horizon": (3.4, 4.3, 4.1, 2.0, 11),
+    "refreshes-before-first-update": (0.8, 5.4, 3.2, 1.0, 77),
+    "no-request-after-last-refresh": (2.2, 5.5, 4.0, 5.0, 93),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(EDGES))
+def test_matches_reference_on_edges(edge):
+    u, s, r, horizon, seed = EDGES[edge]
+    got = _assert_same(u, s, r, horizon, seed)
+    (server_t, relay_t, user_t), intervals, counts = _event_loop(u, s, r, horizon, seed)
+    lengths = np.array([end - start for start, end in intervals])
+    assert got.freshness_estimate == float(lengths.sum()) / horizon
+    assert got.cycles_observed == sum(counts) - 1
+    assert len(intervals) >= 1
+    if edge == "several-requests-per-cycle":
+        assert max(counts) >= 3 and len(intervals) >= 2
+    elif edge == "last-cycle-ends-at-horizon":
+        assert intervals[-1][1] == horizon and server_t.size >= 2
+    elif edge == "refreshes-before-first-update":
+        assert server_t.size >= 2 and relay_t.size >= 2 and relay_t[-1] < server_t[0]
+    else:
+        # The last refresh opens its server cycle's refreshes, and no request follows it.
+        cycle_of = np.searchsorted(server_t, relay_t[-2:], side="left")
+        assert user_t[-1] < relay_t[-1] and cycle_of[1] > cycle_of[0]
