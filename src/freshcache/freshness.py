@@ -59,22 +59,14 @@ def user_freshness(scenario: Scenario, scheme: CacheScheme, rates: RateTable, us
     user = scenario.user_by_id.get(user_id)
     if user is None:
         raise DomainError(f"unknown user id {user_id}")
-    entries, assignment, k = scenario.entries, scheme.assignment, scenario.n_relays
     total = 0.0
     for h in user.holdings:
         key = (user.user_id, h.file_id)
-        # holding_placement's rule, inline on the success path: this loop scores every oracle assignment.
-        try:
-            relay_id = assignment[key]
-            r = rates[key]
-        except KeyError:
-            relay_id, r = holding_placement(scenario, scheme, rates, key)   # raises: names what is missing
-        if not 0 < relay_id <= k:
-            holding_placement(scenario, scheme, rates, key)   # raises: the relay is not one of 1..K
+        relay_id, r = holding_placement(scenario, scheme, rates, key)
         check_non_negative("relay_rate", r)
-        e = entries[key]
-        fresh = e.mu * (r / (r + e.server_rate))   # file_freshness, with the scenario's rates checked once
-        total += h.request_prob * user.relay_prefs[relay_id - 1] * fresh
+        e = scenario.entries[key]
+        # file_freshness, with the scenario's rates checked once, weighted by the holding's c at its relay
+        total += scenario.coef[key][relay_id - 1] * (e.mu * (r / (r + e.server_rate)))
     return total
 
 

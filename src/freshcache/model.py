@@ -131,6 +131,11 @@ class Scenario:
         }
 
     @cached_property
+    def coef(self) -> dict[Key, tuple[float, ...]]:
+        """(user_id, file_id) -> objective weights c = request_prob * relay_pref over relays 1..K; the one place c is computed."""
+        return {(u.user_id, h.file_id): tuple(h.request_prob * p for p in u.relay_prefs) for u in self.users for h in u.holdings}
+
+    @cached_property
     def holding_pairs(self) -> tuple[tuple[int, int], ...]:
         """(user_id, file_id) pairs in document order; the canonical assignment order."""
         return tuple((u.user_id, h.file_id) for u in self.users for h in u.holdings)

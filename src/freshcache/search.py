@@ -113,7 +113,7 @@ class _EvalContext:
     weights: tuple[float, ...]
     server_rates: tuple[float, ...]
     mus: tuple[float, ...]
-    coef: tuple[tuple[float, ...], ...]      # coef[i][k]: request_prob * relay_pref for relay index k
+    coef: tuple[tuple[float, ...], ...]      # coef[i][k]: Scenario.coef of holding i at relay index k
     budgets: tuple[float, ...]
     capacities: tuple[int, ...]
     user_plans: tuple[tuple[int, ...], ...]  # ctx indices per user, in holdings order
@@ -123,13 +123,12 @@ class _EvalContext:
 def _build_context(scenario: Scenario) -> _EvalContext:
     order = sorted(scenario.entries.values(), key=sort_key)
     ctx_of = {e.key: i for i, e in enumerate(order)}
-    coef_of = {(u.user_id, h.file_id): tuple(h.request_prob * p for p in u.relay_prefs) for u in scenario.users for h in u.holdings}
     return _EvalContext(
         n=len(order),
         weights=tuple(e.weight for e in order),
         server_rates=tuple(e.server_rate for e in order),
         mus=tuple(e.mu for e in order),
-        coef=tuple(coef_of[e.key] for e in order),
+        coef=tuple(scenario.coef[e.key] for e in order),
         budgets=tuple(r.rate_budget for r in scenario.relays),
         capacities=tuple(r.capacity for r in scenario.relays),
         user_plans=tuple(tuple(ctx_of[(u.user_id, h.file_id)] for h in u.holdings) for u in scenario.users),

@@ -145,15 +145,12 @@ def simulate_system(
     depend on iteration order.  Every holding's relay and rate are checked
     before the first draw, so bad input fails before any simulation.
     """
-    placements = {key: holding_placement(scenario, scheme, rates, key) for key in scenario.holding_pairs}
+    placements = {key: holding_placement(scenario, scheme, rates, key) for key in scenario.entries}
     estimates: dict[tuple[int, int], SimEstimate] = {}
     total = 0.0
-    for user in scenario.users:
-        for h in user.holdings:
-            key = (user.user_id, h.file_id)
-            e = scenario.entries[key]
-            relay_id, rate = placements[key]
-            est = simulate_file(e.user_rate, e.server_rate, rate, horizon, stream_seed(seed, *key))
-            estimates[key] = est
-            total += h.request_prob * user.relay_prefs[relay_id - 1] * est.freshness_estimate
+    for key, e in scenario.entries.items():
+        relay_id, rate = placements[key]
+        est = simulate_file(e.user_rate, e.server_rate, rate, horizon, stream_seed(seed, *key))
+        estimates[key] = est
+        total += scenario.coef[key][relay_id - 1] * est.freshness_estimate
     return SystemSimResult(estimates=estimates, aggregate=ObjectiveValue(total, total / scenario.n_users))
