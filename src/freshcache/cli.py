@@ -26,7 +26,7 @@ from .errors import (
     SimulationScaleError,
 )
 from .freshness import file_freshness, system_freshness, user_freshness
-from .model import INFEASIBILITY_CODES, Scenario, validate_scheme, with_scaled_rates
+from .model import INFEASIBILITY_CODES, Scenario, check_positive, validate_scheme, with_scaled_rates
 from .oracle import GRID_MAX_ENTRIES, brute_force_assignments, grid_allocate
 from .rate_alloc import allocate, kkt_check
 from .search import SolveResult, relay_inputs, solve_exhaustive, solve_sampled
@@ -68,6 +68,14 @@ def _load_scheme(path: str, scenario: Scenario):
             "scheme failed validation: " + "; ".join(v.message for v in report), report=report
         )
     return scheme
+
+
+def _load_rates(path: str, scenario: Scenario):
+    rates = parse_rates(_read_text(path))
+    unknown = [key for key in sorted(rates) if key not in scenario.entries]
+    if unknown:
+        raise DomainError("rate table names unknown holdings: " + ", ".join(f"(user {u}, file {f})" for u, f in unknown))
+    return rates
 
 
 def _json_float(x: float):
@@ -125,6 +133,7 @@ def _result_json(result: SolveResult) -> str:
 
 
 def _run_solve(scenario: Scenario, args) -> SolveResult:
+    check_positive("threads", args.threads, True)   # accepted in both modes and ignored, but checked the same way
     if args.mode == "sampled":
         return solve_sampled(scenario, args.budget, args.seed, allow_empty_relay=args.allow_empty_relay)
     return solve_exhaustive(scenario, allow_empty_relay=args.allow_empty_relay, threads=args.threads)
@@ -173,7 +182,7 @@ def _cmd_allocate(args) -> int:
 def _cmd_freshness(args) -> int:
     scenario = load_scenario(args.scenario)
     scheme = _load_scheme(args.scheme, scenario)
-    rates = parse_rates(_read_text(args.rates))
+    rates = _load_rates(args.rates, scenario)
     lines = []
     for user in scenario.users:
         value = user_freshness(scenario, scheme, rates, user.user_id)
@@ -188,7 +197,7 @@ def _cmd_freshness(args) -> int:
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     scheme = _load_scheme(args.scheme, scenario)
-    rates = parse_rates(_read_text(args.rates))
+    rates = _load_rates(args.rates, scenario)
     sim = simulate_system(scenario, scheme, rates, args.horizon, args.seed)
     analytic = system_freshness(scenario, scheme, rates)
     lines = ["user_index,file_index,relay_index,relay_rate,analytic,estimate,half_width_95,cycles"]

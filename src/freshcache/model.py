@@ -65,10 +65,16 @@ class RelaySpec:
 
 
 def weight(user_rate: float, server_rate: float) -> float:
-    """sqrt(u*s/(u+s)): the square-root weight that sets the water level. Symmetric in u, s; checks both rates."""
+    """sqrt(u*s/(u+s)): the square-root weight that sets the water level. Symmetric in u, s; checks both rates.
+
+    Rates near the float maximum overflow u*s or u+s; they raise DomainError rather than make an inf or nan weight.
+    """
     check_positive("user_rate", user_rate)
     check_positive("server_rate", server_rate)
-    return math.sqrt(user_rate * server_rate / (user_rate + server_rate))
+    w = math.sqrt(user_rate * server_rate / (user_rate + server_rate))
+    if not math.isfinite(w):
+        raise DomainError(f"user_rate {user_rate!r} and server_rate {server_rate!r} overflow the water-filling weight")
+    return w
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ mu_j = u_j / (u_j + s_j), is separable and strictly concave in the rates
 r_j >= 0 under sum_j r_j <= G.  The optimum therefore equalizes marginal
 returns at a common water level delta = (alpha/beta)**2 and zeroes out
 entries whose marginal return at rate zero is already below that level.
+The objective weight c of each holding (its request probability times its
+relay preference, ``Scenario.coef``) is not applied: the rates maximize this
+unweighted relay sum, while the reported objective weights each term by c.
 ``allocate`` implements the sorted single-pass closed form; ``kkt_check``
 verifies first-order optimality residuals independently of it.  Both read mu
 and the weight off each ``AllocationEntry`` (defined in ``model`` and

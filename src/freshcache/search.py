@@ -71,18 +71,36 @@ class SolveResult:
     table: ResultTable
 
 
+def _split_bounds(n: int, capacities: Sequence[int], allow_empty_relay: bool) -> tuple[list[int], int]:
+    """Check a holding count and per-relay capacities; return the capacities and the least count a relay takes."""
+    check_non_negative("holding count", n, True)
+    caps = list(capacities)
+    for c in caps:
+        check_non_negative("capacity", c, True)
+    return caps, 0 if allow_empty_relay else 1
+
+
+def count_assignments(n: int, capacities: Sequence[int], *, allow_empty_relay: bool = False) -> int:
+    """Distinct assignments of ``n`` holdings over ``enumerate_partitions``' splits, without enumerating one.
+
+    Equals the sum of n! / prod(c_k!) over the partitions, counted by a DP over
+    relays: ways[m] assignments of m holdings to the relays so far.
+    """
+    caps, lo = _split_bounds(n, capacities, allow_empty_relay)
+    ways = [1] + [0] * n
+    for cap in caps:
+        ways = [sum(ways[m - c] * comb(m, c) for c in range(lo, min(cap, m) + 1)) for m in range(n + 1)]
+    return ways[n]
+
+
 def enumerate_partitions(n: int, capacities: Sequence[int], *, allow_empty_relay: bool = False) -> Iterator[Partition]:
     """Every split of ``n`` holdings into per-relay counts, lexicographically.
 
     Counts respect each relay's capacity and, unless ``allow_empty_relay`` is
     set, must be at least 1.  Bad arguments raise on the call, not on iteration.
     """
-    check_non_negative("holding count", n, True)
-    caps = list(capacities)
-    for c in caps:
-        check_non_negative("capacity", c, True)
+    caps, lo = _split_bounds(n, capacities, allow_empty_relay)
     k = len(caps)
-    lo = 0 if allow_empty_relay else 1
     suffix_cap = [0] * (k + 1)
     for idx in range(k - 1, -1, -1):
         suffix_cap[idx] = suffix_cap[idx + 1] + caps[idx]
@@ -318,16 +336,15 @@ def solve_exhaustive(
     if ctx.n == 0 or not ctx.budgets:
         raise InfeasibleError("scenario has no holdings or no relays to assign them to")
 
-    parts = [p.counts for p in enumerate_partitions(ctx.n, ctx.capacities, allow_empty_relay=allow_empty_relay)]
-    if not parts:
+    total = count_assignments(ctx.n, ctx.capacities, allow_empty_relay=allow_empty_relay)
+    if total == 0:
         raise InfeasibleError("no feasible cache scheme under the capacity constraints")
-    total = sum(math.factorial(ctx.n) // math.prod(map(math.factorial, c)) for c in parts)   # n! / prod(c_k!) each
     if total > limit:
         raise SearchBudgetError(f"distinct assignment count {total} exceeds the enumeration limit {limit}")
 
     search = _Search(ctx, memoize=len(ctx.budgets) > 2)
-    for counts in parts:
-        search.walk(counts, (1 << ctx.n) - 1)
+    for partition in enumerate_partitions(ctx.n, ctx.capacities, allow_empty_relay=allow_empty_relay):
+        search.walk(partition.counts, (1 << ctx.n) - 1)
     assert search.evaluated == total
     return search.result(scenario)
 

@@ -1,5 +1,6 @@
 """Shared fixtures and seeded instance generators for the test suite."""
 
+import dataclasses
 import random
 
 import pytest
@@ -103,6 +104,12 @@ def random_scenario(rng: random.Random, n_files: int, n_users: int, n_relays: in
         for k in range(n_relays)
     )
     return Scenario(files=files, users=tuple(users), relays=relays)
+
+
+def uncapped_scenario(n_files: int, n_relays: int, seed: int = 0) -> Scenario:
+    """A random valid scenario in which every relay can cache every file."""
+    scenario = random_scenario(random.Random(seed), n_files, min(4, n_files), n_relays)
+    return dataclasses.replace(scenario, relays=tuple(dataclasses.replace(r, capacity=n_files) for r in scenario.relays))
 
 
 def make_allocation_input(rng: random.Random, n_entries: int) -> AllocationInput:

@@ -1,18 +1,25 @@
 """End-to-end command-line interface tests."""
 
+import contextlib
+import copy
+import io
 import json
+import math
 import random
 import subprocess
 import sys
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freshcache import serialize_scenario
 from freshcache.cli import main
 from freshcache.scenario_io import serialize_rates, serialize_scheme
 
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_RATES
-from conftest import random_scenario
+from conftest import random_scenario, uncapped_scenario
 
 from freshcache import CacheScheme
 
@@ -79,6 +86,15 @@ class TestSolveCommand:
             next(l for l in captured.out.splitlines() if l.startswith("objective_sum=")).split("=")[1]
         )
         assert value >= 0.52
+
+    def test_uncapped_limit_guard_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "uncapped.yaml"
+        path.write_text(serialize_scenario(uncapped_scenario(60, 6)))
+        code = main(["solve", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "exceeds the enumeration limit" in captured.err
 
     def test_infeasible_scenario_exit_code(self, tmp_path, capsys):
         doc = """
@@ -167,6 +183,23 @@ class TestFreshnessCommand:
         assert code == 2
         assert captured.out == ""
         assert "duplicate" in captured.err
+
+
+@pytest.fixture()
+def unknown_holding_rates_file(tmp_path):
+    # table1's optimal rates plus a holding table1 does not have.
+    path = tmp_path / "unknown_rates.yaml"
+    path.write_text(serialize_rates({**REFERENCE_RATES, (9, 99): -5.0}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["freshness", "simulate"])
+def test_rate_table_with_unknown_holding_exit_code(command, scheme_file, unknown_holding_rates_file, capsys):
+    code = main([command, "--scenario", "table1", "--scheme", scheme_file, "--rates", unknown_holding_rates_file])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unknown holdings: (user 9, file 99)" in captured.err
 
 
 class TestSimulateCommand:
@@ -269,6 +302,19 @@ class TestSweepCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize(
+    "command", [["solve"], ["sweep", "--scale", "user", "--factors", "1"]], ids=["solve", "sweep"]
+)
+def test_threads_checked_in_every_mode(command, mode, threads, capsys):
+    code = main([*command, "--scenario", "table1", "--mode", mode, "--budget", "10", "--threads", threads])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "threads must be a positive integer" in captured.err
+
+
 class TestDeterminism:
     def test_sampled_output_independent_of_threads(self):
         runs = []
@@ -298,3 +344,84 @@ class TestDeterminism:
             )
             runs.append(proc.stdout)
         assert runs[0] == runs[1]
+
+
+# A small valid document for the mutation fuzz: 6 holdings over 2 users and 2 relays.
+FUZZ_BASE = """\
+files:
+  - {id: 1, server_rate: 4}
+  - {id: 2, server_rate: 2.5}
+  - {id: 3, server_rate: 6}
+  - {id: 4, server_rate: 1}
+  - {id: 5, server_rate: 3}
+  - {id: 6, server_rate: 5}
+users:
+  - id: 1
+    holdings:
+      - {file: 1, user_rate: 8, request_prob: 0.5}
+      - {file: 2, user_rate: 3, request_prob: 0.25}
+      - {file: 3, user_rate: 5, request_prob: 0.25}
+    relay_prefs: [0.75, 0.25]
+  - id: 2
+    holdings:
+      - {file: 4, user_rate: 2, request_prob: 0.5}
+      - {file: 5, user_rate: 6, request_prob: 0.25}
+      - {file: 6, user_rate: 1, request_prob: 0.25}
+    relay_prefs: [0.5, 0.5]
+relays:
+  - {id: 1, capacity: 4, rate_budget: 12}
+  - {id: 2, capacity: 3, rate_budget: 10}
+"""
+
+WRONG_VALUES = ("x", None, [], {}, True, math.nan, math.inf, -math.inf, -1, -0.5, 0, 1e308, 10**30)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("old, new", [("server_rate: 4}", "server_rate: 1.0e+308}"), ("user_rate: 5,", "user_rate: 1.0e+308,")])
+def test_rate_that_overflows_the_weight_exit_code(old, new, mode, tmp_path, capsys):
+    # Found by the mutation fuzz below: the solver scored nan everywhere and failed an internal assert.
+    path = tmp_path / "huge.yaml"
+    path.write_text(FUZZ_BASE.replace(old, new, 1))
+    code = main(["solve", "--scenario", str(path), "--mode", mode, "--budget", "30", "--threads", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "overflow the water-filling weight" in captured.err
+
+
+def _slots(node):
+    """Every (container, key) pair below ``node``, each parent before its children."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in list(children):
+        yield node, key
+        yield from _slots(child)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "mutant.yaml"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_documents_exit_with_a_documented_code(data, fuzz_path):
+    # Each mutation drops a key, repeats a list entry, or sets a field to a wrong type or value.
+    doc = yaml.safe_load(FUZZ_BASE)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        container, key = data.draw(st.sampled_from(slots), label="slot")
+        action = data.draw(st.sampled_from(("drop", "repeat", "set")), label="action")
+        if action == "drop":
+            del container[key]
+        elif action == "repeat" and isinstance(container, list):
+            container.append(copy.deepcopy(container[key]))
+        else:
+            container[key] = copy.deepcopy(data.draw(st.sampled_from(WRONG_VALUES), label="value"))
+    fuzz_path.write_text(yaml.safe_dump(doc))
+    argv = ["solve", "--scenario", str(fuzz_path), "--threads", "1"]
+    if data.draw(st.booleans(), label="sampled"):
+        argv += ["--mode", "sampled", "--budget", "30", "--seed", "1"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in {0, 2, 3, 4, 5}

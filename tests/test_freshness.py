@@ -1,5 +1,7 @@
 """Analytic freshness formula and objective tests."""
 
+import ast
+import inspect
 import math
 
 import pytest
@@ -12,6 +14,7 @@ from freshcache import (
     system_freshness,
     user_freshness,
 )
+from freshcache import freshness as freshness_module
 
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_RATES
 
@@ -106,6 +109,24 @@ class TestUserFreshness:
         del partial[(1, 2)]
         with pytest.raises(IncompleteAllocationError):
             user_freshness(table1, reference_scheme, partial, 1)
+
+
+    def test_one_placement_lookup_per_holding(self, table1, reference_scheme, monkeypatch):
+        seen = []
+        lookup = freshness_module.holding_placement
+
+        def counted(scenario, scheme, rates, key):
+            seen.append(key)
+            return lookup(scenario, scheme, rates, key)
+
+        monkeypatch.setattr(freshness_module, "holding_placement", counted)
+        system_freshness(table1, reference_scheme, REFERENCE_RATES)
+        assert seen == list(table1.holding_pairs)
+
+    def test_one_scoring_path(self):
+        # No fallback branch: every holding goes through holding_placement and Scenario.coef.
+        tree = ast.parse(inspect.getsource(user_freshness))
+        assert not any(isinstance(node, ast.Try) for node in ast.walk(tree))
 
 
 class TestSystemFreshness:

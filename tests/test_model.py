@@ -108,6 +108,19 @@ class TestHoldingEntries:
             ]
         assert hits == [], f"mu written outside model.AllocationEntry and freshness.file_freshness: {hits}"
 
+    def test_c_is_written_once(self):
+        # c = request_prob * relay_pref comes from Scenario.coef; the oracle keeps its own copy as the independent reference.
+        src = Path(freshcache.__file__).parent
+        pattern = re.compile(r"request_prob\s*\*|\*\s*[\w.]*request_prob")
+        hits = [
+            f"{path.name}:{lineno}"
+            for path in sorted(src.glob("*.py"))
+            if path.name not in ("model.py", "oracle.py")
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)
+        ]
+        assert hits == [], f"c written outside model.Scenario.coef and oracle: {hits}"
+
 
 class TestValidateScenario:
     def test_table1_is_valid(self, table1):

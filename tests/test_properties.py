@@ -94,6 +94,17 @@ def test_scenario_round_trip(seed, n_files, n_relays):
     assert serialize_scenario(parse_scenario(text)) == text
 
 
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n_files=st.integers(1, 9), n_relays=st.integers(1, 4))
+def test_coef_is_request_prob_times_relay_pref(seed, n_files, n_relays):
+    rng = random.Random(seed)
+    scenario = random_scenario(rng, n_files, rng.randint(1, n_files), n_relays)
+    assert list(scenario.coef) == list(scenario.entries)
+    for user in scenario.users:
+        for h in user.holdings:
+            assert scenario.coef[user.user_id, h.file_id] == tuple(h.request_prob * p for p in user.relay_prefs)
+
+
 KEYS = st.tuples(st.integers(1, 10**6), st.integers(1, 10**6))
 
 

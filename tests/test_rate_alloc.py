@@ -66,6 +66,12 @@ class TestWeight:
         with pytest.raises(DomainError):
             weight(1.0, bad)
 
+    @pytest.mark.parametrize("u, s", [(1e308, 4.0), (4.0, 1e308), (1e308, 1e308)])
+    def test_rejects_rates_that_overflow(self, u, s):
+        # u*s or u+s overflows to inf, and the weight would be inf or nan.
+        with pytest.raises(DomainError, match="overflow"):
+            weight(u, s)
+
 
 class TestAllocate:
     @pytest.mark.parametrize("relay_id", [1, 2, 3])

@@ -31,9 +31,9 @@ from freshcache import (
     validate_scheme,
 )
 from freshcache import search as search_module
-from freshcache.search import _MEMO_ENTRIES
+from freshcache.search import _MEMO_ENTRIES, count_assignments
 
-from conftest import REFERENCE_ASSIGNMENT, random_scenario
+from conftest import REFERENCE_ASSIGNMENT, random_scenario, uncapped_scenario
 
 # Objective of the optimal placement under exact (unrounded) rates.
 OPTIMAL_SUM = 0.531856298
@@ -80,6 +80,28 @@ class TestEnumeratePartitions:
         for n, caps in ((-1, [2]), (1.0, [2]), (2, [True]), (2, [2, -1])):
             with pytest.raises(DomainError):
                 enumerate_partitions(n, caps)
+
+
+class TestCountAssignments:
+    def test_table1(self):
+        assert count_assignments(10, (6, 5, 4)) == TABLE1_ASSIGNMENT_COUNT
+
+    def test_matches_the_multinomial_sum_over_partitions(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            n = rng.randint(0, 9)
+            caps = [rng.randint(0, n + 1) for _ in range(rng.randint(0, 4))]
+            empty = rng.random() < 0.5
+            expected = sum(
+                math.factorial(n) // math.prod(map(math.factorial, p.counts))
+                for p in enumerate_partitions(n, caps, allow_empty_relay=empty)
+            )
+            assert count_assignments(n, caps, allow_empty_relay=empty) == expected, (n, caps, empty)
+
+    def test_bad_arguments(self):
+        for n, caps in ((-1, [2]), (1.0, [2]), (2, [True]), (2, [2, -1])):
+            with pytest.raises(DomainError):
+                count_assignments(n, caps)
 
 
 class TestEvaluateScheme:
@@ -153,6 +175,17 @@ class TestSolveExhaustive:
         )
         with pytest.raises(InfeasibleError):
             solve_exhaustive(scenario)
+
+    def test_limit_guard_trips_before_any_partition(self, monkeypatch):
+        # Six uncapped relays over 60 holdings split C(59, 5), about 5.0M, ways; the guard must not build one.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a partition was enumerated before the limit guard")
+
+        monkeypatch.setattr(search_module, "enumerate_partitions", refuse)
+        with pytest.raises(SearchBudgetError) as err:
+            solve_exhaustive(uncapped_scenario(60, 6))
+        onto_six_relays = sum((-1) ** j * math.comb(6, j) * (6 - j) ** 60 for j in range(7))   # inclusion-exclusion
+        assert f"count {onto_six_relays} exceeds" in str(err.value)
 
     def test_parallel_matches_serial(self, table1):
         serial = solve_exhaustive(table1, threads=1)
