@@ -15,25 +15,24 @@ import sys
 from pathlib import Path
 
 from .errors import (
-    AllocationMismatchError,
     DomainError,
-    IncompleteAllocationError,
+    FreshCacheError,
     InfeasibleError,
     OracleScaleError,
-    ScenarioParseError,
     ScenarioValidationError,
     SearchBudgetError,
     SimulationScaleError,
 )
 from .freshness import file_freshness, system_freshness, user_freshness
 from .model import INFEASIBILITY_CODES, Scenario, check_positive, validate_scheme, with_scaled_rates
-from .oracle import GRID_MAX_ENTRIES, brute_force_assignments, grid_allocate
+from .oracle import GRID_MAX_ENTRIES, brute_force_assignments, check_grid_steps, grid_allocate
 from .rate_alloc import allocate, kkt_check
 from .search import SolveResult, relay_inputs, solve_exhaustive, solve_sampled
 from .scenario_io import (
     load_scenario,
     parse_rates,
     parse_scheme,
+    read_document,
     write_result_table,
     write_trace,
 )
@@ -49,10 +48,6 @@ EXIT_IO = 5
 KKT_TOLERANCE = 1e-6
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text()
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -61,7 +56,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_scheme(path: str, scenario: Scenario):
-    scheme = parse_scheme(_read_text(path))
+    scheme = parse_scheme(read_document(path))
     report = validate_scheme(scenario, scheme)
     if report:
         raise ScenarioValidationError(
@@ -71,7 +66,7 @@ def _load_scheme(path: str, scenario: Scenario):
 
 
 def _load_rates(path: str, scenario: Scenario):
-    rates = parse_rates(_read_text(path))
+    rates = parse_rates(read_document(path))
     unknown = [key for key in sorted(rates) if key not in scenario.entries]
     if unknown:
         raise DomainError("rate table names unknown holdings: " + ", ".join(f"(user {u}, file {f})" for u, f in unknown))
@@ -134,26 +129,21 @@ def _result_json(result: SolveResult) -> str:
 
 def _run_solve(scenario: Scenario, args) -> SolveResult:
     check_positive("threads", args.threads, True)   # accepted in both modes and ignored, but checked the same way
+    check_positive("budget", args.budget, True)     # used only in sampled mode, but checked in both
     if args.mode == "sampled":
         return solve_sampled(scenario, args.budget, args.seed, allow_empty_relay=args.allow_empty_relay)
     return solve_exhaustive(scenario, allow_empty_relay=args.allow_empty_relay, threads=args.threads)
 
 
-def _cmd_solve(args) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_solve(scenario: Scenario, args) -> tuple[str, int]:
     result = _run_solve(scenario, args)
-    if args.format == "json":
-        text = _result_json(result)
-    else:
-        text = write_result_table(result, fmt=args.format)
-    _emit(text, args.out)
     if args.trace:
         Path(args.trace).write_text(write_trace(result))
-    return EXIT_OK
+    text = _result_json(result) if args.format == "json" else write_result_table(result, fmt=args.format)
+    return text, EXIT_OK
 
 
-def _cmd_allocate(args) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_allocate(scenario: Scenario, args) -> tuple[str, int]:
     scheme = _load_scheme(args.scheme, scenario)
     lines = ["file_index,user_index,relay_index,relay_rate"]
     reports = []
@@ -175,12 +165,10 @@ def _cmd_allocate(args) -> int:
     rows.sort()
     lines.extend(f"{fid},{uid},{relay_id},{rate:.4f}" for fid, uid, relay_id, rate in rows)
     lines.extend(reports)
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def _cmd_freshness(args) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_freshness(scenario: Scenario, args) -> tuple[str, int]:
     scheme = _load_scheme(args.scheme, scenario)
     rates = _load_rates(args.rates, scenario)
     lines = []
@@ -190,12 +178,10 @@ def _cmd_freshness(args) -> int:
     objective = system_freshness(scenario, scheme, rates)
     lines.append(f"objective_sum={objective.sum_form:.6f}")
     lines.append(f"objective_mean={objective.mean_form:.6f}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_simulate(scenario: Scenario, args) -> tuple[str, int]:
     scheme = _load_scheme(args.scheme, scenario)
     rates = _load_rates(args.rates, scenario)
     sim = simulate_system(scenario, scheme, rates, args.horizon, args.seed)
@@ -211,12 +197,11 @@ def _cmd_simulate(args) -> int:
     lines.append(f"aggregate_sum_estimate={sim.aggregate.sum_form:.6f}")
     lines.append(f"aggregate_mean_estimate={sim.aggregate.mean_form:.6f}")
     lines.append(f"analytic_sum={analytic.sum_form:.6f}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_verify(scenario: Scenario, args) -> tuple[str, int]:
+    check_grid_steps(args.grid_steps)   # before the solve, since a relay above GRID_MAX_ENTRIES skips grid_allocate
     solver = solve_exhaustive(scenario, allow_empty_relay=args.allow_empty_relay, threads=args.threads)
     reference = brute_force_assignments(scenario, allow_empty_relay=args.allow_empty_relay)
     objectives_match = solver.objective.sum_form == reference.objective.sum_form
@@ -243,12 +228,10 @@ def _cmd_verify(args) -> int:
         lines.append(f"grid_check relay={relay_id} closed={closed:.8f} grid={grid_obj:.8f} ok={ok}")
     passed = objectives_match and assignments_match and grids_ok
     lines.append(f"verify={'PASS' if passed else 'FAIL'}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if passed else EXIT_MISMATCH
+    return "\n".join(lines) + "\n", EXIT_OK if passed else EXIT_MISMATCH
 
 
-def _cmd_sweep(args) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_sweep(scenario: Scenario, args) -> tuple[str, int]:
     try:
         factors = [float(f) for f in args.factors.split(",") if f.strip()]
     except ValueError as exc:
@@ -260,8 +243,7 @@ def _cmd_sweep(args) -> int:
         scaled = with_scaled_rates(scenario, args.scale, factor)
         result = _run_solve(scaled, args)
         lines.append(f"{factor:g},{result.objective.sum_form:.6f}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,32 +307,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ScenarioValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        codes = {v.code for v in exc.report}
-        if codes and codes <= INFEASIBILITY_CODES:
-            return EXIT_INFEASIBLE
-        return EXIT_VALIDATION
-    except ScenarioParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+# Exit code of each error type; an error takes the entry of the first class in its MRO listed here.
+_EXIT_CODES = {
+    InfeasibleError: EXIT_INFEASIBLE,
+    SearchBudgetError: EXIT_GUARD,
+    OracleScaleError: EXIT_GUARD,
+    SimulationScaleError: EXIT_GUARD,
+    FreshCacheError: EXIT_VALIDATION,
+    OSError: EXIT_IO,
+}
+
+
+
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, ScenarioValidationError) and exc.report and {v.code for v in exc.report} <= INFEASIBILITY_CODES:
         return EXIT_INFEASIBLE
-    except (SearchBudgetError, OracleScaleError, SimulationScaleError) as exc:
+    return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        text, code = args.func(load_scenario(args.scenario), args)
+        _emit(text, args.out)
+        return code
+    except (FreshCacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except (DomainError, IncompleteAllocationError, AllocationMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _exit_code(exc)
 
 
 def run() -> None:

@@ -144,7 +144,7 @@ class Scenario:
     @cached_property
     def holding_pairs(self) -> tuple[tuple[int, int], ...]:
         """(user_id, file_id) pairs in document order; the canonical assignment order."""
-        return tuple((u.user_id, h.file_id) for u in self.users for h in u.holdings)
+        return tuple(self.entries)
 
 
 @dataclass(frozen=True)

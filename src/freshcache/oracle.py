@@ -21,6 +21,13 @@ GRID_MAX_STEPS = 10_000
 BRUTE_FORCE_LIMIT = 100_000
 
 
+def check_grid_steps(steps) -> None:
+    """Raise DomainError unless ``steps`` is a positive integer, OracleScaleError above GRID_MAX_STEPS."""
+    check_positive("steps", steps, True)
+    if steps > GRID_MAX_STEPS:
+        raise OracleScaleError(f"grid oracle limited to {GRID_MAX_STEPS} steps, got {steps}")
+
+
 def grid_allocate(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float, ...], float]:
     """Best allocation on the grid {0, G/steps, ..., G} per entry, total <= G.
 
@@ -34,9 +41,7 @@ def grid_allocate(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float
         raise DomainError("grid allocation requires at least one entry")
     if n > GRID_MAX_ENTRIES:
         raise OracleScaleError(f"grid oracle limited to {GRID_MAX_ENTRIES} entries, got {n}")
-    check_positive("steps", steps, True)
-    if steps > GRID_MAX_STEPS:
-        raise OracleScaleError(f"grid oracle limited to {GRID_MAX_STEPS} steps, got {steps}")
+    check_grid_steps(steps)
     budget = alloc_input.rate_budget
     check_non_negative("rate budget", budget)
 

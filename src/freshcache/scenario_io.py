@@ -246,6 +246,14 @@ def fixture_path(name: str) -> Path:
     return path
 
 
+def read_document(path: str | Path) -> str:
+    """Text of a scenario, scheme or rate document; bytes that are not UTF-8 raise ScenarioParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path}: document is not valid UTF-8 ({exc})") from exc
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario from a file path, or a bundled fixture by bare name such as ``table1``.
 
@@ -255,7 +263,7 @@ def load_scenario(path: str | Path) -> Scenario:
     p = Path(path)
     if not p.is_file() and str(path) == p.name and not p.suffix:
         p = fixture_path(p.name)
-    return parse_scenario(p.read_text())
+    return parse_scenario(read_document(p))
 
 
 def _parse_holding_doc(text: str, kind: str, top: str, entry: str, field: str, get) -> dict[tuple[int, int], object]:

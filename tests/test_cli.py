@@ -1,7 +1,10 @@
 """End-to-end command-line interface tests."""
 
+import ast
 import contextlib
 import copy
+import dataclasses
+import inspect
 import io
 import json
 import math
@@ -14,8 +17,18 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freshcache.cli
 from freshcache import serialize_scenario
 from freshcache.cli import main
+from freshcache.errors import (
+    FreshCacheError,
+    InfeasibleError,
+    OracleScaleError,
+    ScenarioValidationError,
+    SearchBudgetError,
+    SimulationScaleError,
+)
+from freshcache.model import Violation
 from freshcache.scenario_io import serialize_rates, serialize_scheme
 
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_RATES
@@ -193,6 +206,18 @@ def unknown_holding_rates_file(tmp_path):
     return str(path)
 
 
+@pytest.mark.parametrize("flag", ["--scenario", "--scheme", "--rates"])
+def test_document_that_is_not_utf8_exits_2(flag, scheme_file, rates_file, tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"files: [\xff\xfe]\n")
+    paths = {"--scenario": "table1", "--scheme": scheme_file, "--rates": rates_file, flag: str(bad)}
+    code = main(["freshness", *(arg for item in paths.items() for arg in item)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "not valid UTF-8" in captured.err
+
+
 @pytest.mark.parametrize("command", ["freshness", "simulate"])
 def test_rate_table_with_unknown_holding_exit_code(command, scheme_file, unknown_holding_rates_file, capsys):
     code = main([command, "--scenario", "table1", "--scheme", scheme_file, "--rates", unknown_holding_rates_file])
@@ -243,6 +268,12 @@ verify=PASS
 """
 
 
+def _all_grid_checks_skipped_scenario():
+    """12 holdings on 2 relays of capacity 6: every relay holds more than GRID_MAX_ENTRIES, so verify never calls grid_allocate."""
+    scenario = random_scenario(random.Random(5), n_files=12, n_users=3, n_relays=2)
+    return dataclasses.replace(scenario, relays=tuple(dataclasses.replace(r, capacity=6) for r in scenario.relays))
+
+
 class TestVerifyCommand:
     def test_table1_passes(self, capsys):
         code = main(["verify", "--scenario", "table1"])
@@ -274,6 +305,20 @@ class TestVerifyCommand:
         assert "error" in captured.err
 
 
+    @pytest.mark.parametrize("steps, expected", [("0", 2), ("-3", 2), ("100000", 4)])
+    @pytest.mark.parametrize("scenario", ["table1", "all-skipped"])
+    def test_grid_steps_checked_before_the_solve(self, scenario, steps, expected, tmp_path, capsys):
+        if scenario == "all-skipped":
+            path = tmp_path / "skipped.yaml"
+            path.write_text(serialize_scenario(_all_grid_checks_skipped_scenario()))
+            scenario = str(path)
+        code = main(["verify", "--scenario", scenario, "--grid-steps", steps])
+        captured = capsys.readouterr()
+        assert code == expected
+        assert captured.out == ""
+        assert captured.err.startswith("error: steps must be a positive integer" if expected == 2 else "error: grid oracle limited")
+
+
 class TestSweepCommand:
     def test_user_scale_strictly_increases(self, capsys):
         code = main(
@@ -302,17 +347,82 @@ class TestSweepCommand:
         assert code == 2
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--threads", "0"), ("--threads", "-3"), ("--budget", "0"), ("--budget", "-5")],
+    ids=["0", "-3", "budget-0", "budget--5"],
+)
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 @pytest.mark.parametrize(
     "command", [["solve"], ["sweep", "--scale", "user", "--factors", "1"]], ids=["solve", "sweep"]
 )
-def test_threads_checked_in_every_mode(command, mode, threads, capsys):
-    code = main([*command, "--scenario", "table1", "--mode", mode, "--budget", "10", "--threads", threads])
+def test_threads_checked_in_every_mode(command, mode, flag, value, capsys):
+    # --budget comes first so that the second --budget overrides it.
+    code = main([*command, "--scenario", "table1", "--mode", mode, "--budget", "10", flag, value])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "threads must be a positive integer" in captured.err
+    assert f"{flag[2:]} must be a positive integer" in captured.err
+
+
+def _main_node():
+    tree = ast.parse(inspect.getsource(freshcache.cli))
+    return tree, next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+
+
+def _calls(node, name):
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name]
+
+
+def _stderr_prints(node):
+    return [c for c in _calls(node, "print") if any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in c.keywords)]
+
+
+def test_main_is_the_one_command_path():
+    tree, main_node = _main_node()
+    for find in (lambda n: _calls(n, "load_scenario"), lambda n: _calls(n, "_emit"), _stderr_prints):
+        assert len(find(tree)) == 1
+        assert len(find(main_node)) == 1
+    handlers = [h for t in ast.walk(main_node) if isinstance(t, ast.Try) for h in t.handlers]
+    assert len(handlers) == 1
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def _expected_exit_code(cls):
+    if issubclass(cls, InfeasibleError):
+        return 3
+    if issubclass(cls, (SearchBudgetError, OracleScaleError, SimulationScaleError)):
+        return 4
+    return 2
+
+
+EXIT_CASES = [(cls.__name__, cls("boom"), _expected_exit_code(cls)) for cls in [FreshCacheError, *_subclasses(FreshCacheError)]]
+EXIT_CASES += [
+    ("capacity-aggregate", ScenarioValidationError("boom", report=[Violation("capacity-aggregate", "too small")]), 3),
+    ("capacity-aggregate+other", ScenarioValidationError(
+        "boom", report=[Violation("capacity-aggregate", "too small"), Violation("holding-unassigned", "gap")]), 2),
+    ("OSError", OSError("boom"), 5),
+    ("FileNotFoundError", FileNotFoundError("boom"), 5),
+]
+
+
+@pytest.mark.parametrize("exc, expected", [case[1:] for case in EXIT_CASES], ids=[case[0] for case in EXIT_CASES])
+def test_every_error_maps_to_its_exit_code(exc, expected, monkeypatch, capsys):
+    def stub(scenario, args):
+        raise exc
+
+    monkeypatch.setattr(freshcache.cli, "load_scenario", lambda path: None)
+    monkeypatch.setattr(freshcache.cli, "_cmd_solve", stub)
+    code = main(["solve", "--scenario", "table1"])
+    captured = capsys.readouterr()
+    assert code == expected
+    assert captured.out == ""
+    assert captured.err == "error: boom\n"
 
 
 class TestDeterminism:
@@ -401,11 +511,10 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "mutant.yaml"
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_mutated_documents_exit_with_a_documented_code(data, fuzz_path):
-    # Each mutation drops a key, repeats a list entry, or sets a field to a wrong type or value.
-    doc = yaml.safe_load(FUZZ_BASE)
+
+
+def _mutate(doc, data):
+    """Apply 1-3 mutations to ``doc`` in place: drop a key, repeat a list entry, or set a field to a wrong type or value."""
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         slots = list(_slots(doc))
         if not slots:
@@ -418,10 +527,66 @@ def test_mutated_documents_exit_with_a_documented_code(data, fuzz_path):
             container.append(copy.deepcopy(container[key]))
         else:
             container[key] = copy.deepcopy(data.draw(st.sampled_from(WRONG_VALUES), label="value"))
+
+
+def _exit_code_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_documents_exit_with_a_documented_code(data, fuzz_path):
+    doc = yaml.safe_load(FUZZ_BASE)
+    _mutate(doc, data)
     fuzz_path.write_text(yaml.safe_dump(doc))
     argv = ["solve", "--scenario", str(fuzz_path), "--threads", "1"]
     if data.draw(st.booleans(), label="sampled"):
         argv += ["--mode", "sampled", "--budget", "30", "--seed", "1"]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code in {0, 2, 3, 4, 5}
+    assert _exit_code_quietly(argv) in {0, 2, 3, 4, 5}
+
+
+@pytest.fixture(scope="module")
+def holding_doc_paths(tmp_path_factory):
+    base = tmp_path_factory.mktemp("holding_fuzz")
+    return base / "scheme.yaml", base / "rates.yaml"
+
+
+# table1's reference scheme and rates as parsed YAML, the bases of the holding-document fuzz.
+HOLDING_FUZZ_BASES = (
+    yaml.safe_load(serialize_scheme(CacheScheme(dict(REFERENCE_ASSIGNMENT)))),
+    yaml.safe_load(serialize_rates(REFERENCE_RATES)),
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_scheme_and_rate_documents_exit_with_a_documented_code(data, holding_doc_paths):
+    # One of the two documents is mutated like the scenario fuzz above; the other stays as it is.
+    scheme_path, rates_path = holding_doc_paths
+    which = data.draw(st.sampled_from((0, 1)), label="document")
+    doc = copy.deepcopy(HOLDING_FUZZ_BASES[which])
+    _mutate(doc, data)
+    for i, path in enumerate(holding_doc_paths):
+        path.write_text(yaml.safe_dump(doc if i == which else HOLDING_FUZZ_BASES[i]))
+    command = data.draw(st.sampled_from(("allocate", "freshness", "simulate")), label="command")
+    argv = [command, "--scenario", "table1", "--scheme", str(scheme_path)]
+    if command != "allocate":
+        argv += ["--rates", str(rates_path)]
+    if command == "simulate":
+        argv += ["--horizon", "50", "--seed", "1"]
+    assert _exit_code_quietly(argv) in {0, 2, 3, 4, 5}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_byte_mutated_scenario_documents_exit_with_a_documented_code(data, fuzz_path):
+    # Byte-level mutants: the document cut short, or a byte that is never valid UTF-8 put in.
+    raw = FUZZ_BASE.encode()
+    at = data.draw(st.integers(0, len(raw)), label="offset")
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:at]
+    else:
+        raw = raw[:at] + data.draw(st.sampled_from((b"\xff", b"\xfe", b"\xc0", b"\x80")), label="byte") + raw[at:]
+    fuzz_path.write_bytes(raw)
+    assert _exit_code_quietly(["solve", "--scenario", str(fuzz_path), "--threads", "1"]) in {0, 2, 3, 4, 5}
