@@ -15,6 +15,7 @@ from .errors import DomainError, InfeasibleError, OracleScaleError
 from .freshness import ObjectiveValue
 from .model import Scenario, check_non_negative, check_positive
 from .rate_alloc import AllocationInput, allocate
+from .search import make_solve_result
 
 GRID_MAX_ENTRIES = 4
 GRID_MAX_STEPS = 10_000
@@ -92,8 +93,6 @@ def brute_force_assignments(
     values are bit-identical to scoring one assignment at a time.  ``argmax``
     takes the first maximum: ties resolve to the lexicographically smallest vector.
     """
-    from .search import make_solve_result  # local import: search depends on this module's callers, not vice versa
-
     pairs = scenario.holding_pairs
     k, h = scenario.n_relays, len(pairs)
     if k == 0 or not pairs:

@@ -8,10 +8,11 @@ entries whose marginal return at rate zero is already below that level.
 The objective weight c of each holding (its request probability times its
 relay preference, ``Scenario.coef``) is not applied: the rates maximize this
 unweighted relay sum, while the reported objective weights each term by c.
-``allocate`` implements the sorted single-pass closed form; ``kkt_check``
-verifies first-order optimality residuals independently of it.  Both read mu
-and the weight off each ``AllocationEntry`` (defined in ``model`` and
-re-exported here), which checks its rates once, when it is built.
+``allocate`` sorts the entries by mu/s and calls ``waterfill``, one backward
+pass that sums only the survivors and so never subtracts a dropped entry back
+out; ``kkt_check`` verifies first-order optimality residuals independently of
+it.  Both read mu and the weight off each ``AllocationEntry`` (defined in
+``model`` and re-exported here), which checks its rates once, when it is built.
 """
 
 from __future__ import annotations
@@ -59,40 +60,36 @@ def sort_key(entry: AllocationEntry) -> tuple[float, Key]:
 
 
 def waterfill(weights: list[float], server_rates: list[float], budget: float):
-    """Single sorted pass of the closed-form allocation.
+    """One backward pass of the closed-form allocation.
 
-    Inputs must be ordered ascending by mu/s.  Returns
-    (rates, dropped_flags, alpha, beta) where alpha and beta are the sums over
-    the surviving entries (beta includes the budget).  Every caller that needs
-    numerically identical results must funnel through this function.
+    Inputs must be ordered ascending by mu/s, so the entries with a positive
+    rate are a suffix.  The pass adds entries from the end while the next one
+    still gets a positive rate next to those taken, w*(beta+s) > s*(alpha+w),
+    then sets each survivor's rate beta*w/alpha - s from the final sums.  The
+    sums never hold a dropped entry, so none is subtracted back out, and a huge
+    server rate cannot leave rounding error in the others' rates.  A zero
+    budget, or one too small to register next to s, makes the first test
+    compare w*s with s*w, so everything drops.  Returns (rates, dropped_flags, alpha, beta),
+    the sums over the survivors (beta includes the budget), both 0.0 when
+    nothing survives.  Every caller that needs numerically identical results
+    must funnel through this function.
     """
     n = len(weights)
-    if budget == 0:
-        # At a zero budget every entry drops; the pass below would leave float residue on mu/s ties.
-        return [0.0] * n, [True] * n, 0.0, 0.0
     alpha = 0.0
     beta = budget
-    for w in weights:
+    cut = n
+    while cut:
+        w = weights[cut - 1]
+        s = server_rates[cut - 1]
+        if w * (beta + s) <= s * (alpha + w):
+            break
         alpha += w
-    for s in server_rates:
         beta += s
+        cut -= 1
     rates = [0.0] * n
-    dropped = [False] * n
-    for j in range(n):
-        w = weights[j]
-        s = server_rates[j]
-        if w * beta <= s * alpha:
-            dropped[j] = True
-            alpha -= w
-            beta -= s
-        else:
-            rates[j] = beta * w / alpha - s
-    if n and all(dropped):
-        # Nothing survived: a positive budget too small to register next to the
-        # server rates.  Clear the float residue so the sums are the exact zeros.
-        alpha = 0.0
-        beta = 0.0
-    return rates, dropped, alpha, beta
+    for j in range(cut, n):
+        rates[j] = beta * weights[j] / alpha - server_rates[j]
+    return rates, [True] * cut + [False] * (n - cut), alpha, beta if cut < n else 0.0
 
 
 def _validate_input(alloc_input: AllocationInput) -> None:

@@ -45,7 +45,7 @@ from .scenario_io import ResultTable, build_result_table
 
 DEFAULT_ENUMERATION_LIMIT = 10_000_000
 
-# Consecutive non-improving moves before the hill climber restarts.
+# Consecutive moves that would lower the value before the hill climber restarts.
 _PATIENCE = 30
 
 # Block values one solve keeps before it clears them; see the module docstring.
@@ -395,7 +395,10 @@ def solve_sampled(
     """Seeded random-restart hill climbing over placements.
 
     Spends exactly ``budget`` objective evaluations; deterministic for a given
-    (scenario, budget, seed) regardless of process or thread count.
+    (scenario, budget, seed) regardless of process or thread count.  Plateau
+    rule: a move that keeps the value is taken like one that raises it and
+    restarts the patience count; only a move that would lower the value counts
+    toward the ``_PATIENCE`` failures that end a climb.
     """
     check_positive("budget", budget, True)
     ctx = _build_context(scenario)
@@ -422,7 +425,7 @@ def solve_sampled(
             trial = parts.copy()
             trial[src], trial[dst] = search.block(src, parts[src][3] ^ 1 << i), search.block(dst, parts[dst][3] ^ 1 << i)
             val = search.step(trial, current)
-            if val > current:
+            if val >= current:
                 parts, current, failures = trial, val, 0
                 rel_of[i] = dst
                 counts[src] -= 1

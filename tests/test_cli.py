@@ -498,6 +498,24 @@ def test_rate_that_overflows_the_weight_exit_code(old, new, mode, tmp_path, caps
     assert "overflow the water-filling weight" in captured.err
 
 
+def test_holding_with_a_huge_server_rate_drops_without_disturbing_its_relay(tmp_path, capsys):
+    # Found by a fuzz of verify: a water-fill that subtracted file 6's server rate back out of its
+    # sums zeroed its relay-mates' rates, reported 0.331195 as the optimum and failed verify.
+    path = tmp_path / "huge_server.yaml"
+    path.write_text(FUZZ_BASE.replace("{id: 6, server_rate: 5}", "{id: 6, server_rate: 1.0e+30}", 1))
+    assert main(["verify", "--scenario", str(path)]) == 0
+    assert "verify=PASS" in capsys.readouterr().out.splitlines()
+    assert main(["solve", "--scenario", str(path), "--threads", "1"]) == 0
+    assert "objective_sum=0.419469" in capsys.readouterr().out.splitlines()
+    assert main(["solve", "--scenario", str(path), "--threads", "1", "--format", "json"]) == 0
+    scheme = tmp_path / "scheme.yaml"
+    scheme.write_text(yaml.safe_dump({"assignment": json.loads(capsys.readouterr().out)["assignment"]}))
+    assert main(["allocate", "--scenario", str(path), "--scheme", str(scheme)]) == 0
+    relay_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("relay=")]
+    assert len(relay_lines) == 2
+    assert all("satisfied=True" in line for line in relay_lines)
+
+
 def _slots(node):
     """Every (container, key) pair below ``node``, each parent before its children."""
     children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from freshcache import (
     AllocationEntry,
@@ -130,6 +132,26 @@ class TestAllocate:
         assert list(alloc.rates.values()) == [0.0] * 3
         assert (alloc.diagnostics.alpha, alloc.diagnostics.beta) == (0.0, 0.0)
         assert alloc.diagnostics.water_level == math.inf
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.tuples(st.floats(0.1, 50.0), st.floats(0.1, 50.0)), min_size=1, max_size=6),
+        st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+        st.floats(0.1, 50.0),
+        st.one_of(st.floats(0.1, 50.0), st.floats(1e20, 1e30)),
+    )
+    @example([(8.0, 4.0), (3.0, 2.5), (5.0, 6.0)], 12.0, 1.0, 1e30)
+    def test_entry_that_drops_leaves_the_others_bit_identical(self, rates, budget, user_rate, server_rate):
+        # A pass that summed every entry and subtracted the dropped ones back out left
+        # their rounding in alpha and beta; with s >= 1e20 it wiped out the other rates.
+        base = AllocationInput(tuple(AllocationEntry((1, j), u, s) for j, (u, s) in enumerate(rates, 1)), budget)
+        extra = AllocationEntry((2, 1), user_rate, server_rate)
+        grown = allocate(AllocationInput(base.entries + (extra,), budget))
+        assume(grown.rates[extra.key] == 0.0)
+        alone = allocate(base)
+        assert [grown.rates[e.key] for e in base.entries] == [alone.rates[e.key] for e in base.entries]
+        assert (grown.diagnostics.alpha, grown.diagnostics.beta) == (alone.diagnostics.alpha, alone.diagnostics.beta)
+        assert grown.diagnostics.dropped_keys == alone.diagnostics.dropped_keys | {extra.key}
 
     def test_entry_order_is_irrelevant(self):
         rng = random.Random(11)

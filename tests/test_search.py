@@ -270,6 +270,11 @@ class TestSolveSampled:
         result = solve_sampled(table1, budget=5000, seed=7)
         assert result.objective.sum_form >= 0.52
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_reaches_the_optimum_on_table1(self, table1, seed):
+        result = solve_sampled(table1, budget=3000, seed=seed)
+        assert result.objective.sum_form == pytest.approx(OPTIMAL_SUM, abs=1e-9)
+
     def test_trace_contract(self, table1):
         result = solve_sampled(table1, budget=2000, seed=3)
         values = [v for _, v in result.trace]

@@ -101,7 +101,10 @@ def reference_exhaustive(scenario, allow_empty_relay=False):
 
 
 def reference_sampled(scenario, budget, seed, allow_empty_relay=False):
-    """The hill climber with every move scored canonically, drawing from the RNG as ``solve_sampled`` does."""
+    """The hill climber with every move scored canonically, drawing from the RNG as ``solve_sampled`` does.
+
+    Plateau rule: a move that keeps the value is taken and restarts the patience count.
+    """
     ref = _Reference(scenario)
     rng = random.Random(seed)
     min_count = 0 if allow_empty_relay else 1
@@ -116,7 +119,7 @@ def reference_sampled(scenario, budget, seed, allow_empty_relay=False):
             i, dst = move
             src, rel_of[i] = rel_of[i], dst
             val = ref.score(rel_of)
-            if val > current:
+            if val >= current:
                 current, failures = val, 0
                 counts[src] -= 1
                 counts[dst] += 1
@@ -219,6 +222,19 @@ def test_sampled_matches_the_canonical_climber(name, allow_empty_relay):
     scenario = SAMPLED[name]()
     result = solve_sampled(scenario, 1500, 5, allow_empty_relay=allow_empty_relay)
     _assert_same(scenario, result, reference_sampled(scenario, 1500, 5, allow_empty_relay))
+
+
+# Seed-1 sweep instances (``perfbench``'s generator) at the default budget, under the plateau rule.
+SWEEP_PINS = {
+    "n30k4": (lambda: _shape(1, "n30k4", 30, 4, 6, 4), 0.3713453502989092),
+    "n45k5": (lambda: _shape(1, "n45k5", 45, 5, 9, 5), 0.3681738629905087),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PINS))
+def test_sampled_sweep_values_are_pinned(name):
+    build, expected = SWEEP_PINS[name]
+    assert solve_sampled(build(), 10_000, 1).objective.sum_form == expected
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
