@@ -33,6 +33,9 @@ from .model import (
 if TYPE_CHECKING:  # pragma: no cover
     from .search import SolveResult
 
+# libyaml's safe loader where PyYAML was built with it: the same resolver as SafeLoader, so the same values, faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _TOP_KEYS = {"files", "users", "relays", "popularity"}
 _FILE_KEYS = {"id", "server_rate"}
 _USER_KEYS = {"id", "holdings", "relay_prefs"}
@@ -107,17 +110,20 @@ def _get_int(node: Mapping, key: str, what: str) -> int:
     return value
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document; raises on any malformation."""
+def _load_yaml(text: str, kind: str):
+    """The one YAML document in ``text``; a malformed one raises ScenarioParseError with its line where known."""
     try:
-        doc = yaml.safe_load(text)
+        return yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None
         at = f" at line {line}" if line is not None else ""
-        raise ScenarioParseError(f"malformed scenario document{at}: {exc}", line=line) from exc
+        raise ScenarioParseError(f"malformed {kind} document{at}: {exc}", line=line) from exc
 
-    doc = _require_mapping(doc, "scenario document")
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse and validate a scenario document; raises on any malformation."""
+    doc = _require_mapping(_load_yaml(text, "scenario"), "scenario document")
     _check_keys(doc, _TOP_KEYS, "scenario document")
     for required in ("files", "users", "relays"):
         if required not in doc:
@@ -268,11 +274,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def _parse_holding_doc(text: str, kind: str, top: str, entry: str, field: str, get) -> dict[tuple[int, int], object]:
     """Read a ``{top: [{user, file, field}, ...]}`` document into (user_id, file_id) -> ``get(node, field, entry)``."""
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ScenarioParseError(f"malformed {kind} document: {exc}") from exc
-    doc = _require_mapping(doc, f"{kind} document")
+    doc = _require_mapping(_load_yaml(text, kind), f"{kind} document")
     _check_keys(doc, {top}, f"{kind} document")
     if top not in doc:
         raise ScenarioParseError(f"{kind} document: missing required field '{top}'", field=top)

@@ -8,15 +8,23 @@ hill climber that spends an exact evaluation budget.
 
 Relay k's rates depend only on its block of holdings, so the objective is a
 sum over relays of block values: relay k's water-filled objective terms over
-its block.  Both modes run in one process and keep block values, rates
-included, in a memo keyed by relay index and block bitmask.  The memo is
-cleared when it reaches ``_MEMO_ENTRIES``, which bounds memory yet keeps the
-recent blocks both modes revisit; an exhaustive walk over two relays keeps
-nothing, because each block is the other's complement and none repeats.  The
-exhaustive walk takes each relay's blocks as ``itertools.combinations`` of the
-bits the relays before it left, looks up an outer relay's value once per
-block, and runs the last two relays as one loop whose last block is the
-remainder.  A hill-climbing move changes two blocks.
+its block.  Both modes keep block values, rates included, in a memo keyed by
+relay index and block bitmask and cleared when it reaches ``_MEMO_ENTRIES``:
+the hill climber revisits recent blocks, and a move changes two of them.
+
+The exhaustive scorer works one partition at a time, in two steps.  For each
+(relay k, count c) the partition uses, it fills a table of relay k's block
+values over every c-subset of the holdings, in ``itertools.combinations``
+order, so each distinct block is water-filled once.  A table that fits in the
+memo is filled through it, so the few assignments re-scored below find their
+blocks there; a table is dropped after the last partition that reads it.  It
+then builds the partition's assignments as numpy rows of holding indices, in
+enumeration order: relay k takes each ``counts[k]``-subset of what the relays
+before it left, in ``itertools.combinations`` order, and the last relay takes
+the rest.  Rows grow a relay at a time, at most ``_CHUNK_ROWS`` at once, from
+a pattern of chosen positions followed by their complement.  A block is found
+in its table by its lexicographic rank, and a row's block values are added
+left to right from 0.0, as a loop over the relays would add them.
 
 Block sums only rank candidates.  One that falls below the running best (in
 sampled mode, the climber's current value) by more than a tiny relative
@@ -35,7 +43,9 @@ import random
 import sys
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import InfeasibleError, SearchBudgetError
 from .freshness import ObjectiveValue, system_freshness
@@ -50,6 +60,9 @@ _PATIENCE = 30
 
 # Block values one solve keeps before it clears them; see the module docstring.
 _MEMO_ENTRIES = 1 << 12
+
+# Rows the exhaustive scorer builds in one numpy step; see the module docstring.
+_CHUNK_ROWS = 1 << 12
 
 _Block = tuple[float, list[int], list[float], int]   # (block value, ascending ctx indices, their rates, bitmask)
 
@@ -162,10 +175,9 @@ def _canonical_vector(ctx: _EvalContext, rel_of: Sequence[int]) -> tuple[int, ..
 class _Search:
     """Per-solve state: the block memo, the evaluation count, the running best and its trace."""
 
-    def __init__(self, ctx: _EvalContext, *, memoize: bool = True) -> None:
+    def __init__(self, ctx: _EvalContext) -> None:
         self.ctx = ctx
         self.memo: dict[int, _Block] = {}   # key: relay index << n | block bitmask
-        self.memoize = memoize
         # Rank-gate margin, relative.  Every term is non-negative and a block sum
         # adds the same terms as the canonical sum in another order, so the two
         # differ by at most 2n*eps of the canonical value.  1e-12 exceeds that by
@@ -177,23 +189,33 @@ class _Search:
         self.floor = -math.inf   # a block sum below this cannot reach self.val
         self.vec: tuple[int, ...] | None = None
         self.trace: list[tuple[int, float]] = []
+        self.patterns: dict[tuple[int, int], np.ndarray] = {}      # (m, c) -> _pattern of all C(m, c) choices
+        self.rank_weights: dict[int, tuple[int, np.ndarray]] = {}  # c -> (C(n, c) - 1, weights); see _rank
 
     def block(self, k: int, mask: int) -> _Block:
+        """``_evaluate(k, mask)`` through the memo."""
+        key = k << self.ctx.n | mask
+        hit = self.memo.get(key)
+        if hit is None:
+            if len(self.memo) >= _MEMO_ENTRIES:
+                self.memo.clear()
+            hit = self.memo[key] = self._evaluate(k, mask)
+        return hit
+
+    def _evaluate(self, k: int, mask: int) -> _Block:
         """Relay k over the holdings in ``mask``: its objective terms summed in index order, indices, rates, mask."""
-        hit = self.memo.get(k << self.ctx.n | mask)
-        if hit is not None:
-            return hit
         ctx = self.ctx
-        idx = [i for i in range(ctx.n) if mask >> i & 1]
+        idx = []
+        bits = mask
+        while bits:
+            low = bits & -bits
+            idx.append(low.bit_length() - 1)
+            bits ^= low
         ss = [ctx.server_rates[i] for i in idx]
         rates = waterfill([ctx.weights[i] for i in idx], ss, ctx.budgets[k])[0] if idx else []
         value = 0.0
         for i, r, s in zip(idx, rates, ss):
             value += ctx.coef[i][k] * (ctx.mus[i] * (r / (r + s)))
-        if self.memoize:
-            if len(self.memo) >= _MEMO_ENTRIES:
-                self.memo.clear()
-            self.memo[k << ctx.n | mask] = value, idx, rates, mask
         return value, idx, rates, mask
 
     def offer(self, index: int, parts: Sequence[_Block]) -> float:
@@ -222,32 +244,84 @@ class _Search:
             self.vec = min(self.vec, _canonical_vector(ctx, rel_of))
         return val
 
-    def walk(self, counts: tuple[int, ...], rest: int, prefix: float = 0.0, parts: tuple[_Block, ...] = ()) -> None:
-        """Score every split of bitmask ``rest`` over relays ``len(parts)`` onwards, in enumeration order.
+    def table(self, k: int, c: int) -> np.ndarray:
+        """Relay k's block values over every c-subset of the holdings, in ``itertools.combinations`` order."""
+        size = comb(self.ctx.n, c)
+        # A table larger than the memo would only churn it, so its blocks bypass it.
+        get = self.block if size <= _MEMO_ENTRIES else self._evaluate
+        bits = [1 << i for i in range(self.ctx.n)]
+        return np.fromiter((get(k, sum(combo))[0] for combo in itertools.combinations(bits, c)), float, size)
 
-        Relay k takes each ``counts[k]``-subset of what the relays before it
-        left, in ``itertools.combinations`` order; the last relay takes the rest.
+    def score(self, counts: tuple[int, ...], tables: Sequence[np.ndarray]) -> None:
+        """Score every assignment of partition ``counts`` in enumeration order; ``tables[k]`` = ``table(k, counts[k])``."""
+        self._extend(counts, tables, 0, np.arange(self.ctx.n)[None, :], np.zeros(1))
+
+    def _extend(
+        self, counts: tuple[int, ...], tables: Sequence[np.ndarray], k: int, rows: np.ndarray, acc: np.ndarray
+    ) -> None:
+        """Score every assignment that places relays k onwards on ``rows``, whose block sums so far are ``acc``.
+
+        A row lists relay 0's holdings, then relay 1's and so on up to relay
+        k - 1, then the holdings left, each group ascending.
         """
-        k = len(parts)
-        bits = [1 << i for i in range(self.ctx.n) if rest >> i & 1]
-        if k < len(counts) - 2:
-            for combo in itertools.combinations(bits, counts[k]):
-                mask = sum(combo)
-                part = self.block(k, mask)
-                self.walk(counts, rest ^ mask, prefix + part[0], parts + (part,))
+        n, c = self.ctx.n, counts[k]
+        off = sum(counts[:k])
+        if k == len(counts) - 1:
+            total = acc + tables[k][self._rank(rows[:, off:])]
+            for h in np.flatnonzero(total >= self.floor).tolist():
+                if total[h] >= self.floor:   # re-checked: an earlier offer in this chunk may have raised the floor
+                    self.offer(self.evaluated + h + 1, self._parts(counts, rows[h].tolist()))
+            self.evaluated += len(total)
             return
-        # The last two relays, in one loop with the memo lookups inlined.  With a
-        # single relay, the second is a relay index past the end with an empty block.
-        get, block = self.memo.get, self.block
-        key_a, key_b = k << self.ctx.n, k + 1 << self.ctx.n
-        start = self.evaluated
-        for index, combo in enumerate(itertools.combinations(bits, counts[k]), start + 1):
-            mask = sum(combo)
-            a = get(key_a | mask) or block(k, mask)
-            b = get(key_b | rest ^ mask) or block(k + 1, rest ^ mask)
-            if prefix + a[0] + b[0] >= self.floor:
-                self.offer(index, parts + (a, b))
-        self.evaluated = start + comb(len(bits), counts[k])
+        m = n - off
+        size = comb(m, c)
+        group = max(1, _CHUNK_ROWS // size)
+        for start in range(0, len(rows), group):
+            head, head_acc = rows[start:start + group], acc[start:start + group]
+            for pattern in self._patterns(m, c, size):
+                picked = head[:, off:][:, pattern]          # (rows, choices, m): relay k's holdings, then the rest
+                grown = np.empty(picked.shape[:2] + (n,), dtype=head.dtype)
+                grown[:, :, :off] = head[:, None, :off]
+                grown[:, :, off:] = picked
+                sums = head_acc[:, None] + tables[k][self._rank(picked[:, :, :c])]
+                self._extend(counts, tables, k + 1, grown.reshape(-1, n), sums.reshape(-1))
+
+    def _patterns(self, m: int, c: int, size: int) -> Iterable[np.ndarray]:
+        """The ``size`` = C(m, c) choices of c of m holdings left, as ``_pattern`` pieces of at most ``_CHUNK_ROWS``.
+
+        A pattern that fits in one piece is built once per solve.
+        """
+        if size <= _CHUNK_ROWS:
+            pattern = self.patterns.get((m, c))
+            if pattern is None:
+                pattern = self.patterns[m, c] = _pattern(itertools.combinations(range(m), c), size, m, c)
+            return (pattern,)
+        combos = itertools.combinations(range(m), c)
+        return (_pattern(combos, min(_CHUNK_ROWS, size - start), m, c) for start in range(0, size, _CHUNK_ROWS))
+
+    def _rank(self, subsets: np.ndarray) -> np.ndarray:
+        """Lexicographic rank of each ascending row of holding indices among the subsets of its size."""
+        c = subsets.shape[-1]
+        hit = self.rank_weights.get(c)
+        if hit is None:
+            # C(n, c) - 1 - sum_j C(n-1-a_j, c-j) subsets come before a_0 < ... < a_{c-1}.
+            # a_j lies in [j, n-c+j]; weights outside that range stay 0 and never overflow.
+            n = self.ctx.n
+            weights = np.zeros((c, n), dtype=np.int64)
+            for j in range(c):
+                for i in range(j, n - c + j + 1):
+                    weights[j, i] = comb(n - 1 - i, c - j)
+            hit = self.rank_weights[c] = comb(n, c) - 1, weights
+        last, weights = hit
+        return last - weights[np.arange(c), subsets].sum(axis=-1)
+
+    def _parts(self, counts: tuple[int, ...], row: list[int]) -> list[_Block]:
+        """The blocks of one scored row."""
+        parts, off = [], 0
+        for k, c in enumerate(counts):
+            parts.append(self.block(k, sum(1 << i for i in row[off:off + c])))
+            off += c
+        return parts
 
     def step(self, parts: Sequence[_Block], current: float) -> float:
         """Count one hill-climbing evaluation: its canonical value, or -inf when its block sum shows it is below ``current``.
@@ -342,11 +416,29 @@ def solve_exhaustive(
     if total > limit:
         raise SearchBudgetError(f"distinct assignment count {total} exceeds the enumeration limit {limit}")
 
-    search = _Search(ctx, memoize=len(ctx.budgets) > 2)
-    for partition in enumerate_partitions(ctx.n, ctx.capacities, allow_empty_relay=allow_empty_relay):
-        search.walk(partition.counts, (1 << ctx.n) - 1)
+    search = _Search(ctx)
+    partitions = [p.counts for p in enumerate_partitions(ctx.n, ctx.capacities, allow_empty_relay=allow_empty_relay)]
+    last_read = {key: p for p, counts in enumerate(partitions) for key in enumerate(counts)}
+    tables: dict[tuple[int, int], np.ndarray] = {}   # (relay index, count) -> search.table
+    for p, counts in enumerate(partitions):
+        for key in enumerate(counts):
+            if key not in tables:
+                tables[key] = search.table(*key)
+        search.score(counts, [tables[key] for key in enumerate(counts)])
+        for key in enumerate(counts):
+            if last_read[key] == p:
+                del tables[key]
     assert search.evaluated == total
     return search.result(scenario)
+
+
+def _pattern(combos: Iterator[tuple[int, ...]], count: int, m: int, c: int) -> np.ndarray:
+    """The next ``count`` c-subsets of range(m) from ``combos``, a row each: the subset, then the rest, both ascending."""
+    chosen = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, count)), np.intp, count * c)
+    chosen = chosen.reshape(count, c)
+    left = np.ones((count, m), dtype=bool)
+    left[np.arange(count)[:, None], chosen] = False
+    return np.hstack([chosen, np.nonzero(left)[1].reshape(count, m - c)])
 
 
 def _random_assignment(ctx: _EvalContext, rng: random.Random, allow_empty_relay: bool):

@@ -1,8 +1,10 @@
 """Scenario document parsing, serialization, and result rendering tests."""
 
 import random
+from importlib import resources
 
 import pytest
+import yaml
 
 from freshcache import (
     ScenarioParseError,
@@ -18,7 +20,7 @@ from freshcache import (
     write_result_table,
     write_trace,
 )
-from freshcache.scenario_io import parse_rates, parse_scheme, serialize_rates, serialize_scheme
+from freshcache.scenario_io import _YAML_LOADER, parse_rates, parse_scheme, serialize_rates, serialize_scheme
 
 from conftest import random_scenario
 
@@ -36,6 +38,17 @@ relays:
   - {id: 1, capacity: 2, rate_budget: 6.0}
   - {id: 2, capacity: 2, rate_budget: 1.0}
 """
+
+FIXTURE_DIR = resources.files("freshcache") / "fixtures"
+# Every bundled scenario, the minimal document, and resolver corners: a float
+# with no leading digit, hex and underscored ints, -.inf, YAML 1.1 booleans,
+# null and a date.
+LOADER_DOCS = {
+    **{f.name: f.read_text() for f in FIXTURE_DIR.iterdir() if f.name.endswith(".yaml")},
+    "minimal": MINIMAL_DOC,
+    "corners": "rates:\n  - {user: 1, file: 2, rate: .5e1}\n  - {user: 0x1f, file: 1_0, rate: -.inf}\n"
+    "flags: [yes, No, ~, 2001-12-14]\n",
+}
 
 
 class TestParseScenario:
@@ -73,6 +86,16 @@ class TestParseScenario:
         with pytest.raises(ScenarioParseError) as err:
             parse_scenario(bad)
         assert err.value.line is not None
+
+    def test_malformed_rate_document_reports_line(self):
+        with pytest.raises(ScenarioParseError) as err:
+            parse_rates("rates:\n  - {user: 1, file: 1, rate: 2.0\n  - {user: 1\n")
+        assert err.value.line is not None
+
+    @pytest.mark.parametrize("name", sorted(LOADER_DOCS))
+    def test_loader_reads_what_safe_load_reads(self, name):
+        doc = LOADER_DOCS[name]
+        assert yaml.load(doc, Loader=_YAML_LOADER) == yaml.safe_load(doc)
 
     def test_non_mapping_document(self):
         with pytest.raises(ScenarioParseError):

@@ -1,6 +1,7 @@
 """Placement search tests: enumeration, exhaustive and sampled solvers."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import random
@@ -247,6 +248,37 @@ class TestSolveExhaustive:
         assert len(result.table.rows) == 10
         assert result.table.footer.objective_sum == result.objective.sum_form
 
+    def test_leaves_no_search_in_a_reference_cycle(self, table1):
+        # With the collector off, a search held only by a reference cycle, its
+        # memo and block tables with it, would outlive the solve.
+        gc.collect()
+        gc.disable()
+        try:
+            solve_exhaustive(table1)
+            assert not any(isinstance(obj, search_module._Search) for obj in gc.get_objects())
+        finally:
+            gc.enable()
+
+    def test_table1_offers_and_water_fills(self, table1, monkeypatch):
+        # Each distinct block is water-filled once, and only assignments whose
+        # block sum could tie or beat the best so far are re-scored canonically.
+        calls = {"offer": 0, "waterfill": 0}
+        offer, waterfill = search_module._Search.offer, search_module.waterfill
+
+        def counting_offer(self, *args):
+            calls["offer"] += 1
+            return offer(self, *args)
+
+        def counting_waterfill(*args):
+            calls["waterfill"] += 1
+            return waterfill(*args)
+
+        monkeypatch.setattr(search_module._Search, "offer", counting_offer)
+        monkeypatch.setattr(search_module, "waterfill", counting_waterfill)
+        result = solve_exhaustive(table1)
+        assert calls == {"offer": 38, "waterfill": 1869}
+        assert len(result.trace) == 38
+
 
 class TestSolveSampled:
     def test_budget_one(self, table1):
@@ -304,9 +336,9 @@ def _with_capacities(scenario, capacities):
 
 class TestRelayMemo:
     def test_more_blocks_than_the_memo_holds(self):
-        # Two relays of capacity 7 over 14 holdings: every block is the other's
-        # complement, so each of the 2 * C(14, 7) (relay, block) pairs is new
-        # and the exhaustive walk runs without the memo.
+        # Two relays of capacity 7 over 14 holdings: the two block tables hold
+        # 2 * C(14, 7) (relay, block) pairs, more than the memo, so filling
+        # them clears it and offers must water-fill blocks it no longer holds.
         scenario = _with_capacities(random_scenario(random.Random(1414), 14, 4, 2), (7, 7))
         assert 2 * math.comb(14, 7) > _MEMO_ENTRIES
         result = solve_exhaustive(scenario)
@@ -316,7 +348,7 @@ class TestRelayMemo:
         assert result.best_scheme.assignment == reference.best_scheme.assignment
 
     def test_clearing_a_full_memo_keeps_every_result(self, monkeypatch):
-        # A cap of 8 makes both walks clear the memo over and over.
+        # A cap of 8 makes both modes clear the memo over and over.
         calls = [0]
         waterfill = search_module.waterfill
 

@@ -1,13 +1,15 @@
-"""Both search modes against references that score every assignment canonically.
+"""Both search modes against references that score assignments another way.
 
 ``solve_exhaustive`` ranks assignments by sums of per-relay block values and
 re-scores only those that could tie or beat the running best through the
 canonical per-user sum; ``solve_sampled`` does the same against the climber's
-current value.  The references below have no such gate: they walk the same
-enumeration order (partitions, then ``itertools.combinations`` per relay) or
-make the same hill-climbing moves, and score every assignment through the
-canonical sum, so objective, assignment, trace and evaluation count must all
-match exactly.
+current value.  The canonical references below have no such gate: they walk
+the same enumeration order (partitions, then ``itertools.combinations`` per
+relay) or make the same hill-climbing moves, and score every assignment
+through the canonical sum, so objective, assignment, trace and evaluation
+count must all match exactly.  ``walk`` enumerates the same order as nested
+Python loops over bitmask combinations, behind the same rank gate as the
+numpy table scorer.
 """
 
 import dataclasses
@@ -33,6 +35,7 @@ from freshcache import (
     solve_exhaustive,
     solve_sampled,
 )
+from freshcache import search as search_module
 from freshcache.rate_alloc import waterfill
 from freshcache.search import _PATIENCE, _build_context, _propose_move, _random_assignment, _Search
 
@@ -136,6 +139,41 @@ def _assert_same(scenario, result, ref):
     assert result.evaluated_count == len(ref.values)
 
 
+def walk(search, counts, rest, prefix=0.0, parts=()):
+    """Score every split of bitmask ``rest`` over relays ``len(parts)`` onwards, in enumeration order.
+
+    Relay k takes each ``counts[k]``-subset of what the relays before it left,
+    in ``itertools.combinations`` order; the last relay takes the rest.  Block
+    values are added left to right from 0.0 and gated on ``search.floor``.
+    """
+    k = len(parts)
+    bits = [1 << i for i in range(search.ctx.n) if rest >> i & 1]
+    if k < len(counts) - 2:
+        for combo in itertools.combinations(bits, counts[k]):
+            mask = sum(combo)
+            part = search.block(k, mask)
+            walk(search, counts, rest ^ mask, prefix + part[0], parts + (part,))
+        return
+    # The last two relays in one loop.  With a single relay, the second is a
+    # relay index past the end with an empty block.
+    start = search.evaluated
+    for index, combo in enumerate(itertools.combinations(bits, counts[k]), start + 1):
+        mask = sum(combo)
+        a = search.block(k, mask)
+        b = search.block(k + 1, rest ^ mask)
+        if prefix + a[0] + b[0] >= search.floor:
+            search.offer(index, parts + (a, b))
+    search.evaluated = start + math.comb(len(bits), counts[k])
+
+
+def walk_exhaustive(scenario, allow_empty_relay=False):
+    ctx = _build_context(scenario)
+    search = _Search(ctx)
+    for partition in enumerate_partitions(ctx.n, ctx.capacities, allow_empty_relay=allow_empty_relay):
+        walk(search, partition.counts, (1 << ctx.n) - 1)
+    return search.result(scenario)
+
+
 def _shape(seed, label, n, k, users, slack):
     """A seeded random scenario with n holdings split as evenly as possible over k relays, plus spare slots."""
     scenario = random_scenario(random.Random(f"{seed}:{label}"), n, users, k)
@@ -166,6 +204,32 @@ def test_matches_the_canonical_reference(name):
     scenario = build()
     result = solve_exhaustive(scenario, allow_empty_relay=allow_empty_relay)
     _assert_same(scenario, result, reference_exhaustive(scenario, allow_empty_relay))
+
+
+@pytest.mark.parametrize("chunk_rows", [search_module._CHUNK_ROWS, 3])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_table_scorer_matches_the_walk(chunk_rows, data):
+    # Three rows per chunk split both a level's rows and one row's choices of
+    # its relay's block (any count with more than three choices).
+    n_relays = data.draw(st.integers(1, 4))
+    n_files = data.draw(st.integers(n_relays, 9))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    scenario = random_scenario(rng, n_files, rng.randint(1, n_files), n_relays)
+    caps = [r.capacity for r in scenario.relays]
+    caps[rng.randrange(n_relays)] += data.draw(st.integers(0, 1))   # one spare slot, or none
+    scenario = dataclasses.replace(
+        scenario, relays=tuple(dataclasses.replace(r, capacity=c) for r, c in zip(scenario.relays, caps))
+    )
+    allow_empty_relay = data.draw(st.booleans())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search_module, "_CHUNK_ROWS", chunk_rows)
+        result = solve_exhaustive(scenario, allow_empty_relay=allow_empty_relay)
+    expected = walk_exhaustive(scenario, allow_empty_relay)
+    assert result.objective == expected.objective
+    assert result.best_scheme == expected.best_scheme
+    assert result.trace == expected.trace
+    assert result.evaluated_count == expected.evaluated_count
 
 
 def _duplicated(kinds, per_user, n_relays, capacity, budget):
