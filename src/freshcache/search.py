@@ -8,23 +8,24 @@ hill climber that spends an exact evaluation budget.
 
 Relay k's rates depend only on its block of holdings, so the objective is a
 sum over relays of block values: relay k's water-filled objective terms over
-its block.  Both modes keep block values, rates included, in a memo keyed by
-relay index and block bitmask and cleared when it reaches ``_MEMO_ENTRIES``:
-the hill climber revisits recent blocks, and a move changes two of them.
+its block.  ``_evaluate`` water-fills one block; a memo keyed by relay index
+and block bitmask keeps its values, rates included, and is cleared when it
+reaches ``_MEMO_ENTRIES``: the hill climber revisits recent blocks, a move
+changes two of them, and exhaustive search reads it only for re-scores.
 
 The exhaustive scorer works one partition at a time, in two steps.  For each
 (relay k, count c) the partition uses, it fills a table of relay k's block
 values over every c-subset of the holdings, in ``itertools.combinations``
-order, so each distinct block is water-filled once.  A table that fits in the
-memo is filled through it, so the few assignments re-scored below find their
-blocks there; a table is dropped after the last partition that reads it.  It
-then builds the partition's assignments as numpy rows of holding indices, in
-enumeration order: relay k takes each ``counts[k]``-subset of what the relays
-before it left, in ``itertools.combinations`` order, and the last relay takes
-the rest.  Rows grow a relay at a time, at most ``_CHUNK_ROWS`` at once, from
-a pattern of chosen positions followed by their complement.  A block is found
-in its table by its lexicographic rank, and a row's block values are added
-left to right from 0.0, as a loop over the relays would add them.
+order, in numpy, ``_CHUNK_ROWS`` blocks at a time and without the memo; each
+value is the one ``_evaluate`` gives, bit for bit.  A table is dropped after
+the last partition that reads it.  It then builds the partition's assignments
+as numpy rows of holding indices, in enumeration order: relay k takes each
+``counts[k]``-subset of what the relays before it left, in
+``itertools.combinations`` order, and the last relay takes the rest.  Rows
+grow a relay at a time, at most ``_CHUNK_ROWS`` at once, from a pattern of
+chosen positions followed by their complement.  A block is found in its table
+by its lexicographic rank, and a row's block values are added left to right
+from 0.0, as a loop over the relays would add them.
 
 Block sums only rank candidates.  One that falls below the running best (in
 sampled mode, the climber's current value) by more than a tiny relative
@@ -58,10 +59,10 @@ DEFAULT_ENUMERATION_LIMIT = 10_000_000
 # Consecutive moves that would lower the value before the hill climber restarts.
 _PATIENCE = 30
 
-# Block values one solve keeps before it clears them; see the module docstring.
+# Blocks the memo keeps for the climber and exhaustive re-scores before it clears them; see the module docstring.
 _MEMO_ENTRIES = 1 << 12
 
-# Rows the exhaustive scorer builds in one numpy step; see the module docstring.
+# Rows the exhaustive scorer fills or builds in one numpy step; see the module docstring.
 _CHUNK_ROWS = 1 << 12
 
 _Block = tuple[float, list[int], list[float], int]   # (block value, ascending ctx indices, their rates, bitmask)
@@ -245,12 +246,34 @@ class _Search:
         return val
 
     def table(self, k: int, c: int) -> np.ndarray:
-        """Relay k's block values over every c-subset of the holdings, in ``itertools.combinations`` order."""
-        size = comb(self.ctx.n, c)
-        # A table larger than the memo would only churn it, so its blocks bypass it.
-        get = self.block if size <= _MEMO_ENTRIES else self._evaluate
-        bits = [1 << i for i in range(self.ctx.n)]
-        return np.fromiter((get(k, sum(combo))[0] for combo in itertools.combinations(bits, c)), float, size)
+        """Relay k's block values over every c-subset of the holdings, in ``itertools.combinations`` order.
+
+        Filled ``_CHUNK_ROWS`` blocks at a time, a row per block, with ``_evaluate``'s
+        float operations in its order, so each value is ``_evaluate``'s bit for bit:
+        ``waterfill``'s backward pass a column at a time from the last, a row's pass
+        ending at its first failed test, then the terms added left to right from 0.0.
+        """
+        ctx = self.ctx
+        size = comb(ctx.n, c)
+        weights, server_rates, mus = np.array(ctx.weights), np.array(ctx.server_rates), np.array(ctx.mus)
+        coef = np.array(ctx.coef)[:, k]
+        values = np.zeros(size)
+        combos = itertools.combinations(range(ctx.n), c)
+        for start in range(0, size, _CHUNK_ROWS):
+            idx = _combinations(combos, min(_CHUNK_ROWS, size - start), c)
+            w, s, rows = weights[idx], server_rates[idx], len(idx)
+            alpha, beta, alive = np.zeros(rows), np.full(rows, ctx.budgets[k]), np.ones(rows, dtype=bool)
+            kept = np.zeros(idx.shape, dtype=bool)
+            for j in range(c - 1, -1, -1):
+                kept[:, j] = alive = alive & (w[:, j] * (beta + s[:, j]) > s[:, j] * (alpha + w[:, j]))
+                alpha = np.where(alive, alpha + w[:, j], alpha)
+                beta = np.where(alive, beta + s[:, j], beta)
+            with np.errstate(divide="ignore", invalid="ignore"):   # rows where nothing survives have alpha = 0
+                rates = np.where(kept, beta[:, None] * w / alpha[:, None] - s, 0.0)
+            chunk = values[start:start + rows]
+            for term in (coef[idx] * (mus[idx] * (rates / (rates + s)))).T:
+                chunk += term
+        return values
 
     def score(self, counts: tuple[int, ...], tables: Sequence[np.ndarray]) -> None:
         """Score every assignment of partition ``counts`` in enumeration order; ``tables[k]`` = ``table(k, counts[k])``."""
@@ -432,10 +455,14 @@ def solve_exhaustive(
     return search.result(scenario)
 
 
+def _combinations(combos: Iterator[tuple[int, ...]], count: int, c: int) -> np.ndarray:
+    """The next ``count`` c-subsets from ``combos`` as a (count, c) index matrix."""
+    return np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, count)), np.intp, count * c).reshape(count, c)
+
+
 def _pattern(combos: Iterator[tuple[int, ...]], count: int, m: int, c: int) -> np.ndarray:
     """The next ``count`` c-subsets of range(m) from ``combos``, a row each: the subset, then the rest, both ascending."""
-    chosen = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, count)), np.intp, count * c)
-    chosen = chosen.reshape(count, c)
+    chosen = _combinations(combos, count, c)
     left = np.ones((count, m), dtype=bool)
     left[np.arange(count)[:, None], chosen] = False
     return np.hstack([chosen, np.nonzero(left)[1].reshape(count, m - c)])

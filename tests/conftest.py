@@ -17,6 +17,8 @@ from freshcache import (
     load_scenario,
 )
 
+pytest_plugins = ["pytester"]
+
 # The reference placement for the bundled `table1` fixture: relay 1 caches
 # files {1,2,3,4,9}, relay 2 {5,6,8}, relay 3 {7,10}.
 REFERENCE_ASSIGNMENT = {

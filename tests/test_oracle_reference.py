@@ -144,12 +144,21 @@ def _count_calls(monkeypatch, module, name):
 
 def test_oracle_allocates_each_table1_block_once(monkeypatch):
     table1 = load_scenario("table1")
-    waterfills = _count_calls(monkeypatch, freshcache.search, "waterfill")
+    sizes = []
+    table = freshcache.search._Search.table
+
+    def recording_table(self, k, c):
+        values = table(self, k, c)
+        sizes.append(len(values))
+        return values
+
+    monkeypatch.setattr(freshcache.search._Search, "table", recording_table)
     solve_exhaustive(table1)
     allocations = _count_calls(monkeypatch, freshcache.oracle, "allocate")
     brute_force_assignments(table1)
-    # Every distinct (relay, block) pair of the 40,110 feasible assignments, allocated once.
-    assert len(allocations) == len(waterfills) == 1869
+    # Every distinct (relay, block) pair of the 40,110 feasible assignments, allocated
+    # once by the oracle and filled once into the exhaustive search's block tables.
+    assert len(allocations) == sum(sizes) == 1869
 
 
 def test_oracle_stores_no_block_at_two_relays(monkeypatch):

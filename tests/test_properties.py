@@ -123,3 +123,25 @@ def test_rate_table_round_trip(rates):
     text = serialize_rates(rates)
     assert parse_rates(text) == rates
     assert serialize_rates(parse_rates(text)) == text
+
+
+def test_a_failing_property_is_reported_and_the_run_goes_on(pytester, pytestconfig):
+    # Under the suite's own warning filters, a failing @given test must be
+    # reported as failed, not end the session in an internal error.
+    filters = "".join(f"\n    {f}" for f in pytestconfig.getini("filterwarnings"))
+    pytester.makeini(f"[pytest]\nfilterwarnings ={filters}\n")
+    pytester.makepyfile(
+        """
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=5, derandomize=True, database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+        def test_later():
+            pass
+        """
+    )
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    result.assert_outcomes(failed=1, passed=1)

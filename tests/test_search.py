@@ -260,23 +260,28 @@ class TestSolveExhaustive:
             gc.enable()
 
     def test_table1_offers_and_water_fills(self, table1, monkeypatch):
-        # Each distinct block is water-filled once, and only assignments whose
-        # block sum could tie or beat the best so far are re-scored canonically.
-        calls = {"offer": 0, "waterfill": 0}
-        offer, waterfill = search_module._Search.offer, search_module.waterfill
+        # Each (relay, count) table is filled once, so each distinct block is
+        # water-filled once, and only assignments whose block sum could tie or
+        # beat the best so far are re-scored canonically.
+        offers, tables = [0], []
+        offer, table = search_module._Search.offer, search_module._Search.table
 
         def counting_offer(self, *args):
-            calls["offer"] += 1
+            offers[0] += 1
             return offer(self, *args)
 
-        def counting_waterfill(*args):
-            calls["waterfill"] += 1
-            return waterfill(*args)
+        def recording_table(self, k, c):
+            values = table(self, k, c)
+            tables.append(((k, c), len(values)))
+            return values
 
         monkeypatch.setattr(search_module._Search, "offer", counting_offer)
-        monkeypatch.setattr(search_module, "waterfill", counting_waterfill)
+        monkeypatch.setattr(search_module._Search, "table", recording_table)
         result = solve_exhaustive(table1)
-        assert calls == {"offer": 38, "waterfill": 1869}
+        used = {key for p in enumerate_partitions(10, (6, 5, 4)) for key in enumerate(p.counts)}
+        assert sorted(key for key, _ in tables) == sorted(used)
+        assert [sum(size for (k, _), size in tables if k == relay) for relay in range(3)] == [847, 637, 385]
+        assert offers == [38]
         assert len(result.trace) == 38
 
 

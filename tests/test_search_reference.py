@@ -17,6 +17,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -271,6 +272,30 @@ def test_near_ties_keep_the_brute_force_tie_break(name):
     _assert_same(scenario, result, ref)
     # Tie-heavy by construction: many assignments sit on the optimum or within ulps of it.
     assert sum(ref.best - v <= 1e-15 * ref.best for v in ref.values) > 20
+
+
+@pytest.mark.parametrize("chunk_rows", [search_module._CHUNK_ROWS, 3])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_table_fill_is_the_scalar_evaluate_bit_for_bit(chunk_rows, data):
+    # Holding kinds repeat, so entries tie on mu/s.  A server rate of 1e30 beside
+    # a budget of 10 drops its holding after the others survive, so a row's pass
+    # stops partway; at a zero budget nothing survives, and alpha = 0.  Every
+    # count from 0 (an empty relay's [0.0]) to n is filled.
+    server_rate = st.sampled_from([1e30]) | st.floats(0.5, 8.0)
+    kinds = data.draw(st.lists(st.tuples(st.floats(0.5, 12.0), server_rate), min_size=1, max_size=4))
+    per_user = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    budgets = data.draw(st.lists(st.sampled_from([0.0, 10.0]) | st.floats(0.5, 20.0), min_size=1, max_size=3))
+    scenario = _duplicated(kinds, per_user, len(budgets), sum(per_user), 1.0)
+    relays = tuple(dataclasses.replace(r, rate_budget=b) for r, b in zip(scenario.relays, budgets))
+    search = _Search(_build_context(dataclasses.replace(scenario, relays=relays)))
+    bits = [1 << i for i in range(search.ctx.n)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search_module, "_CHUNK_ROWS", chunk_rows)
+        for k in range(len(budgets)):
+            for c in range(search.ctx.n + 1):
+                scalar = np.array([search._evaluate(k, sum(combo))[0] for combo in itertools.combinations(bits, c)])
+                assert search.table(k, c).tobytes() == scalar.tobytes()
 
 
 SAMPLED = {
