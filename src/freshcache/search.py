@@ -18,14 +18,16 @@ The exhaustive scorer works one partition at a time, in two steps.  For each
 values over every c-subset of the holdings, in ``itertools.combinations``
 order, in numpy, ``_CHUNK_ROWS`` blocks at a time and without the memo; each
 value is the one ``_evaluate`` gives, bit for bit.  A table is dropped after
-the last partition that reads it.  It then builds the partition's assignments
-as numpy rows of holding indices, in enumeration order: relay k takes each
-``counts[k]``-subset of what the relays before it left, in
-``itertools.combinations`` order, and the last relay takes the rest.  Rows
-grow a relay at a time, at most ``_CHUNK_ROWS`` at once, from a pattern of
-chosen positions followed by their complement.  A block is found in its table
-by its lexicographic rank, and a row's block values are added left to right
-from 0.0, as a loop over the relays would add them.
+the last partition that reads it.  It then scores the partition's assignments
+in enumeration order: relay k takes each ``counts[k]``-subset of what the
+relays before it left, in ``itertools.combinations`` order, and the last relay
+takes the rest.  Numpy rows of holding indices grow a relay at a time up to
+relay K - 2, at most ``_CHUNK_ROWS`` at once, from a pattern of chosen
+positions followed by their complement; there the chosen positions and the
+rest are the last two relays' blocks, so no row is grown for them.  A block
+is found in its table by its lexicographic rank, and an assignment's block
+values are added left to right from 0.0, as a loop over the relays would add
+them.  Its full row is built only if it is re-scored.
 
 Block sums only rank candidates.  One that falls below the running best (in
 sampled mode, the climber's current value) by more than a tiny relative
@@ -285,17 +287,13 @@ class _Search:
         """Score every assignment that places relays k onwards on ``rows``, whose block sums so far are ``acc``.
 
         A row lists relay 0's holdings, then relay 1's and so on up to relay
-        k - 1, then the holdings left, each group ascending.
+        k - 1, then the holdings left, each group ascending.  Rows grow a relay
+        at a time up to relay K - 2.  There a choice of its block and the rest
+        it leaves are the last two relays' blocks, ranked straight from
+        ``picked``; an assignment's full row is built only to re-score it.
         """
         n, c = self.ctx.n, counts[k]
         off = sum(counts[:k])
-        if k == len(counts) - 1:
-            total = acc + tables[k][self._rank(rows[:, off:])]
-            for h in np.flatnonzero(total >= self.floor).tolist():
-                if total[h] >= self.floor:   # re-checked: an earlier offer in this chunk may have raised the floor
-                    self.offer(self.evaluated + h + 1, self._parts(counts, rows[h].tolist()))
-            self.evaluated += len(total)
-            return
         m = n - off
         size = comb(m, c)
         group = max(1, _CHUNK_ROWS // size)
@@ -303,11 +301,22 @@ class _Search:
             head, head_acc = rows[start:start + group], acc[start:start + group]
             for pattern in self._patterns(m, c, size):
                 picked = head[:, off:][:, pattern]          # (rows, choices, m): relay k's holdings, then the rest
-                grown = np.empty(picked.shape[:2] + (n,), dtype=head.dtype)
-                grown[:, :, :off] = head[:, None, :off]
-                grown[:, :, off:] = picked
                 sums = head_acc[:, None] + tables[k][self._rank(picked[:, :, :c])]
-                self._extend(counts, tables, k + 1, grown.reshape(-1, n), sums.reshape(-1))
+                if k < len(counts) - 2:
+                    grown = np.empty(picked.shape[:2] + (n,), dtype=head.dtype)
+                    grown[:, :, :off] = head[:, None, :off]
+                    grown[:, :, off:] = picked
+                    self._extend(counts, tables, k + 1, grown.reshape(-1, n), sums.reshape(-1))
+                    continue
+                if k + 1 < len(counts):   # the rest is the last relay's block; with one relay, k is the last
+                    sums = sums + tables[k + 1][self._rank(picked[:, :, c:])]
+                total = sums.reshape(-1)
+                for h in np.flatnonzero(total >= self.floor).tolist():
+                    if total[h] >= self.floor:   # re-checked: an earlier offer in this chunk may have raised the floor
+                        r, j = divmod(h, len(pattern))
+                        row = head[r, :off].tolist() + picked[r, j].tolist()
+                        self.offer(self.evaluated + h + 1, self._parts(counts, row))
+                self.evaluated += len(total)
 
     def _patterns(self, m: int, c: int, size: int) -> Iterable[np.ndarray]:
         """The ``size`` = C(m, c) choices of c of m holdings left, as ``_pattern`` pieces of at most ``_CHUNK_ROWS``.
@@ -336,7 +345,10 @@ class _Search:
                     weights[j, i] = comb(n - 1 - i, c - j)
             hit = self.rank_weights[c] = comb(n, c) - 1, weights
         last, weights = hit
-        return last - weights[np.arange(c), subsets].sum(axis=-1)
+        rank = np.full(subsets.shape[:-1], last)   # c = 0: the empty subset, rank 0
+        for j in range(c):
+            rank -= weights[j][subsets[..., j]]
+        return rank
 
     def _parts(self, counts: tuple[int, ...], row: list[int]) -> list[_Block]:
         """The blocks of one scored row."""

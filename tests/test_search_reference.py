@@ -207,12 +207,13 @@ def test_matches_the_canonical_reference(name):
     _assert_same(scenario, result, reference_exhaustive(scenario, allow_empty_relay))
 
 
-@pytest.mark.parametrize("chunk_rows", [search_module._CHUNK_ROWS, 3])
+@pytest.mark.parametrize("chunk_rows", [search_module._CHUNK_ROWS, 3, 1])
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_table_scorer_matches_the_walk(chunk_rows, data):
     # Three rows per chunk split both a level's rows and one row's choices of
-    # its relay's block (any count with more than three choices).
+    # its relay's block (any count with more than three choices); one row per
+    # chunk cuts every pattern into one-choice pieces.
     n_relays = data.draw(st.integers(1, 4))
     n_files = data.draw(st.integers(n_relays, 9))
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
@@ -274,7 +275,48 @@ def test_near_ties_keep_the_brute_force_tie_break(name):
     assert sum(ref.best - v <= 1e-15 * ref.best for v in ref.values) > 20
 
 
-@pytest.mark.parametrize("chunk_rows", [search_module._CHUNK_ROWS, 3])
+OFFERED = {
+    **{name: CASES[name] for name in ("table1", "table1-allow-empty", "k1", "k2-n14-7/7", "n10k4")},
+    **{name: (build, False) for name, build in NEAR_TIES.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFFERED))
+def test_offers_the_walk_offers(name):
+    # Every re-scored assignment in order: its evaluation index and its relays'
+    # blocks.  Every offer on the CASES instances improves the best; most on
+    # the NEAR_TIES ones do not.  With one relay the walk offers a second,
+    # empty block past the last relay, which is left out.
+    build, allow_empty_relay = OFFERED[name]
+    scenario = build()
+    offer, calls = _Search.offer, []
+
+    def recorded(search, index, parts):
+        calls.append((index, tuple(part[3] for part in parts[:len(scenario.relays)])))
+        return offer(search, index, parts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Search, "offer", recorded)
+        solve_exhaustive(scenario, allow_empty_relay=allow_empty_relay)
+        solved, calls = calls, []
+        walk_exhaustive(scenario, allow_empty_relay)
+    assert solved == calls
+    assert solved
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rank_is_the_combinations_index(n):
+    search = _Search(_build_context(_duplicated([(3.0, 2.0)], (n,), 1, n, 1.0)))
+    for c in range(n + 1):
+        size = math.comb(n, c)
+        subsets = np.array(list(itertools.combinations(range(n), c)), dtype=np.intp).reshape(size, c)
+        expected = np.arange(size)
+        assert search._rank(subsets).tolist() == expected.tolist()
+        for shape in ((1, size), (size, 1)):   # (rows, choices, c), as the scorer ranks a pattern's picks
+            assert search._rank(subsets.reshape(shape + (c,))).tolist() == expected.reshape(shape).tolist()
+
+
+@pytest.mark.parametrize("chunk_rows", [search_module._CHUNK_ROWS, 3, 1])
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_table_fill_is_the_scalar_evaluate_bit_for_bit(chunk_rows, data):
