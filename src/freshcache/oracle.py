@@ -4,7 +4,9 @@
 simplex by exact dynamic programming, equivalent to enumerating every grid
 point.  ``brute_force_assignments`` scores the raw K**H assignment product in
 one numpy pass, sharing no enumeration or scoring code with the search
-module.  Both are deliberately small-scale and guarded.
+module; it water-fills each relay's distinct blocks with ``waterfill_rows``,
+the batched pass the search's block tables use, one call per block size.
+Both are deliberately small-scale and guarded.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleError, OracleScaleError
 from .freshness import ObjectiveValue
 from .model import Scenario, check_non_negative, check_positive
-from .rate_alloc import AllocationInput, allocate
+from .rate_alloc import AllocationInput, sort_key, waterfill_rows
 from .search import make_solve_result
 
 GRID_MAX_ENTRIES = 4
@@ -88,10 +90,13 @@ def brute_force_assignments(
 
     The K**H product is an int8 matrix in ``itertools.product`` order, less the
     rows that break a capacity or leave a relay empty.  Each distinct (relay,
-    block) pair is allocated once through the public ``allocate``, and each row
-    is scored with ``system_freshness``'s float expression in its order, so
-    values are bit-identical to scoring one assignment at a time.  ``argmax``
-    takes the first maximum: ties resolve to the lexicographically smallest vector.
+    block) pair is water-filled once: a relay's blocks are grouped by size,
+    their holdings taken in ``allocate``'s ``sort_key`` order, and each group
+    filled by one ``waterfill_rows`` call, whose rates are ``allocate``'s bit
+    for bit.  Each row is scored with ``system_freshness``'s float expression in
+    its order, so values are bit-identical to scoring one assignment at a time
+    through the public API.  ``argmax`` takes the first maximum: ties resolve
+    to the lexicographically smallest vector.
     """
     pairs = scenario.holding_pairs
     k, h = scenario.n_relays, len(pairs)
@@ -114,19 +119,26 @@ def brute_force_assignments(
 
     # One slot per distinct block of each relay, keyed by its packed membership row (exact for any H):
     # slot_of[row, relay] is the row's slot, rate_of[p][slot] holding p's rate there (0.0 outside the block).
+    # Membership columns run in sort_key order, so a block's ascending columns are allocate's order.
     entries = [scenario.entries[pair] for pair in pairs]
+    order = np.array(sorted(range(h), key=lambda p: sort_key(entries[p])))
+    weights = np.array([entries[p].weight for p in order])
+    server_rates = np.array([entries[p].server_rate for p in order])
+    ranked = vectors[:, order]
     tables, slot_of = [], np.empty((evaluated, k), dtype=np.int64)
     for idx, relay in enumerate(scenario.relays):
-        members = vectors == idx
-        packed = np.packbits(members, axis=1)
-        _, first, inverse = np.unique(packed.view((np.void, packed.shape[1])).ravel(), return_index=True, return_inverse=True)
+        members = ranked == idx
+        first, inverse = _distinct_rows(np.packbits(members, axis=1))
         slot_of[:, idx] = sum(map(len, tables)) + inverse
+        blocks = members[first]
+        sizes = blocks.sum(axis=1)
         table = np.zeros((len(first), h))
-        for slot, row in enumerate(first):
-            block = np.flatnonzero(members[row])
-            if len(block):
-                rates = allocate(AllocationInput(tuple(entries[p] for p in block), relay.rate_budget)).rates
-                table[slot, block] = [rates[pairs[p]] for p in block]
+        if sizes.any():
+            check_non_negative("rate budget", relay.rate_budget)   # where allocate would check it
+        for c in np.unique(sizes[sizes > 0]).tolist():
+            slots = np.flatnonzero(sizes == c)
+            cols = np.nonzero(blocks[slots])[1].reshape(len(slots), c)
+            table[slots[:, None], order[cols]] = waterfill_rows(weights[cols], server_rates[cols], relay.rate_budget)
         tables.append(table)
     rate_of = np.concatenate(tables).T
 
@@ -146,3 +158,19 @@ def brute_force_assignments(
     best = int(np.argmax(values))
     best_val, best_vector = float(values[best]), tuple(int(v) + 1 for v in vectors[best])
     return make_solve_result(scenario, best_vector, ObjectiveValue(best_val, best_val / scenario.n_users), trace, evaluated)
+
+
+def _distinct_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique``'s first occurrences and inverse for the distinct rows of a byte matrix.
+
+    A stable ``lexsort`` with the first column as the primary key orders the
+    rows as ``np.unique`` orders their bytes, and keeps equal rows in input
+    order, so each group starts at its first occurrence.
+    """
+    perm = np.lexsort(packed.T[::-1])
+    ordered = packed[perm]
+    starts = np.ones(len(perm), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(perm), dtype=np.intp)
+    inverse[perm] = np.cumsum(starts) - 1
+    return perm[starts], inverse

@@ -8,17 +8,24 @@ entries whose marginal return at rate zero is already below that level.
 The objective weight c of each holding (its request probability times its
 relay preference, ``Scenario.coef``) is not applied: the rates maximize this
 unweighted relay sum, while the reported objective weights each term by c.
-``allocate`` sorts the entries by mu/s and calls ``waterfill``, one backward
-pass that sums only the survivors and so never subtracts a dropped entry back
-out; ``kkt_check`` verifies first-order optimality residuals independently of
-it.  Both read mu and the weight off each ``AllocationEntry`` (defined in
-``model`` and re-exported here), which checks its rates once, when it is built.
+There are two entry points to the same backward pass, which sums only the
+survivors and so never subtracts a dropped entry back out.  ``waterfill``
+water-fills one block; ``allocate`` sorts the entries by mu/s and calls it,
+and so do the hill climber and the search's re-scores.  ``waterfill_rows``
+water-fills a matrix of blocks of one size, a row each, with the same float
+operations per row, for the exhaustive search's block tables and the
+brute-force oracle.  ``kkt_check`` verifies first-order optimality residuals
+independently of both.  ``allocate`` and ``kkt_check`` read mu and the weight
+off each ``AllocationEntry`` (defined in ``model`` and re-exported here), which
+checks its rates once, when it is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import AllocationMismatchError, DomainError
 from .model import AllocationEntry, Key, check_non_negative, check_positive, weight  # noqa: F401  (weight re-exported)
@@ -90,6 +97,26 @@ def waterfill(weights: list[float], server_rates: list[float], budget: float):
     for j in range(cut, n):
         rates[j] = beta * weights[j] / alpha - server_rates[j]
     return rates, [True] * cut + [False] * (n - cut), alpha, beta if cut < n else 0.0
+
+
+def waterfill_rows(w: np.ndarray, s: np.ndarray, budget: float) -> np.ndarray:
+    """``waterfill``'s rates for each row of the (rows, c) weight and server-rate matrices.
+
+    Each row's columns must be ascending by mu/s.  The pass runs a column at a
+    time from the last; a row's ``alive`` flag goes false for good at its first
+    failed test, where ``waterfill`` breaks, and its sums stop there.  Every row
+    does ``waterfill``'s float operations in its order, so its rates are that
+    function's bit for bit; dropped entries get 0.0.
+    """
+    rows, c = w.shape
+    alpha, beta, alive = np.zeros(rows), np.full(rows, budget), np.ones(rows, dtype=bool)
+    kept = np.zeros((rows, c), dtype=bool)
+    for j in range(c - 1, -1, -1):
+        kept[:, j] = alive = alive & (w[:, j] * (beta + s[:, j]) > s[:, j] * (alpha + w[:, j]))
+        alpha = np.where(alive, alpha + w[:, j], alpha)
+        beta = np.where(alive, beta + s[:, j], beta)
+    with np.errstate(divide="ignore", invalid="ignore"):   # rows where nothing survives have alpha = 0
+        return np.where(kept, beta[:, None] * w / alpha[:, None] - s, 0.0)
 
 
 def _validate_input(alloc_input: AllocationInput) -> None:

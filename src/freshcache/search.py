@@ -16,15 +16,17 @@ changes two of them, and exhaustive search reads it only for re-scores.
 The exhaustive scorer works one partition at a time, in two steps.  For each
 (relay k, count c) the partition uses, it fills a table of relay k's block
 values over every c-subset of the holdings, in ``itertools.combinations``
-order, in numpy, ``_CHUNK_ROWS`` blocks at a time and without the memo; each
-value is the one ``_evaluate`` gives, bit for bit.  A table is dropped after
-the last partition that reads it.  It then scores the partition's assignments
-in enumeration order: relay k takes each ``counts[k]``-subset of what the
-relays before it left, in ``itertools.combinations`` order, and the last relay
-takes the rest.  Numpy rows of holding indices grow a relay at a time up to
-relay K - 2, at most ``_CHUNK_ROWS`` at once, from a pattern of chosen
-positions followed by their complement; there the chosen positions and the
-rest are the last two relays' blocks, so no row is grown for them.  A block
+order, in numpy, ``_CHUNK_ROWS`` blocks at a time and without the memo: one
+``waterfill_rows`` call water-fills a chunk, and its terms are added a column
+at a time, so each value is the one ``_evaluate`` gives, bit for bit.  A
+table is dropped after the last partition that reads it.  It then scores the
+partition's assignments in enumeration order: relay k takes each
+``counts[k]``-subset of what the relays before it left, in
+``itertools.combinations`` order, and the last relay takes the rest.  Numpy
+rows of holding indices grow a relay at a time up to relay K - 2, at most
+``_CHUNK_ROWS`` at once, from a pattern of chosen positions followed by their
+complement; there the chosen positions and the rest are the last two relays'
+blocks, so no row is grown for them.  A block
 is found in its table by its lexicographic rank, and an assignment's block
 values are added left to right from 0.0, as a loop over the relays would add
 them.  Its full row is built only if it is re-scored.
@@ -53,7 +55,7 @@ import numpy as np
 from .errors import InfeasibleError, SearchBudgetError
 from .freshness import ObjectiveValue, system_freshness
 from .model import CacheScheme, Scenario, check_non_negative, check_positive
-from .rate_alloc import AllocationEntry, AllocationInput, RateAllocation, allocate, sort_key, waterfill
+from .rate_alloc import AllocationEntry, AllocationInput, RateAllocation, allocate, sort_key, waterfill, waterfill_rows
 from .scenario_io import ResultTable, build_result_table
 
 DEFAULT_ENUMERATION_LIMIT = 10_000_000
@@ -252,8 +254,7 @@ class _Search:
 
         Filled ``_CHUNK_ROWS`` blocks at a time, a row per block, with ``_evaluate``'s
         float operations in its order, so each value is ``_evaluate``'s bit for bit:
-        ``waterfill``'s backward pass a column at a time from the last, a row's pass
-        ending at its first failed test, then the terms added left to right from 0.0.
+        one ``waterfill_rows`` call per chunk, then the terms added left to right from 0.0.
         """
         ctx = self.ctx
         size = comb(ctx.n, c)
@@ -263,16 +264,9 @@ class _Search:
         combos = itertools.combinations(range(ctx.n), c)
         for start in range(0, size, _CHUNK_ROWS):
             idx = _combinations(combos, min(_CHUNK_ROWS, size - start), c)
-            w, s, rows = weights[idx], server_rates[idx], len(idx)
-            alpha, beta, alive = np.zeros(rows), np.full(rows, ctx.budgets[k]), np.ones(rows, dtype=bool)
-            kept = np.zeros(idx.shape, dtype=bool)
-            for j in range(c - 1, -1, -1):
-                kept[:, j] = alive = alive & (w[:, j] * (beta + s[:, j]) > s[:, j] * (alpha + w[:, j]))
-                alpha = np.where(alive, alpha + w[:, j], alpha)
-                beta = np.where(alive, beta + s[:, j], beta)
-            with np.errstate(divide="ignore", invalid="ignore"):   # rows where nothing survives have alpha = 0
-                rates = np.where(kept, beta[:, None] * w / alpha[:, None] - s, 0.0)
-            chunk = values[start:start + rows]
+            s = server_rates[idx]
+            rates = waterfill_rows(weights[idx], s, ctx.budgets[k])
+            chunk = values[start:start + len(idx)]
             for term in (coef[idx] * (mus[idx] * (rates / (rates + s)))).T:
                 chunk += term
         return values

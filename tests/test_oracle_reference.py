@@ -1,10 +1,11 @@
 """The brute-force oracle against a plain loop over its assignments.
 
 ``brute_force_assignments`` scores the whole K**H product in one numpy pass
-and allocates each distinct (relay, block) pair once.  The reference below
-walks ``itertools.product``, calls ``allocate`` afresh for every relay of
-every feasible assignment and scores each one through ``system_freshness``,
-so objective, best vector, trace and evaluation count must all match exactly.
+and water-fills each distinct (relay, block) pair once, a ``waterfill_rows``
+row per block.  The reference below walks ``itertools.product``, calls the
+public ``allocate`` afresh for every relay of every feasible assignment and
+scores each one through ``system_freshness``, so objective, best vector,
+trace and evaluation count must all match exactly.
 """
 
 import dataclasses
@@ -12,6 +13,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from freshcache import (
     AllocationEntry,
     AllocationInput,
     CacheScheme,
+    DomainError,
     allocate,
     brute_force_assignments,
     evaluate_scheme,
@@ -130,16 +133,17 @@ def test_oracle_objective_is_the_public_evaluation_of_its_scheme(data):
     assert result.objective.sum_form == evaluate_scheme(scenario, result.best_scheme)[0].sum_form
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
+def _count_rows(monkeypatch):
+    """Record the row count of every ``waterfill_rows`` call the oracle makes."""
+    rows = []
+    original = freshcache.oracle.waterfill_rows
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(w, s, budget):
+        rows.append(len(w))
+        return original(w, s, budget)
 
-    monkeypatch.setattr(module, name, counted)
-    return calls
+    monkeypatch.setattr(freshcache.oracle, "waterfill_rows", counted)
+    return rows
 
 
 def test_oracle_allocates_each_table1_block_once(monkeypatch):
@@ -154,15 +158,43 @@ def test_oracle_allocates_each_table1_block_once(monkeypatch):
 
     monkeypatch.setattr(freshcache.search._Search, "table", recording_table)
     solve_exhaustive(table1)
-    allocations = _count_calls(monkeypatch, freshcache.oracle, "allocate")
+    rows = _count_rows(monkeypatch)
     brute_force_assignments(table1)
-    # Every distinct (relay, block) pair of the 40,110 feasible assignments, allocated
+    # Every distinct (relay, block) pair of the 40,110 feasible assignments, water-filled
     # once by the oracle and filled once into the exhaustive search's block tables.
-    assert len(allocations) == sum(sizes) == 1869
+    assert sum(rows) == sum(sizes) == 1869
 
 
 def test_oracle_stores_no_block_at_two_relays(monkeypatch):
     scenario = _with_capacities(random_scenario(random.Random(14), 10, 3, 2), [5, 5])
-    allocations = _count_calls(monkeypatch, freshcache.oracle, "allocate")
+    rows = _count_rows(monkeypatch)
     result = brute_force_assignments(scenario)
-    assert len(allocations) == 2 * result.evaluated_count == 2 * math.comb(10, 5)
+    assert sum(rows) == 2 * result.evaluated_count == 2 * math.comb(10, 5)
+
+
+@pytest.mark.parametrize("budget", [-1.0, math.nan, math.inf])
+def test_oracle_rejects_a_bad_rate_budget(budget):
+    table1 = load_scenario("table1")
+    relays = (dataclasses.replace(table1.relays[0], rate_budget=budget),) + table1.relays[1:]
+    with pytest.raises(DomainError, match="rate budget"):
+        brute_force_assignments(dataclasses.replace(table1, relays=relays))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 12),
+    values=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distinct_rows_is_np_unique(rows, cols, values, seed):
+    # Few byte values make many repeated rows, and 128 and 255 test unsigned byte order;
+    # the first occurrences and the inverse must be np.unique's.
+    alphabet = np.array([0, 255, 1, 128], dtype=np.uint8)[:values]
+    packed = np.random.default_rng(seed).choice(alphabet, size=(rows, cols))
+    first, inverse = freshcache.oracle._distinct_rows(packed)
+    _, want_first, want_inverse = np.unique(
+        packed.view((np.void, cols)).ravel(), return_index=True, return_inverse=True
+    )
+    assert first.tolist() == want_first.tolist()
+    assert inverse.tolist() == want_inverse.ravel().tolist()

@@ -1,9 +1,11 @@
 """Water-filling rate allocation and KKT residual tests."""
 
 import dataclasses
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from freshcache import (
     kkt_check,
     weight,
 )
+
+from freshcache.rate_alloc import waterfill, waterfill_rows
 
 from conftest import REFERENCE_RATES, make_allocation_input
 
@@ -209,6 +213,35 @@ class TestAllocate:
             allocate(AllocationInput((entry, entry), 5.0))
         with pytest.raises(DomainError):
             allocate(AllocationInput((AllocationEntry((1, 1), 0.0, 3.0),), 5.0))
+
+
+class TestWaterfillRows:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        c=st.integers(1, 6),
+        n_rows=st.integers(1, 8),
+        pairs=st.lists(
+            st.tuples(st.floats(0.1, 50.0), st.one_of(st.floats(0.1, 50.0), st.floats(1e20, 1e30))), min_size=1, max_size=12
+        ),
+        budget=st.one_of(st.just(0.0), st.just(1e-20), st.floats(0.0, 60.0)),
+    )
+    @example(c=1, n_rows=3, pairs=[(8.0, 4.0), (3.0, 2.5), (5.0, 6.0)], budget=12.0)
+    @example(c=4, n_rows=2, pairs=[(8.0, 4.0), (3.0, 2.5), (5.0, 6.0), (1.0, 1.0)], budget=0.0)   # every row dropped
+    @example(c=3, n_rows=1, pairs=[(0.1, 10.0), (10.0, 1.0), (8.0, 2.0)], budget=1.0)   # a dropped prefix
+    @example(c=4, n_rows=2, pairs=[(8.0, 4.0), (3.0, 2.5), (5.0, 6.0), (1.0, 1e30)], budget=10.0)
+    def test_each_row_is_the_scalar_waterfill_bit_for_bit(self, c, n_rows, pairs, budget):
+        # Rows of c (u, s) pairs, cycled from ``pairs`` so that rows repeat and share entries, each in mu/s order.
+        cells = itertools.cycle(pairs)
+        rows = []
+        for _ in range(n_rows):
+            row = [AllocationEntry((1, j), *next(cells)) for j in range(c)]
+            rows.append(sorted(row, key=lambda e: e.mu / e.server_rate))
+        w = np.array([[e.weight for e in row] for row in rows])
+        s = np.array([[e.server_rate for e in row] for row in rows])
+        got = waterfill_rows(w, s, budget)
+        for r, row in enumerate(rows):
+            want = waterfill([e.weight for e in row], [e.server_rate for e in row], budget)[0]
+            assert got[r].tobytes() == np.array(want).tobytes()
 
 
 class TestKktCheck:
