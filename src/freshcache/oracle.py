@@ -2,9 +2,11 @@
 
 ``grid_allocate`` maximizes the relay objective over a discretized budget
 simplex by exact dynamic programming, equivalent to enumerating every grid
-point.  ``brute_force_assignments`` scores the raw K**H assignment product in
-one numpy pass, sharing no enumeration or scoring code with the search
-module; it water-fills each relay's distinct blocks with ``waterfill_rows``,
+point; each stage fills only the lower triangle of its candidate matrix, in
+blocks of GRID_ROW_BLOCK rows.  ``brute_force_assignments`` scores the raw
+K**H assignment product in one numpy pass, sharing no enumeration or scoring
+code with the search module; it keys each relay's blocks by an integer
+membership mask and water-fills the distinct ones with ``waterfill_rows``,
 the batched pass the search's block tables use, one call per block size.
 Both are deliberately small-scale and guarded.
 """
@@ -22,6 +24,8 @@ from .search import make_solve_result
 GRID_MAX_ENTRIES = 4
 GRID_MAX_STEPS = 10_000
 BRUTE_FORCE_LIMIT = 100_000
+# DP rows per block: a stage's temporary is at most GRID_ROW_BLOCK x (steps + 1) floats.
+GRID_ROW_BLOCK = 64
 
 
 def check_grid_steps(steps) -> None:
@@ -36,7 +40,9 @@ def grid_allocate(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float
 
     Returns (rates, objective) with rates ordered like the input entries.
     Exact over the grid: dynamic programming over budget units visits the same
-    optimum plain enumeration of all grid points would.
+    optimum plain enumeration of all grid points would.  Each stage fills only
+    the lower triangle of its (steps+1)**2 candidate matrix, GRID_ROW_BLOCK
+    rows at a time, and picks the same first maximum as the full matrix.
     """
     entries = alloc_input.entries
     n = len(entries)
@@ -54,15 +60,19 @@ def grid_allocate(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float
     # value[b] = best objective of the first j entries using exactly b units
     value = gains[0]
     choice_tables = []
-    rows = np.arange(steps + 1)
     padded = np.full(2 * steps + 1, -np.inf)
     for g in gains[1:]:
-        # candidates[b, k] = value[b - k] + g[k]: a reversed sliding window over
-        # value behind `steps` -inf slots, so k > b is infeasible.
+        # window[b, k] = value[b - k]: a reversed sliding window over value behind
+        # `steps` -inf slots, so k > b is infeasible.  Rows below b1 are -inf from
+        # column b1 on, so a block of rows needs only its first b1 columns.
         padded[steps:] = value
-        candidates = np.lib.stride_tricks.sliding_window_view(padded, steps + 1)[:, ::-1] + g
-        best = np.argmax(candidates, axis=1)      # units given to this entry
-        value = candidates[rows, best]
+        window = np.lib.stride_tricks.sliding_window_view(padded, steps + 1)[:, ::-1]
+        best, value = np.empty(steps + 1, dtype=np.intp), np.empty(steps + 1)
+        for b0 in range(0, steps + 1, GRID_ROW_BLOCK):
+            b1 = min(b0 + GRID_ROW_BLOCK, steps + 1)
+            candidates = window[b0:b1, :b1] + g[:b1]
+            best[b0:b1] = np.argmax(candidates, axis=1)      # units given to this entry
+            value[b0:b1] = np.take_along_axis(candidates, best[b0:b1, None], axis=1)[:, 0]
         choice_tables.append(best)
 
     units = [0] * n
@@ -88,13 +98,15 @@ def brute_force_assignments(
 ):
     """Exhaustively try every raw relay assignment of every holding; returns a SolveResult.
 
-    The K**H product is an int8 matrix in ``itertools.product`` order, less the
-    rows that break a capacity or leave a relay empty.  Each distinct (relay,
-    block) pair is water-filled once: a relay's blocks are grouped by size,
-    their holdings taken in ``allocate``'s ``sort_key`` order, and each group
-    filled by one ``waterfill_rows`` call, whose rates are ``allocate``'s bit
-    for bit.  Each row is scored with ``system_freshness``'s float expression in
-    its order, so values are bit-identical to scoring one assignment at a time
+    The K**H product is an (H, K**H) int8 array whose columns run in
+    ``itertools.product`` order, less the columns that break a capacity or
+    leave a relay empty, counted one holding at a time.  Each distinct (relay,
+    block) pair is water-filled once: a relay's blocks are keyed by an integer
+    membership mask whose bits follow ``sort_key`` order, grouped with
+    ``np.unique``, taken by size, and each size filled by one
+    ``waterfill_rows`` call, whose rates are ``allocate``'s bit for bit.  Each
+    column is scored with ``system_freshness``'s float expression in its
+    order, so values are bit-identical to scoring one assignment at a time
     through the public API.  ``argmax`` takes the first maximum: ties resolve
     to the lexicographically smallest vector.
     """
@@ -106,33 +118,40 @@ def brute_force_assignments(
     if raw_total > limit:
         raise OracleScaleError(f"{raw_total} raw assignments exceed the oracle limit {limit}")
 
-    # Column p repeats each relay k**(h-1-p) times, so the last holding varies fastest.
-    vectors = np.stack([np.tile(np.repeat(np.arange(k, dtype=np.int8), k ** (h - 1 - p)), k**p) for p in range(h)], axis=1)
+    # Row p repeats each relay k**(h-1-p) times, so the last holding varies fastest; column j is vector j.
+    raw = np.empty((h, raw_total), dtype=np.int8)
+    for p in range(h):
+        raw[p].reshape(k**p, k, -1)[...] = np.arange(k, dtype=np.int8)[:, None]
     feasible = np.ones(raw_total, dtype=bool)
     for idx, relay in enumerate(scenario.relays):
-        count = (vectors == idx).sum(axis=1)
+        count = np.zeros(raw_total, dtype=np.min_scalar_type(h))
+        for p in range(h):
+            count += raw[p] == idx
         feasible &= (count >= (0 if allow_empty_relay else 1)) & (count <= relay.capacity)
-    vectors = vectors[feasible]
-    evaluated = len(vectors)
+    raw = raw[:, feasible]
+    evaluated = raw.shape[1]
     if evaluated == 0:
         raise InfeasibleError("no feasible assignment under the capacity constraints")
 
-    # One slot per distinct block of each relay, keyed by its packed membership row (exact for any H):
-    # slot_of[row, relay] is the row's slot, rate_of[p][slot] holding p's rate there (0.0 outside the block).
-    # Membership columns run in sort_key order, so a block's ascending columns are allocate's order.
+    # One slot per distinct block of each relay, keyed by its membership mask: bit i set when the
+    # holding ranked i-th by sort_key is on the relay, so a key's ascending bits are allocate's order.
+    # Python ints past 62 holdings keep the keys exact for any H.  slot_of[relay, j] is vector j's
+    # slot, rate_of[p][slot] holding p's rate there (0.0 outside the block).
     entries = [scenario.entries[pair] for pair in pairs]
     order = np.array(sorted(range(h), key=lambda p: sort_key(entries[p])))
     weights = np.array([entries[p].weight for p in order])
     server_rates = np.array([entries[p].server_rate for p in order])
-    ranked = vectors[:, order]
-    tables, slot_of = [], np.empty((evaluated, k), dtype=np.int64)
+    bit = np.array([1 << i for i in range(h)], dtype=np.int64 if h < 63 else object)
+    tables, slot_of = [], np.empty((k, evaluated), dtype=np.int64)
     for idx, relay in enumerate(scenario.relays):
-        members = ranked == idx
-        first, inverse = _distinct_rows(np.packbits(members, axis=1))
-        slot_of[:, idx] = sum(map(len, tables)) + inverse
-        blocks = members[first]
+        keys = np.zeros(evaluated, dtype=bit.dtype)
+        for i, p in enumerate(order):
+            np.add(keys, bit[i], out=keys, where=raw[p] == idx)
+        keys, inverse = np.unique(keys, return_inverse=True)
+        slot_of[idx] = sum(map(len, tables)) + inverse
+        blocks = ((keys[:, None] >> np.arange(h)) & 1).astype(bool)
         sizes = blocks.sum(axis=1)
-        table = np.zeros((len(first), h))
+        table = np.zeros((len(keys), h))
         if sizes.any():
             check_non_negative("rate budget", relay.rate_budget)   # where allocate would check it
         for c in np.unique(sizes[sizes > 0]).tolist():
@@ -142,35 +161,20 @@ def brute_force_assignments(
         tables.append(table)
     rate_of = np.concatenate(tables).T
 
-    values, rows, p = np.zeros(evaluated), np.arange(evaluated), 0
+    values, columns, p = np.zeros(evaluated), np.arange(evaluated), 0
     for user in scenario.users:
         user_total = np.zeros(evaluated)
         for holding in user.holdings:
-            e, relay_col = entries[p], vectors[:, p]
-            r = rate_of[p][slot_of[rows, relay_col]]
+            e, relay_col = entries[p], raw[p]
+            r = rate_of[p][slot_of[relay_col, columns]]
             user_total += (holding.request_prob * np.array(user.relay_prefs)[relay_col]) * (e.mu * (r / (r + e.server_rate)))
             p += 1
         values += user_total
 
-    # The trace keeps each row that beats every earlier one, numbered from 1 like evaluated_count.
+    # The trace keeps each vector that beats every earlier one, numbered from 1 like evaluated_count.
     improving = np.flatnonzero(values > np.concatenate(([-np.inf], np.maximum.accumulate(values)[:-1])))
     trace = [(int(i) + 1, float(values[i])) for i in improving]
     best = int(np.argmax(values))
-    best_val, best_vector = float(values[best]), tuple(int(v) + 1 for v in vectors[best])
+    best_val, best_vector = float(values[best]), tuple(int(v) + 1 for v in raw[:, best])
     return make_solve_result(scenario, best_vector, ObjectiveValue(best_val, best_val / scenario.n_users), trace, evaluated)
 
-
-def _distinct_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique``'s first occurrences and inverse for the distinct rows of a byte matrix.
-
-    A stable ``lexsort`` with the first column as the primary key orders the
-    rows as ``np.unique`` orders their bytes, and keeps equal rows in input
-    order, so each group starts at its first occurrence.
-    """
-    perm = np.lexsort(packed.T[::-1])
-    ordered = packed[perm]
-    starts = np.ones(len(perm), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(perm), dtype=np.intp)
-    inverse[perm] = np.cumsum(starts) - 1
-    return perm[starts], inverse

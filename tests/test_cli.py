@@ -268,6 +268,81 @@ verify=PASS
 """
 
 
+# verify's stdout on the other bundled fixtures, with or without --allow-empty-relay: no optimum leaves a relay empty.
+FIXTURE_VERIFY_OUT = {
+    "popularity_var_1": """\
+exhaustive_objective=0.501177064225
+oracle_objective=0.501177064225
+objectives_match=True
+assignments_match=True
+grid_check relay=1 closed=1.33822481 grid=1.33822435 ok=True
+grid_check relay=2 closed=1.06278442 grid=1.06278395 ok=True
+grid_check relay=3 closed=0.45208980 grid=0.45208975 ok=True
+verify=PASS
+""",
+    "popularity_var_2": """\
+exhaustive_objective=0.543693666112
+oracle_objective=0.543693666112
+objectives_match=True
+assignments_match=True
+grid_check relay=1 closed=1.33822481 grid=1.33822435 ok=True
+grid_check relay=2 closed=0.81358886 grid=0.81358886 ok=True
+grid_check relay=3 closed=0.72114735 grid=0.72114713 ok=True
+verify=PASS
+""",
+    "popularity_var_3": """\
+exhaustive_objective=0.621958955388
+oracle_objective=0.621958955388
+objectives_match=True
+assignments_match=True
+grid_check relay=1 closed=1.23685832 grid=1.23685775 ok=True
+grid_check relay=2 closed=0.81358886 grid=0.81358886 ok=True
+grid_check relay=3 closed=0.81709226 grid=0.81709194 ok=True
+verify=PASS
+""",
+    "popularity_var_4": """\
+exhaustive_objective=0.724516013024
+oracle_objective=0.724516013024
+objectives_match=True
+assignments_match=True
+grid_check relay=1 closed=1.02153171 grid=1.02153131 ok=True
+grid_check relay=2 closed=0.81358886 grid=0.81358886 ok=True
+grid_check relay=3 closed=0.99199064 grid=0.99199059 ok=True
+verify=PASS
+""",
+    "server_rates_high": """\
+exhaustive_objective=0.289363243163
+oracle_objective=0.289363243163
+objectives_match=True
+assignments_match=True
+grid_check relay=1 closed=0.69035625 grid=0.69035613 ok=True
+grid_check relay=2 closed=0.54477174 grid=0.54477153 ok=True
+grid_check relay=3 closed=0.32539984 grid=0.32539977 ok=True
+verify=PASS
+""",
+    "server_rates_mid": """\
+exhaustive_objective=0.400255128140
+oracle_objective=0.400255128140
+objectives_match=True
+assignments_match=True
+grid_check relay=1 closed=0.96590387 grid=0.96590376 ok=True
+grid_check relay=2 closed=0.76710780 grid=0.76710746 ok=True
+grid_check relay=3 closed=0.43011356 grid=0.43011344 ok=True
+verify=PASS
+""",
+    "table1_zipf": """\
+exhaustive_objective=0.474197354167
+oracle_objective=0.474197354167
+objectives_match=True
+assignments_match=True
+grid_check relay=1 closed=1.33822481 grid=1.33822435 ok=True
+grid_check relay=2 closed=1.06278442 grid=1.06278395 ok=True
+grid_check relay=3 closed=0.45208980 grid=0.45208975 ok=True
+verify=PASS
+""",
+}
+
+
 def _all_grid_checks_skipped_scenario():
     """12 holdings on 2 relays of capacity 6: every relay holds more than GRID_MAX_ENTRIES, so verify never calls grid_allocate."""
     scenario = random_scenario(random.Random(5), n_files=12, n_users=3, n_relays=2)
@@ -293,6 +368,14 @@ class TestVerifyCommand:
         code = main(["verify", "--scenario", "table1", *flags])
         assert code == 0
         assert capsys.readouterr().out == TABLE1_VERIFY_OUT
+
+    @pytest.mark.parametrize("flags", [[], ["--allow-empty-relay"]], ids=["strict", "allow-empty"])
+    @pytest.mark.parametrize("fixture", sorted(FIXTURE_VERIFY_OUT))
+    def test_fixture_output_is_pinned(self, fixture, flags, capsys):
+        # With table1 above, every bundled fixture: the oracle's and the grid's printed values must not drift.
+        code = main(["verify", "--scenario", fixture, *flags])
+        assert code == 0
+        assert capsys.readouterr().out == FIXTURE_VERIFY_OUT[fixture]
 
     def test_scale_guard_exit_code(self, tmp_path, capsys):
         rng = random.Random(13)

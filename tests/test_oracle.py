@@ -3,9 +3,14 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import freshcache.oracle
 
 from freshcache import (
     AllocationEntry,
@@ -21,9 +26,11 @@ from freshcache import (
     UserSpec,
     allocate,
     brute_force_assignments,
+    evaluate_scheme,
     grid_allocate,
     solve_exhaustive,
 )
+from freshcache.oracle import GRID_MAX_STEPS, GRID_ROW_BLOCK
 
 from freshcache.search import relay_inputs
 
@@ -141,6 +148,17 @@ class TestGridAllocate:
         for alloc_input in checked:
             assert grid_allocate(alloc_input, 1000) == grid_allocate_dense(alloc_input, 1000)
 
+    def test_peak_memory_at_the_step_limit(self):
+        # A full (steps+1)**2 stage would hold about 1.6 GB here; a block of rows holds a few MB.
+        entries = tuple(AllocationEntry((1, j), 1.0 + j, 2.0 + j) for j in range(1, 5))
+        tracemalloc.start()
+        try:
+            grid_allocate(AllocationInput(entries, 5.0), GRID_MAX_STEPS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_never_beats_closed_form(self):
         rng = random.Random(99)
         for _ in range(30):
@@ -188,6 +206,29 @@ class TestGridAllocate:
         entries = tuple(AllocationEntry((1, j), 2.0, 3.0) for j in range(1, 5))
         with pytest.raises(OracleScaleError):
             grid_allocate_enumerated(AllocationInput(entries, 5.0), steps=40)
+
+
+rate_pairs = st.tuples(st.floats(0.5, 12.0), st.floats(0.5, 12.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    rates=st.lists(rate_pairs, min_size=1, max_size=4),
+    tied=st.booleans(),
+    budget=st.one_of(st.just(0.0), st.floats(1.0, 20.0)),
+    steps=st.sampled_from([GRID_ROW_BLOCK - 1, GRID_ROW_BLOCK, GRID_ROW_BLOCK + 1, 2 * GRID_ROW_BLOCK + 1, 1000]),
+)
+@example(rates=[(3.0, 2.0)] * 4, tied=True, budget=7.0, steps=2 * GRID_ROW_BLOCK + 1)
+@example(rates=[(3.0, 2.0), (5.0, 1.0)], tied=False, budget=0.0, steps=GRID_ROW_BLOCK)
+def test_blocked_grid_matches_dense_reference(rates, tied, budget, steps):
+    # steps + 1 DP rows: B - 1 steps end on a full block, B on a one-row block, B + 1 and 2B + 1 on
+    # a two-row block.  Tied entries (identical (u, s) pairs) make exact ties that argmax's first
+    # maximum decides.
+    if tied:
+        rates = [rates[0]] * len(rates)
+    entries = tuple(AllocationEntry((1, j), u, s) for j, (u, s) in enumerate(rates, start=1))
+    alloc_input = AllocationInput(entries, budget)
+    assert grid_allocate(alloc_input, steps) == grid_allocate_dense(alloc_input, steps)
 
 
 class TestBruteForceAssignments:
@@ -250,3 +291,20 @@ class TestBruteForceAssignments:
         # both files on the generous relay beats splitting them
         assert relaxed.objective.sum_form > strict.objective.sum_form
         assert relaxed.best_scheme.assignment == {(1, 1): 1, (1, 2): 1}
+
+    def test_one_relay_with_70_holdings_fills_one_block(self, monkeypatch):
+        # Past 62 holdings a 64-bit membership mask would wrap; the one block must still hold them all.
+        scenario = random_scenario(random.Random(15), n_files=70, n_users=5, n_relays=1)
+        shapes = []
+        original = freshcache.oracle.waterfill_rows
+
+        def recording(w, s, budget):
+            shapes.append(w.shape)
+            return original(w, s, budget)
+
+        monkeypatch.setattr(freshcache.oracle, "waterfill_rows", recording)
+        result = brute_force_assignments(scenario)
+        assert shapes == [(1, 70)]
+        assert result.evaluated_count == 1
+        assert set(result.best_scheme.assignment.values()) == {1}
+        assert result.objective.sum_form == evaluate_scheme(scenario, result.best_scheme)[0].sum_form

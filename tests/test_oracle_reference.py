@@ -33,6 +33,8 @@ from freshcache import (
     system_freshness,
 )
 
+from freshcache.rate_alloc import sort_key
+
 from conftest import random_scenario
 
 
@@ -180,21 +182,62 @@ def test_oracle_rejects_a_bad_rate_budget(budget):
         brute_force_assignments(dataclasses.replace(table1, relays=relays))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    rows=st.integers(1, 40),
-    cols=st.integers(1, 12),
-    values=st.integers(1, 4),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_distinct_rows_is_np_unique(rows, cols, values, seed):
-    # Few byte values make many repeated rows, and 128 and 255 test unsigned byte order;
-    # the first occurrences and the inverse must be np.unique's.
-    alphabet = np.array([0, 255, 1, 128], dtype=np.uint8)[:values]
-    packed = np.random.default_rng(seed).choice(alphabet, size=(rows, cols))
-    first, inverse = freshcache.oracle._distinct_rows(packed)
-    _, want_first, want_inverse = np.unique(
-        packed.view((np.void, cols)).ravel(), return_index=True, return_inverse=True
-    )
-    assert first.tolist() == want_first.tolist()
-    assert inverse.tolist() == want_inverse.ravel().tolist()
+def _draw_scenario(data):
+    """The random scenario and ``allow_empty_relay`` flag the ``hypothesis`` tests above draw."""
+    n_relays = data.draw(st.integers(1, 4))
+    n_files = data.draw(st.integers(n_relays, 8))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    return random_scenario(rng, n_files, rng.randint(1, n_files), n_relays), data.draw(st.booleans())
+
+
+def _feasible_vectors(scenario, allow_empty_relay):
+    """Every raw vector, in product order, whose per-relay sums over its row fit the capacities."""
+    k, h = scenario.n_relays, len(scenario.holding_pairs)
+    vectors = np.array(list(itertools.product(range(k), repeat=h)))
+    counts = np.stack([(vectors == idx).sum(axis=1) for idx in range(k)], axis=1)
+    capacities = np.array([r.capacity for r in scenario.relays])
+    return vectors[((counts >= (0 if allow_empty_relay else 1)) & (counts <= capacities)).all(axis=1)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_column_counts_match_per_relay_sums(data):
+    # The oracle counts each relay's holdings one holding at a time; the vectors it keeps, in order,
+    # must be those that per-relay sums over whole vectors keep, so the trace numbers the best at its row.
+    scenario, allow_empty_relay = _draw_scenario(data)
+    feasible = _feasible_vectors(scenario, allow_empty_relay)
+    result = brute_force_assignments(scenario, allow_empty_relay=allow_empty_relay)
+    assert result.evaluated_count == len(feasible)
+    best = [result.best_scheme.assignment[pair] - 1 for pair in scenario.holding_pairs]
+    assert feasible[result.trace[-1][0] - 1].tolist() == best
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_block_keys_fill_each_distinct_block_once_in_sort_key_order(data):
+    # Every nonempty (relay, block) pair of the feasible vectors is water-filled exactly once,
+    # its holdings in allocate's sort_key order, the order of the membership mask's bits.
+    scenario, allow_empty_relay = _draw_scenario(data)
+    entries = [scenario.entries[pair] for pair in scenario.holding_pairs]
+    holding_of = {(e.weight, e.server_rate): p for p, e in enumerate(entries)}
+    relay_of = {r.rate_budget: idx for idx, r in enumerate(scenario.relays)}
+    assert len(holding_of) == len(entries) and len(relay_of) == scenario.n_relays
+    filled = []
+    original = freshcache.oracle.waterfill_rows
+
+    def recording(w, s, budget):
+        filled.extend((relay_of[budget], tuple(map(holding_of.get, zip(*row)))) for row in zip(w.tolist(), s.tolist()))
+        return original(w, s, budget)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(freshcache.oracle, "waterfill_rows", recording)
+        brute_force_assignments(scenario, allow_empty_relay=allow_empty_relay)
+    want = {
+        (idx, frozenset(np.flatnonzero(vector == idx).tolist()))
+        for vector in _feasible_vectors(scenario, allow_empty_relay)
+        for idx in range(scenario.n_relays)
+        if (vector == idx).any()
+    }
+    assert len(filled) == len(set(filled))
+    assert {(idx, frozenset(block)) for idx, block in filled} == want
+    assert all(list(block) == sorted(block, key=lambda p: sort_key(entries[p])) for _, block in filled)
