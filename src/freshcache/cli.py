@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 validation/parse failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -246,7 +247,9 @@ def _cmd_sweep(scenario: Scenario, args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at first use; it binds no ``_cmd_*`` function, which ``main`` looks up by name."""
     parser = argparse.ArgumentParser(prog="freshcache", description="Freshness-optimal cache placement and rate allocation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -267,18 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_solve, with_solver=True)
     p_solve.add_argument("--format", choices=("csv", "table", "json"), default="csv")
     p_solve.add_argument("--trace", default=None, help="write the improvement trace CSV to this file")
-    p_solve.set_defaults(func=_cmd_solve)
 
     p_alloc = sub.add_parser("allocate", help="allocate rate budgets for a fixed placement")
     add_common(p_alloc)
     p_alloc.add_argument("--scheme", required=True, help="placement document")
-    p_alloc.set_defaults(func=_cmd_allocate)
 
     p_fresh = sub.add_parser("freshness", help="score a fixed placement and rate table")
     add_common(p_fresh)
     p_fresh.add_argument("--scheme", required=True)
     p_fresh.add_argument("--rates", required=True, help="rate table document")
-    p_fresh.set_defaults(func=_cmd_freshness)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo check of the analytic freshness values")
     add_common(p_sim)
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rates", required=True)
     p_sim.add_argument("--horizon", type=float, default=100_000.0)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.set_defaults(func=_cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="cross-check the solver against brute-force oracles")
     add_common(p_verify)
@@ -296,13 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility; has no effect (exhaustive search runs in one process)",
     )
     p_verify.add_argument("--grid-steps", type=int, default=1000)
-    p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="re-solve under scaled user or server rates")
     add_common(p_sweep, with_solver=True)
     p_sweep.add_argument("--scale", choices=("user", "server"), required=True)
     p_sweep.add_argument("--factors", required=True, help="comma-separated scale factors")
-    p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser
 
@@ -328,7 +325,7 @@ def _exit_code(exc: Exception) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text, code = args.func(load_scenario(args.scenario), args)
+        text, code = globals()[f"_cmd_{args.command}"](load_scenario(args.scenario), args)
         _emit(text, args.out)
         return code
     except (FreshCacheError, OSError) as exc:

@@ -98,7 +98,8 @@ def brute_force_assignments(
 ):
     """Exhaustively try every raw relay assignment of every holding; returns a SolveResult.
 
-    The K**H product is an (H, K**H) int8 array whose columns run in
+    The K**H product is an (H, K**H) array of relay indices, held in the
+    smallest unsigned type that fits K - 1, whose columns run in
     ``itertools.product`` order, less the columns that break a capacity or
     leave a relay empty, counted one holding at a time.  Each distinct (relay,
     block) pair is water-filled once: a relay's blocks are keyed by an integer
@@ -119,9 +120,9 @@ def brute_force_assignments(
         raise OracleScaleError(f"{raw_total} raw assignments exceed the oracle limit {limit}")
 
     # Row p repeats each relay k**(h-1-p) times, so the last holding varies fastest; column j is vector j.
-    raw = np.empty((h, raw_total), dtype=np.int8)
+    raw = np.empty((h, raw_total), dtype=np.min_scalar_type(k - 1))
     for p in range(h):
-        raw[p].reshape(k**p, k, -1)[...] = np.arange(k, dtype=np.int8)[:, None]
+        raw[p].reshape(k**p, k, -1)[...] = np.arange(k, dtype=raw.dtype)[:, None]
     feasible = np.ones(raw_total, dtype=bool)
     for idx, relay in enumerate(scenario.relays):
         count = np.zeros(raw_total, dtype=np.min_scalar_type(h))

@@ -8,6 +8,7 @@ optional ``popularity`` block.  Request probabilities are given per holding
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -36,12 +37,15 @@ if TYPE_CHECKING:  # pragma: no cover
 # libyaml's safe loader where PyYAML was built with it: the same resolver as SafeLoader, so the same values, faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-_TOP_KEYS = {"files", "users", "relays", "popularity"}
-_FILE_KEYS = {"id", "server_rate"}
-_USER_KEYS = {"id", "holdings", "relay_prefs"}
-_HOLDING_KEYS = {"file", "user_rate", "request_prob"}
-_RELAY_KEYS = {"id", "capacity", "rate_budget"}
-_POPULARITY_KEYS = {"mode", "exponent"}
+# A field's kind names what its value must be: _INT, _NUMBER, or None for any value.
+_INT, _NUMBER = "an integer", "a number"
+# Each record's fields, in the order they are read; a key outside its table is an unknown field.
+_SCENARIO_FIELDS = {"files": None, "users": None, "relays": None, "popularity": None}
+_POPULARITY_FIELDS = {"mode": None, "exponent": _NUMBER}
+_FILE_FIELDS = {"id": _INT, "server_rate": _NUMBER}
+_USER_FIELDS = {"id": _INT, "holdings": None, "relay_prefs": None}
+_HOLDING_FIELDS = {"file": _INT, "user_rate": _NUMBER, "request_prob": _NUMBER}
+_RELAY_FIELDS = {"id": _INT, "capacity": _INT, "rate_budget": _NUMBER}
 
 
 @dataclass(frozen=True)
@@ -69,52 +73,46 @@ class ResultTable:
     footer: TableFooter
 
 
-def _require_mapping(node, what: str) -> dict:
-    if not isinstance(node, dict):
-        raise ScenarioParseError(f"{what} must be a mapping, got {type(node).__name__}")
-    return node
-
-
 def _require_list(node, what: str) -> list:
     if not isinstance(node, list):
         raise ScenarioParseError(f"{what} must be a list, got {type(node).__name__}")
     return node
 
 
-def _check_keys(node: Mapping, allowed: set, what: str) -> None:
-    unknown = sorted(set(node) - allowed)
-    if unknown:
-        raise ScenarioParseError(f"{what}: unknown field '{unknown[0]}'", field=str(unknown[0]))
-
-
 def _is_yaml_number(value) -> bool:
-    """An int or a float; ``.inf`` and ``.nan`` pass so that ``validate_scenario`` reports them by code."""
-    return isinstance(value, float) or is_number(value, True)
+    """A float, or an int in the float range; ``.inf`` and ``.nan`` pass so that ``validate_scenario`` reports them by code."""
+    return isinstance(value, float) or is_number(value, True) and abs(value) <= sys.float_info.max
 
 
-def _get_number(node: Mapping, key: str, what: str) -> float:
-    if key not in node:
-        raise ScenarioParseError(f"{what}: missing required field '{key}'", field=key)
-    value = node[key]
-    if not _is_yaml_number(value):
-        raise ScenarioParseError(f"{what}: field '{key}' must be a number, got {value!r}", field=key)
-    return float(value)
+def _record(node, what: str, fields: Mapping[str, str | None], read: Iterable[str] | None = None) -> list:
+    """The values of the ``read`` fields (default: all) of a mapping whose keys are all in ``fields``.
 
-
-def _get_int(node: Mapping, key: str, what: str) -> int:
-    if key not in node:
-        raise ScenarioParseError(f"{what}: missing required field '{key}'", field=key)
-    value = node[key]
-    if not is_number(value, True):
-        raise ScenarioParseError(f"{what}: field '{key}' must be an integer, got {value!r}", field=key)
-    return value
+    Raises ScenarioParseError, naming ``what``, for a node that is not a mapping,
+    an unknown key, a missing field or a value of the wrong kind; numbers come
+    back as floats.
+    """
+    if not isinstance(node, dict):
+        raise ScenarioParseError(f"{what} must be a mapping, got {type(node).__name__}")
+    unknown = [key for key in node if key not in fields]
+    if unknown:
+        key = min(unknown, key=str)   # by text, since YAML keys may be ints, floats or null as well as strings
+        raise ScenarioParseError(f"{what}: unknown field '{key}'", field=str(key))
+    values = []
+    for key in fields if read is None else read:
+        if key not in node:
+            raise ScenarioParseError(f"{what}: missing required field '{key}'", field=key)
+        value, kind = node[key], fields[key]
+        if kind is not None and not (is_number(value, True) if kind == _INT else _is_yaml_number(value)):
+            raise ScenarioParseError(f"{what}: field '{key}' must be {kind}, got {value!r}", field=key)
+        values.append(float(value) if kind == _NUMBER else value)
+    return values
 
 
 def _load_yaml(text: str, kind: str):
     """The one YAML document in ``text``; a malformed one raises ScenarioParseError with its line where known."""
     try:
         return yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:   # ValueError: a date that does not exist, an int past the digit limit
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None
         at = f" at line {line}" if line is not None else ""
@@ -123,91 +121,51 @@ def _load_yaml(text: str, kind: str):
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document; raises on any malformation."""
-    doc = _require_mapping(_load_yaml(text, "scenario"), "scenario document")
-    _check_keys(doc, _TOP_KEYS, "scenario document")
-    for required in ("files", "users", "relays"):
-        if required not in doc:
-            raise ScenarioParseError(f"scenario document: missing required field '{required}'", field=required)
-
-    mode = "explicit"
+    doc = _load_yaml(text, "scenario")
+    file_nodes, user_nodes, relay_nodes = _record(doc, "scenario document", _SCENARIO_FIELDS, ("files", "users", "relays"))
+    pop = doc.get("popularity", {"mode": "explicit"})   # present but null is still "not a mapping"
+    (mode,) = _record(pop, "popularity", _POPULARITY_FIELDS, ("mode",))
+    if mode not in ("explicit", "zipf"):
+        raise ScenarioParseError(f"popularity: unknown mode {mode!r}", field="mode")
     exponent: float | None = None
-    if "popularity" in doc:
-        pop = _require_mapping(doc["popularity"], "popularity")
-        _check_keys(pop, _POPULARITY_KEYS, "popularity")
-        if "mode" not in pop:
-            raise ScenarioParseError("popularity: missing required field 'mode'", field="mode")
-        mode = pop["mode"]
-        if mode not in ("explicit", "zipf"):
-            raise ScenarioParseError(f"popularity: unknown mode {mode!r}", field="mode")
-        if mode == "zipf":
-            exponent = _get_number(pop, "exponent", "popularity")
-        elif "exponent" in pop:
-            raise ScenarioParseError("popularity: field 'exponent' is only valid in zipf mode", field="exponent")
+    if mode == "zipf":
+        (exponent,) = _record(pop, "popularity", _POPULARITY_FIELDS, ("exponent",))
+        if not is_number(exponent) or exponent < 0:
+            raise ScenarioParseError(f"popularity: zipf exponent must be finite and non-negative, got {exponent!r}", field="exponent")
+    elif "exponent" in pop:
+        raise ScenarioParseError("popularity: field 'exponent' is only valid in zipf mode", field="exponent")
 
-    files = []
-    for node in _require_list(doc["files"], "files"):
-        node = _require_mapping(node, "file entry")
-        _check_keys(node, _FILE_KEYS, "file entry")
-        files.append(FileSpec(file_id=_get_int(node, "id", "file entry"), server_rate=_get_number(node, "server_rate", "file entry")))
+    files = tuple(FileSpec(*_record(node, "file entry", _FILE_FIELDS)) for node in _require_list(file_nodes, "files"))
+    popularity = zipf_popularity(exponent, len(files)) if mode == "zipf" else None
 
     users = []
-    raw_users = []
-    for node in _require_list(doc["users"], "users"):
-        node = _require_mapping(node, "user entry")
-        _check_keys(node, _USER_KEYS, "user entry")
-        uid = _get_int(node, "id", "user entry")
-        if "holdings" not in node:
-            raise ScenarioParseError(f"user {uid}: missing required field 'holdings'", field="holdings")
+    for node in _require_list(user_nodes, "users"):
+        (uid,) = _record(node, "user entry", _USER_FIELDS, ("id",))
+        holding_nodes, pref_nodes = _record(node, f"user {uid}", _USER_FIELDS, ("holdings", "relay_prefs"))
         holdings = []
-        for h in _require_list(node["holdings"], f"user {uid} holdings"):
-            h = _require_mapping(h, f"user {uid} holding")
-            _check_keys(h, _HOLDING_KEYS, f"user {uid} holding")
-            fid = _get_int(h, "file", f"user {uid} holding")
-            user_rate = _get_number(h, "user_rate", f"user {uid} holding")
-            if mode == "zipf":
-                if "request_prob" in h:
-                    raise ScenarioParseError(
-                        f"user {uid}, file {fid}: request_prob is not allowed in zipf mode", field="request_prob"
-                    )
-                prob = 0.0
-            else:
-                prob = _get_number(h, "request_prob", f"user {uid} holding file {fid}")
-            holdings.append(Holding(file_id=fid, user_rate=user_rate, request_prob=prob))
-        if "relay_prefs" not in node:
-            raise ScenarioParseError(f"user {uid}: missing required field 'relay_prefs'", field="relay_prefs")
+        for h in _require_list(holding_nodes, f"user {uid} holdings"):
+            fid, user_rate = _record(h, f"user {uid} holding", _HOLDING_FIELDS, ("file", "user_rate"))
+            prob = 0.0
+            if mode == "explicit":
+                (prob,) = _record(h, f"user {uid} holding file {fid}", _HOLDING_FIELDS, ("request_prob",))
+            elif "request_prob" in h:
+                raise ScenarioParseError(f"user {uid}, file {fid}: request_prob is not allowed in zipf mode", field="request_prob")
+            holdings.append(Holding(fid, user_rate, prob))
         prefs = []
-        for p in _require_list(node["relay_prefs"], f"user {uid} relay_prefs"):
+        for p in _require_list(pref_nodes, f"user {uid} relay_prefs"):
             if not _is_yaml_number(p):
                 raise ScenarioParseError(f"user {uid}: relay_prefs entries must be numbers, got {p!r}", field="relay_prefs")
             prefs.append(float(p))
-        raw_users.append((uid, tuple(holdings), tuple(prefs)))
+        if mode == "zipf":
+            probs = per_user_request_probs(popularity, UserSpec(uid, tuple(holdings), ()))
+            holdings = [Holding(h.file_id, h.user_rate, q) for h, q in zip(holdings, probs)]
+        users.append(UserSpec(uid, tuple(holdings), tuple(prefs)))
 
-    relays = []
-    for node in _require_list(doc["relays"], "relays"):
-        node = _require_mapping(node, "relay entry")
-        _check_keys(node, _RELAY_KEYS, "relay entry")
-        relays.append(
-            RelaySpec(
-                relay_id=_get_int(node, "id", "relay entry"),
-                capacity=_get_int(node, "capacity", "relay entry"),
-                rate_budget=_get_number(node, "rate_budget", "relay entry"),
-            )
-        )
-
-    if mode == "zipf":
-        if not is_number(exponent) or exponent < 0:
-            raise ScenarioParseError(f"popularity: zipf exponent must be finite and non-negative, got {exponent!r}", field="exponent")
-        popularity = zipf_popularity(exponent, len(files))
-        for uid, holdings, prefs in raw_users:
-            probs = per_user_request_probs(popularity, UserSpec(uid, holdings, prefs))
-            users.append(UserSpec(uid, tuple(Holding(h.file_id, h.user_rate, p) for h, p in zip(holdings, probs)), prefs))
-    else:
-        users = [UserSpec(uid, holdings, prefs) for uid, holdings, prefs in raw_users]
-
+    relays = tuple(RelaySpec(*_record(node, "relay entry", _RELAY_FIELDS)) for node in _require_list(relay_nodes, "relays"))
     scenario = Scenario(
-        files=tuple(files),
+        files=files,
         users=tuple(users),
-        relays=tuple(relays),
+        relays=relays,
         popularity_mode=mode,
         zipf_exponent=exponent,
     )
@@ -272,20 +230,16 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(read_document(p))
 
 
-def _parse_holding_doc(text: str, kind: str, top: str, entry: str, field: str, get) -> dict[tuple[int, int], object]:
-    """Read a ``{top: [{user, file, field}, ...]}`` document into (user_id, file_id) -> ``get(node, field, entry)``."""
-    doc = _require_mapping(_load_yaml(text, kind), f"{kind} document")
-    _check_keys(doc, {top}, f"{kind} document")
-    if top not in doc:
-        raise ScenarioParseError(f"{kind} document: missing required field '{top}'", field=top)
+def _parse_holding_doc(text: str, kind: str, top: str, entry: str, field: str, field_kind: str) -> dict[tuple[int, int], object]:
+    """Read a ``{top: [{user, file, field}, ...]}`` document into (user_id, file_id) -> the ``field_kind`` value of ``field``."""
+    (nodes,) = _record(_load_yaml(text, kind), f"{kind} document", {top: None})
+    fields = {"user": _INT, "file": _INT, field: field_kind}
     out: dict[tuple[int, int], object] = {}
-    for node in _require_list(doc[top], top):
-        node = _require_mapping(node, entry)
-        _check_keys(node, {"user", "file", field}, entry)
-        key = (_get_int(node, "user", entry), _get_int(node, "file", entry))
-        if key in out:
-            raise ScenarioParseError(f"{entry}: duplicate holding (user {key[0]}, file {key[1]})")
-        out[key] = get(node, field, entry)
+    for node in _require_list(nodes, top):
+        uid, fid, value = _record(node, entry, fields)
+        if (uid, fid) in out:
+            raise ScenarioParseError(f"{entry}: duplicate holding (user {uid}, file {fid})")
+        out[uid, fid] = value
     return out
 
 
@@ -297,7 +251,7 @@ def _holding_doc(top: str, field: str, values: Mapping[tuple[int, int], object],
 
 def parse_scheme(text: str) -> CacheScheme:
     """Parse a placement document: {assignment: [{user, file, relay}, ...]}."""
-    return CacheScheme(_parse_holding_doc(text, "scheme", "assignment", "assignment entry", "relay", _get_int))
+    return CacheScheme(_parse_holding_doc(text, "scheme", "assignment", "assignment entry", "relay", _INT))
 
 
 def serialize_scheme(scheme: CacheScheme) -> str:
@@ -306,7 +260,7 @@ def serialize_scheme(scheme: CacheScheme) -> str:
 
 def parse_rates(text: str) -> dict[tuple[int, int], float]:
     """Parse a rate table document: {rates: [{user, file, rate}, ...]}."""
-    return _parse_holding_doc(text, "rates", "rates", "rate entry", "rate", _get_number)
+    return _parse_holding_doc(text, "rates", "rates", "rate entry", "rate", _NUMBER)
 
 
 def serialize_rates(rates: Mapping[tuple[int, int], float]) -> str:

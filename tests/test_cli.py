@@ -567,6 +567,8 @@ relays:
 """
 
 WRONG_VALUES = ("x", None, [], {}, True, math.nan, math.inf, -math.inf, -1, -0.5, 0, 1e308, 10**30)
+# Keys no document declares, of every type a YAML key can load as; two of them together do not sort.
+UNKNOWN_KEYS = ("zz", 7, None, 1.5)
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
@@ -579,6 +581,36 @@ def test_rate_that_overflows_the_weight_exit_code(old, new, mode, tmp_path, caps
     captured = capsys.readouterr()
     assert code == 2
     assert "overflow the water-filling weight" in captured.err
+
+
+# Documents the reader crashed on with a traceback (exit 1): two unknown keys that do not sort together
+# (an int and a str), an int past the float range in a number field, and values PyYAML fails to build.
+READER_CRASHES = {
+    "scenario-keys": (["solve"], "files: []\n1: 2\nzz: 3\n", "scenario document: unknown field '1'"),
+    "file-keys": (["solve"], FUZZ_BASE.replace("{id: 1, server_rate: 4}", "{id: 1, server_rate: 2.0, 7: 1, zz: 2}"),
+                  "file entry: unknown field '7'"),
+    "scheme-keys": (["allocate", "--scenario", "table1"], "assignment:\n- {user: 1, file: 1, relay: 1, 2: 3, q: 1}\n",
+                    "assignment entry: unknown field '2'"),
+    "huge-int": (["solve"], FUZZ_BASE.replace("server_rate: 4}", "server_rate: 1" + "0" * 400 + "}"),
+                 "file entry: field 'server_rate' must be a number, got 1000"),
+    "no-such-date": (["solve"], "files: []\nusers: []\nrelays: []\nwhen: 2001-13-01\n",
+                     "malformed scenario document: month must be in 1..12"),
+    "int-past-digit-limit": (["allocate", "--scenario", "table1"], "assignment: []\nn: " + "9" * 5000 + "\n",
+                             "malformed scheme document: Exceeds the limit (4300 digits)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_CRASHES))
+def test_document_the_reader_crashed_on_exits_2(case, tmp_path, capsys):
+    argv, text, message = READER_CRASHES[case]
+    path = tmp_path / "doc.yaml"
+    path.write_text(text)
+    code = main([*argv, "--scheme" if "allocate" in argv else "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_holding_with_a_huge_server_rate_drops_without_disturbing_its_relay(tmp_path, capsys):
@@ -615,17 +647,20 @@ def fuzz_path(tmp_path_factory):
 
 
 def _mutate(doc, data):
-    """Apply 1-3 mutations to ``doc`` in place: drop a key, repeat a list entry, or set a field to a wrong type or value."""
+    """Apply 1-3 mutations to ``doc`` in place: drop a key, repeat a list entry, add an unknown key of any YAML
+    key type to a mapping, or set a field to a wrong type or value."""
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         slots = list(_slots(doc))
         if not slots:
             break
         container, key = data.draw(st.sampled_from(slots), label="slot")
-        action = data.draw(st.sampled_from(("drop", "repeat", "set")), label="action")
+        action = data.draw(st.sampled_from(("drop", "repeat", "set", "add")), label="action")
         if action == "drop":
             del container[key]
         elif action == "repeat" and isinstance(container, list):
             container.append(copy.deepcopy(container[key]))
+        elif action == "add" and isinstance(container, dict):
+            container[data.draw(st.sampled_from(UNKNOWN_KEYS), label="key")] = 1
         else:
             container[key] = copy.deepcopy(data.draw(st.sampled_from(WRONG_VALUES), label="value"))
 

@@ -32,7 +32,7 @@ from freshcache import (
 )
 from freshcache.oracle import GRID_MAX_STEPS, GRID_ROW_BLOCK
 
-from freshcache.search import relay_inputs
+from freshcache.search import count_assignments, relay_inputs
 
 from conftest import REFERENCE_ASSIGNMENT, make_allocation_input, random_scenario
 
@@ -291,6 +291,30 @@ class TestBruteForceAssignments:
         # both files on the generous relay beats splitting them
         assert relaxed.objective.sum_form > strict.objective.sum_form
         assert relaxed.best_scheme.assignment == {(1, 1): 1, (1, 2): 1}
+
+    @staticmethod
+    def _many_relays(h, k):
+        # h holdings of one user over k relays of capacity 1; the last relay has the largest budget, so it is the best.
+        files = tuple(FileSpec(i + 1, 1.0 + i) for i in range(h))
+        user = UserSpec(1, tuple(Holding(i + 1, 2.0 + i, 1 / h) for i in range(h)), (1 / k,) * k)
+        return Scenario(files, (user,), tuple(RelaySpec(j + 1, 1, 1.0 + j) for j in range(k)))
+
+    @pytest.mark.parametrize("k", [127, 128, 129, 256, 257])
+    def test_relay_indices_past_127_match_exhaustive(self, k):
+        # Relay digits held in int8 wrapped from relay 129 on and scored the wrong relay.
+        scenario = self._many_relays(1, k)
+        reference = brute_force_assignments(scenario, allow_empty_relay=True)
+        result = solve_exhaustive(scenario, allow_empty_relay=True)
+        assert reference.best_scheme.assignment == result.best_scheme.assignment == {(1, 1): k}
+        assert reference.objective.sum_form == result.objective.sum_form
+        assert reference.evaluated_count == result.evaluated_count == k
+
+    @pytest.mark.parametrize("k", [129, 257])
+    def test_two_holdings_past_relay_128_count_every_assignment(self, k):
+        # An exhaustive solve here takes tens of seconds (k = 129) to minutes (k = 257), so only the count is checked.
+        result = brute_force_assignments(self._many_relays(2, k), allow_empty_relay=True)
+        assert result.evaluated_count == count_assignments(2, [1] * k, allow_empty_relay=True) == k * (k - 1)
+        assert result.best_scheme.assignment == {(1, 1): k - 1, (1, 2): k}
 
     def test_one_relay_with_70_holdings_fills_one_block(self, monkeypatch):
         # Past 62 holdings a 64-bit membership mask would wrap; the one block must still hold them all.

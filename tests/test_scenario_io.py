@@ -1,5 +1,8 @@
 """Scenario document parsing, serialization, and result rendering tests."""
 
+import functools
+import math
+import operator
 import random
 from importlib import resources
 
@@ -20,6 +23,7 @@ from freshcache import (
     write_result_table,
     write_trace,
 )
+from freshcache.errors import DomainError, EmptyDomainError, FreshCacheError
 from freshcache.scenario_io import _YAML_LOADER, parse_rates, parse_scheme, serialize_rates, serialize_scheme
 
 from conftest import random_scenario
@@ -117,6 +121,285 @@ class TestParseScenario:
         with pytest.raises(ScenarioValidationError) as err:
             parse_scenario(doc)
         assert [v.code for v in err.value.report] == ["capacity-aggregate"]
+
+
+# Documents the pinned parse-error table mutates, each with the parser that reads it.
+ERROR_BASES = {
+    "explicit": (parse_scenario, MINIMAL_DOC),
+    "explicit-popularity": (parse_scenario, MINIMAL_DOC + "popularity: {mode: explicit}\n"),
+    "zipf": (parse_scenario, MINIMAL_DOC.replace(", request_prob: 0.5}", "}") + "popularity: {mode: zipf, exponent: 1.0}\n"),
+    "scheme": (parse_scheme, "assignment:\n- {user: 1, file: 1, relay: 1}\n- {user: 1, file: 2, relay: 2}\n"),
+    "rates": (parse_rates, "rates:\n- {user: 1, file: 1, rate: 2.0}\n- {user: 1, file: 2, rate: 3.0}\n"),
+}
+DROP, REPEAT = "<drop>", "<repeat>"
+H0 = ("users", 0, "holdings", 0)
+
+# (base, path, value, exception type, message, field): one fault each, the error it raises pinned exactly.
+PARSE_ERRORS = [
+    ("explicit", (), [1, 2], ScenarioParseError, "scenario document must be a mapping, got list", None),
+    ("explicit", (), "x", ScenarioParseError, "scenario document must be a mapping, got str", None),
+    ("explicit", (), None, ScenarioParseError, "scenario document must be a mapping, got NoneType", None),
+    ("explicit", ("zz",), 1, ScenarioParseError, "scenario document: unknown field 'zz'", "zz"),
+    ("explicit", (7,), 1, ScenarioParseError, "scenario document: unknown field '7'", "7"),
+    ("explicit", ("files",), DROP, ScenarioParseError, "scenario document: missing required field 'files'", "files"),
+    ("explicit", ("users",), DROP, ScenarioParseError, "scenario document: missing required field 'users'", "users"),
+    ("explicit", ("relays",), DROP, ScenarioParseError, "scenario document: missing required field 'relays'", "relays"),
+    ("explicit", ("files",), "x", ScenarioParseError, "files must be a list, got str", None),
+    ("explicit", ("files",), {}, ScenarioParseError, "files must be a list, got dict", None),
+    ("explicit", ("files",), None, ScenarioParseError, "files must be a list, got NoneType", None),
+    ("explicit", ("users",), "x", ScenarioParseError, "users must be a list, got str", None),
+    ("explicit", ("relays",), None, ScenarioParseError, "relays must be a list, got NoneType", None),
+    ("explicit", ("files", 0), REPEAT,
+     ScenarioValidationError, "scenario failed validation: file ids must be 1..N in order", None),
+    ("explicit", ("popularity",), None, ScenarioParseError, "popularity must be a mapping, got NoneType", None),
+    ("explicit", ("popularity",), "zipf", ScenarioParseError, "popularity must be a mapping, got str", None),
+    ("explicit-popularity", ("popularity", "mode"), DROP,
+     ScenarioParseError, "popularity: missing required field 'mode'", "mode"),
+    ("explicit-popularity", ("popularity", "zz"), 1, ScenarioParseError, "popularity: unknown field 'zz'", "zz"),
+    ("explicit-popularity", ("popularity", "mode"), "uniform",
+     ScenarioParseError, "popularity: unknown mode 'uniform'", "mode"),
+    ("explicit-popularity", ("popularity", "mode"), None, ScenarioParseError, "popularity: unknown mode None", "mode"),
+    ("explicit-popularity", ("popularity", "mode"), True, ScenarioParseError, "popularity: unknown mode True", "mode"),
+    ("explicit-popularity", ("popularity", "exponent"), 1.0,
+     ScenarioParseError, "popularity: field 'exponent' is only valid in zipf mode", "exponent"),
+    ("zipf", ("popularity", "mode"), DROP, ScenarioParseError, "popularity: missing required field 'mode'", "mode"),
+    ("zipf", ("popularity", "exponent"), DROP,
+     ScenarioParseError, "popularity: missing required field 'exponent'", "exponent"),
+    ("zipf", ("popularity", "exponent"), "x",
+     ScenarioParseError, "popularity: field 'exponent' must be a number, got 'x'", "exponent"),
+    ("zipf", ("popularity", "exponent"), True,
+     ScenarioParseError, "popularity: field 'exponent' must be a number, got True", "exponent"),
+    ("zipf", ("popularity", "exponent"), None,
+     ScenarioParseError, "popularity: field 'exponent' must be a number, got None", "exponent"),
+    ("zipf", ("popularity", "exponent"), math.nan,
+     ScenarioParseError, "popularity: zipf exponent must be finite and non-negative, got nan", "exponent"),
+    ("zipf", ("popularity", "exponent"), -1,
+     ScenarioParseError, "popularity: zipf exponent must be finite and non-negative, got -1.0", "exponent"),
+    ("zipf", ("popularity", "exponent"), math.inf,
+     ScenarioParseError, "popularity: zipf exponent must be finite and non-negative, got inf", "exponent"),
+    ("explicit", ("files", 0), "x", ScenarioParseError, "file entry must be a mapping, got str", None),
+    ("explicit", ("files", 0), [], ScenarioParseError, "file entry must be a mapping, got list", None),
+    ("explicit", ("files", 0), None, ScenarioParseError, "file entry must be a mapping, got NoneType", None),
+    ("explicit", ("files", 0, "zz"), 1, ScenarioParseError, "file entry: unknown field 'zz'", "zz"),
+    ("explicit", ("files", 0, None), 1, ScenarioParseError, "file entry: unknown field 'None'", "None"),
+    ("explicit", ("files", 0, "id"), DROP, ScenarioParseError, "file entry: missing required field 'id'", "id"),
+    ("explicit", ("files", 0, "server_rate"), DROP,
+     ScenarioParseError, "file entry: missing required field 'server_rate'", "server_rate"),
+    ("explicit", ("files", 0, "id"), "x",
+     ScenarioParseError, "file entry: field 'id' must be an integer, got 'x'", "id"),
+    ("explicit", ("files", 0, "id"), True,
+     ScenarioParseError, "file entry: field 'id' must be an integer, got True", "id"),
+    ("explicit", ("files", 0, "id"), None,
+     ScenarioParseError, "file entry: field 'id' must be an integer, got None", "id"),
+    ("explicit", ("files", 0, "id"), 1.5,
+     ScenarioParseError, "file entry: field 'id' must be an integer, got 1.5", "id"),
+    ("explicit", ("files", 0, "server_rate"), "x",
+     ScenarioParseError, "file entry: field 'server_rate' must be a number, got 'x'", "server_rate"),
+    ("explicit", ("files", 0, "server_rate"), True,
+     ScenarioParseError, "file entry: field 'server_rate' must be a number, got True", "server_rate"),
+    ("explicit", ("files", 0, "server_rate"), None,
+     ScenarioParseError, "file entry: field 'server_rate' must be a number, got None", "server_rate"),
+    ("explicit", ("files", 0, "server_rate"), math.nan,
+     ScenarioValidationError, "scenario failed validation: file 1: server_rate must be positive, got nan", None),
+    ("explicit", ("users", 0), "x", ScenarioParseError, "user entry must be a mapping, got str", None),
+    ("explicit", ("users", 0), None, ScenarioParseError, "user entry must be a mapping, got NoneType", None),
+    ("explicit", ("users", 0, "zz"), 1, ScenarioParseError, "user entry: unknown field 'zz'", "zz"),
+    ("explicit", ("users", 0, "id"), DROP, ScenarioParseError, "user entry: missing required field 'id'", "id"),
+    ("explicit", ("users", 0, "id"), "x",
+     ScenarioParseError, "user entry: field 'id' must be an integer, got 'x'", "id"),
+    ("explicit", ("users", 0, "id"), True,
+     ScenarioParseError, "user entry: field 'id' must be an integer, got True", "id"),
+    ("explicit", ("users", 0, "id"), None,
+     ScenarioParseError, "user entry: field 'id' must be an integer, got None", "id"),
+    ("explicit", ("users", 0, "id"), 1.5,
+     ScenarioParseError, "user entry: field 'id' must be an integer, got 1.5", "id"),
+    ("explicit", ("users", 0, "holdings"), DROP,
+     ScenarioParseError, "user 1: missing required field 'holdings'", "holdings"),
+    ("explicit", ("users", 0, "holdings"), "x", ScenarioParseError, "user 1 holdings must be a list, got str", None),
+    ("explicit", ("users", 0, "holdings"), None,
+     ScenarioParseError, "user 1 holdings must be a list, got NoneType", None),
+    ("explicit", ("users", 0, "holdings"), {}, ScenarioParseError, "user 1 holdings must be a list, got dict", None),
+    ("explicit", ("users", 0, "relay_prefs"), DROP,
+     ScenarioParseError, "user 1: missing required field 'relay_prefs'", "relay_prefs"),
+    ("explicit", ("users", 0, "relay_prefs"), "x",
+     ScenarioParseError, "user 1 relay_prefs must be a list, got str", None),
+    ("explicit", ("users", 0, "relay_prefs"), None,
+     ScenarioParseError, "user 1 relay_prefs must be a list, got NoneType", None),
+    ("explicit", ("users", 0, "relay_prefs", 0), "x",
+     ScenarioParseError, "user 1: relay_prefs entries must be numbers, got 'x'", "relay_prefs"),
+    ("explicit", ("users", 0, "relay_prefs", 0), True,
+     ScenarioParseError, "user 1: relay_prefs entries must be numbers, got True", "relay_prefs"),
+    ("explicit", ("users", 0, "relay_prefs", 0), None,
+     ScenarioParseError, "user 1: relay_prefs entries must be numbers, got None", "relay_prefs"),
+    ("explicit", H0, "x", ScenarioParseError, "user 1 holding must be a mapping, got str", None),
+    ("explicit", H0, None, ScenarioParseError, "user 1 holding must be a mapping, got NoneType", None),
+    ("explicit", H0 + ("zz",), 1, ScenarioParseError, "user 1 holding: unknown field 'zz'", "zz"),
+    ("explicit", H0 + (1.5,), 1, ScenarioParseError, "user 1 holding: unknown field '1.5'", "1.5"),
+    ("explicit", H0 + ("file",), DROP, ScenarioParseError, "user 1 holding: missing required field 'file'", "file"),
+    ("explicit", H0 + ("file",), "x",
+     ScenarioParseError, "user 1 holding: field 'file' must be an integer, got 'x'", "file"),
+    ("explicit", H0 + ("file",), True,
+     ScenarioParseError, "user 1 holding: field 'file' must be an integer, got True", "file"),
+    ("explicit", H0 + ("file",), None,
+     ScenarioParseError, "user 1 holding: field 'file' must be an integer, got None", "file"),
+    ("explicit", H0 + ("file",), 1.5,
+     ScenarioParseError, "user 1 holding: field 'file' must be an integer, got 1.5", "file"),
+    ("explicit", H0 + ("user_rate",), DROP,
+     ScenarioParseError, "user 1 holding: missing required field 'user_rate'", "user_rate"),
+    ("explicit", H0 + ("user_rate",), "x",
+     ScenarioParseError, "user 1 holding: field 'user_rate' must be a number, got 'x'", "user_rate"),
+    ("explicit", H0 + ("user_rate",), True,
+     ScenarioParseError, "user 1 holding: field 'user_rate' must be a number, got True", "user_rate"),
+    ("explicit", H0 + ("user_rate",), None,
+     ScenarioParseError, "user 1 holding: field 'user_rate' must be a number, got None", "user_rate"),
+    ("explicit", H0 + ("request_prob",), DROP,
+     ScenarioParseError, "user 1 holding file 1: missing required field 'request_prob'", "request_prob"),
+    ("explicit", H0 + ("request_prob",), "x",
+     ScenarioParseError, "user 1 holding file 1: field 'request_prob' must be a number, got 'x'", "request_prob"),
+    ("explicit", H0 + ("request_prob",), True,
+     ScenarioParseError, "user 1 holding file 1: field 'request_prob' must be a number, got True", "request_prob"),
+    ("explicit", H0 + ("request_prob",), None,
+     ScenarioParseError, "user 1 holding file 1: field 'request_prob' must be a number, got None", "request_prob"),
+    ("explicit", H0, REPEAT,
+     ScenarioValidationError, "scenario failed validation: user 1: file 1 listed twice; user 1: request probabilities sum != 1", None),
+    ("zipf", H0 + ("request_prob",), 0.5,
+     ScenarioParseError, "user 1, file 1: request_prob is not allowed in zipf mode", "request_prob"),
+    ("zipf", H0 + ("file",), DROP, ScenarioParseError, "user 1 holding: missing required field 'file'", "file"),
+    ("zipf", H0 + ("file",), "x",
+     ScenarioParseError, "user 1 holding: field 'file' must be an integer, got 'x'", "file"),
+    ("zipf", H0 + ("user_rate",), None,
+     ScenarioParseError, "user 1 holding: field 'user_rate' must be a number, got None", "user_rate"),
+    ("zipf", H0 + ("zz",), 1, ScenarioParseError, "user 1 holding: unknown field 'zz'", "zz"),
+    ("zipf", H0 + ("file",), 9, DomainError, "popularity vector has no entry for file 9", None),
+    ("zipf", ("users", 0, "holdings"), [], EmptyDomainError, "user 1 holds no files", None),
+    ("zipf", ("files",), [], EmptyDomainError, "popularity distribution over zero files", None),
+    ("explicit", ("relays", 0), "x", ScenarioParseError, "relay entry must be a mapping, got str", None),
+    ("explicit", ("relays", 0), None, ScenarioParseError, "relay entry must be a mapping, got NoneType", None),
+    ("explicit", ("relays", 0, "zz"), 1, ScenarioParseError, "relay entry: unknown field 'zz'", "zz"),
+    ("explicit", ("relays", 0, "id"), DROP, ScenarioParseError, "relay entry: missing required field 'id'", "id"),
+    ("explicit", ("relays", 0, "capacity"), DROP,
+     ScenarioParseError, "relay entry: missing required field 'capacity'", "capacity"),
+    ("explicit", ("relays", 0, "rate_budget"), DROP,
+     ScenarioParseError, "relay entry: missing required field 'rate_budget'", "rate_budget"),
+    ("explicit", ("relays", 0, "id"), "x",
+     ScenarioParseError, "relay entry: field 'id' must be an integer, got 'x'", "id"),
+    ("explicit", ("relays", 0, "capacity"), "x",
+     ScenarioParseError, "relay entry: field 'capacity' must be an integer, got 'x'", "capacity"),
+    ("explicit", ("relays", 0, "capacity"), True,
+     ScenarioParseError, "relay entry: field 'capacity' must be an integer, got True", "capacity"),
+    ("explicit", ("relays", 0, "capacity"), None,
+     ScenarioParseError, "relay entry: field 'capacity' must be an integer, got None", "capacity"),
+    ("explicit", ("relays", 0, "capacity"), 1.5,
+     ScenarioParseError, "relay entry: field 'capacity' must be an integer, got 1.5", "capacity"),
+    ("explicit", ("relays", 0, "rate_budget"), "x",
+     ScenarioParseError, "relay entry: field 'rate_budget' must be a number, got 'x'", "rate_budget"),
+    ("explicit", ("relays", 0, "rate_budget"), True,
+     ScenarioParseError, "relay entry: field 'rate_budget' must be a number, got True", "rate_budget"),
+    ("explicit", ("relays", 0, "rate_budget"), None,
+     ScenarioParseError, "relay entry: field 'rate_budget' must be a number, got None", "rate_budget"),
+    ("scheme", (), [1], ScenarioParseError, "scheme document must be a mapping, got list", None),
+    ("scheme", (), "x", ScenarioParseError, "scheme document must be a mapping, got str", None),
+    ("scheme", (), None, ScenarioParseError, "scheme document must be a mapping, got NoneType", None),
+    ("scheme", ("zz",), 1, ScenarioParseError, "scheme document: unknown field 'zz'", "zz"),
+    ("scheme", ("assignment",), DROP,
+     ScenarioParseError, "scheme document: missing required field 'assignment'", "assignment"),
+    ("scheme", ("assignment",), "x", ScenarioParseError, "assignment must be a list, got str", None),
+    ("scheme", ("assignment",), None, ScenarioParseError, "assignment must be a list, got NoneType", None),
+    ("scheme", ("assignment",), {}, ScenarioParseError, "assignment must be a list, got dict", None),
+    ("scheme", ("assignment", 0), "x", ScenarioParseError, "assignment entry must be a mapping, got str", None),
+    ("scheme", ("assignment", 0), None, ScenarioParseError, "assignment entry must be a mapping, got NoneType", None),
+    ("scheme", ("assignment", 0, "zz"), 1, ScenarioParseError, "assignment entry: unknown field 'zz'", "zz"),
+    ("scheme", ("assignment", 0, 2), 3, ScenarioParseError, "assignment entry: unknown field '2'", "2"),
+    ("scheme", ("assignment", 0, "user"), DROP,
+     ScenarioParseError, "assignment entry: missing required field 'user'", "user"),
+    ("scheme", ("assignment", 0, "file"), DROP,
+     ScenarioParseError, "assignment entry: missing required field 'file'", "file"),
+    ("scheme", ("assignment", 0, "relay"), DROP,
+     ScenarioParseError, "assignment entry: missing required field 'relay'", "relay"),
+    ("scheme", ("assignment", 0, "user"), "x",
+     ScenarioParseError, "assignment entry: field 'user' must be an integer, got 'x'", "user"),
+    ("scheme", ("assignment", 0, "user"), True,
+     ScenarioParseError, "assignment entry: field 'user' must be an integer, got True", "user"),
+    ("scheme", ("assignment", 0, "user"), None,
+     ScenarioParseError, "assignment entry: field 'user' must be an integer, got None", "user"),
+    ("scheme", ("assignment", 0, "user"), 1.5,
+     ScenarioParseError, "assignment entry: field 'user' must be an integer, got 1.5", "user"),
+    ("scheme", ("assignment", 0, "file"), 1.5,
+     ScenarioParseError, "assignment entry: field 'file' must be an integer, got 1.5", "file"),
+    ("scheme", ("assignment", 0, "relay"), "x",
+     ScenarioParseError, "assignment entry: field 'relay' must be an integer, got 'x'", "relay"),
+    ("scheme", ("assignment", 0, "relay"), True,
+     ScenarioParseError, "assignment entry: field 'relay' must be an integer, got True", "relay"),
+    ("scheme", ("assignment", 0, "relay"), None,
+     ScenarioParseError, "assignment entry: field 'relay' must be an integer, got None", "relay"),
+    ("scheme", ("assignment", 0, "relay"), 1.5,
+     ScenarioParseError, "assignment entry: field 'relay' must be an integer, got 1.5", "relay"),
+    ("scheme", ("assignment", 0), REPEAT,
+     ScenarioParseError, "assignment entry: duplicate holding (user 1, file 1)", None),
+    ("rates", (), "x", ScenarioParseError, "rates document must be a mapping, got str", None),
+    ("rates", ("zz",), 1, ScenarioParseError, "rates document: unknown field 'zz'", "zz"),
+    ("rates", ("rates",), DROP, ScenarioParseError, "rates document: missing required field 'rates'", "rates"),
+    ("rates", ("rates",), "x", ScenarioParseError, "rates must be a list, got str", None),
+    ("rates", ("rates", 0), None, ScenarioParseError, "rate entry must be a mapping, got NoneType", None),
+    ("rates", ("rates", 0, "zz"), 1, ScenarioParseError, "rate entry: unknown field 'zz'", "zz"),
+    ("rates", ("rates", 0, "rate"), DROP, ScenarioParseError, "rate entry: missing required field 'rate'", "rate"),
+    ("rates", ("rates", 0, "rate"), "x",
+     ScenarioParseError, "rate entry: field 'rate' must be a number, got 'x'", "rate"),
+    ("rates", ("rates", 0, "rate"), True,
+     ScenarioParseError, "rate entry: field 'rate' must be a number, got True", "rate"),
+    ("rates", ("rates", 0, "rate"), None,
+     ScenarioParseError, "rate entry: field 'rate' must be a number, got None", "rate"),
+    ("rates", ("rates", 0, "user"), 1.5,
+     ScenarioParseError, "rate entry: field 'user' must be an integer, got 1.5", "user"),
+    ("rates", ("rates", 0, "file"), "x",
+     ScenarioParseError, "rate entry: field 'file' must be an integer, got 'x'", "file"),
+    ("rates", ("rates", 0), REPEAT, ScenarioParseError, "rate entry: duplicate holding (user 1, file 1)", None),
+]
+
+
+def _mutant(text, path, value):
+    """``text`` with the node at ``path`` dropped, repeated or set to ``value``; an empty path replaces the document."""
+    if not path:
+        return yaml.safe_dump(value)
+    doc = yaml.safe_load(text)
+    *parents, last = path
+    node = functools.reduce(operator.getitem, parents, doc)
+    if value == DROP:
+        del node[last]
+    elif value == REPEAT:
+        node.append(node[last])
+    else:
+        node[last] = value
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+@pytest.mark.parametrize(
+    "base, path, value, error, message, field",
+    PARSE_ERRORS,
+    ids=[f"{c[0]}:{'.'.join(map(str, c[1]))}={c[2]!r}" for c in PARSE_ERRORS],
+)
+def test_parse_error_is_pinned(base, path, value, error, message, field):
+    parse, text = ERROR_BASES[base]
+    with pytest.raises(FreshCacheError) as err:
+        parse(_mutant(text, path, value))
+    got = (type(err.value), str(err.value), getattr(err.value, "field", None), getattr(err.value, "line", None))
+    assert got == (error, message, field, None)
+
+
+@pytest.mark.parametrize(
+    "parse, text, prefix, line",
+    [
+        (parse_scenario, "files: [\n", "malformed scenario document at line 2: ", 2),
+        (parse_scheme, "assignment:\n- {user: 1\n", "malformed scheme document at line 3: ", 3),
+        (parse_rates, "rates: [\n  - {rate: 1}\n ]: x\n", "malformed rates document at line 2: ", 2),
+    ],
+)
+def test_malformed_document_error_is_pinned(parse, text, prefix, line):
+    # The rest of the message is PyYAML's own text.
+    with pytest.raises(ScenarioParseError) as err:
+        parse(text)
+    assert str(err.value).startswith(prefix)
+    assert (err.value.field, err.value.line) == (None, line)
 
 
 class TestZipfMode:
