@@ -161,14 +161,17 @@ def brute_force_assignments(
             table[slots[:, None], order[cols]] = waterfill_rows(weights[cols], server_rates[cols], relay.rate_budget)
         tables.append(table)
     rate_of = np.concatenate(tables).T
+    slot_relay = np.repeat(np.arange(k), [len(t) for t in tables])
 
+    # A holding's term depends only on its slot, whose relay is known: score each slot once, gather per column.
     values, columns, p = np.zeros(evaluated), np.arange(evaluated), 0
     for user in scenario.users:
         user_total = np.zeros(evaluated)
+        prefs = np.array(user.relay_prefs)[slot_relay]
         for holding in user.holdings:
-            e, relay_col = entries[p], raw[p]
-            r = rate_of[p][slot_of[relay_col, columns]]
-            user_total += (holding.request_prob * np.array(user.relay_prefs)[relay_col]) * (e.mu * (r / (r + e.server_rate)))
+            e, r = entries[p], rate_of[p]
+            term = (holding.request_prob * prefs) * (e.mu * (r / (r + e.server_rate)))
+            user_total += term[slot_of[raw[p], columns]]
             p += 1
         values += user_total
 

@@ -14,6 +14,12 @@ fraction of the horizon those intervals cover, with 20 batch means from a
 running total of fresh time at the batch edges; a renewal (cycle-ratio)
 estimator over successful refresh cycles serves as a cross-check.
 
+The replay is staged: the server and relay streams are reduced to each
+cycle's first refresh and end, and freed, before the user stream is drawn
+from the same generator, so a holding peaks at about 7.6-15.4 bytes per
+expected event.  ``simulate_system`` runs two holdings at once on threads,
+each with its own seeded generator, and sums them in scenario order.
+
 A relay refresh at the instant of a server update serves the cycle that update
 closes, so it leaves the relay copy outdated; a user request at the instant of
 a refresh sees it.  Continuous exponential draws make such ties improbable.
@@ -21,8 +27,10 @@ a refresh sees it.  Continuous exponential draws make such ties improbable.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +40,11 @@ from .freshness import ObjectiveValue, RateTable, holding_placement
 from .model import CacheScheme, Scenario, check_non_negative, check_positive
 
 _BATCHES = 20
-# Expected events one stream may draw: 16x the tests' largest (rate 12, horizon 1e5), 160 MB of float64.
+# Expected events one stream may draw: 16x the tests' largest (rate 12, horizon 1e5).  A holding at the limit,
+# (199, 199, 199) at horizon 1e5, peaks near 551 MiB under tracemalloc; _WORKERS of them run at once, 1.1 GiB.
 _MAX_STREAM_EVENTS = 20_000_000
+# Holdings simulated at once on threads; the guard's memory above is priced for this many.
+_WORKERS = 2
 # Two-sided 95% Student-t quantile at 19 degrees of freedom (20 batch means).
 _T_CRIT_19 = 2.093
 
@@ -74,49 +85,70 @@ def _event_times(rng: np.random.Generator, rate: float, horizon: float) -> np.nd
     return times[: np.searchsorted(times, horizon)]
 
 
-def simulate_file(user_rate: float, server_rate: float, relay_rate: float, horizon: float, seed: int) -> SimEstimate:
-    """Simulate one holding and estimate the long-run freshness fraction.
-
-    Raises SimulationScaleError, before any draw, if a stream's rate * horizon exceeds ``_MAX_STREAM_EVENTS``.
-    """
+def _check_holding(user_rate: float, server_rate: float, relay_rate: float, horizon: float) -> None:
+    """Raise DomainError on a bad rate or horizon, SimulationScaleError if a stream expects over ``_MAX_STREAM_EVENTS``."""
     check_positive("user_rate", user_rate)
     check_positive("server_rate", server_rate)
     check_non_negative("relay_rate", relay_rate)
     check_positive("horizon", horizon)
     if max(user_rate, server_rate, relay_rate) * horizon > _MAX_STREAM_EVENTS:
         raise SimulationScaleError(f"horizon {horizon:g} makes a stream expect over {_MAX_STREAM_EVENTS} events")
+
+
+def simulate_file(user_rate: float, server_rate: float, relay_rate: float, horizon: float, seed: int) -> SimEstimate:
+    """Simulate one holding and estimate the long-run freshness fraction.
+
+    Raises SimulationScaleError, before any draw, if a stream's rate * horizon exceeds ``_MAX_STREAM_EVENTS``.
+    """
+    _check_holding(user_rate, server_rate, relay_rate, horizon)
     rng = np.random.default_rng(seed)
     # Stream draw order is fixed so a seed fully determines the run.
     server_t = _event_times(rng, server_rate, horizon)
     relay_t = _event_times(rng, relay_rate, horizon)
+    # Server cycle c ends at server_t[c], the last at the horizon; a refresh at the instant of an update
+    # serves the cycle it closes.  Cycles ascend, so a refresh is its cycle's first where the cycle changes.
+    refresh_cycle = np.searchsorted(server_t, relay_t, side="left")
+    first = np.ones(refresh_cycle.size, dtype=bool)
+    np.not_equal(refresh_cycle[1:], refresh_cycle[:-1], out=first[1:])
+    first_t = relay_t[first]
+    del relay_t
+    cycle = refresh_cycle[first]
+    del refresh_cycle, first
+    ends = np.full(cycle.size, horizon, dtype=float)
+    closed = np.searchsorted(cycle, server_t.size)
+    ends[:closed] = server_t[cycle[:closed]]
+    del server_t, cycle
     user_t = _event_times(rng, user_rate, horizon)
 
-    # Server cycle c ends at cycle_end[c]; a refresh at the instant of an update serves the cycle it closes.
-    cycle_end = np.append(server_t, horizon)
-    refresh_cycle = np.searchsorted(server_t, relay_t, side="left")
-    first = np.diff(refresh_cycle, prepend=-1) > 0
     # A cycle turns fresh at the first request at or after its first refresh, if that comes before it ends.
-    u_first = np.searchsorted(user_t, relay_t[first], side="left")
-    seen = u_first < user_t.size
-    cycle, u_first = refresh_cycle[first][seen], u_first[seen]
-    fresh = user_t[u_first] < cycle_end[cycle]
-    u_first = u_first[fresh]
+    u_first = np.searchsorted(user_t, first_t, side="left")
+    del first_t
+    seen = np.searchsorted(u_first, user_t.size)   # u_first ascends: the cycles with no later request are a suffix
+    u_first, ends = u_first[:seen], ends[:seen]
     starts = user_t[u_first]
-    ends = cycle_end[cycle[fresh]]
+    fresh = starts < ends
+    first_sum = int(u_first.sum(where=fresh))   # all the cycle count below needs of u_first
+    del u_first
+    starts = starts[fresh]
+    ends = ends[fresh]
     lengths = ends - starts
     estimate = float(lengths.sum()) / horizon
 
     # Fresh time up to each batch edge: the intervals started by then, less the last one's overrun.
     edges = np.linspace(0.0, horizon, _BATCHES + 1)
     started = np.searchsorted(starts, edges, side="right")
-    fresh_to_edge = np.concatenate(([0.0], np.cumsum(lengths)))[started]
+    fresh_before = np.concatenate(([0.0], lengths))   # summed in place: 0.0 + x == x, so no bit moves
+    del lengths
+    np.cumsum(fresh_before, out=fresh_before)
+    fresh_to_edge = fresh_before[started]
+    del fresh_before
     fresh_to_edge -= np.maximum(np.concatenate(([-np.inf], ends))[started] - edges, 0.0)
     fractions = np.diff(fresh_to_edge) / (horizon / _BATCHES)
     half_width = float(_T_CRIT_19 * fractions.std(ddof=1) / math.sqrt(_BATCHES))
 
     # A fresh cycle's successful requests run from its start to its end; only the last interval ends past them.
     u_end = np.searchsorted(user_t, ends, side="left")
-    cycles = max(0, int((u_end - u_first).sum()) - 1)
+    cycles = max(0, int(u_end.sum()) - first_sum - 1)
     cycle_ratio = math.nan
     if cycles > 0:
         last = user_t[u_end[-1] - 1]
@@ -132,25 +164,29 @@ def simulate_file(user_rate: float, server_rate: float, relay_rate: float, horiz
     )
 
 
-def simulate_system(
-    scenario: Scenario,
-    scheme: CacheScheme,
-    rates: RateTable,
-    horizon: float,
-    seed: int,
-) -> SystemSimResult:
+@functools.cache
+def _pool(workers: int):
+    """A pool kept for the process: new threads per call left glibc malloc arenas behind, raising peak RSS."""
+    from concurrent.futures import ThreadPoolExecutor   # here, not at import: other commands would pay for it
+    return ThreadPoolExecutor(workers)
+
+
+def simulate_system(scenario: Scenario, scheme: CacheScheme, rates: RateTable, horizon: float, seed: int) -> SystemSimResult:
     """Simulate every holding independently and aggregate like the analytic objective.
 
     Each holding uses its own deterministic substream, so results do not
-    depend on iteration order.  Every holding's relay and rate are checked
-    before the first draw, so bad input fails before any simulation.
+    depend on iteration order or on the thread that ran it.  Every holding's
+    relay, rates and stream sizes are checked before the first draw, so bad
+    input fails before any simulation.
     """
     placements = {key: holding_placement(scenario, scheme, rates, key) for key in scenario.entries}
-    estimates: dict[tuple[int, int], SimEstimate] = {}
+    holdings = [(e.user_rate, e.server_rate, placements[key][1], horizon) for key, e in scenario.entries.items()]
+    for holding in holdings:
+        _check_holding(*holding)
+    seeds = [stream_seed(seed, *key) for key in scenario.entries]
+    runs = _pool(min(_WORKERS, os.cpu_count() or 1)).map(simulate_file, *zip(*holdings), seeds)
+    estimates = dict(zip(scenario.entries, runs))
     total = 0.0
-    for key, e in scenario.entries.items():
-        relay_id, rate = placements[key]
-        est = simulate_file(e.user_rate, e.server_rate, rate, horizon, stream_seed(seed, *key))
-        estimates[key] = est
-        total += scenario.coef[key][relay_id - 1] * est.freshness_estimate
+    for key, est in estimates.items():
+        total += scenario.coef[key][placements[key][0] - 1] * est.freshness_estimate
     return SystemSimResult(estimates=estimates, aggregate=ObjectiveValue(total, total / scenario.n_users))

@@ -227,6 +227,45 @@ def test_rate_table_with_unknown_holding_exit_code(command, scheme_file, unknown
     assert "unknown holdings: (user 9, file 99)" in captured.err
 
 
+# simulate's stdout on table1 at --horizon 20000 --seed 1: the reference rates, and the same rates with
+# holding (2, 4) refreshed faster than its user requests (u < r) and holding (4, 10) never refreshed.
+SIMULATE_OUT = {
+    "reference": """\
+user_index,file_index,relay_index,relay_rate,analytic,estimate,half_width_95,cycles
+1,1,1,2.4832,0.255347,0.257302,0.003623,61907
+1,2,1,3.0311,0.386599,0.383580,0.003665,99942
+1,3,1,3.1505,0.409788,0.409554,0.003726,122475
+2,4,1,0.8765,0.063732,0.062938,0.002418,15032
+2,5,2,3.4239,0.345900,0.345002,0.003601,110733
+2,6,2,3.3311,0.382654,0.386686,0.005159,85192
+3,7,3,4.5573,0.269796,0.268803,0.003694,86054
+3,8,2,3.2450,0.319925,0.317985,0.004165,88985
+4,9,1,2.4586,0.232682,0.233048,0.003669,79851
+4,10,3,3.4427,0.182294,0.182867,0.002597,43695
+aggregate_sum_estimate=0.531932
+aggregate_mean_estimate=0.132983
+analytic_sum=0.531855
+""",
+    "u-below-r": """\
+user_index,file_index,relay_index,relay_rate,analytic,estimate,half_width_95,cycles
+1,1,1,2.4832,0.255347,0.257302,0.003623,61907
+1,2,1,3.0311,0.386599,0.383580,0.003665,99942
+1,3,1,3.1505,0.409788,0.409554,0.003726,122475
+2,4,1,15.0000,0.357143,0.358639,0.003198,85939
+2,5,2,3.4239,0.345900,0.345002,0.003601,110733
+2,6,2,3.3311,0.382654,0.386686,0.005159,85192
+3,7,3,4.5573,0.269796,0.268803,0.003694,86054
+3,8,2,3.2450,0.319925,0.317985,0.004165,88985
+4,9,1,2.4586,0.232682,0.233048,0.003669,79851
+4,10,3,0.0000,0.000000,0.000000,0.000000,0
+aggregate_sum_estimate=0.522245
+aggregate_mean_estimate=0.130561
+analytic_sum=0.522116
+""",
+}
+SIMULATE_RATES = {"reference": REFERENCE_RATES, "u-below-r": {**REFERENCE_RATES, (2, 4): 15.0, (4, 10): 0.0}}
+
+
 class TestSimulateCommand:
     def test_csv_output(self, scheme_file, rates_file, capsys):
         code = main(
@@ -254,6 +293,23 @@ class TestSimulateCommand:
         assert code == 4
         assert captured.out == ""
         assert "error:" in captured.err
+
+    def test_scale_guard_on_the_last_holding_exits_4(self, scheme_file, table1, tmp_path, capsys):
+        rates = tmp_path / "rates.yaml"
+        rates.write_text(serialize_rates({**REFERENCE_RATES, table1.holding_pairs[-1]: 1e3}))
+        code = main(["simulate", "--scenario", "table1", "--scheme", scheme_file, "--rates", str(rates), "--horizon", "1e5"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", sorted(SIMULATE_OUT))
+    def test_stdout_is_pinned(self, case, scheme_file, tmp_path, capsys):
+        rates = tmp_path / "rates.yaml"
+        rates.write_text(serialize_rates(SIMULATE_RATES[case]))
+        code = main(["simulate", "--scenario", "table1", "--scheme", scheme_file, "--rates", str(rates), "--horizon", "20000", "--seed", "1"])
+        assert code == 0
+        assert capsys.readouterr().out == SIMULATE_OUT[case]
 
 
 TABLE1_VERIFY_OUT = """\

@@ -4,7 +4,10 @@ Horizons here are kept moderate so the module suite stays fast; the full
 20-triple battery at horizon 1e5 runs in the acceptance suite.
 """
 
+import dataclasses
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -20,7 +23,34 @@ from freshcache import (
 from freshcache import simulator
 from freshcache.simulator import stream_seed
 
-from conftest import REFERENCE_ASSIGNMENT, REFERENCE_RATES
+from conftest import REFERENCE_ASSIGNMENT, REFERENCE_RATES, random_scenario
+
+# (u, s, r) regimes for the memory bound: user-heavy, relay-heavy, u < r, and balanced.
+MEMORY_REGIMES = [(12.0, 5.0, 4.5), (0.5, 8.0, 15.0), (12.0, 3.0, 3.15), (5.0, 8.0, 15.0), (0.5, 8.0, 3.0), (1.0, 1.0, 1.0)]
+
+
+def _fields(est):
+    """The estimate's fields with NaN made comparable."""
+    return tuple("nan" if isinstance(v, float) and math.isnan(v) else v for v in dataclasses.astuple(est))
+
+
+def _synthetic_case():
+    """A seeded 14-holding scenario, its holdings dealt to relays with room, and rates with a 0 and a u < r."""
+    rng = random.Random(14)
+    scenario = random_scenario(rng, 14, 4, 3)
+    room, relay = [r.capacity for r in scenario.relays], 0
+    assignment, rates = {}, {}
+    for key in scenario.holding_pairs:
+        while not room[relay]:
+            relay = (relay + 1) % len(room)
+        room[relay] -= 1
+        assignment[key] = relay + 1
+        rates[key] = rng.uniform(0.1, 12.0)
+        relay = (relay + 1) % len(room)
+    first, second = scenario.holding_pairs[:2]
+    rates[first] = 0.0
+    rates[second] = scenario.entries[second].user_rate + 5.0
+    return scenario, CacheScheme(assignment), rates
 
 
 class TestSimulateFile:
@@ -102,6 +132,19 @@ class TestSimulateFile:
             with pytest.raises(SimulationScaleError):
                 simulate_file(*rates, horizon=1e16, seed=0)
 
+    @pytest.mark.parametrize("u,s,r", MEMORY_REGIMES)
+    def test_peak_memory_per_expected_event(self, u, s, r):
+        # The server and relay streams are reduced and freed before the user stream is drawn: 7.6-15.4 bytes
+        # per expected event here.  Holding all three streams through the replay would take 15-26.
+        expected = 2e6
+        tracemalloc.start()
+        try:
+            simulate_file(u, s, r, horizon=expected / (u + s + r), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * expected
+
 
 class TestStreamSeed:
     def test_deterministic_and_distinct(self):
@@ -163,6 +206,29 @@ class TestSimulateSystem:
         with pytest.raises(IncompleteAllocationError):
             simulate_system(table1, reference_scheme, partial, horizon=1e3, seed=0)
         assert calls == []
+
+    def test_scale_guard_trips_before_any_draw(self, table1, reference_scheme, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulator, "_event_times", lambda *args: calls.append(args))
+        rates = {**REFERENCE_RATES, table1.holding_pairs[-1]: 1e3}
+        with pytest.raises(SimulationScaleError):
+            simulate_system(table1, reference_scheme, rates, horizon=1e5, seed=0)
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["table1", "synthetic"])
+    def test_same_result_on_one_or_two_workers(self, case, table1, reference_scheme, monkeypatch):
+        if case == "table1":
+            scenario, scheme, rates = table1, reference_scheme, REFERENCE_RATES
+        else:
+            scenario, scheme, rates = _synthetic_case()
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(simulator, "_WORKERS", workers)
+            results.append(simulate_system(scenario, scheme, rates, horizon=2e3, seed=3))
+        one, two = results
+        assert list(one.estimates) == list(two.estimates) == list(scenario.entries)
+        assert [_fields(e) for e in one.estimates.values()] == [_fields(e) for e in two.estimates.values()]
+        assert one.aggregate == two.aggregate
 
     @pytest.mark.parametrize("relay_id", [0, 4], ids=["relay-0", "relay-K+1"])
     def test_relay_outside_one_to_k(self, table1, relay_id):

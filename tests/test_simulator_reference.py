@@ -1,13 +1,17 @@
 """The simulator against copies of its earlier per-request replay and event draws.
 
 ``simulate_file`` searches the relay refreshes into the server stream, keeps
-each server cycle's first refresh, and searches those into the user requests
-to find each cycle's first successful request; the batch means come off a
-running total of fresh time at the batch edges.  The reference below is an
-earlier body, kept verbatim: every user request searched into both other
-streams, an ``_event_before`` lookup per request, ``np.unique`` for each
-cycle's first request, and a batches x intervals overlap matrix.  Both draw
-the same streams from the same seed, so the estimate, the cycle count and the
+each server cycle's first refresh and end, and frees the server and relay
+streams before it draws the user stream, so one holding peaks at about
+7.6-15.4 bytes per expected event.  It then searches the first refreshes into
+the user requests to find each cycle's first successful request; the batch
+means come off a running total of fresh time at the batch edges.
+``simulate_system`` runs two holdings at once on threads.  The reference
+below is an earlier body, kept verbatim: all three streams drawn up front,
+every user request searched into both other streams, an ``_event_before``
+lookup per request, ``np.unique`` for each cycle's first request, and a
+batches x intervals overlap matrix.  Both draw the same streams from the same
+seed in the same order, so the estimate, the cycle count and the
 cycle ratio must be equal; the half-width sums in another order and must
 agree within 1e-12.  ``_event_times`` is pinned bit for bit to its earlier
 body, extension loop included, and a plain event loop confirms that the edge
