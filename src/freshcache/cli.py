@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 validation/parse failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -105,17 +106,7 @@ def _result_json(result: SolveResult) -> str:
         ],
         "trace": [[i, v] for i, v in result.trace],
         "table": {
-            "rows": [
-                {
-                    "file_index": r.file_index,
-                    "user_index": r.user_index,
-                    "user_rate": r.user_rate,
-                    "relay_index": r.relay_index,
-                    "relay_rate": r.relay_rate,
-                    "server_rate": r.server_rate,
-                }
-                for r in table.rows
-            ],
+            "rows": [dataclasses.asdict(r) for r in table.rows],   # keyed by TableRow's fields, in their order
             "footer": {
                 "users": table.footer.user_count,
                 "relays": table.footer.relay_count,
@@ -133,7 +124,7 @@ def _run_solve(scenario: Scenario, args) -> SolveResult:
     check_positive("budget", args.budget, True)     # used only in sampled mode, but checked in both
     if args.mode == "sampled":
         return solve_sampled(scenario, args.budget, args.seed, allow_empty_relay=args.allow_empty_relay)
-    return solve_exhaustive(scenario, allow_empty_relay=args.allow_empty_relay, threads=args.threads)
+    return solve_exhaustive(scenario, allow_empty_relay=args.allow_empty_relay)
 
 
 def _cmd_solve(scenario: Scenario, args) -> tuple[str, int]:
@@ -203,7 +194,8 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[str, int]:
 
 def _cmd_verify(scenario: Scenario, args) -> tuple[str, int]:
     check_grid_steps(args.grid_steps)   # before the solve, since a relay above GRID_MAX_ENTRIES skips grid_allocate
-    solver = solve_exhaustive(scenario, allow_empty_relay=args.allow_empty_relay, threads=args.threads)
+    check_positive("threads", args.threads, True)   # accepted and ignored, but checked as solve checks it
+    solver = solve_exhaustive(scenario, allow_empty_relay=args.allow_empty_relay)
     reference = brute_force_assignments(scenario, allow_empty_relay=args.allow_empty_relay)
     objectives_match = solver.objective.sum_form == reference.objective.sum_form
     assignments_match = solver.best_scheme.assignment == reference.best_scheme.assignment

@@ -9,6 +9,7 @@ optional ``popularity`` block.  Request probabilities are given per holding
 from __future__ import annotations
 
 import sys
+from collections.abc import Hashable
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -34,8 +35,23 @@ from .model import (
 if TYPE_CHECKING:  # pragma: no cover
     from .search import SolveResult
 
+
 # libyaml's safe loader where PyYAML was built with it: the same resolver as SafeLoader, so the same values, faster.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, refusing a key written twice in one mapping rather than keeping the last."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _value in node.value:
+            # ``<<`` merges in keys the mapping may override; an unhashable key is left for the base class to report.
+            key = self.construct_object(key_node, deep=deep) if key_node.tag != "tag:yaml.org,2002:merge" else []
+            if isinstance(key, Hashable):
+                if key in seen:
+                    line = key_node.start_mark.line + 1
+                    raise ScenarioParseError(f"duplicate key {key!r} at line {line}", line=line, field=str(key))
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
 
 # A field's kind names what its value must be: _INT, _NUMBER, or None for any value.
 _INT, _NUMBER = "an integer", "a number"

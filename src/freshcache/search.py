@@ -15,21 +15,21 @@ changes two of them, and exhaustive search reads it only for re-scores.
 
 The exhaustive scorer works one partition at a time, in two steps.  For each
 (relay k, count c) the partition uses, it fills a table of relay k's block
-values over every c-subset of the holdings, in ``itertools.combinations``
-order, in numpy, ``_CHUNK_ROWS`` blocks at a time and without the memo: one
-``waterfill_rows`` call water-fills a chunk, and its terms are added a column
-at a time, so each value is the one ``_evaluate`` gives, bit for bit.  A
-table is dropped after the last partition that reads it.  It then scores the
-partition's assignments in enumeration order: relay k takes each
-``counts[k]``-subset of what the relays before it left, in
-``itertools.combinations`` order, and the last relay takes the rest.  Numpy
-rows of holding indices grow a relay at a time up to relay K - 2, at most
-``_CHUNK_ROWS`` at once, from a pattern of chosen positions followed by their
-complement; there the chosen positions and the rest are the last two relays'
-blocks, so no row is grown for them.  A block
-is found in its table by its lexicographic rank, and an assignment's block
-values are added left to right from 0.0, as a loop over the relays would add
-them.  Its full row is built only if it is re-scored.
+values over every c-subset of the holdings, in lexicographic order, in numpy,
+``_CHUNK_ROWS`` blocks at a time and without the memo: a chunk's rows are
+built by unranking its ranks, one ``waterfill_rows`` call water-fills it, and
+its terms are added a column at a time, so each value is the one
+``_evaluate`` gives, bit for bit.  A table is dropped after the last
+partition that reads it.  It then scores the partition's assignments in
+enumeration order: relay k takes each ``counts[k]``-subset of what the relays
+before it left, in lexicographic order, and the last relay takes the rest.
+Numpy rows of holding indices grow a relay at a time up to relay K - 2, at
+most ``_CHUNK_ROWS`` at once, from a pattern of chosen positions followed by
+their complement, both unranked; there the chosen positions and the rest are
+the last two relays' blocks, so no row is grown for them.  A block is found
+in its table by its lexicographic rank, and an assignment's block values are
+added left to right from 0.0, as a loop over the relays would add them.  Its
+full row is built only if it is re-scored.
 
 Block sums only rank candidates.  One that falls below the running best (in
 sampled mode, the climber's current value) by more than a tiny relative
@@ -42,7 +42,7 @@ through the public API bit for bit.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import random
 import sys
@@ -194,8 +194,7 @@ class _Search:
         self.floor = -math.inf   # a block sum below this cannot reach self.val
         self.vec: tuple[int, ...] | None = None
         self.trace: list[tuple[int, float]] = []
-        self.patterns: dict[tuple[int, int], np.ndarray] = {}      # (m, c) -> _pattern of all C(m, c) choices
-        self.rank_weights: dict[int, tuple[int, np.ndarray]] = {}  # c -> (C(n, c) - 1, weights); see _rank
+        self.patterns: dict[tuple[int, int], list[np.ndarray]] = {}   # (m, c) -> _patterns' one piece, if it fits in one
 
     def block(self, k: int, mask: int) -> _Block:
         """``_evaluate(k, mask)`` through the memo."""
@@ -250,20 +249,19 @@ class _Search:
         return val
 
     def table(self, k: int, c: int) -> np.ndarray:
-        """Relay k's block values over every c-subset of the holdings, in ``itertools.combinations`` order.
+        """Relay k's block values over every c-subset of the holdings, in lexicographic order.
 
-        Filled ``_CHUNK_ROWS`` blocks at a time, a row per block, with ``_evaluate``'s
-        float operations in its order, so each value is ``_evaluate``'s bit for bit:
-        one ``waterfill_rows`` call per chunk, then the terms added left to right from 0.0.
+        Filled ``_CHUNK_ROWS`` blocks at a time, unranked a row per block, with ``_evaluate``'s float
+        operations in its order, so each value is ``_evaluate``'s bit for bit: one ``waterfill_rows``
+        call per chunk, then the terms added left to right from 0.0.
         """
         ctx = self.ctx
         size = comb(ctx.n, c)
         weights, server_rates, mus = np.array(ctx.weights), np.array(ctx.server_rates), np.array(ctx.mus)
         coef = np.array(ctx.coef)[:, k]
         values = np.zeros(size)
-        combos = itertools.combinations(range(ctx.n), c)
         for start in range(0, size, _CHUNK_ROWS):
-            idx = _combinations(combos, min(_CHUNK_ROWS, size - start), c)
+            idx = _unrank(ctx.n, c, np.arange(start, min(start + _CHUNK_ROWS, size)))
             s = server_rates[idx]
             rates = waterfill_rows(weights[idx], s, ctx.budgets[k])
             chunk = values[start:start + len(idx)]
@@ -271,20 +269,17 @@ class _Search:
                 chunk += term
         return values
 
-    def score(self, counts: tuple[int, ...], tables: Sequence[np.ndarray]) -> None:
-        """Score every assignment of partition ``counts`` in enumeration order; ``tables[k]`` = ``table(k, counts[k])``."""
-        self._extend(counts, tables, 0, np.arange(self.ctx.n)[None, :], np.zeros(1))
-
-    def _extend(
+    def score(
         self, counts: tuple[int, ...], tables: Sequence[np.ndarray], k: int, rows: np.ndarray, acc: np.ndarray
     ) -> None:
-        """Score every assignment that places relays k onwards on ``rows``, whose block sums so far are ``acc``.
+        """Score every assignment that places relays k onwards on ``rows``, whose block sums so far are ``acc``, in order.
 
-        A row lists relay 0's holdings, then relay 1's and so on up to relay
-        k - 1, then the holdings left, each group ascending.  Rows grow a relay
-        at a time up to relay K - 2.  There a choice of its block and the rest
-        it leaves are the last two relays' blocks, ranked straight from
-        ``picked``; an assignment's full row is built only to re-score it.
+        ``tables[k]`` is ``table(k, counts[k])``.  A row lists relay 0's holdings,
+        then relay 1's and so on up to relay k - 1, then the holdings left, each
+        group ascending.  Rows grow a relay at a time up to relay K - 2.  There a
+        choice of its block and the rest it leaves are the last two relays'
+        blocks, ranked straight from ``picked``; an assignment's full row is built
+        only to re-score it.
         """
         n, c = self.ctx.n, counts[k]
         off = sum(counts[:k])
@@ -300,7 +295,7 @@ class _Search:
                     grown = np.empty(picked.shape[:2] + (n,), dtype=head.dtype)
                     grown[:, :, :off] = head[:, None, :off]
                     grown[:, :, off:] = picked
-                    self._extend(counts, tables, k + 1, grown.reshape(-1, n), sums.reshape(-1))
+                    self.score(counts, tables, k + 1, grown.reshape(-1, n), sums.reshape(-1))
                     continue
                 if k + 1 < len(counts):   # the rest is the last relay's block; with one relay, k is the last
                     sums = sums + tables[k + 1][self._rank(picked[:, :, c:])]
@@ -313,35 +308,26 @@ class _Search:
                 self.evaluated += len(total)
 
     def _patterns(self, m: int, c: int, size: int) -> Iterable[np.ndarray]:
-        """The ``size`` = C(m, c) choices of c of m holdings left, as ``_pattern`` pieces of at most ``_CHUNK_ROWS``.
+        """The ``size`` = C(m, c) choices of c of m holdings left, in lexicographic order, at most ``_CHUNK_ROWS`` at a time.
 
-        A pattern that fits in one piece is built once per solve.
+        A row is a choice, then the rest: the (size - 1 - r)-th (m - c)-subset is the rest of the r-th
+        c-subset.  A pattern that fits in one piece is built once per solve.
         """
-        if size <= _CHUNK_ROWS:
-            pattern = self.patterns.get((m, c))
-            if pattern is None:
-                pattern = self.patterns[m, c] = _pattern(itertools.combinations(range(m), c), size, m, c)
-            return (pattern,)
-        combos = itertools.combinations(range(m), c)
-        return (_pattern(combos, min(_CHUNK_ROWS, size - start), m, c) for start in range(0, size, _CHUNK_ROWS))
+        pieces = self.patterns.get((m, c))
+        if pieces is None:
+            ranks = (np.arange(start, min(start + _CHUNK_ROWS, size)) for start in range(0, size, _CHUNK_ROWS))
+            pieces = (np.hstack([_unrank(m, c, r), _unrank(m, m - c, size - 1 - r)]) for r in ranks)
+            if size <= _CHUNK_ROWS:
+                pieces = self.patterns[m, c] = list(pieces)
+        return pieces
 
     def _rank(self, subsets: np.ndarray) -> np.ndarray:
         """Lexicographic rank of each ascending row of holding indices among the subsets of its size."""
-        c = subsets.shape[-1]
-        hit = self.rank_weights.get(c)
-        if hit is None:
-            # C(n, c) - 1 - sum_j C(n-1-a_j, c-j) subsets come before a_0 < ... < a_{c-1}.
-            # a_j lies in [j, n-c+j]; weights outside that range stay 0 and never overflow.
-            n = self.ctx.n
-            weights = np.zeros((c, n), dtype=np.int64)
-            for j in range(c):
-                for i in range(j, n - c + j + 1):
-                    weights[j, i] = comb(n - 1 - i, c - j)
-            hit = self.rank_weights[c] = comb(n, c) - 1, weights
-        last, weights = hit
-        rank = np.full(subsets.shape[:-1], last)   # c = 0: the empty subset, rank 0
-        for j in range(c):
-            rank -= weights[j][subsets[..., j]]
+        n, c = self.ctx.n, subsets.shape[-1]
+        size, digits = _digits(n, c)
+        rank = np.full(subsets.shape[:-1], size - 1)   # c = 0: the empty subset, rank 0
+        for j, column in enumerate(digits):
+            rank -= column[::-1][subsets[..., j] - j]   # C(n - 1 - a_j, c - j)
         return rank
 
     def _parts(self, counts: tuple[int, ...], row: list[int]) -> list[_Block]:
@@ -425,16 +411,13 @@ def solve_exhaustive(
     *,
     allow_empty_relay: bool = False,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
-    threads: int = 1,
 ) -> SolveResult:
     """Provably optimal placement by deduplicated enumeration.
 
     Raises SearchBudgetError if the distinct assignment count exceeds
     ``limit`` and InfeasibleError if the capacities admit no placement.
-    ``threads`` is validated and otherwise ignored: the search runs serially.
     """
     check_positive("limit", limit, True)
-    check_positive("threads", threads, True)
     ctx = _build_context(scenario)
     if ctx.n == 0 or not ctx.budgets:
         raise InfeasibleError("scenario has no holdings or no relays to assign them to")
@@ -453,7 +436,7 @@ def solve_exhaustive(
         for key in enumerate(counts):
             if key not in tables:
                 tables[key] = search.table(*key)
-        search.score(counts, [tables[key] for key in enumerate(counts)])
+        search.score(counts, [tables[key] for key in enumerate(counts)], 0, np.arange(ctx.n)[None, :], np.zeros(1))
         for key in enumerate(counts):
             if last_read[key] == p:
                 del tables[key]
@@ -461,17 +444,25 @@ def solve_exhaustive(
     return search.result(scenario)
 
 
-def _combinations(combos: Iterator[tuple[int, ...]], count: int, c: int) -> np.ndarray:
-    """The next ``count`` c-subsets from ``combos`` as a (count, c) index matrix."""
-    return np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, count)), np.intp, count * c).reshape(count, c)
+@functools.cache
+def _digits(m: int, c: int) -> tuple[int, tuple[np.ndarray, ...]]:
+    """C(m, c) and, for each position j < c, the int64 column C(x, c - j) over x < m - j; no digit exceeds C(m, c).
+
+    The c-subset a_0 < ... < a_{c-1} of range(m) has lexicographic rank C(m, c) - 1 - sum_j C(m - 1 - a_j, c - j).
+    """
+    return comb(m, c), tuple(np.array([comb(x, c - j) for x in range(m - j)], dtype=np.int64) for j in range(c))
 
 
-def _pattern(combos: Iterator[tuple[int, ...]], count: int, m: int, c: int) -> np.ndarray:
-    """The next ``count`` c-subsets of range(m) from ``combos``, a row each: the subset, then the rest, both ascending."""
-    chosen = _combinations(combos, count, c)
-    left = np.ones((count, m), dtype=bool)
-    left[np.arange(count)[:, None], chosen] = False
-    return np.hstack([chosen, np.nonzero(left)[1].reshape(count, m - c)])
+def _unrank(m: int, c: int, ranks: np.ndarray) -> np.ndarray:
+    """The c-subsets of range(m) with lexicographic ``ranks``, a (len(ranks), c) matrix of ascending rows."""
+    size, digits = _digits(m, c)
+    rest = size - 1 - ranks
+    rows = np.empty((len(ranks), c), dtype=np.intp)
+    for j, column in enumerate(digits):
+        x = column.searchsorted(rest, side="right") - 1   # the largest x with C(x, c - j) <= rest
+        rest -= column[x]
+        rows[:, j] = m - 1 - x
+    return rows
 
 
 def _random_assignment(ctx: _EvalContext, rng: random.Random, allow_empty_relay: bool):

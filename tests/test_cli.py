@@ -11,6 +11,7 @@ import math
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -216,6 +217,30 @@ def test_document_that_is_not_utf8_exits_2(flag, scheme_file, rates_file, tmp_pa
     assert code == 2
     assert captured.out == ""
     assert "not valid UTF-8" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flag, old, new, message",
+    [
+        # table1's file 1 with its server rate written twice, 99 and then 4: a loader that kept the last read 4.
+        ("--scenario", "{id: 1, server_rate: 4}", "{id: 1, server_rate: 99.0, server_rate: 4}",
+         "duplicate key 'server_rate' at line 3"),
+        ("--scheme", "assignment:\n", "assignment: []\nassignment:\n", "duplicate key 'assignment' at line 2"),
+        ("--rates", "  rate: 2.4832\n", "  rate: 9.0\n  rate: 2.4832\n", "duplicate key 'rate' at line 5"),
+    ],
+    ids=["scenario", "scheme", "rates"],
+)
+def test_duplicate_key_exits_2(flag, old, new, message, scheme_file, rates_file, tmp_path, capsys):
+    paths = {"--scenario": freshcache.scenario_io.fixture_path("table1"), "--scheme": Path(scheme_file), "--rates": Path(rates_file)}
+    text = paths[flag].read_text()
+    assert old in text
+    paths[flag] = tmp_path / "twice.yaml"
+    paths[flag].write_text(text.replace(old, new, 1))
+    code = main(["freshness", *(str(arg) for item in paths.items() for arg in item)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["freshness", "simulate"])
@@ -456,6 +481,14 @@ class TestVerifyCommand:
         assert code == expected
         assert captured.out == ""
         assert captured.err.startswith("error: steps must be a positive integer" if expected == 2 else "error: grid oracle limited")
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_checked_as_solve_checks_it(self, value, capsys):
+        code = main(["verify", "--scenario", "table1", "--threads", value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "threads must be a positive integer" in captured.err
 
 
 class TestSweepCommand:

@@ -77,7 +77,6 @@ INT_ARGS = [
     ("grid_allocate.steps", lambda v: grid_allocate(INPUT, v)),
     ("zipf_popularity.n", lambda v: zipf_popularity(1.0, v)),
     ("solve_exhaustive.limit", lambda v: solve_exhaustive(TABLE1, limit=v)),
-    ("solve_exhaustive.threads", lambda v: solve_exhaustive(TABLE1, threads=v)),
     ("solve_sampled.budget", lambda v: solve_sampled(TABLE1, v, 0)),
 ]
 BAD_VALUES = [("True", True), ("nan", math.nan), ("inf", math.inf), ("str", "1"), ("None", None)]

@@ -132,6 +132,23 @@ ERROR_BASES = {
     "rates": (parse_rates, "rates:\n- {user: 1, file: 1, rate: 2.0}\n- {user: 1, file: 2, rate: 3.0}\n"),
 }
 DROP, REPEAT = "<drop>", "<repeat>"
+
+
+class Twice:
+    """A mutation that writes the key at its path twice in its mapping: first with ``first``, then with the value it had."""
+
+    def __init__(self, first):
+        self.first = first
+
+    def __repr__(self):
+        return f"Twice({self.first!r})"
+
+
+class _PairsDumper(yaml.SafeDumper):
+    """``yaml.safe_dump``'s dumper, writing a tuple of (key, value) pairs as one mapping, so a key may appear twice."""
+
+
+_PairsDumper.add_representer(tuple, lambda dumper, pairs: dumper.represent_mapping("tag:yaml.org,2002:map", pairs))
 H0 = ("users", 0, "holdings", 0)
 
 # (base, path, value, exception type, message, field): one fault each, the error it raises pinned exactly.
@@ -354,11 +371,27 @@ PARSE_ERRORS = [
     ("rates", ("rates", 0, "file"), "x",
      ScenarioParseError, "rate entry: field 'file' must be an integer, got 'x'", "file"),
     ("rates", ("rates", 0), REPEAT, ScenarioParseError, "rate entry: duplicate holding (user 1, file 1)", None),
+    # A key written twice in one mapping; the last column is the line of the second key.
+    ("explicit", ("files",), Twice([]), ScenarioParseError, "duplicate key 'files' at line 2", "files", 2),
+    ("explicit", ("files", 0, "server_rate"), Twice(99.0),
+     ScenarioParseError, "duplicate key 'server_rate' at line 4", "server_rate", 4),
+    ("explicit", H0 + ("request_prob",), Twice(0.9),
+     ScenarioParseError, "duplicate key 'request_prob' at line 12", "request_prob", 12),
+    ("explicit-popularity", ("popularity", "mode"), Twice("zipf"),
+     ScenarioParseError, "duplicate key 'mode' at line 27", "mode", 27),
+    ("explicit", ("relays", 1, "capacity"), Twice(5),
+     ScenarioParseError, "duplicate key 'capacity' at line 24", "capacity", 24),
+    ("scheme", ("assignment", 0, "relay"), Twice(2),
+     ScenarioParseError, "duplicate key 'relay' at line 5", "relay", 5),
+    ("scheme", ("assignment",), Twice([]),
+     ScenarioParseError, "duplicate key 'assignment' at line 2", "assignment", 2),
+    ("rates", ("rates", 1, "rate"), Twice(9.0), ScenarioParseError, "duplicate key 'rate' at line 8", "rate", 8),
+    ("rates", ("rates",), Twice([]), ScenarioParseError, "duplicate key 'rates' at line 2", "rates", 2),
 ]
 
 
 def _mutant(text, path, value):
-    """``text`` with the node at ``path`` dropped, repeated or set to ``value``; an empty path replaces the document."""
+    """``text`` with the node at ``path`` dropped, repeated, written twice or set to ``value``; an empty path replaces the document."""
     if not path:
         return yaml.safe_dump(value)
     doc = yaml.safe_load(text)
@@ -368,22 +401,30 @@ def _mutant(text, path, value):
         del node[last]
     elif value == REPEAT:
         node.append(node[last])
+    elif isinstance(value, Twice):
+        pairs = ()
+        for key, old in node.items():
+            pairs += ((key, value.first), (key, old)) if key == last else ((key, old),)
+        if parents:
+            functools.reduce(operator.getitem, parents[:-1], doc)[parents[-1]] = pairs
+        else:
+            doc = pairs
     else:
         node[last] = value
-    return yaml.safe_dump(doc, sort_keys=False)
+    return yaml.dump(doc, Dumper=_PairsDumper, sort_keys=False)
 
 
 @pytest.mark.parametrize(
-    "base, path, value, error, message, field",
-    PARSE_ERRORS,
+    "base, path, value, error, message, field, line",
+    [case if len(case) == 7 else (*case, None) for case in PARSE_ERRORS],
     ids=[f"{c[0]}:{'.'.join(map(str, c[1]))}={c[2]!r}" for c in PARSE_ERRORS],
 )
-def test_parse_error_is_pinned(base, path, value, error, message, field):
+def test_parse_error_is_pinned(base, path, value, error, message, field, line):
     parse, text = ERROR_BASES[base]
     with pytest.raises(FreshCacheError) as err:
         parse(_mutant(text, path, value))
     got = (type(err.value), str(err.value), getattr(err.value, "field", None), getattr(err.value, "line", None))
-    assert got == (error, message, field, None)
+    assert got == (error, message, field, line)
 
 
 @pytest.mark.parametrize(

@@ -188,14 +188,6 @@ class TestSolveExhaustive:
         onto_six_relays = sum((-1) ** j * math.comb(6, j) * (6 - j) ** 60 for j in range(7))   # inclusion-exclusion
         assert f"count {onto_six_relays} exceeds" in str(err.value)
 
-    def test_parallel_matches_serial(self, table1):
-        serial = solve_exhaustive(table1, threads=1)
-        parallel = solve_exhaustive(table1, threads=4)
-        assert parallel.objective.sum_form == serial.objective.sum_form
-        assert parallel.best_scheme.assignment == serial.best_scheme.assignment
-        assert parallel.trace == serial.trace
-        assert parallel.evaluated_count == serial.evaluated_count
-
     def test_beats_random_feasible_schemes(self):
         rng = random.Random(21)
         scenario = random_scenario(rng, n_files=5, n_users=2, n_relays=2)
@@ -283,6 +275,36 @@ class TestSolveExhaustive:
         assert [sum(size for (k, _), size in tables if k == relay) for relay in range(3)] == [847, 637, 385]
         assert offers == [38]
         assert len(result.trace) == 38
+
+
+# Holding counts far above any fixture, pinned at their values before the scorer unranked its rows: no rank or
+# digit may overflow int64.  (name, scenario, evaluated_count, objective, holdings off relay 1, trace)
+LARGE_SOLVES = [
+    ("k1-n100", lambda: uncapped_scenario(100, 1), 1, 0.0503566687639763, {}, ((1, 0.0503566687639763),)),
+    (
+        "caps-98-1-1", lambda: _with_capacities(random_scenario(random.Random(3), 100, 4, 3), (98, 1, 1)),
+        9900, 0.07010224776244628, {(2, 7): 2, (3, 38): 3},
+        ((1, 0.04744632384186752), (2, 0.04957530032256658), (3, 0.053286086140139494), (4, 0.05673148898327733),
+         (32, 0.05808454104531506), (74, 0.062469649904904764), (112, 0.07010224776244628)),
+    ),
+    (
+        "caps-38-2", lambda: _with_capacities(random_scenario(random.Random(4), 40, 4, 2), (38, 2)),
+        780, 0.31014541114377503, {(2, 22): 2, (4, 27): 2},
+        ((1, 0.24017158754605544), (2, 0.24753791361551536), (3, 0.2669504122972162), (18, 0.27251531660135253),
+         (174, 0.27412493314022834), (187, 0.27957604162721106), (291, 0.2807480880389368),
+         (292, 0.2926795271781158), (296, 0.30146372126101617), (553, 0.30914114712545354),
+         (655, 0.31014541114377503)),
+    ),
+]
+
+
+@pytest.mark.parametrize("build, count, objective, moved, trace", [c[1:] for c in LARGE_SOLVES], ids=[c[0] for c in LARGE_SOLVES])
+def test_large_holding_counts_are_pinned(build, count, objective, moved, trace):
+    result = solve_exhaustive(build())
+    assert result.evaluated_count == count
+    assert result.objective.sum_form == objective
+    assert {key: relay for key, relay in result.best_scheme.assignment.items() if relay != 1} == moved
+    assert result.trace == trace
 
 
 class TestSolveSampled:

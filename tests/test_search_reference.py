@@ -38,7 +38,7 @@ from freshcache import (
 )
 from freshcache import search as search_module
 from freshcache.rate_alloc import waterfill
-from freshcache.search import _PATIENCE, _build_context, _propose_move, _random_assignment, _Search
+from freshcache.search import _PATIENCE, _build_context, _propose_move, _random_assignment, _Search, _unrank
 
 from conftest import random_scenario
 
@@ -314,6 +314,44 @@ def test_rank_is_the_combinations_index(n):
         assert search._rank(subsets).tolist() == expected.tolist()
         for shape in ((1, size), (size, 1)):   # (rows, choices, c), as the scorer ranks a pattern's picks
             assert search._rank(subsets.reshape(shape + (c,))).tolist() == expected.reshape(shape).tolist()
+
+
+def _rank_ranges(size):
+    """The whole range 0..size - 1, pieces that start or stop inside it, and a few ranks out of order."""
+    pieces = [(0, size), (size // 3, size // 3 + 5), (max(0, size - 2), size), (1, size - 1)]
+    return [np.arange(start, min(stop, size)) for start, stop in pieces] + [np.arange(size)[::-3][:7]]
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_unrank_is_the_combinations_order(m):
+    for c in range(m + 1):
+        combos = np.array(list(itertools.combinations(range(m), c)), dtype=np.intp).reshape(math.comb(m, c), c)
+        for ranks in _rank_ranges(len(combos)):
+            rows = _unrank(m, c, ranks)
+            assert rows.shape == (len(ranks), c)
+            assert rows.tolist() == combos[ranks].tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rank_inverts_unrank(n):
+    search = _Search(_build_context(_duplicated([(3.0, 2.0)], (n,), 1, n, 1.0)))
+    for c in range(n + 1):
+        for ranks in _rank_ranges(math.comb(n, c)):
+            assert search._rank(_unrank(n, c, ranks)).tolist() == ranks.tolist()
+
+
+@pytest.mark.parametrize("chunk_rows", [search_module._CHUNK_ROWS, 3, 1])
+@pytest.mark.parametrize("m", range(13))
+def test_rest_of_a_choice_is_the_reversed_complement_rank(m, chunk_rows):
+    # The rest of the r-th c-subset is the (C(m, c) - 1 - r)-th (m - c)-subset, so a pattern row is
+    # a choice and its complement, in combinations order, whatever the piece size.
+    search = _Search(_build_context(_duplicated([(3.0, 2.0)], (1,), 1, 1, 1.0)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search_module, "_CHUNK_ROWS", chunk_rows)
+        for c in range(m + 1):
+            pattern = np.vstack(list(search._patterns(m, c, math.comb(m, c))))
+            expected = [combo + tuple(i for i in range(m) if i not in combo) for combo in itertools.combinations(range(m), c)]
+            assert pattern.tolist() == [list(row) for row in expected]
 
 
 @pytest.mark.parametrize("chunk_rows", [search_module._CHUNK_ROWS, 3, 1])
