@@ -8,11 +8,9 @@ Exit codes: 0 success, 1 verification mismatch, 2 validation/parse failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -31,10 +29,12 @@ from .oracle import GRID_MAX_ENTRIES, brute_force_assignments, check_grid_steps,
 from .rate_alloc import allocate, kkt_check
 from .search import SolveResult, relay_inputs, solve_exhaustive, solve_sampled
 from .scenario_io import (
+    _TABLE_HEADER,
     load_scenario,
     parse_rates,
     parse_scheme,
     read_document,
+    result_rows,
     write_result_table,
     write_trace,
 )
@@ -80,7 +80,7 @@ def _json_float(x: float):
 
 
 def _result_json(result: SolveResult) -> str:
-    table = result.table
+    scenario = result.scenario
     doc = {
         "objective_sum": result.objective.sum_form,
         "objective_mean": result.objective.mean_form,
@@ -106,13 +106,13 @@ def _result_json(result: SolveResult) -> str:
         ],
         "trace": [[i, v] for i, v in result.trace],
         "table": {
-            "rows": [dataclasses.asdict(r) for r in table.rows],   # keyed by TableRow's fields, in their order
+            "rows": [dict(zip(_TABLE_HEADER, row)) for row in result_rows(result)],
             "footer": {
-                "users": table.footer.user_count,
-                "relays": table.footer.relay_count,
-                "files": table.footer.file_count,
-                "objective_sum": table.footer.objective_sum,
-                "objective_mean": table.footer.objective_mean,
+                "users": scenario.n_users,
+                "relays": scenario.n_relays,
+                "files": scenario.n_files,
+                "objective_sum": result.objective.sum_form,
+                "objective_mean": result.objective.mean_form,
             },
         },
     }
@@ -245,21 +245,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="freshcache", description="Freshness-optimal cache placement and rate allocation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_solver=False):
+    def add_common(p, solver=False, sampled=False):
+        """Every command's flags; ``solver`` adds the solver's, ``sampled`` those and the sampled mode's."""
         p.add_argument("--scenario", required=True, help="scenario file path or bundled fixture name")
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
-        if with_solver:
+        if sampled:
             p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
             p.add_argument("--budget", type=int, default=10_000, help="evaluation budget for sampled mode")
             p.add_argument("--seed", type=int, default=0, help="seed for sampled mode")
+        if solver or sampled:
             p.add_argument("--allow-empty-relay", action="store_true", help="permit relays with no assigned holdings")
             p.add_argument(
-                "--threads", type=int, default=os.cpu_count() or 1,
+                "--threads", type=int, default=1,
                 help="accepted for compatibility; has no effect (exhaustive search runs in one process)",
             )
 
     p_solve = sub.add_parser("solve", help="find the best placement and its rate allocation")
-    add_common(p_solve, with_solver=True)
+    add_common(p_solve, sampled=True)
     p_solve.add_argument("--format", choices=("csv", "table", "json"), default="csv")
     p_solve.add_argument("--trace", default=None, help="write the improvement trace CSV to this file")
 
@@ -280,16 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
 
     p_verify = sub.add_parser("verify", help="cross-check the solver against brute-force oracles")
-    add_common(p_verify)
-    p_verify.add_argument("--allow-empty-relay", action="store_true")
-    p_verify.add_argument(
-        "--threads", type=int, default=1,
-        help="accepted for compatibility; has no effect (exhaustive search runs in one process)",
-    )
+    add_common(p_verify, solver=True)
     p_verify.add_argument("--grid-steps", type=int, default=1000)
 
     p_sweep = sub.add_parser("sweep", help="re-solve under scaled user or server rates")
-    add_common(p_sweep, with_solver=True)
+    add_common(p_sweep, sampled=True)
     p_sweep.add_argument("--scale", choices=("user", "server"), required=True)
     p_sweep.add_argument("--factors", required=True, help="comma-separated scale factors")
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import DomainError, IncompleteAllocationError
+from .errors import DomainError, EmptyDomainError, IncompleteAllocationError
 from .model import CacheScheme, Scenario, check_non_negative, check_positive
 
 # Flat rate table: (user_id, file_id) -> relay refresh rate for that holding.
@@ -23,6 +23,13 @@ class ObjectiveValue:
 
     sum_form: float
     mean_form: float
+
+    @classmethod
+    def of_sum(cls, sum_form: float, scenario: Scenario) -> ObjectiveValue:
+        """Both forms of ``sum_form`` over the scenario's users; EmptyDomainError when it has none."""
+        if scenario.n_users == 0:
+            raise EmptyDomainError("the objective's mean form needs at least one user")
+        return cls(sum_form, sum_form / scenario.n_users)
 
 
 def file_freshness(user_rate: float, server_rate: float, relay_rate: float) -> float:
@@ -74,4 +81,4 @@ def system_freshness(scenario: Scenario, scheme: CacheScheme, rates: RateTable) 
     total = 0.0
     for user in scenario.users:
         total += user_freshness(scenario, scheme, rates, user.user_id)
-    return ObjectiveValue(sum_form=total, mean_form=total / scenario.n_users)
+    return ObjectiveValue.of_sum(total, scenario)

@@ -94,7 +94,6 @@ def brute_force_assignments(
     scenario: Scenario,
     *,
     allow_empty_relay: bool = False,
-    limit: int = BRUTE_FORCE_LIMIT,
 ):
     """Exhaustively try every raw relay assignment of every holding; returns a SolveResult.
 
@@ -109,15 +108,16 @@ def brute_force_assignments(
     column is scored with ``system_freshness``'s float expression in its
     order, so values are bit-identical to scoring one assignment at a time
     through the public API.  ``argmax`` takes the first maximum: ties resolve
-    to the lexicographically smallest vector.
+    to the lexicographically smallest vector.  Raises InfeasibleError as the
+    solvers do, and OracleScaleError past ``BRUTE_FORCE_LIMIT`` raw assignments.
     """
     pairs = scenario.holding_pairs
     k, h = scenario.n_relays, len(pairs)
     if k == 0 or not pairs:
-        raise DomainError("scenario must have at least one relay and one holding")
+        raise InfeasibleError("scenario has no holdings or no relays to assign them to")
     raw_total = k**h
-    if raw_total > limit:
-        raise OracleScaleError(f"{raw_total} raw assignments exceed the oracle limit {limit}")
+    if raw_total > BRUTE_FORCE_LIMIT:
+        raise OracleScaleError(f"{raw_total} raw assignments exceed the oracle limit {BRUTE_FORCE_LIMIT}")
 
     # Row p repeats each relay k**(h-1-p) times, so the last holding varies fastest; column j is vector j.
     raw = np.empty((h, raw_total), dtype=np.min_scalar_type(k - 1))
@@ -180,5 +180,5 @@ def brute_force_assignments(
     trace = [(int(i) + 1, float(values[i])) for i in improving]
     best = int(np.argmax(values))
     best_val, best_vector = float(values[best]), tuple(int(v) + 1 for v in raw[:, best])
-    return make_solve_result(scenario, best_vector, ObjectiveValue(best_val, best_val / scenario.n_users), trace, evaluated)
+    return make_solve_result(scenario, best_vector, ObjectiveValue.of_sum(best_val, scenario), trace, evaluated)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Hashable
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -18,7 +17,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 import yaml
 
 from .errors import ScenarioParseError, ScenarioValidationError
-from .freshness import ObjectiveValue, holding_placement
 from .model import (
     CacheScheme,
     FileSpec,
@@ -62,31 +60,6 @@ _FILE_FIELDS = {"id": _INT, "server_rate": _NUMBER}
 _USER_FIELDS = {"id": _INT, "holdings": None, "relay_prefs": None}
 _HOLDING_FIELDS = {"file": _INT, "user_rate": _NUMBER, "request_prob": _NUMBER}
 _RELAY_FIELDS = {"id": _INT, "capacity": _INT, "rate_budget": _NUMBER}
-
-
-@dataclass(frozen=True)
-class TableRow:
-    file_index: int
-    user_index: int
-    user_rate: float
-    relay_index: int
-    relay_rate: float
-    server_rate: float
-
-
-@dataclass(frozen=True)
-class TableFooter:
-    user_count: int
-    relay_count: int
-    file_count: int
-    objective_sum: float
-    objective_mean: float
-
-
-@dataclass(frozen=True)
-class ResultTable:
-    rows: tuple[TableRow, ...]
-    footer: TableFooter
 
 
 def _require_list(node, what: str) -> list:
@@ -283,72 +256,49 @@ def serialize_rates(rates: Mapping[tuple[int, int], float]) -> str:
     return _holding_doc("rates", "rate", rates, float)
 
 
-def build_result_table(
-    scenario: Scenario,
-    scheme: CacheScheme,
-    rates: Mapping[tuple[int, int], float],
-    objective: ObjectiveValue,
-) -> ResultTable:
-    """One row per holding, sorted by file index, plus an objective footer."""
-    rows = []
-    for (uid, fid), e in scenario.entries.items():
-        relay_id, rate = holding_placement(scenario, scheme, rates, (uid, fid))
-        rows.append(TableRow(fid, uid, e.user_rate, relay_id, rate, e.server_rate))
-    rows.sort(key=lambda r: (r.file_index, r.user_index))
-    footer = TableFooter(
-        user_count=scenario.n_users,
-        relay_count=scenario.n_relays,
-        file_count=scenario.n_files,
-        objective_sum=objective.sum_form,
-        objective_mean=objective.mean_form,
+_TABLE_HEADER = ("file_index", "user_index", "user_rate", "relay_index", "relay_rate", "server_rate")
+
+
+def result_rows(result: "SolveResult") -> list[tuple[int, int, float, int, float, float]]:
+    """One row per holding of the solved scenario, in ``_TABLE_HEADER``'s columns, sorted by (file, user)."""
+    assignment = result.best_scheme.assignment
+    rates = {key: r for alloc in result.best_rates.values() for key, r in alloc.rates.items()}
+    return sorted(
+        (fid, uid, e.user_rate, assignment[uid, fid], rates[uid, fid], e.server_rate)
+        for (uid, fid), e in result.scenario.entries.items()
     )
-    return ResultTable(rows=tuple(rows), footer=footer)
 
 
 def _plain_number(x: float) -> str:
     return f"{x:.6g}"
 
 
-_TABLE_HEADER = ("file_index", "user_index", "user_rate", "relay_index", "relay_rate", "server_rate")
-
-
-def _table_cells(table: ResultTable) -> list[list[str]]:
+def _footer_lines(result: "SolveResult", sep: str) -> list[str]:
+    scenario = result.scenario
     return [
-        [
-            str(r.file_index),
-            str(r.user_index),
-            _plain_number(r.user_rate),
-            str(r.relay_index),
-            f"{r.relay_rate:.4f}",
-            _plain_number(r.server_rate),
-        ]
-        for r in table.rows
-    ]
-
-
-def _footer_lines(footer: TableFooter, sep: str) -> list[str]:
-    return [
-        sep.join([f"users={footer.user_count}", f"relays={footer.relay_count}", f"files={footer.file_count}"]),
-        f"objective_sum={footer.objective_sum:.6f}",
-        f"objective_mean={footer.objective_mean:.6f}",
+        sep.join([f"users={scenario.n_users}", f"relays={scenario.n_relays}", f"files={scenario.n_files}"]),
+        f"objective_sum={result.objective.sum_form:.6f}",
+        f"objective_mean={result.objective.mean_form:.6f}",
     ]
 
 
 def write_result_table(result: "SolveResult", fmt: str = "csv") -> str:
     """Render a solve result as CSV or an aligned text table."""
-    table = result.table
-    cells = _table_cells(table)
+    cells = [
+        [str(fid), str(uid), _plain_number(user_rate), str(relay), f"{rate:.4f}", _plain_number(server_rate)]
+        for fid, uid, user_rate, relay, rate, server_rate in result_rows(result)
+    ]
     if fmt == "csv":
         lines = [",".join(_TABLE_HEADER)]
         lines.extend(",".join(row) for row in cells)
-        lines.extend(_footer_lines(table.footer, ","))
+        lines.extend(_footer_lines(result, ","))
     elif fmt == "table":
         widths = [len(h) for h in _TABLE_HEADER]
         for row in cells:
             widths = [max(w, len(c)) for w, c in zip(widths, row)]
         lines = ["  ".join(h.rjust(w) for h, w in zip(_TABLE_HEADER, widths))]
         lines.extend("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells)
-        lines.extend(_footer_lines(table.footer, "  "))
+        lines.extend(_footer_lines(result, "  "))
     else:
         raise ScenarioParseError(f"unknown table format {fmt!r}")
     return "\n".join(lines) + "\n"

@@ -56,7 +56,6 @@ from .errors import InfeasibleError, SearchBudgetError
 from .freshness import ObjectiveValue, system_freshness
 from .model import CacheScheme, Scenario, check_non_negative, check_positive
 from .rate_alloc import AllocationEntry, AllocationInput, RateAllocation, allocate, sort_key, waterfill, waterfill_rows
-from .scenario_io import ResultTable, build_result_table
 
 DEFAULT_ENUMERATION_LIMIT = 10_000_000
 
@@ -86,7 +85,7 @@ class SolveResult:
     objective: ObjectiveValue
     trace: tuple[tuple[int, float], ...]    # (evaluation index, best sum_form so far)
     evaluated_count: int
-    table: ResultTable
+    scenario: Scenario
 
 
 def _split_bounds(n: int, capacities: Sequence[int], allow_empty_relay: bool) -> tuple[list[int], int]:
@@ -350,8 +349,7 @@ class _Search:
 
     def result(self, scenario: Scenario) -> SolveResult:
         assert self.vec is not None
-        objective = ObjectiveValue(self.val, self.val / scenario.n_users)
-        return make_solve_result(scenario, self.vec, objective, self.trace, self.evaluated)
+        return make_solve_result(scenario, self.vec, ObjectiveValue.of_sum(self.val, scenario), self.trace, self.evaluated)
 
 
 def relay_inputs(scenario: Scenario, scheme: CacheScheme) -> dict[int, AllocationInput]:
@@ -388,21 +386,20 @@ def make_solve_result(
     trace: Sequence[tuple[int, float]],
     evaluated_count: int,
 ) -> SolveResult:
-    """Package a winning canonical assignment vector into a full result."""
+    """Package a winning canonical assignment vector into a full result.
+
+    The search's objective must equal the public re-evaluation exactly: both add the same terms in the same order.
+    """
     scheme = CacheScheme({pair: rel for pair, rel in zip(scenario.holding_pairs, vector)})
     recheck, per_relay = evaluate_scheme(scenario, scheme)
-    assert abs(recheck.sum_form - objective.sum_form) <= 1e-12 * max(1.0, abs(objective.sum_form)), (
-        "fast-path objective diverged from the public evaluation"
-    )
-    flat = {key: r for alloc in per_relay.values() for key, r in alloc.rates.items()}
-    table = build_result_table(scenario, scheme, flat, objective)
+    assert recheck.sum_form == objective.sum_form, "fast-path objective diverged from the public evaluation"
     return SolveResult(
         best_scheme=scheme,
         best_rates=per_relay,
         objective=objective,
         trace=tuple(trace),
         evaluated_count=evaluated_count,
-        table=table,
+        scenario=scenario,
     )
 
 

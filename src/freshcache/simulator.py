@@ -189,4 +189,4 @@ def simulate_system(scenario: Scenario, scheme: CacheScheme, rates: RateTable, h
     total = 0.0
     for key, est in estimates.items():
         total += scenario.coef[key][placements[key][0] - 1] * est.freshness_estimate
-    return SystemSimResult(estimates=estimates, aggregate=ObjectiveValue(total, total / scenario.n_users))
+    return SystemSimResult(estimates=estimates, aggregate=ObjectiveValue.of_sum(total, scenario))

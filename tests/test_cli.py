@@ -424,6 +424,31 @@ verify=PASS
 }
 
 
+def _solve_stdout(capsys, *argv):
+    assert main(["solve", *argv]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_VERIFY_OUT))
+def test_json_table_carries_the_csv_rows_and_footer(name, capsys):
+    csv_lines = _solve_stdout(capsys, "--scenario", name).splitlines()
+    table = json.loads(_solve_stdout(capsys, "--scenario", name, "--format", "json"))["table"]
+    header = csv_lines[0].split(",")
+    rows = [
+        ",".join([str(r["file_index"]), str(r["user_index"]), f"{r['user_rate']:.6g}", str(r["relay_index"]),
+                  f"{r['relay_rate']:.4f}", f"{r['server_rate']:.6g}"])
+        for r in table["rows"]
+    ]
+    assert [list(r) for r in table["rows"]] == [header] * len(rows)
+    assert rows == csv_lines[1:-3]
+    footer = table["footer"]
+    assert csv_lines[-3:] == [
+        f"users={footer['users']},relays={footer['relays']},files={footer['files']}",
+        f"objective_sum={footer['objective_sum']:.6f}",
+        f"objective_mean={footer['objective_mean']:.6f}",
+    ]
+
+
 def _all_grid_checks_skipped_scenario():
     """12 holdings on 2 relays of capacity 6: every relay holds more than GRID_MAX_ENTRIES, so verify never calls grid_allocate."""
     scenario = random_scenario(random.Random(5), n_files=12, n_users=3, n_relays=2)
@@ -535,6 +560,16 @@ def test_threads_checked_in_every_mode(command, mode, flag, value, capsys):
     assert code == 2
     assert captured.out == ""
     assert f"{flag[2:]} must be a positive integer" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve"], ["sweep", "--scale", "user", "--factors", "1"], ["verify"]], ids=["solve", "sweep", "verify"]
+)
+def test_solver_flags_are_defined_once(argv):
+    args = freshcache.cli.build_parser().parse_args([*argv, "--scenario", "table1"])
+    assert (args.threads, args.allow_empty_relay) == (1, False)
+    source = inspect.getsource(freshcache.cli)
+    assert source.count('"--threads"') == source.count('"--allow-empty-relay"') == 1
 
 
 def _main_node():

@@ -6,10 +6,13 @@ import math
 
 import pytest
 
+import freshcache
 from freshcache import (
     CacheScheme,
     DomainError,
+    EmptyDomainError,
     IncompleteAllocationError,
+    Scenario,
     file_freshness,
     system_freshness,
     user_freshness,
@@ -157,6 +160,10 @@ class TestSystemFreshness:
         with pytest.raises(IncompleteAllocationError):
             system_freshness(table1, reference_scheme, {})
 
+    def test_no_users_has_no_mean(self, table1):
+        with pytest.raises(EmptyDomainError, match="at least one user"):
+            system_freshness(Scenario(files=table1.files, users=(), relays=table1.relays), CacheScheme({}), {})
+
     @pytest.mark.parametrize("relay_id", [0, 4], ids=["relay-0", "relay-K+1"])
     def test_relay_outside_one_to_k(self, table1, relay_id):
         # Relay 0 would silently read the last relay's preference; relay K+1 would index past the end.
@@ -164,3 +171,13 @@ class TestSystemFreshness:
         assignment[(1, 1)] = relay_id
         with pytest.raises(DomainError, match=f"unknown relay {relay_id}"):
             system_freshness(table1, CacheScheme(assignment), REFERENCE_RATES)
+
+
+def test_objective_values_are_built_in_one_place():
+    # Every ObjectiveValue comes from ObjectiveValue.of_sum, the one place that divides by the user count.
+    for module in (freshcache.freshness, freshcache.oracle, freshcache.search, freshcache.simulator):
+        tree = ast.parse(inspect.getsource(module))
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and ast.unparse(n.func) == "ObjectiveValue"]
+        assert not calls, module.__name__
+        divisions = [n for n in ast.walk(tree) if isinstance(n, ast.BinOp) and "n_users" in ast.unparse(n.right)]
+        assert len(divisions) == (module is freshcache.freshness), module.__name__

@@ -29,6 +29,7 @@ from freshcache import (
     evaluate_scheme,
     grid_allocate,
     solve_exhaustive,
+    solve_sampled,
 )
 from freshcache.oracle import GRID_MAX_STEPS, GRID_ROW_BLOCK
 
@@ -250,10 +251,29 @@ class TestBruteForceAssignments:
             brute_force_assignments(scenario)
 
     def test_scale_guard(self):
+        # 2**17 = 131,072 raw assignments exceed BRUTE_FORCE_LIMIT; the guard trips before any array is built.
         rng = random.Random(3)
-        scenario = random_scenario(rng, n_files=5, n_users=2, n_relays=2)
-        with pytest.raises(OracleScaleError):
-            brute_force_assignments(scenario, limit=10)
+        scenario = random_scenario(rng, n_files=17, n_users=2, n_relays=2)
+        with pytest.raises(OracleScaleError, match="131072 raw assignments exceed the oracle limit 100000"):
+            brute_force_assignments(scenario)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [solve_exhaustive, lambda s: solve_sampled(s, 10, 0), brute_force_assignments],
+        ids=["exhaustive", "sampled", "oracle"],
+    )
+    @pytest.mark.parametrize("shape", ["no-relays", "no-holdings", "no-users"])
+    def test_empty_scenario_raises_the_solvers_error(self, shape, solve):
+        files = (FileSpec(1, 2.0),)
+        relays = () if shape == "no-relays" else (RelaySpec(1, 1, 6.0),)
+        prefs = tuple(1.0 for _ in relays)
+        users = {
+            "no-relays": (UserSpec(1, (Holding(1, 4.0, 1.0),), prefs),),
+            "no-holdings": (UserSpec(1, (), prefs),),
+            "no-users": (),
+        }[shape]
+        with pytest.raises(InfeasibleError, match="^scenario has no holdings or no relays to assign them to$"):
+            solve(Scenario(files=files, users=users, relays=relays))
 
     def test_matches_exhaustive_search(self):
         rng = random.Random(4)

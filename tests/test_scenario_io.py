@@ -12,19 +12,19 @@ import yaml
 from freshcache import (
     ScenarioParseError,
     ScenarioValidationError,
-    build_result_table,
+    evaluate_scheme,
     fixture_path,
     load_scenario,
     parse_scenario,
     serialize_scenario,
     solve_exhaustive,
     solve_sampled,
-    system_freshness,
     write_result_table,
     write_trace,
 )
 from freshcache.errors import DomainError, EmptyDomainError, FreshCacheError
-from freshcache.scenario_io import _YAML_LOADER, parse_rates, parse_scheme, serialize_rates, serialize_scheme
+from freshcache.scenario_io import _YAML_LOADER, parse_rates, parse_scheme, result_rows, serialize_rates, serialize_scheme
+from freshcache.search import make_solve_result
 
 from conftest import random_scenario
 
@@ -572,7 +572,7 @@ class TestWriteResultTable:
         result = solve_exhaustive(table1)
         budgets = {r.relay_id: r.rate_budget for r in table1.relays}
         for relay_id, budget in budgets.items():
-            total = sum(r.relay_rate for r in result.table.rows if r.relay_index == relay_id)
+            total = sum(rate for _f, _u, _ur, relay, rate, _sr in result_rows(result) if relay == relay_id)
             assert total == pytest.approx(budget, abs=1e-6)
 
     def test_aligned_table_format(self, table1):
@@ -598,13 +598,17 @@ class TestWriteResultTable:
         assert len(lines) == 5  # header, one row, three footer lines
         assert lines[2] == "users=1,relays=1,files=1"
 
-    def test_build_result_table_sorted_by_file(self, table1, reference_scheme):
+    def test_result_rows_sorted_by_file(self, table1, reference_scheme):
         from conftest import REFERENCE_RATES
 
-        objective = system_freshness(table1, reference_scheme, REFERENCE_RATES)
-        table = build_result_table(table1, reference_scheme, REFERENCE_RATES, objective)
-        assert [r.file_index for r in table.rows] == list(range(1, 11))
-        assert table.footer.objective_sum == objective.sum_form
+        objective, _rates = evaluate_scheme(table1, reference_scheme)
+        vector = tuple(reference_scheme.assignment[pair] for pair in table1.holding_pairs)
+        rows = result_rows(make_solve_result(table1, vector, objective, (), 0))
+        assert [(fid, uid) for fid, uid, *_ in rows] == sorted((fid, uid) for uid, fid in table1.holding_pairs)
+        assert [fid for fid, *_ in rows] == list(range(1, 11))
+        for fid, uid, _user_rate, relay, rate, _server_rate in rows:
+            assert relay == reference_scheme.assignment[uid, fid]
+            assert rate == pytest.approx(REFERENCE_RATES[uid, fid], abs=1e-4)
 
 
 class TestWriteTrace:

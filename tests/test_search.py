@@ -1,7 +1,9 @@
 """Placement search tests: enumeration, exhaustive and sampled solvers."""
 
+import ast
 import dataclasses
 import gc
+import inspect
 import itertools
 import math
 import random
@@ -18,6 +20,7 @@ from freshcache import (
     FileSpec,
     Holding,
     InfeasibleError,
+    ObjectiveValue,
     RelaySpec,
     Scenario,
     SearchBudgetError,
@@ -32,7 +35,8 @@ from freshcache import (
     validate_scheme,
 )
 from freshcache import search as search_module
-from freshcache.search import _MEMO_ENTRIES, count_assignments
+from freshcache.scenario_io import result_rows
+from freshcache.search import _MEMO_ENTRIES, count_assignments, make_solve_result
 
 from conftest import REFERENCE_ASSIGNMENT, random_scenario, uncapped_scenario
 
@@ -237,8 +241,18 @@ class TestSolveExhaustive:
 
     def test_result_table_shape(self, table1):
         result = solve_exhaustive(table1)
-        assert len(result.table.rows) == 10
-        assert result.table.footer.objective_sum == result.objective.sum_form
+        assert result.scenario is table1
+        assert len(result_rows(result)) == 10
+
+    def test_recheck_is_exact(self, table1):
+        # The search's objective and the public re-evaluation add the same terms in the same order.
+        result = solve_exhaustive(table1)
+        vector = tuple(result.best_scheme.assignment[pair] for pair in table1.holding_pairs)
+        args = (result.trace, result.evaluated_count)
+        assert make_solve_result(table1, vector, result.objective, *args) == result
+        off = ObjectiveValue.of_sum(math.nextafter(result.objective.sum_form, math.inf), table1)
+        with pytest.raises(AssertionError, match="diverged from the public evaluation"):
+            make_solve_result(table1, vector, off, *args)
 
     def test_leaves_no_search_in_a_reference_cycle(self, table1):
         # With the collector off, a search held only by a reference cycle, its
@@ -417,3 +431,11 @@ class TestRelayMemo:
         reference = brute_force_assignments(scenario, allow_empty_relay=allow_empty_relay)
         assert result.objective.sum_form == reference.objective.sum_form
         assert result.best_scheme.assignment == reference.best_scheme.assignment
+
+
+def test_search_imports_nothing_from_scenario_io():
+    # Results carry their scenario; rendering them is scenario_io's business, not the search's.
+    tree = ast.parse(inspect.getsource(search_module))
+    modules = [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    names = [a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names]
+    assert not [m for m in modules + names if "scenario_io" in m]

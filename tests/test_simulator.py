@@ -14,7 +14,9 @@ import pytest
 from freshcache import (
     CacheScheme,
     DomainError,
+    EmptyDomainError,
     IncompleteAllocationError,
+    Scenario,
     SimulationScaleError,
     file_freshness,
     simulate_file,
@@ -158,6 +160,10 @@ class TestStreamSeed:
 
 
 class TestSimulateSystem:
+    def test_no_users_has_no_mean(self, table1):
+        with pytest.raises(EmptyDomainError, match="at least one user"):
+            simulate_system(Scenario(files=table1.files, users=(), relays=table1.relays), CacheScheme({}), {}, 10.0, 0)
+
     def test_aggregate_matches_manual_weighting(self, table1, reference_scheme):
         sim = simulate_system(table1, reference_scheme, REFERENCE_RATES, horizon=2e3, seed=0)
         manual = 0.0
