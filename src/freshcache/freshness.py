@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import DomainError, EmptyDomainError, IncompleteAllocationError
-from .model import CacheScheme, Scenario, check_non_negative, check_positive
+from .model import CacheScheme, Scenario, check_non_negative, check_positive, is_number
 
 # Flat rate table: (user_id, file_id) -> relay refresh rate for that holding.
 RateTable = Mapping[tuple[int, int], float]
@@ -49,14 +49,14 @@ def holding_placement(scenario: Scenario, scheme: CacheScheme, rates: RateTable,
     """The relay id and refresh rate of holding ``key``.
 
     Raises IncompleteAllocationError when the scheme or the rate table lacks
-    the holding, and DomainError when its relay id is not one of 1..K.
+    the holding, and DomainError when its relay id is not an int in 1..K.
     """
     relay_id = scheme.assignment.get(key)
     if relay_id is None:
         raise IncompleteAllocationError(f"no relay assigned for user {key[0]}, file {key[1]}")
     if key not in rates:
         raise IncompleteAllocationError(f"missing refresh rate for user {key[0]}, file {key[1]}")
-    if not 0 < relay_id <= scenario.n_relays:
+    if not is_number(relay_id, integer=True) or not 0 < relay_id <= scenario.n_relays:   # True and 1.0 would pass the range
         raise DomainError(f"holding (user {key[0]}, file {key[1]}) assigned to unknown relay {relay_id}")
     return relay_id, rates[key]
 

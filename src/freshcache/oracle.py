@@ -132,7 +132,7 @@ def brute_force_assignments(
     raw = raw[:, feasible]
     evaluated = raw.shape[1]
     if evaluated == 0:
-        raise InfeasibleError("no feasible assignment under the capacity constraints")
+        raise InfeasibleError("no feasible cache scheme under the capacity constraints")
 
     # One slot per distinct block of each relay, keyed by its membership mask: bit i set when the
     # holding ranked i-th by sort_key is on the relay, so a key's ascending bits are allocate's order.

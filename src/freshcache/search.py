@@ -68,7 +68,7 @@ _MEMO_ENTRIES = 1 << 12
 # Rows the exhaustive scorer fills or builds in one numpy step; see the module docstring.
 _CHUNK_ROWS = 1 << 12
 
-_Block = tuple[float, list[int], list[float], int]   # (block value, ascending ctx indices, their rates, bitmask)
+_Block = tuple[float, list[int], list[float], int]   # (block value, ascending holding indices, their rates, bitmask)
 
 
 @dataclass(frozen=True)
@@ -135,69 +135,53 @@ def enumerate_partitions(n: int, capacities: Sequence[int], *, allow_empty_relay
     return (Partition(counts) for counts in rec(0, n, ()))
 
 
-@dataclass(frozen=True)
-class _EvalContext:
-    """Scenario data laid out for fast repeated evaluation.
+class _Search:
+    """Per-solve state: the scenario laid out for fast evaluation, the block memo, the count, the best and its trace.
 
     Holdings are indexed in the canonical allocation processing order
     (ascending mu/s, ties by (user_id, file_id)), so any ascending slice of
-    indices is already sorted the way ``allocate`` would sort it.
+    indices is already sorted the way ``allocate`` would sort it.  The
+    constructor checks the instance once, before any evaluation: it raises
+    InfeasibleError when there is nothing to place or the capacities admit no
+    placement, and DomainError for a bad capacity.
     """
 
-    n: int
-    weights: tuple[float, ...]
-    server_rates: tuple[float, ...]
-    mus: tuple[float, ...]
-    coef: tuple[tuple[float, ...], ...]      # coef[i][k]: Scenario.coef of holding i at relay index k
-    budgets: tuple[float, ...]
-    capacities: tuple[int, ...]
-    user_plans: tuple[tuple[int, ...], ...]  # ctx indices per user, in holdings order
-    canon_order: tuple[int, ...]             # ctx indices in canonical holding order
-
-
-def _build_context(scenario: Scenario) -> _EvalContext:
-    order = sorted(scenario.entries.values(), key=sort_key)
-    ctx_of = {e.key: i for i, e in enumerate(order)}
-    return _EvalContext(
-        n=len(order),
-        weights=tuple(e.weight for e in order),
-        server_rates=tuple(e.server_rate for e in order),
-        mus=tuple(e.mu for e in order),
-        coef=tuple(scenario.coef[e.key] for e in order),
-        budgets=tuple(r.rate_budget for r in scenario.relays),
-        capacities=tuple(r.capacity for r in scenario.relays),
-        user_plans=tuple(tuple(ctx_of[(u.user_id, h.file_id)] for h in u.holdings) for u in scenario.users),
-        canon_order=tuple(ctx_of[key] for key in scenario.entries),
-    )
-
-
-def _canonical_vector(ctx: _EvalContext, rel_of: Sequence[int]) -> tuple[int, ...]:
-    """Relay ids (1-based) in canonical holding order; the tie-break representation."""
-    return tuple(rel_of[i] + 1 for i in ctx.canon_order)
-
-
-class _Search:
-    """Per-solve state: the block memo, the evaluation count, the running best and its trace."""
-
-    def __init__(self, ctx: _EvalContext) -> None:
-        self.ctx = ctx
+    def __init__(self, scenario: Scenario, allow_empty_relay: bool) -> None:
+        self.scenario = scenario
+        order = sorted(scenario.entries.values(), key=sort_key)
+        index_of = {e.key: i for i, e in enumerate(order)}
+        self.n = len(order)
+        self.weights = tuple(e.weight for e in order)
+        self.server_rates = tuple(e.server_rate for e in order)
+        self.mus = tuple(e.mu for e in order)
+        self.coef = tuple(scenario.coef[e.key] for e in order)   # coef[i][k]: Scenario.coef of holding i at relay index k
+        self.budgets = tuple(r.rate_budget for r in scenario.relays)
+        self.user_plans = tuple(tuple(index_of[(u.user_id, h.file_id)] for h in u.holdings) for u in scenario.users)
+        self.canon_order = tuple(index_of[key] for key in scenario.entries)   # indices in canonical holding order
+        if self.n == 0 or not self.budgets:
+            raise InfeasibleError("scenario has no holdings or no relays to assign them to")
+        caps, self.min_count = _split_bounds(self.n, [r.capacity for r in scenario.relays], allow_empty_relay)
+        # Each relay takes between min_count and its capacity, and the counts add up to n.
+        if sum(caps) < self.n or self.min_count * len(caps) > self.n or min(caps) < self.min_count:
+            raise InfeasibleError("no feasible cache scheme under the capacity constraints")
+        self.capacities = tuple(caps)
         self.memo: dict[int, _Block] = {}   # key: relay index << n | block bitmask
         # Rank-gate margin, relative.  Every term is non-negative and a block sum
         # adds the same terms as the canonical sum in another order, so the two
         # differ by at most 2n*eps of the canonical value.  1e-12 exceeds that by
         # orders of magnitude for any n an enumeration reaches; the max keeps
         # the gate exact for every n.
-        self.rel = max(1e-12, 2 * ctx.n * sys.float_info.epsilon)
+        self.rel = max(1e-12, 2 * self.n * sys.float_info.epsilon)
         self.evaluated = 0
         self.val = -math.inf
         self.floor = -math.inf   # a block sum below this cannot reach self.val
-        self.vec: tuple[int, ...] | None = None
+        self.vec: tuple[int, ...] | None = None   # relay ids (1-based) in canonical holding order; the tie-break
         self.trace: list[tuple[int, float]] = []
         self.patterns: dict[tuple[int, int], list[np.ndarray]] = {}   # (m, c) -> _patterns' one piece, if it fits in one
 
     def block(self, k: int, mask: int) -> _Block:
         """``_evaluate(k, mask)`` through the memo."""
-        key = k << self.ctx.n | mask
+        key = k << self.n | mask
         hit = self.memo.get(key)
         if hit is None:
             if len(self.memo) >= _MEMO_ENTRIES:
@@ -207,44 +191,42 @@ class _Search:
 
     def _evaluate(self, k: int, mask: int) -> _Block:
         """Relay k over the holdings in ``mask``: its objective terms summed in index order, indices, rates, mask."""
-        ctx = self.ctx
         idx = []
         bits = mask
         while bits:
             low = bits & -bits
             idx.append(low.bit_length() - 1)
             bits ^= low
-        ss = [ctx.server_rates[i] for i in idx]
-        rates = waterfill([ctx.weights[i] for i in idx], ss, ctx.budgets[k])[0] if idx else []
+        ss = [self.server_rates[i] for i in idx]
+        rates = waterfill([self.weights[i] for i in idx], ss, self.budgets[k])[0] if idx else []
         value = 0.0
         for i, r, s in zip(idx, rates, ss):
-            value += ctx.coef[i][k] * (ctx.mus[i] * (r / (r + s)))
+            value += self.coef[i][k] * (self.mus[i] * (r / (r + s)))
         return value, idx, rates, mask
 
     def offer(self, index: int, parts: Sequence[_Block]) -> float:
         """Canonical value of evaluation ``index``, whose relay k holds ``parts[k]``; a tie keeps the smaller vector."""
-        ctx = self.ctx
-        rates = [0.0] * ctx.n
-        rel_of = [0] * ctx.n
+        rates = [0.0] * self.n
+        rel_of = [0] * self.n
         for k, (_value, idx, block_rates, _mask) in enumerate(parts):
             for i, r in zip(idx, block_rates):
                 rates[i] = r
                 rel_of[i] = k
         val = 0.0
-        for plan in ctx.user_plans:
+        for plan in self.user_plans:
             acc = 0.0
             for i in plan:
                 r = rates[i]
-                fresh = ctx.mus[i] * (r / (r + ctx.server_rates[i]))
-                acc += ctx.coef[i][rel_of[i]] * fresh
+                fresh = self.mus[i] * (r / (r + self.server_rates[i]))
+                acc += self.coef[i][rel_of[i]] * fresh
             val += acc
-        if val > self.val:
-            self.val = val
-            self.floor = val - self.rel * val
-            self.vec = _canonical_vector(ctx, rel_of)
-            self.trace.append((index, val))
-        elif val == self.val:
-            self.vec = min(self.vec, _canonical_vector(ctx, rel_of))
+        if val >= self.val:
+            vec = tuple(rel_of[i] + 1 for i in self.canon_order)
+            if val > self.val:
+                self.val, self.floor, self.vec = val, val - self.rel * val, vec
+                self.trace.append((index, val))
+            else:
+                self.vec = min(self.vec, vec)
         return val
 
     def table(self, k: int, c: int) -> np.ndarray:
@@ -254,15 +236,14 @@ class _Search:
         operations in its order, so each value is ``_evaluate``'s bit for bit: one ``waterfill_rows``
         call per chunk, then the terms added left to right from 0.0.
         """
-        ctx = self.ctx
-        size = comb(ctx.n, c)
-        weights, server_rates, mus = np.array(ctx.weights), np.array(ctx.server_rates), np.array(ctx.mus)
-        coef = np.array(ctx.coef)[:, k]
+        size = comb(self.n, c)
+        weights, server_rates, mus = np.array(self.weights), np.array(self.server_rates), np.array(self.mus)
+        coef = np.array(self.coef)[:, k]
         values = np.zeros(size)
         for start in range(0, size, _CHUNK_ROWS):
-            idx = _unrank(ctx.n, c, np.arange(start, min(start + _CHUNK_ROWS, size)))
+            idx = _unrank(self.n, c, np.arange(start, min(start + _CHUNK_ROWS, size)))
             s = server_rates[idx]
-            rates = waterfill_rows(weights[idx], s, ctx.budgets[k])
+            rates = waterfill_rows(weights[idx], s, self.budgets[k])
             chunk = values[start:start + len(idx)]
             for term in (coef[idx] * (mus[idx] * (rates / (rates + s)))).T:
                 chunk += term
@@ -280,7 +261,7 @@ class _Search:
         blocks, ranked straight from ``picked``; an assignment's full row is built
         only to re-score it.
         """
-        n, c = self.ctx.n, counts[k]
+        n, c = self.n, counts[k]
         off = sum(counts[:k])
         m = n - off
         size = comb(m, c)
@@ -322,7 +303,7 @@ class _Search:
 
     def _rank(self, subsets: np.ndarray) -> np.ndarray:
         """Lexicographic rank of each ascending row of holding indices among the subsets of its size."""
-        n, c = self.ctx.n, subsets.shape[-1]
+        n, c = self.n, subsets.shape[-1]
         size, digits = _digits(n, c)
         rank = np.full(subsets.shape[:-1], size - 1)   # c = 0: the empty subset, rank 0
         for j, column in enumerate(digits):
@@ -347,8 +328,9 @@ class _Search:
             return -math.inf
         return self.offer(self.evaluated, parts)
 
-    def result(self, scenario: Scenario) -> SolveResult:
+    def result(self) -> SolveResult:
         assert self.vec is not None
+        scenario = self.scenario
         return make_solve_result(scenario, self.vec, ObjectiveValue.of_sum(self.val, scenario), self.trace, self.evaluated)
 
 
@@ -415,30 +397,24 @@ def solve_exhaustive(
     ``limit`` and InfeasibleError if the capacities admit no placement.
     """
     check_positive("limit", limit, True)
-    ctx = _build_context(scenario)
-    if ctx.n == 0 or not ctx.budgets:
-        raise InfeasibleError("scenario has no holdings or no relays to assign them to")
-
-    total = count_assignments(ctx.n, ctx.capacities, allow_empty_relay=allow_empty_relay)
-    if total == 0:
-        raise InfeasibleError("no feasible cache scheme under the capacity constraints")
+    search = _Search(scenario, allow_empty_relay)
+    total = count_assignments(search.n, search.capacities, allow_empty_relay=allow_empty_relay)
     if total > limit:
         raise SearchBudgetError(f"distinct assignment count {total} exceeds the enumeration limit {limit}")
 
-    search = _Search(ctx)
-    partitions = [p.counts for p in enumerate_partitions(ctx.n, ctx.capacities, allow_empty_relay=allow_empty_relay)]
+    partitions = [p.counts for p in enumerate_partitions(search.n, search.capacities, allow_empty_relay=allow_empty_relay)]
     last_read = {key: p for p, counts in enumerate(partitions) for key in enumerate(counts)}
     tables: dict[tuple[int, int], np.ndarray] = {}   # (relay index, count) -> search.table
     for p, counts in enumerate(partitions):
         for key in enumerate(counts):
             if key not in tables:
                 tables[key] = search.table(*key)
-        search.score(counts, [tables[key] for key in enumerate(counts)], 0, np.arange(ctx.n)[None, :], np.zeros(1))
+        search.score(counts, [tables[key] for key in enumerate(counts)], 0, np.arange(search.n)[None, :], np.zeros(1))
         for key in enumerate(counts):
             if last_read[key] == p:
                 del tables[key]
     assert search.evaluated == total
-    return search.result(scenario)
+    return search.result()
 
 
 @functools.cache
@@ -462,14 +438,14 @@ def _unrank(m: int, c: int, ranks: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _random_assignment(ctx: _EvalContext, rng: random.Random, allow_empty_relay: bool):
-    k = len(ctx.budgets)
+def _random_assignment(search: _Search, rng: random.Random):
+    k = len(search.budgets)
     counts = [0] * k
-    rel_of = [0] * ctx.n
-    order = list(range(ctx.n))
+    rel_of = [0] * search.n
+    order = list(range(search.n))
     rng.shuffle(order)
     rest = order
-    if not allow_empty_relay:
+    if search.min_count:
         relay_order = list(range(k))
         rng.shuffle(relay_order)
         for relay, i in zip(relay_order, order[:k]):
@@ -477,21 +453,21 @@ def _random_assignment(ctx: _EvalContext, rng: random.Random, allow_empty_relay:
             counts[relay] = 1
         rest = order[k:]
     for i in rest:
-        open_relays = [r for r in range(k) if counts[r] < ctx.capacities[r]]
+        open_relays = [r for r in range(k) if counts[r] < search.capacities[r]]
         relay = open_relays[rng.randrange(len(open_relays))]
         rel_of[i] = relay
         counts[relay] += 1
     return rel_of, counts
 
 
-def _propose_move(ctx: _EvalContext, rng: random.Random, rel_of: list[int], counts: list[int], min_count: int):
-    k = len(ctx.budgets)
+def _propose_move(search: _Search, rng: random.Random, rel_of: list[int], counts: list[int]):
+    k = len(search.budgets)
     for _attempt in range(8):
-        i = rng.randrange(ctx.n)
+        i = rng.randrange(search.n)
         src = rel_of[i]
-        if counts[src] - 1 < min_count:
+        if counts[src] - 1 < search.min_count:
             continue
-        options = [r for r in range(k) if r != src and counts[r] < ctx.capacities[r]]
+        options = [r for r in range(k) if r != src and counts[r] < search.capacities[r]]
         if not options:
             continue
         return i, options[rng.randrange(len(options))]
@@ -514,23 +490,16 @@ def solve_sampled(
     toward the ``_PATIENCE`` failures that end a climb.
     """
     check_positive("budget", budget, True)
-    ctx = _build_context(scenario)
-    k = len(ctx.budgets)
-    if ctx.n == 0 or k == 0:
-        raise InfeasibleError("scenario has no holdings or no relays to assign them to")
-    min_count = 0 if allow_empty_relay else 1
-    if sum(ctx.capacities) < ctx.n or (not allow_empty_relay and (k > ctx.n or any(c < 1 for c in ctx.capacities))):
-        raise InfeasibleError("no feasible cache scheme under the capacity constraints")
-
+    search = _Search(scenario, allow_empty_relay)
+    n, k = search.n, len(search.budgets)
     rng = random.Random(seed)
-    search = _Search(ctx)
     while search.evaluated < budget:
-        rel_of, counts = _random_assignment(ctx, rng, allow_empty_relay)
-        parts = [search.block(r, sum(1 << i for i in range(ctx.n) if rel_of[i] == r)) for r in range(k)]
+        rel_of, counts = _random_assignment(search, rng)
+        parts = [search.block(r, sum(1 << i for i in range(n) if rel_of[i] == r)) for r in range(k)]
         current = search.step(parts, -math.inf)
         failures = 0
         while failures < _PATIENCE and search.evaluated < budget:
-            move = _propose_move(ctx, rng, rel_of, counts, min_count)
+            move = _propose_move(search, rng, rel_of, counts)
             if move is None:
                 break
             i, dst = move
@@ -547,4 +516,4 @@ def solve_sampled(
                 failures += 1
 
     assert search.evaluated == budget
-    return search.result(scenario)
+    return search.result()

@@ -539,9 +539,10 @@ class TestSweepCommand:
         assert values[0] > values[1] > values[2]
 
     def test_bad_factors_exit_code(self, capsys):
-        code = main(["sweep", "--scenario", "table1", "--scale", "user", "--factors", "1,a"])
-        capsys.readouterr()
-        assert code == 2
+        for factors, message in [("1,a", "comma-separated list of numbers"), (",", "at least one number")]:
+            code = main(["sweep", "--scenario", "table1", "--scale", "user", "--factors", factors])
+            assert message in capsys.readouterr().err
+            assert code == 2
 
 
 @pytest.mark.parametrize(

@@ -164,9 +164,10 @@ class TestSystemFreshness:
         with pytest.raises(EmptyDomainError, match="at least one user"):
             system_freshness(Scenario(files=table1.files, users=(), relays=table1.relays), CacheScheme({}), {})
 
-    @pytest.mark.parametrize("relay_id", [0, 4], ids=["relay-0", "relay-K+1"])
+    @pytest.mark.parametrize("relay_id", [0, 4, True, 1.0], ids=["relay-0", "relay-K+1", "bool", "float"])
     def test_relay_outside_one_to_k(self, table1, relay_id):
-        # Relay 0 would silently read the last relay's preference; relay K+1 would index past the end.
+        # Relay 0 would silently read the last relay's preference; relay K+1 would index past the end;
+        # True would be scored as relay 1 and 1.0 cannot index a tuple.  validate_scheme rejects all four.
         assignment = dict(REFERENCE_ASSIGNMENT)
         assignment[(1, 1)] = relay_id
         with pytest.raises(DomainError, match=f"unknown relay {relay_id}"):

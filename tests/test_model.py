@@ -221,6 +221,21 @@ class TestValidateScenario:
         )
         assert "file-ids" in codes(validate_scenario(scenario))
 
+    @pytest.mark.parametrize("code", ["relay-ids", "capacity-range", "holdings-empty", "request-prob"])
+    def test_one_violation_per_case(self, code):
+        # Each case breaks one rule of a valid two-relay scenario, which is reported alone.
+        prefs = (0.5, 0.5)
+        user = UserSpec(1, (Holding(1, 1.0, 0.5), Holding(2, 1.0, 0.5)), prefs)
+        base = Scenario(files=(FileSpec(1, 1.0), FileSpec(2, 1.0)), users=(user,), relays=(RelaySpec(1, 1, 5.0), RelaySpec(2, 1, 5.0)))
+        broken = {
+            "relay-ids": dataclasses.replace(base, relays=(RelaySpec(1, 1, 5.0), RelaySpec(3, 1, 5.0))),
+            "capacity-range": dataclasses.replace(base, relays=(RelaySpec(1, 2, 5.0), RelaySpec(2, -1, 5.0))),
+            "holdings-empty": dataclasses.replace(base, users=(user, UserSpec(2, (), prefs))),
+            "request-prob": dataclasses.replace(base, users=(UserSpec(1, (Holding(1, 1.0, 1.5), Holding(2, 1.0, 0.5)), prefs),)),
+        }
+        assert validate_scenario(base) == []
+        assert codes(validate_scenario(broken[code])) == [code]
+
     def test_zipf_mode_requires_exponent(self):
         scenario = Scenario(
             files=(FileSpec(1, 1.0),),

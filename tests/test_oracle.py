@@ -262,17 +262,22 @@ class TestBruteForceAssignments:
         [solve_exhaustive, lambda s: solve_sampled(s, 10, 0), brute_force_assignments],
         ids=["exhaustive", "sampled", "oracle"],
     )
-    @pytest.mark.parametrize("shape", ["no-relays", "no-holdings", "no-users"])
+    @pytest.mark.parametrize("shape", ["no-relays", "no-holdings", "no-users", "two-holdings-one-slot", "one-holding-two-relays"])
     def test_empty_scenario_raises_the_solvers_error(self, shape, solve):
-        files = (FileSpec(1, 2.0),)
-        relays = () if shape == "no-relays" else (RelaySpec(1, 1, 6.0),)
-        prefs = tuple(1.0 for _ in relays)
+        # An empty scenario and one whose capacities admit no placement each raise one message in all three.
+        files = (FileSpec(1, 2.0), FileSpec(2, 3.0)) if shape == "two-holdings-one-slot" else (FileSpec(1, 2.0),)
+        n_relays = {"no-relays": 0, "one-holding-two-relays": 2}.get(shape, 1)
+        relays = tuple(RelaySpec(k + 1, 1, 6.0) for k in range(n_relays))
+        prefs = tuple(1.0 / n_relays for _ in relays)
         users = {
-            "no-relays": (UserSpec(1, (Holding(1, 4.0, 1.0),), prefs),),
             "no-holdings": (UserSpec(1, (), prefs),),
             "no-users": (),
-        }[shape]
-        with pytest.raises(InfeasibleError, match="^scenario has no holdings or no relays to assign them to$"):
+            "two-holdings-one-slot": (UserSpec(1, (Holding(1, 4.0, 0.5), Holding(2, 4.0, 0.5)), prefs),),
+        }.get(shape, (UserSpec(1, (Holding(1, 4.0, 1.0),), prefs),))
+        message = "no feasible cache scheme under the capacity constraints"
+        if shape.startswith("no-"):
+            message = "scenario has no holdings or no relays to assign them to"
+        with pytest.raises(InfeasibleError, match=f"^{message}$"):
             solve(Scenario(files=files, users=users, relays=relays))
 
     def test_matches_exhaustive_search(self):

@@ -378,8 +378,10 @@ def _with_capacities(scenario, capacities):
 class TestRelayMemo:
     def test_more_blocks_than_the_memo_holds(self):
         # Two relays of capacity 7 over 14 holdings: the two block tables hold
-        # 2 * C(14, 7) (relay, block) pairs, more than the memo, so filling
-        # them clears it and offers must water-fill blocks it no longer holds.
+        # 2 * C(14, 7) (relay, block) pairs, more than the memo could.  The
+        # tables are filled without the memo, so only offers reach it; the
+        # solve still matches the oracle.  Clearing a full memo is
+        # test_clearing_a_full_memo_keeps_every_result's.
         scenario = _with_capacities(random_scenario(random.Random(1414), 14, 4, 2), (7, 7))
         assert 2 * math.comb(14, 7) > _MEMO_ENTRIES
         result = solve_exhaustive(scenario)
@@ -439,3 +441,27 @@ def test_search_imports_nothing_from_scenario_io():
     modules = [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
     names = [a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names]
     assert not [m for m in modules + names if "scenario_io" in m]
+
+
+def test_each_solve_builds_and_checks_one_search():
+    # _Search lays the scenario out and checks the instance; each solver builds exactly one and decides nothing itself.
+    tree = ast.parse(inspect.getsource(search_module))
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
+    assert not defined & {"_EvalContext", "_build_context", "_canonical_vector"}
+
+    def calls(node, name):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call) and ast.unparse(n.func) == name]
+
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    assert {f.name: len(calls(f, "_Search")) for f in functions if calls(f, "_Search")} == {
+        "solve_exhaustive": 1,
+        "solve_sampled": 1,
+    }
+    assert len(calls(tree, "_Search")) == 2
+    search_class = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Search")
+    init = next(n for n in search_class.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+
+    def infeasible_raises(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Raise) and n.exc is not None and calls(n.exc, "InfeasibleError")]
+
+    assert len(infeasible_raises(init)) == len(infeasible_raises(tree)) == 2

@@ -38,7 +38,7 @@ from freshcache import (
 )
 from freshcache import search as search_module
 from freshcache.rate_alloc import waterfill
-from freshcache.search import _PATIENCE, _build_context, _propose_move, _random_assignment, _Search, _unrank
+from freshcache.search import _PATIENCE, _propose_move, _random_assignment, _Search, _unrank
 
 from conftest import random_scenario
 
@@ -56,33 +56,36 @@ def _block_sets(counts, pool):
 
 
 class _Reference:
-    """Scores assignments (relay index per context holding) through the canonical per-user sum; keeps the best."""
+    """Scores assignments (relay index per search holding) through the canonical per-user sum; keeps the best.
 
-    def __init__(self, scenario):
-        self.ctx = _build_context(scenario)
+    The ``_Search`` only lays the scenario out; none of its scoring is used.
+    """
+
+    def __init__(self, scenario, allow_empty_relay):
+        self.search = _Search(scenario, allow_empty_relay)
         self.block_rates = {}   # (relay index, block) -> water-filled rates
         self.best, self.vector, self.trace, self.values = -math.inf, None, [], []
 
     def score(self, rel_of):
-        ctx = self.ctx
-        rates = [0.0] * ctx.n
-        for k, budget in enumerate(ctx.budgets):
-            block = tuple(i for i in range(ctx.n) if rel_of[i] == k)
+        search = self.search
+        rates = [0.0] * search.n
+        for k, budget in enumerate(search.budgets):
+            block = tuple(i for i in range(search.n) if rel_of[i] == k)
             if block and (k, block) not in self.block_rates:
-                ws = [ctx.weights[i] for i in block]
-                ss = [ctx.server_rates[i] for i in block]
+                ws = [search.weights[i] for i in block]
+                ss = [search.server_rates[i] for i in block]
                 self.block_rates[(k, block)] = waterfill(ws, ss, budget)[0]
             for i, r in zip(block, self.block_rates.get((k, block), ())):
                 rates[i] = r
         val = 0.0
-        for plan in ctx.user_plans:   # per user, in holdings order: the order of system_freshness
+        for plan in search.user_plans:   # per user, in holdings order: the order of system_freshness
             acc = 0.0
             for i in plan:
                 r = rates[i]
-                acc += ctx.coef[i][rel_of[i]] * (ctx.mus[i] * (r / (r + ctx.server_rates[i])))
+                acc += search.coef[i][rel_of[i]] * (search.mus[i] * (r / (r + search.server_rates[i])))
             val += acc
         self.values.append(val)
-        vector = tuple(rel_of[i] + 1 for i in ctx.canon_order)
+        vector = tuple(rel_of[i] + 1 for i in search.canon_order)
         if val > self.best:
             self.best, self.vector = val, vector
             self.trace.append((len(self.values), val))
@@ -92,9 +95,9 @@ class _Reference:
 
 
 def reference_exhaustive(scenario, allow_empty_relay=False):
-    ref = _Reference(scenario)
-    n = ref.ctx.n
-    for part in enumerate_partitions(n, ref.ctx.capacities, allow_empty_relay=allow_empty_relay):
+    ref = _Reference(scenario, allow_empty_relay)
+    n = ref.search.n
+    for part in enumerate_partitions(n, ref.search.capacities, allow_empty_relay=allow_empty_relay):
         for blocks in _block_sets(part.counts, tuple(range(n))):
             rel_of = [0] * n
             for k, block in enumerate(blocks):
@@ -109,15 +112,14 @@ def reference_sampled(scenario, budget, seed, allow_empty_relay=False):
 
     Plateau rule: a move that keeps the value is taken and restarts the patience count.
     """
-    ref = _Reference(scenario)
+    ref = _Reference(scenario, allow_empty_relay)
     rng = random.Random(seed)
-    min_count = 0 if allow_empty_relay else 1
     while len(ref.values) < budget:
-        rel_of, counts = _random_assignment(ref.ctx, rng, allow_empty_relay)
+        rel_of, counts = _random_assignment(ref.search, rng)
         current = ref.score(rel_of)
         failures = 0
         while failures < _PATIENCE and len(ref.values) < budget:
-            move = _propose_move(ref.ctx, rng, rel_of, counts, min_count)
+            move = _propose_move(ref.search, rng, rel_of, counts)
             if move is None:
                 break
             i, dst = move
@@ -148,7 +150,7 @@ def walk(search, counts, rest, prefix=0.0, parts=()):
     values are added left to right from 0.0 and gated on ``search.floor``.
     """
     k = len(parts)
-    bits = [1 << i for i in range(search.ctx.n) if rest >> i & 1]
+    bits = [1 << i for i in range(search.n) if rest >> i & 1]
     if k < len(counts) - 2:
         for combo in itertools.combinations(bits, counts[k]):
             mask = sum(combo)
@@ -168,11 +170,10 @@ def walk(search, counts, rest, prefix=0.0, parts=()):
 
 
 def walk_exhaustive(scenario, allow_empty_relay=False):
-    ctx = _build_context(scenario)
-    search = _Search(ctx)
-    for partition in enumerate_partitions(ctx.n, ctx.capacities, allow_empty_relay=allow_empty_relay):
-        walk(search, partition.counts, (1 << ctx.n) - 1)
-    return search.result(scenario)
+    search = _Search(scenario, allow_empty_relay)
+    for partition in enumerate_partitions(search.n, search.capacities, allow_empty_relay=allow_empty_relay):
+        walk(search, partition.counts, (1 << search.n) - 1)
+    return search.result()
 
 
 def _shape(seed, label, n, k, users, slack):
@@ -306,7 +307,7 @@ def test_offers_the_walk_offers(name):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_rank_is_the_combinations_index(n):
-    search = _Search(_build_context(_duplicated([(3.0, 2.0)], (n,), 1, n, 1.0)))
+    search = _Search(_duplicated([(3.0, 2.0)], (n,), 1, n, 1.0), False)
     for c in range(n + 1):
         size = math.comb(n, c)
         subsets = np.array(list(itertools.combinations(range(n), c)), dtype=np.intp).reshape(size, c)
@@ -334,7 +335,7 @@ def test_unrank_is_the_combinations_order(m):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_rank_inverts_unrank(n):
-    search = _Search(_build_context(_duplicated([(3.0, 2.0)], (n,), 1, n, 1.0)))
+    search = _Search(_duplicated([(3.0, 2.0)], (n,), 1, n, 1.0), False)
     for c in range(n + 1):
         for ranks in _rank_ranges(math.comb(n, c)):
             assert search._rank(_unrank(n, c, ranks)).tolist() == ranks.tolist()
@@ -345,7 +346,7 @@ def test_rank_inverts_unrank(n):
 def test_rest_of_a_choice_is_the_reversed_complement_rank(m, chunk_rows):
     # The rest of the r-th c-subset is the (C(m, c) - 1 - r)-th (m - c)-subset, so a pattern row is
     # a choice and its complement, in combinations order, whatever the piece size.
-    search = _Search(_build_context(_duplicated([(3.0, 2.0)], (1,), 1, 1, 1.0)))
+    search = _Search(_duplicated([(3.0, 2.0)], (1,), 1, 1, 1.0), False)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search_module, "_CHUNK_ROWS", chunk_rows)
         for c in range(m + 1):
@@ -368,12 +369,12 @@ def test_table_fill_is_the_scalar_evaluate_bit_for_bit(chunk_rows, data):
     budgets = data.draw(st.lists(st.sampled_from([0.0, 10.0]) | st.floats(0.5, 20.0), min_size=1, max_size=3))
     scenario = _duplicated(kinds, per_user, len(budgets), sum(per_user), 1.0)
     relays = tuple(dataclasses.replace(r, rate_budget=b) for r, b in zip(scenario.relays, budgets))
-    search = _Search(_build_context(dataclasses.replace(scenario, relays=relays)))
-    bits = [1 << i for i in range(search.ctx.n)]
+    search = _Search(dataclasses.replace(scenario, relays=relays), allow_empty_relay=True)   # up to 3 relays, maybe 1 holding
+    bits = [1 << i for i in range(search.n)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search_module, "_CHUNK_ROWS", chunk_rows)
         for k in range(len(budgets)):
-            for c in range(search.ctx.n + 1):
+            for c in range(search.n + 1):
                 scalar = np.array([search._evaluate(k, sum(combo))[0] for combo in itertools.combinations(bits, c)])
                 assert search.table(k, c).tobytes() == scalar.tobytes()
 
@@ -414,15 +415,14 @@ def test_block_sums_stay_far_inside_the_rank_margin(data):
     n_files = data.draw(st.integers(n_relays, 9))
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     scenario = random_scenario(rng, n_files, rng.randint(1, n_files), n_relays)
-    ctx = _build_context(scenario)
-    search = _Search(ctx)
+    search = _Search(scenario, False)
     worst = 0.0
     for _ in range(50):
         relay_of_pair = [rng.randrange(n_relays) for _ in scenario.holding_pairs]
-        rel_of = [0] * ctx.n
-        for pos, i in enumerate(ctx.canon_order):
+        rel_of = [0] * search.n
+        for pos, i in enumerate(search.canon_order):
             rel_of[i] = relay_of_pair[pos]
-        parts = [search.block(k, sum(1 << i for i in range(ctx.n) if rel_of[i] == k)) for k in range(n_relays)]
+        parts = [search.block(k, sum(1 << i for i in range(search.n) if rel_of[i] == k)) for k in range(n_relays)]
         approx = sum(p[0] for p in parts)
         scheme = CacheScheme({pair: k + 1 for pair, k in zip(scenario.holding_pairs, relay_of_pair)})
         canonical = evaluate_scheme(scenario, scheme)[0].sum_form

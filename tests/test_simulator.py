@@ -236,7 +236,7 @@ class TestSimulateSystem:
         assert [_fields(e) for e in one.estimates.values()] == [_fields(e) for e in two.estimates.values()]
         assert one.aggregate == two.aggregate
 
-    @pytest.mark.parametrize("relay_id", [0, 4], ids=["relay-0", "relay-K+1"])
+    @pytest.mark.parametrize("relay_id", [0, 4, True, 1.0], ids=["relay-0", "relay-K+1", "bool", "float"])
     def test_relay_outside_one_to_k(self, table1, relay_id):
         assignment = dict(REFERENCE_ASSIGNMENT)
         assignment[(1, 1)] = relay_id
