@@ -63,7 +63,7 @@ def holding_placement(scenario: Scenario, scheme: CacheScheme, rates: RateTable,
 
 def user_freshness(scenario: Scenario, scheme: CacheScheme, rates: RateTable, user_id: int) -> float:
     """Request-weighted freshness of one user's holdings under a placement and rate table."""
-    user = scenario.user_by_id.get(user_id)
+    user = scenario.user_by_id.get(user_id) if is_number(user_id, integer=True) else None   # True and 1.0 would find user 1
     if user is None:
         raise DomainError(f"unknown user id {user_id}")
     total = 0.0

@@ -181,6 +181,11 @@ def check_non_negative(name, value, integer=False) -> None:
         raise DomainError(f"{name} must be a non-negative {'integer' if integer else 'finite number'}, got {value!r}")
 
 
+def _ids_in_order(ids: list) -> bool:
+    """Whether ``ids`` are the ints 1..len(ids) in order; True == 1 and 1.0 == 1 would pass a plain list compare."""
+    return all(is_number(i, integer=True) for i in ids) and ids == list(range(1, len(ids) + 1))
+
+
 def validate_scenario(scenario: Scenario) -> list[Violation]:
     """Check structural and numeric invariants. Empty report means valid."""
     report: list[Violation] = []
@@ -195,11 +200,11 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     if k == 0:
         add(Violation("relays-empty", "scenario has no relays"))
 
-    if [f.file_id for f in files] != list(range(1, n + 1)):
+    if not _ids_in_order([f.file_id for f in files]):
         add(Violation("file-ids", "file ids must be 1..N in order"))
-    if [u.user_id for u in users] != list(range(1, m + 1)):
+    if not _ids_in_order([u.user_id for u in users]):
         add(Violation("user-ids", "user ids must be 1..M in order"))
-    if [r.relay_id for r in relays] != list(range(1, k + 1)):
+    if not _ids_in_order([r.relay_id for r in relays]):
         add(Violation("relay-ids", "relay ids must be 1..K in order"))
 
     for f in files:
@@ -237,7 +242,7 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             if h.file_id in seen:
                 add(Violation("holding-duplicate", f"user {u.user_id}: file {h.file_id} listed twice"))
             seen.add(h.file_id)
-            if h.file_id not in valid_file_ids:
+            if not is_number(h.file_id, integer=True) or h.file_id not in valid_file_ids:
                 add(Violation("holding-unknown-file", f"user {u.user_id}: holding references unknown file {h.file_id}"))
             if not is_number(h.user_rate) or h.user_rate <= 0:
                 add(Violation("user-rate", f"user {u.user_id}, file {h.file_id}: user_rate must be positive, got {h.user_rate!r}"))
@@ -321,10 +326,9 @@ def per_user_request_probs(popularity: Sequence[float], user: UserSpec) -> tuple
         raise EmptyDomainError(f"user {user.user_id} holds no files")
     restricted = []
     for h in user.holdings:
-        idx = h.file_id - 1
-        if idx < 0 or idx >= len(popularity):
+        if not is_number(h.file_id, integer=True) or not 0 < h.file_id <= len(popularity):
             raise DomainError(f"popularity vector has no entry for file {h.file_id}")
-        p = popularity[idx]
+        p = popularity[h.file_id - 1]
         check_non_negative(f"popularity for file {h.file_id}", p)
         restricted.append(float(p))
     total = math.fsum(restricted)

@@ -57,7 +57,6 @@ class KktReport:
     budget_slackness_residual: float   # |sum(rates) - budget| * water level
     drop_slackness_residual: float     # max |(delta - gradient) * rate| over all entries
     dual_feasibility_residual: float   # max (mu/s - delta)+ over entries with rate zero
-    tolerance: float
     satisfied: bool
 
 
@@ -187,6 +186,5 @@ def kkt_check(alloc_input: AllocationInput, allocation: RateAllocation, toleranc
         budget_slackness_residual=budget_res,
         drop_slackness_residual=drop_slack,
         dual_feasibility_residual=dual,
-        tolerance=tolerance,
         satisfied=satisfied,
     )

@@ -8,6 +8,7 @@ optional ``popularity`` block.  Request probabilities are given per holding
 
 from __future__ import annotations
 
+import re
 import sys
 from collections.abc import Hashable
 from importlib import resources
@@ -49,6 +50,10 @@ class _YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
                     raise ScenarioParseError(f"duplicate key {key!r} at line {line}", line=line, field=str(key))
                 seen.add(key)
         return super().construct_mapping(node, deep=deep)
+
+
+# YAML 1.2 reads an exponent without a dot, such as 1e-3, as a float; the 1.1 resolver above leaves it a string.
+_YAML_LOADER.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"), list("-+0123456789"))
 
 
 # A field's kind names what its value must be: _INT, _NUMBER, or None for any value.

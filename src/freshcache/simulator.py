@@ -11,8 +11,7 @@ relay refresh to the cycle's end.  Searching the refreshes rather than the
 requests, the replay runs slower than a per-request search only where users
 request less often than the relay refreshes.  The primary estimator is the
 fraction of the horizon those intervals cover, with 20 batch means from a
-running total of fresh time at the batch edges; a renewal (cycle-ratio)
-estimator over successful refresh cycles serves as a cross-check.
+running total of fresh time at the batch edges.
 
 The replay is staged: the server and relay streams are reduced to each
 cycle's first refresh and end, and freed, before the user stream is drawn
@@ -53,9 +52,7 @@ _T_CRIT_19 = 2.093
 class SimEstimate:
     freshness_estimate: float   # fraction of the horizon the user copy was fresh
     cycles_observed: int        # completed successful-refresh renewal cycles
-    total_time: float
     half_width_95: float        # from 20 batch means of the time-fraction estimator
-    cycle_ratio_estimate: float # renewal estimator E[fresh]/E[cycle]; nan if no cycles
 
 
 @dataclass(frozen=True)
@@ -146,22 +143,10 @@ def simulate_file(user_rate: float, server_rate: float, relay_rate: float, horiz
     fractions = np.diff(fresh_to_edge) / (horizon / _BATCHES)
     half_width = float(_T_CRIT_19 * fractions.std(ddof=1) / math.sqrt(_BATCHES))
 
-    # A fresh cycle's successful requests run from its start to its end; only the last interval ends past them.
+    # A fresh cycle's successful requests run from its start to its end; the renewal cycles lie between consecutive ones.
     u_end = np.searchsorted(user_t, ends, side="left")
     cycles = max(0, int(u_end.sum()) - first_sum - 1)
-    cycle_ratio = math.nan
-    if cycles > 0:
-        last = user_t[u_end[-1] - 1]
-        if last > starts[0]:
-            cycle_ratio = float((np.minimum(ends, last) - starts).sum() / (last - starts[0]))
-
-    return SimEstimate(
-        freshness_estimate=estimate,
-        cycles_observed=cycles,
-        total_time=float(horizon),
-        half_width_95=half_width,
-        cycle_ratio_estimate=cycle_ratio,
-    )
+    return SimEstimate(freshness_estimate=estimate, cycles_observed=cycles, half_width_95=half_width)
 
 
 @functools.cache

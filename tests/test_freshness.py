@@ -98,8 +98,9 @@ class TestUserFreshness:
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_unknown_user(self, table1, reference_scheme):
-        with pytest.raises(DomainError):
-            user_freshness(table1, reference_scheme, REFERENCE_RATES, 99)
+        for user_id in (99, True, 1.0):   # True == 1 and 1.0 == 1, but neither is user 1's id
+            with pytest.raises(DomainError):
+                user_freshness(table1, reference_scheme, REFERENCE_RATES, user_id)
 
     def test_missing_assignment(self, table1):
         partial = dict(REFERENCE_ASSIGNMENT)

@@ -221,9 +221,13 @@ class TestValidateScenario:
         )
         assert "file-ids" in codes(validate_scenario(scenario))
 
-    @pytest.mark.parametrize("code", ["relay-ids", "capacity-range", "holdings-empty", "request-prob"])
+    @pytest.mark.parametrize(
+        "code",
+        ["relay-ids", "capacity-range", "holdings-empty", "request-prob", "file-ids", "user-ids", "relay-ids-float", "holding-unknown-file"],
+    )
     def test_one_violation_per_case(self, code):
-        # Each case breaks one rule of a valid two-relay scenario, which is reported alone.
+        # Each case breaks one rule of a valid two-relay scenario, which is reported alone.  An id that is
+        # True or 1.0 equals 1 but is not an int id.
         prefs = (0.5, 0.5)
         user = UserSpec(1, (Holding(1, 1.0, 0.5), Holding(2, 1.0, 0.5)), prefs)
         base = Scenario(files=(FileSpec(1, 1.0), FileSpec(2, 1.0)), users=(user,), relays=(RelaySpec(1, 1, 5.0), RelaySpec(2, 1, 5.0)))
@@ -232,9 +236,13 @@ class TestValidateScenario:
             "capacity-range": dataclasses.replace(base, relays=(RelaySpec(1, 2, 5.0), RelaySpec(2, -1, 5.0))),
             "holdings-empty": dataclasses.replace(base, users=(user, UserSpec(2, (), prefs))),
             "request-prob": dataclasses.replace(base, users=(UserSpec(1, (Holding(1, 1.0, 1.5), Holding(2, 1.0, 0.5)), prefs),)),
+            "file-ids": dataclasses.replace(base, files=(FileSpec(True, 1.0), FileSpec(2, 1.0))),
+            "user-ids": dataclasses.replace(base, users=(UserSpec(True, user.holdings, prefs),)),
+            "relay-ids-float": dataclasses.replace(base, relays=(RelaySpec(1.0, 1, 5.0), RelaySpec(2, 1, 5.0))),
+            "holding-unknown-file": dataclasses.replace(base, users=(UserSpec(1, (Holding(1.0, 1.0, 0.5), Holding(2, 1.0, 0.5)), prefs),)),
         }
         assert validate_scenario(base) == []
-        assert codes(validate_scenario(broken[code])) == [code]
+        assert codes(validate_scenario(broken[code])) == [code.removesuffix("-float")]
 
     def test_zipf_mode_requires_exponent(self):
         scenario = Scenario(
@@ -346,9 +354,10 @@ class TestPerUserRequestProbs:
             per_user_request_probs([0.0, 1.0], user)
 
     def test_missing_entry_raises(self):
-        user = UserSpec(1, (Holding(5, 1.0, 0.0),), (1.0,))
-        with pytest.raises(DomainError):
-            per_user_request_probs([1.0, 1.0], user)
+        for file_id in (5, 0, True, 1.0):   # True and 1.0 equal 1, but neither names file 1
+            user = UserSpec(1, (Holding(file_id, 1.0, 0.0),), (1.0,))
+            with pytest.raises(DomainError, match=f"no entry for file {file_id}"):
+                per_user_request_probs([1.0, 1.0], user)
 
 
 class TestWithScaledRates:
@@ -373,3 +382,32 @@ class TestWithScaledRates:
             with_scaled_rates(table1, "relay", 1.0)
         with pytest.raises(DomainError):
             with_scaled_rates(table1, "user", 0.0)
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    # A field that neither the package nor its benchmark reads is carried for the tests alone.  Exception
+    # attributes (ScenarioParseError's line and field) are not dataclass fields, so they stay out of scope.
+    src = Path(freshcache.__file__).parent
+    bench = [path for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")) if not path.name.startswith("test_")]
+    assert bench, "perfbench/ not found beside tests/"
+    trees = {path: ast.parse(path.read_text()) for path in [*sorted(src.glob("*.py")), *bench]}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    fields = [
+        f"{path.stem}.{cls.name}.{stmt.target.id}"
+        for path, tree in trees.items()
+        if path.parent == src
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    assert len(fields) > 30
+    assert [name for name in fields if name.rsplit(".", 1)[1] not in read] == []

@@ -46,7 +46,8 @@ relays:
 FIXTURE_DIR = resources.files("freshcache") / "fixtures"
 # Every bundled scenario, the minimal document, and resolver corners: a float
 # with no leading digit, hex and underscored ints, -.inf, YAML 1.1 booleans,
-# null and a date.
+# null and a date.  The loader's one addition, an exponent without a dot, is
+# pinned in the parse-error table below.
 LOADER_DOCS = {
     **{f.name: f.read_text() for f in FIXTURE_DIR.iterdir() if f.name.endswith(".yaml")},
     "minimal": MINIMAL_DOC,
@@ -101,6 +102,10 @@ class TestParseScenario:
         doc = LOADER_DOCS[name]
         assert yaml.load(doc, Loader=_YAML_LOADER) == yaml.safe_load(doc)
 
+    def test_exponent_without_dot_is_a_float(self):
+        scenario = parse_scenario(MINIMAL_DOC.replace("server_rate: 2.0", "server_rate: 1e-3"))
+        assert scenario.files[0].server_rate == 0.001
+
     def test_non_mapping_document(self):
         with pytest.raises(ScenarioParseError):
             parse_scenario("- 1\n- 2\n")
@@ -149,6 +154,16 @@ class _PairsDumper(yaml.SafeDumper):
 
 
 _PairsDumper.add_representer(tuple, lambda dumper, pairs: dumper.represent_mapping("tag:yaml.org,2002:map", pairs))
+
+
+class Quoted(str):
+    """A string the mutant writes single-quoted, so that no resolver reads it as a number."""
+
+    def __repr__(self):
+        return f"Quoted({str(self)!r})"
+
+
+_PairsDumper.add_representer(Quoted, lambda dumper, text: dumper.represent_scalar("tag:yaml.org,2002:str", text, style="'"))
 H0 = ("users", 0, "holdings", 0)
 
 # (base, path, value, exception type, message, field): one fault each, the error it raises pinned exactly.
@@ -218,6 +233,19 @@ PARSE_ERRORS = [
      ScenarioParseError, "file entry: field 'server_rate' must be a number, got None", "server_rate"),
     ("explicit", ("files", 0, "server_rate"), math.nan,
      ScenarioValidationError, "scenario failed validation: file 1: server_rate must be positive, got nan", None),
+    # An exponent without a dot is a YAML 1.2 float; the string values below are written unquoted.
+    ("explicit", ("users", 0, "relay_prefs", 0), "1e-3",
+     ScenarioValidationError, "scenario failed validation: user 1: relay_prefs sum != 1 (got 0.501)", None),
+    ("explicit", H0 + ("request_prob",), "1E3",
+     ScenarioValidationError, "scenario failed validation: user 1, file 1: request_prob 1000.0 outside [0, 1]", None),
+    ("zipf", ("popularity", "exponent"), "-2e+1",
+     ScenarioParseError, "popularity: zipf exponent must be finite and non-negative, got -20.0", "exponent"),
+    ("explicit", ("relays", 0, "capacity"), "1e3",
+     ScenarioParseError, "relay entry: field 'capacity' must be an integer, got 1000.0", "capacity"),
+    ("explicit", ("files", 0, "server_rate"), "1e400",
+     ScenarioValidationError, "scenario failed validation: file 1: server_rate must be positive, got inf", None),
+    ("explicit", ("files", 0, "server_rate"), Quoted("1e-3"),
+     ScenarioParseError, "file entry: field 'server_rate' must be a number, got '1e-3'", "server_rate"),
     ("explicit", ("users", 0), "x", ScenarioParseError, "user entry must be a mapping, got str", None),
     ("explicit", ("users", 0), None, ScenarioParseError, "user entry must be a mapping, got NoneType", None),
     ("explicit", ("users", 0, "zz"), 1, ScenarioParseError, "user entry: unknown field 'zz'", "zz"),

@@ -4,7 +4,6 @@ Horizons here are kept moderate so the module suite stays fast; the full
 20-triple battery at horizon 1e5 runs in the acceptance suite.
 """
 
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -29,11 +28,6 @@ from conftest import REFERENCE_ASSIGNMENT, REFERENCE_RATES, random_scenario
 
 # (u, s, r) regimes for the memory bound: user-heavy, relay-heavy, u < r, and balanced.
 MEMORY_REGIMES = [(12.0, 5.0, 4.5), (0.5, 8.0, 15.0), (12.0, 3.0, 3.15), (5.0, 8.0, 15.0), (0.5, 8.0, 3.0), (1.0, 1.0, 1.0)]
-
-
-def _fields(est):
-    """The estimate's fields with NaN made comparable."""
-    return tuple("nan" if isinstance(v, float) and math.isnan(v) else v for v in dataclasses.astuple(est))
 
 
 def _synthetic_case():
@@ -69,7 +63,6 @@ class TestSimulateFile:
         est = simulate_file(5.0, 2.0, 0.0, horizon=1e4, seed=3)
         assert est.freshness_estimate == 0.0
         assert est.cycles_observed == 0
-        assert math.isnan(est.cycle_ratio_estimate)
 
     def test_deterministic_given_seed(self):
         a = simulate_file(4.0, 2.5, 3.0, horizon=5e3, seed=17)
@@ -84,7 +77,6 @@ class TestSimulateFile:
     def test_estimate_fields_well_formed(self):
         est = simulate_file(6.0, 3.0, 2.0, horizon=1e4, seed=9)
         assert 0.0 <= est.freshness_estimate <= 1.0
-        assert est.total_time == 1e4
         assert est.half_width_95 > 0.0
         assert est.cycles_observed > 0
 
@@ -102,11 +94,15 @@ class TestSimulateFile:
             analytic = file_freshness(u, s, r)
             assert abs(est.freshness_estimate - analytic) <= max(3 * est.half_width_95, 0.01)
 
-    def test_cycle_ratio_agrees_with_time_fraction(self):
-        for i, (u, s, r) in enumerate([(1.0, 1.0, 1.0), (10.0, 6.0, 4.5573), (3.0, 2.0, 5.0)]):
-            est = simulate_file(u, s, r, horizon=1e5, seed=50 + i)
-            assert est.cycles_observed > 100
-            assert abs(est.cycle_ratio_estimate - est.freshness_estimate) <= 2 * est.half_width_95
+    def test_half_width_covers_about_95_percent(self):
+        # 5 regimes x 40 seeds: a 95% interval covers 190 +- 9 of 200 (3 sigma), so 0.90-0.99.
+        covered = 0
+        for u, s, r in [(1.0, 1.0, 1.0), (10.0, 6.0, 4.5573), (0.5, 8.0, 3.0), (12.0, 3.0, 3.15), (2.0, 0.5, 8.0)]:
+            analytic = file_freshness(u, s, r)
+            for seed in range(40):
+                est = simulate_file(u, s, r, horizon=2e3, seed=seed)
+                covered += abs(est.freshness_estimate - analytic) <= est.half_width_95
+        assert 0.90 <= covered / 200 <= 0.99
 
     def test_two_seeds_statistical_contract(self):
         analytic = file_freshness(1.0, 1.0, 1.0)
@@ -233,7 +229,7 @@ class TestSimulateSystem:
             results.append(simulate_system(scenario, scheme, rates, horizon=2e3, seed=3))
         one, two = results
         assert list(one.estimates) == list(two.estimates) == list(scenario.entries)
-        assert [_fields(e) for e in one.estimates.values()] == [_fields(e) for e in two.estimates.values()]
+        assert list(one.estimates.values()) == list(two.estimates.values())
         assert one.aggregate == two.aggregate
 
     @pytest.mark.parametrize("relay_id", [0, 4, True, 1.0], ids=["relay-0", "relay-K+1", "bool", "float"])

@@ -11,14 +11,17 @@ below is an earlier body, kept verbatim: all three streams drawn up front,
 every user request searched into both other streams, an ``_event_before``
 lookup per request, ``np.unique`` for each cycle's first request, and a
 batches x intervals overlap matrix.  Both draw the same streams from the same
-seed in the same order, so the estimate, the cycle count and the
-cycle ratio must be equal; the half-width sums in another order and must
-agree within 1e-12.  ``_event_times`` is pinned bit for bit to its earlier
+seed in the same order, so the estimate and the cycle count must be equal;
+the half-width sums in another order and must agree within 1e-12.  The
+reference also keeps the renewal (cycle-ratio) estimator, fresh time over the
+span of the successful requests, which cross-checks the simulator's
+time-fraction estimate.  ``_event_times`` is pinned bit for bit to its earlier
 body, extension loop included, and a plain event loop confirms that the edge
 cases below reach the edges they name.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from hypothesis import strategies as st
 
 from freshcache import SimulationScaleError, simulate_file
 from freshcache.model import check_non_negative, check_positive
-from freshcache.simulator import _BATCHES, _MAX_STREAM_EVENTS, _T_CRIT_19, SimEstimate, _event_times
+from freshcache.simulator import _BATCHES, _MAX_STREAM_EVENTS, _T_CRIT_19, _event_times
 
 
 def reference_event_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
@@ -50,7 +53,15 @@ def _event_before(times: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.where(counts > 0, times[np.maximum(counts - 1, 0)], -np.inf)
 
 
-def reference_simulate_file(user_rate: float, server_rate: float, relay_rate: float, horizon: float, seed: int) -> SimEstimate:
+@dataclass(frozen=True)
+class ReferenceEstimate:
+    freshness_estimate: float
+    cycles_observed: int
+    half_width_95: float
+    cycle_ratio_estimate: float   # renewal estimator E[fresh]/E[cycle]; nan if no cycles
+
+
+def reference_simulate_file(user_rate: float, server_rate: float, relay_rate: float, horizon: float, seed: int) -> ReferenceEstimate:
     """Simulate one holding and estimate the long-run freshness fraction.
 
     Raises SimulationScaleError, before any draw, if a stream's rate * horizon exceeds ``_MAX_STREAM_EVENTS``.
@@ -114,10 +125,9 @@ def reference_simulate_file(user_rate: float, server_rate: float, relay_rate: fl
     else:
         cycle_ratio = math.nan
 
-    return SimEstimate(
+    return ReferenceEstimate(
         freshness_estimate=estimate,
         cycles_observed=cycles,
-        total_time=float(horizon),
         half_width_95=half_width,
         cycle_ratio_estimate=cycle_ratio,
     )
@@ -128,11 +138,6 @@ def _assert_same(u, s, r, horizon, seed):
     want = reference_simulate_file(u, s, r, horizon, seed)
     assert got.freshness_estimate == want.freshness_estimate
     assert got.cycles_observed == want.cycles_observed
-    assert got.total_time == want.total_time
-    if math.isnan(want.cycle_ratio_estimate):
-        assert math.isnan(got.cycle_ratio_estimate)
-    else:
-        assert got.cycle_ratio_estimate == want.cycle_ratio_estimate
     assert abs(got.half_width_95 - want.half_width_95) <= 1e-12
     return got
 
@@ -160,6 +165,15 @@ GRID = [
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_matches_reference_on_grid(u, s, r, horizon, seed):
     _assert_same(u, s, r, horizon, seed)
+
+
+def test_cycle_ratio_agrees_with_time_fraction():
+    # The renewal estimator, fresh time over the span of successful requests, against the time fraction.
+    for seed, (u, s, r) in enumerate([(1.0, 1.0, 1.0), (10.0, 6.0, 4.5573), (3.0, 2.0, 5.0)], start=50):
+        est = simulate_file(u, s, r, horizon=1e5, seed=seed)
+        renewal = reference_simulate_file(u, s, r, horizon=1e5, seed=seed)
+        assert est.cycles_observed == renewal.cycles_observed > 100
+        assert abs(renewal.cycle_ratio_estimate - est.freshness_estimate) <= 2 * est.half_width_95
 
 
 def test_grid_reaches_empty_streams_and_many_cycles():
