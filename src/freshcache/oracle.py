@@ -42,7 +42,8 @@ def grid_allocate(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float
     Exact over the grid: dynamic programming over budget units visits the same
     optimum plain enumeration of all grid points would.  Each stage fills only
     the lower triangle of its (steps+1)**2 candidate matrix, GRID_ROW_BLOCK
-    rows at a time, and picks the same first maximum as the full matrix.
+    rows at a time, keeping each row's maximum; the backtrack re-forms the one
+    row it reads per stage and picks the same first maximum as the full matrix.
     """
     entries = alloc_input.entries
     n = len(entries)
@@ -57,30 +58,28 @@ def grid_allocate(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float
     grid = budget * np.arange(steps + 1) / steps
     gains = [e.mu * grid / (grid + e.server_rate) for e in entries]
 
-    # value[b] = best objective of the first j entries using exactly b units
-    value = gains[0]
-    choice_tables = []
+    # values[j][b] = best objective of the first j + 1 entries using exactly b units.  The backtrack
+    # reads the last stage only at b = steps, so the forward pass stops one stage short of it.
+    values = [gains[0]]
     padded = np.full(2 * steps + 1, -np.inf)
-    for g in gains[1:]:
+    for g in gains[1:-1]:
         # window[b, k] = value[b - k]: a reversed sliding window over value behind
         # `steps` -inf slots, so k > b is infeasible.  Rows below b1 are -inf from
         # column b1 on, so a block of rows needs only its first b1 columns.
-        padded[steps:] = value
+        padded[steps:] = values[-1]
         window = np.lib.stride_tricks.sliding_window_view(padded, steps + 1)[:, ::-1]
-        best, value = np.empty(steps + 1, dtype=np.intp), np.empty(steps + 1)
+        value = np.empty(steps + 1)
         for b0 in range(0, steps + 1, GRID_ROW_BLOCK):
             b1 = min(b0 + GRID_ROW_BLOCK, steps + 1)
-            candidates = window[b0:b1, :b1] + g[:b1]
-            best[b0:b1] = np.argmax(candidates, axis=1)      # units given to this entry
-            value[b0:b1] = np.take_along_axis(candidates, best[b0:b1, None], axis=1)[:, 0]
-        choice_tables.append(best)
+            value[b0:b1] = (window[b0:b1, :b1] + g[:b1]).max(axis=1)
+        values.append(value)
 
+    # Each stage re-forms the one candidate row the backtrack reads; its first argmax is the units given.
     units = [0] * n
     b = steps
     for j in range(n - 1, 0, -1):
-        used = int(choice_tables[j - 1][b])
-        units[j] = used
-        b -= used
+        units[j] = int(np.argmax(values[j - 1][b::-1] + gains[j][:b + 1]))
+        b -= units[j]
     units[0] = b
 
     rates = tuple(budget * u / steps for u in units)

@@ -52,8 +52,10 @@ class _YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         return super().construct_mapping(node, deep=deep)
 
 
-# YAML 1.2 reads an exponent without a dot, such as 1e-3, as a float; the 1.1 resolver above leaves it a string.
-_YAML_LOADER.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"), list("-+0123456789"))
+# The 1.1 resolver above reads an exponent only after a dot and with a sign (1.5e+3); YAML 1.2 also reads 1e-3 and 1.5e3.
+_YAML_LOADER.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?([0-9]+(\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+0123456789.")
+)
 
 
 # A field's kind names what its value must be: _INT, _NUMBER, or None for any value.

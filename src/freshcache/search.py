@@ -259,8 +259,11 @@ class _Search:
         group ascending.  Rows grow a relay at a time up to relay K - 2.  There a
         choice of its block and the rest it leaves are the last two relays'
         blocks, ranked straight from ``picked``; an assignment's full row is built
-        only to re-score it.
+        only to re-score it.  An empty relay's block adds 0.0 to every sum, which
+        leaves a non-negative sum's bits as they are, so the walk passes over it.
         """
+        while counts[k] == 0 and k < len(counts) - 1:
+            k += 1
         n, c = self.n, counts[k]
         off = sum(counts[:k])
         m = n - off

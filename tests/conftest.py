@@ -1,23 +1,23 @@
-"""Shared fixtures and seeded instance generators for the test suite."""
+"""Reference values and seeded instance generators for the test suite.
+
+This module imports no pytest, so the benchmark can take its generators
+without loading a test framework; the fixtures live in ``suite_fixtures``.
+"""
 
 import dataclasses
 import random
 
-import pytest
-
 from freshcache import (
     AllocationEntry,
     AllocationInput,
-    CacheScheme,
     FileSpec,
     Holding,
     RelaySpec,
     Scenario,
     UserSpec,
-    load_scenario,
 )
 
-pytest_plugins = ["pytester"]
+pytest_plugins = ["pytester", "suite_fixtures"]
 
 # The reference placement for the bundled `table1` fixture: relay 1 caches
 # files {1,2,3,4,9}, relay 2 {5,6,8}, relay 3 {7,10}.
@@ -49,16 +49,6 @@ REFERENCE_RATES = {
 }
 
 REFERENCE_OBJECTIVE_SUM = 0.5319
-
-
-@pytest.fixture(scope="session")
-def table1() -> Scenario:
-    return load_scenario("table1")
-
-
-@pytest.fixture()
-def reference_scheme() -> CacheScheme:
-    return CacheScheme(assignment=dict(REFERENCE_ASSIGNMENT))
 
 
 def random_scenario(rng: random.Random, n_files: int, n_users: int, n_relays: int) -> Scenario:

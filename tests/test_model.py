@@ -3,8 +3,11 @@
 import ast
 import dataclasses
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -411,3 +414,16 @@ def test_every_dataclass_field_is_read():
     ]
     assert len(fields) > 30
     assert [name for name in fields if name.rsplit(".", 1)[1] not in read] == []
+
+
+@pytest.mark.parametrize("module", ["conftest", "workloads"])
+def test_suite_helpers_import_no_test_framework(module):
+    # The benchmark times a fresh process that imports its workloads, and they take their generators from
+    # conftest: neither may load pytest, or every setup probe would time a test framework besides the package.
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(str(p) for p in (Path(freshcache.__file__).parents[1], root / "tests", root / "perfbench"))
+    probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] in ('pytest', '_pytest')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")

@@ -46,12 +46,13 @@ relays:
 FIXTURE_DIR = resources.files("freshcache") / "fixtures"
 # Every bundled scenario, the minimal document, and resolver corners: a float
 # with no leading digit, hex and underscored ints, -.inf, YAML 1.1 booleans,
-# null and a date.  The loader's one addition, an exponent without a dot, is
-# pinned in the parse-error table below.
+# null and a date.  The loader's one addition, YAML 1.2's exponents without a
+# dot or without a sign, is pinned in the parse-error table below; .5e+1 has
+# both, so both loaders read it as a float.
 LOADER_DOCS = {
     **{f.name: f.read_text() for f in FIXTURE_DIR.iterdir() if f.name.endswith(".yaml")},
     "minimal": MINIMAL_DOC,
-    "corners": "rates:\n  - {user: 1, file: 2, rate: .5e1}\n  - {user: 0x1f, file: 1_0, rate: -.inf}\n"
+    "corners": "rates:\n  - {user: 1, file: 2, rate: .5e+1}\n  - {user: 0x1f, file: 1_0, rate: -.inf}\n"
     "flags: [yes, No, ~, 2001-12-14]\n",
 }
 
@@ -105,6 +106,11 @@ class TestParseScenario:
     def test_exponent_without_dot_is_a_float(self):
         scenario = parse_scenario(MINIMAL_DOC.replace("server_rate: 2.0", "server_rate: 1e-3"))
         assert scenario.files[0].server_rate == 0.001
+
+    def test_dotted_unsigned_exponent_is_a_float_to_the_loader_alone(self):
+        doc = "rates: [1.5e3, .5e3, 1.e3, -2.5E1]\n"
+        assert yaml.load(doc, Loader=_YAML_LOADER) == {"rates": [1500.0, 500.0, 1000.0, -25.0]}
+        assert yaml.safe_load(doc) == {"rates": ["1.5e3", ".5e3", "1.e3", "-2.5E1"]}   # YAML 1.1 needs the sign
 
     def test_non_mapping_document(self):
         with pytest.raises(ScenarioParseError):
@@ -246,6 +252,23 @@ PARSE_ERRORS = [
      ScenarioValidationError, "scenario failed validation: file 1: server_rate must be positive, got inf", None),
     ("explicit", ("files", 0, "server_rate"), Quoted("1e-3"),
      ScenarioParseError, "file entry: field 'server_rate' must be a number, got '1e-3'", "server_rate"),
+    # So is an exponent without a sign after a dot, or after a dot with no digit before or after it.
+    ("explicit", H0 + ("request_prob",), "1.5e3",
+     ScenarioValidationError, "scenario failed validation: user 1, file 1: request_prob 1500.0 outside [0, 1]", None),
+    ("explicit", H0 + ("request_prob",), ".5e1",
+     ScenarioValidationError, "scenario failed validation: user 1, file 1: request_prob 5.0 outside [0, 1]", None),
+    ("explicit", ("users", 0, "relay_prefs", 0), ".5e3",
+     ScenarioValidationError, "scenario failed validation: user 1: relay preference 500.0 outside [0, 1]", None),
+    ("explicit", ("users", 0, "relay_prefs", 0), "1.e3",
+     ScenarioValidationError, "scenario failed validation: user 1: relay preference 1000.0 outside [0, 1]", None),
+    ("zipf", ("popularity", "exponent"), "-2.5E1",
+     ScenarioParseError, "popularity: zipf exponent must be finite and non-negative, got -25.0", "exponent"),
+    ("explicit", ("relays", 0, "capacity"), "1.5e3",
+     ScenarioParseError, "relay entry: field 'capacity' must be an integer, got 1500.0", "capacity"),
+    ("explicit", ("files", 0, "server_rate"), "1.5e3.2",
+     ScenarioParseError, "file entry: field 'server_rate' must be a number, got '1.5e3.2'", "server_rate"),
+    ("explicit", ("files", 0, "server_rate"), Quoted("1.5e3"),
+     ScenarioParseError, "file entry: field 'server_rate' must be a number, got '1.5e3'", "server_rate"),
     ("explicit", ("users", 0), "x", ScenarioParseError, "user entry must be a mapping, got str", None),
     ("explicit", ("users", 0), None, ScenarioParseError, "user entry must be a mapping, got NoneType", None),
     ("explicit", ("users", 0, "zz"), 1, ScenarioParseError, "user entry: unknown field 'zz'", "zz"),

@@ -276,9 +276,24 @@ def test_near_ties_keep_the_brute_force_tie_break(name):
     assert sum(ref.best - v <= 1e-15 * ref.best for v in ref.values) > 20
 
 
+def _wide(seed, n, k, capacity):
+    """n holdings over k relays of one capacity: with empty relays allowed, almost every relay of an assignment is empty."""
+    scenario = random_scenario(random.Random(seed), n, min(n, 2), k)
+    return dataclasses.replace(scenario, relays=tuple(dataclasses.replace(r, capacity=capacity) for r in scenario.relays))
+
+
+# The scorer passes over empty relays; each of these offers assignments that leave relay K - 2 empty and others
+# that leave relay K - 1 empty, besides the empty relays in the middle.
+WIDE = {
+    "k16-h3-cap1": lambda: _wide(1, 3, 16, 1),
+    "k33-h2-cap2": lambda: _wide(3, 2, 33, 2),
+    "k64-h2-cap1": lambda: _wide(3, 2, 64, 1),
+}
+
 OFFERED = {
     **{name: CASES[name] for name in ("table1", "table1-allow-empty", "k1", "k2-n14-7/7", "n10k4")},
     **{name: (build, False) for name, build in NEAR_TIES.items()},
+    **{name: (build, True) for name, build in WIDE.items()},
 }
 
 
@@ -298,11 +313,16 @@ def test_offers_the_walk_offers(name):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Search, "offer", recorded)
-        solve_exhaustive(scenario, allow_empty_relay=allow_empty_relay)
+        result = solve_exhaustive(scenario, allow_empty_relay=allow_empty_relay)
         solved, calls = calls, []
-        walk_exhaustive(scenario, allow_empty_relay)
+        expected = walk_exhaustive(scenario, allow_empty_relay)
     assert solved == calls
     assert solved
+    assert (result.objective, result.best_scheme, result.trace) == (expected.objective, expected.best_scheme, expected.trace)
+    assert result.evaluated_count == expected.evaluated_count
+    if name in WIDE:
+        assert any(not masks[-2] for _index, masks in solved)
+        assert any(not masks[-1] for _index, masks in solved)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
