@@ -5,9 +5,10 @@ simplex by exact dynamic programming, equivalent to enumerating every grid
 point; each stage fills only the lower triangle of its candidate matrix, in
 blocks of GRID_ROW_BLOCK rows.  ``brute_force_assignments`` scores the raw
 K**H assignment product in one numpy pass, sharing no enumeration or scoring
-code with the search module; it keys each relay's blocks by an integer
-membership mask and water-fills the distinct ones with ``waterfill_rows``,
-the batched pass the search's block tables use, one call per block size.
+code with the search module.  It reads each relay's holding counts and block
+keys off the product as sums of one value per holding, gives each distinct
+block a dense slot, and water-fills every relay's blocks of one size in one
+``waterfill_rows`` call, the batched pass the search's block tables use.
 Both are deliberately small-scale and guarded.
 """
 
@@ -89,6 +90,16 @@ def grid_allocate(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float
     return rates, objective
 
 
+def _product_sum(rows) -> np.ndarray:
+    """Entry j is the sum over holdings p of rows[p][digit p of vector j], for the whole K**H product.
+
+    Built from the last holding outward, so the long axis stays innermost."""
+    acc = rows[-1]
+    for row in rows[-2::-1]:
+        acc = (row[:, None] + acc).ravel()
+    return acc
+
+
 def brute_force_assignments(
     scenario: Scenario,
     *,
@@ -96,19 +107,21 @@ def brute_force_assignments(
 ):
     """Exhaustively try every raw relay assignment of every holding; returns a SolveResult.
 
-    The K**H product is an (H, K**H) array of relay indices, held in the
-    smallest unsigned type that fits K - 1, whose columns run in
-    ``itertools.product`` order, less the columns that break a capacity or
-    leave a relay empty, counted one holding at a time.  Each distinct (relay,
-    block) pair is water-filled once: a relay's blocks are keyed by an integer
-    membership mask whose bits follow ``sort_key`` order, grouped with
-    ``np.unique``, taken by size, and each size filled by one
-    ``waterfill_rows`` call, whose rates are ``allocate``'s bit for bit.  Each
-    column is scored with ``system_freshness``'s float expression in its
-    order, so values are bit-identical to scoring one assignment at a time
-    through the public API.  ``argmax`` takes the first maximum: ties resolve
-    to the lexicographically smallest vector.  Raises InfeasibleError as the
-    solvers do, and OracleScaleError past ``BRUTE_FORCE_LIMIT`` raw assignments.
+    The K**H product is an (H, K**H) array of relay indices in the smallest
+    unsigned type that fits K - 1, columns in ``itertools.product`` order,
+    less those that break a capacity or leave a relay empty.  A relay's
+    holding counts and block keys are sums over the product, one value per
+    holding: the key is the base-K number whose digit p is 1 where holding p
+    sits on the relay, so distinct blocks get distinct keys.  Each key present
+    gets a dense slot and its block is read off one vector that holds it.
+    Every relay's blocks of one size go through one ``waterfill_rows`` call,
+    holdings in ``sort_key`` order, a budget per row, so rates are
+    ``allocate``'s bit for bit; each column is scored with
+    ``system_freshness``'s float expression in its order, so values are the
+    public API's bit for bit.  ``argmax`` takes the first maximum: ties
+    resolve to the lexicographically smallest vector.  Raises InfeasibleError
+    as the solvers do, and OracleScaleError past ``BRUTE_FORCE_LIMIT`` raw
+    assignments or 256 times that many relay passes over them.
     """
     pairs = scenario.holding_pairs
     k, h = scenario.n_relays, len(pairs)
@@ -117,6 +130,8 @@ def brute_force_assignments(
     raw_total = k**h
     if raw_total > BRUTE_FORCE_LIMIT:
         raise OracleScaleError(f"{raw_total} raw assignments exceed the oracle limit {BRUTE_FORCE_LIMIT}")
+    if k * raw_total > 256 * BRUTE_FORCE_LIMIT:   # a pass per relay over the product, a K x (feasible vectors) slot table
+        raise OracleScaleError(f"{k} relays x {raw_total} raw assignments exceed the oracle limit {256 * BRUTE_FORCE_LIMIT}")
 
     # Row p repeats each relay k**(h-1-p) times, so the last holding varies fastest; column j is vector j.
     raw = np.empty((h, raw_total), dtype=np.min_scalar_type(k - 1))
@@ -124,53 +139,55 @@ def brute_force_assignments(
         raw[p].reshape(k**p, k, -1)[...] = np.arange(k, dtype=raw.dtype)[:, None]
     feasible = np.ones(raw_total, dtype=bool)
     for idx, relay in enumerate(scenario.relays):
-        count = np.zeros(raw_total, dtype=np.min_scalar_type(h))
-        for p in range(h):
-            count += raw[p] == idx
+        count = _product_sum([(np.arange(k) == idx).astype(np.min_scalar_type(h))] * h)
         feasible &= (count >= (0 if allow_empty_relay else 1)) & (count <= relay.capacity)
-    raw = raw[:, feasible]
-    evaluated = raw.shape[1]
+    feasible = np.flatnonzero(feasible)
+    evaluated = len(feasible)
     if evaluated == 0:
         raise InfeasibleError("no feasible cache scheme under the capacity constraints")
+    raw = raw.take(feasible, axis=1)
 
-    # One slot per distinct block of each relay, keyed by its membership mask: bit i set when the
-    # holding ranked i-th by sort_key is on the relay, so a key's ascending bits are allocate's order.
-    # Python ints past 62 holdings keep the keys exact for any H.  slot_of[relay, j] is vector j's
-    # slot, rate_of[p][slot] holding p's rate there (0.0 outside the block).
+    # Keys are at most sum(place): below K**H for K >= 2, H for K = 1.  So a dense table maps each to
+    # one vector holding its block, and the keys present, in ascending order, are the relay's slots.
+    # slot_of[relay, j] is vector j's slot; a block row marks its holdings in sort_key order.
     entries = [scenario.entries[pair] for pair in pairs]
     order = np.array(sorted(range(h), key=lambda p: sort_key(entries[p])))
+    place = k ** np.arange(h - 1, -1, -1, dtype=np.intp)
+    columns = np.arange(evaluated)
+    blocks, slot_of = [], np.empty((k, evaluated), dtype=np.intp)
+    for idx, relay in enumerate(scenario.relays):
+        keys = _product_sum(place[:, None] * (np.arange(k) == idx)).take(feasible)
+        holder = np.full(int(place.sum()) + 1, evaluated)
+        holder[keys] = columns
+        present = holder < evaluated
+        slot_of[idx] = (np.cumsum(present) + (sum(map(len, blocks)) - 1))[keys]
+        block = (raw[order[:, None], holder[present]] == idx).T
+        if block.any():
+            check_non_negative("rate budget", relay.rate_budget)   # where allocate would check it
+        blocks.append(block)
+    slot_relay = np.repeat(np.arange(k), [len(b) for b in blocks])
+    blocks = np.concatenate(blocks)
+    budgets = np.array([r.rate_budget for r in scenario.relays])[slot_relay]
     weights = np.array([entries[p].weight for p in order])
     server_rates = np.array([entries[p].server_rate for p in order])
-    bit = np.array([1 << i for i in range(h)], dtype=np.int64 if h < 63 else object)
-    tables, slot_of = [], np.empty((k, evaluated), dtype=np.int64)
-    for idx, relay in enumerate(scenario.relays):
-        keys = np.zeros(evaluated, dtype=bit.dtype)
-        for i, p in enumerate(order):
-            np.add(keys, bit[i], out=keys, where=raw[p] == idx)
-        keys, inverse = np.unique(keys, return_inverse=True)
-        slot_of[idx] = sum(map(len, tables)) + inverse
-        blocks = ((keys[:, None] >> np.arange(h)) & 1).astype(bool)
-        sizes = blocks.sum(axis=1)
-        table = np.zeros((len(keys), h))
-        if sizes.any():
-            check_non_negative("rate budget", relay.rate_budget)   # where allocate would check it
-        for c in np.unique(sizes[sizes > 0]).tolist():
-            slots = np.flatnonzero(sizes == c)
-            cols = np.nonzero(blocks[slots])[1].reshape(len(slots), c)
-            table[slots[:, None], order[cols]] = waterfill_rows(weights[cols], server_rates[cols], relay.rate_budget)
-        tables.append(table)
-    rate_of = np.concatenate(tables).T
-    slot_relay = np.repeat(np.arange(k), [len(t) for t in tables])
+    sizes = blocks.sum(axis=1)
+    table = np.zeros((len(blocks), h))
+    for c in np.unique(sizes[sizes > 0]).tolist():
+        slots = np.flatnonzero(sizes == c)
+        cols = (np.flatnonzero(blocks[slots]) % h).reshape(len(slots), c)
+        table[slots[:, None], order[cols]] = waterfill_rows(weights[cols], server_rates[cols], budgets[slots])
+    rate_of, slot_of = table.T, slot_of.ravel()
 
-    # A holding's term depends only on its slot, whose relay is known: score each slot once, gather per column.
-    values, columns, p = np.zeros(evaluated), np.arange(evaluated), 0
+    # A holding's term depends only on its slot, whose relay is known: score each slot once, gather per
+    # column through the flat slot table, where vector j's slot on relay idx sits at idx * evaluated + j.
+    values, p = np.zeros(evaluated), 0
     for user in scenario.users:
         user_total = np.zeros(evaluated)
         prefs = np.array(user.relay_prefs)[slot_relay]
         for holding in user.holdings:
             e, r = entries[p], rate_of[p]
             term = (holding.request_prob * prefs) * (e.mu * (r / (r + e.server_rate)))
-            user_total += term[slot_of[raw[p], columns]]
+            user_total += term[slot_of[raw[p].astype(np.intp) * evaluated + columns]]
             p += 1
         values += user_total
 
@@ -180,4 +197,3 @@ def brute_force_assignments(
     best = int(np.argmax(values))
     best_val, best_vector = float(values[best]), tuple(int(v) + 1 for v in raw[:, best])
     return make_solve_result(scenario, best_vector, ObjectiveValue.of_sum(best_val, scenario), trace, evaluated)
-

@@ -12,10 +12,10 @@ There are two entry points to the same backward pass, which sums only the
 survivors and so never subtracts a dropped entry back out.  ``waterfill``
 water-fills one block; ``allocate`` sorts the entries by mu/s and calls it,
 and so do the hill climber and the search's re-scores.  ``waterfill_rows``
-water-fills a matrix of blocks of one size, a row each, with the same float
-operations per row, for the exhaustive search's block tables and the
-brute-force oracle.  ``kkt_check`` verifies first-order optimality residuals
-independently of both.  ``allocate`` and ``kkt_check`` read mu and the weight
+water-fills a matrix of blocks of one size, a row each, under one budget or
+one budget per row, with the same float operations per row, for the
+exhaustive search's block tables and the brute-force oracle.  ``kkt_check``
+verifies first-order optimality residuals independently of both.  ``allocate`` and ``kkt_check`` read mu and the weight
 off each ``AllocationEntry`` (defined in ``model`` and re-exported here), which
 checks its rates once, when it is built.
 """
@@ -98,14 +98,17 @@ def waterfill(weights: list[float], server_rates: list[float], budget: float):
     return rates, [True] * cut + [False] * (n - cut), alpha, beta if cut < n else 0.0
 
 
-def waterfill_rows(w: np.ndarray, s: np.ndarray, budget: float) -> np.ndarray:
+def waterfill_rows(w: np.ndarray, s: np.ndarray, budget: float | np.ndarray) -> np.ndarray:
     """``waterfill``'s rates for each row of the (rows, c) weight and server-rate matrices.
 
-    Each row's columns must be ascending by mu/s.  The pass runs a column at a
-    time from the last; a row's ``alive`` flag goes false for good at its first
-    failed test, where ``waterfill`` breaks, and its sums stop there.  Every row
-    does ``waterfill``'s float operations in its order, so its rates are that
-    function's bit for bit; dropped entries get 0.0.
+    ``budget`` is one budget for every row or a (rows,) vector of per-row
+    budgets, so one call can fill several relays' blocks; a row's rates
+    depend only on its own budget.  Each row's columns must be ascending by
+    mu/s.  The pass runs a column at a time from the last; a row's ``alive``
+    flag goes false for good at its first failed test, where ``waterfill``
+    breaks, and its sums stop there.  Every row does ``waterfill``'s float
+    operations in its order, so its rates are that function's bit for bit;
+    dropped entries get 0.0.
     """
     rows, c = w.shape
     alpha, beta, alive = np.zeros(rows), np.full(rows, budget), np.ones(rows, dtype=bool)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -341,8 +342,17 @@ class TestBruteForceAssignments:
         assert result.evaluated_count == count_assignments(2, [1] * k, allow_empty_relay=True) == k * (k - 1)
         assert result.best_scheme.assignment == {(1, 1): k - 1, (1, 2): k}
 
+    def test_relay_passes_guard_trips_before_any_array(self):
+        # 10,000 raw assignments pass the raw limit, but a pass per relay over them and a 10,000 x 10,000
+        # slot table would take seconds and most of a gigabyte; K * K**H past 256 * BRUTE_FORCE_LIMIT exits at once.
+        scenario = self._many_relays(1, 10_000)
+        start = time.perf_counter()
+        with pytest.raises(OracleScaleError, match="^10000 relays x 10000 raw assignments exceed the oracle limit 25600000$"):
+            brute_force_assignments(scenario, allow_empty_relay=True)
+        assert time.perf_counter() - start < 0.1
+
     def test_one_relay_with_70_holdings_fills_one_block(self, monkeypatch):
-        # Past 62 holdings a 64-bit membership mask would wrap; the one block must still hold them all.
+        # 70 holdings on one relay: every base-K digit of the key is 1, so the one block must hold them all.
         scenario = random_scenario(random.Random(15), n_files=70, n_users=5, n_relays=1)
         shapes = []
         original = freshcache.oracle.waterfill_rows

@@ -2,10 +2,11 @@
 
 ``brute_force_assignments`` scores the whole K**H product in one numpy pass
 and water-fills each distinct (relay, block) pair once, a ``waterfill_rows``
-row per block.  The reference below walks ``itertools.product``, calls the
-public ``allocate`` afresh for every relay of every feasible assignment and
-scores each one through ``system_freshness``, so objective, best vector,
-trace and evaluation count must all match exactly.
+row per block and one call per block size.  The reference below walks
+``itertools.product``, calls the public ``allocate`` afresh for every relay
+of every feasible assignment and scores each one through
+``system_freshness``, so objective, best vector, trace and evaluation count
+must all match exactly.
 """
 
 import dataclasses
@@ -94,16 +95,30 @@ def _with_capacities(scenario, caps):
     )
 
 
+def _wide(k, h):
+    """h holdings over k relays of capacity 1-3, for keys past the K = 4 the hypothesis draws stop at."""
+    rng = random.Random(100 * k + h)
+    return _with_capacities(random_scenario(rng, h, rng.randint(1, h), k), [rng.randint(1, 3) for _ in range(k)])
+
+
 CASES = {
     "table1": (lambda: load_scenario("table1"), False),
     "table1-allow-empty": (lambda: load_scenario("table1"), True),
     "k1": (lambda: random_scenario(random.Random(11), 8, 3, 1), False),
     "k2-n14-7/7": (lambda: _with_capacities(random_scenario(random.Random(12), 14, 4, 2), [7, 7]), False),
     "n8k4": (lambda: _with_capacities(random_scenario(random.Random(13), 8, 3, 4), [3, 2, 2, 2]), False),
-    # One raw vector, but 64+ holdings: a 64-bit block mask would wrap here.
+    # One raw vector, but 70 holdings: with K = 1 every base-K place value is 1, so the key is the count.
     "k1-h70": (lambda: random_scenario(random.Random(15), 70, 5, 1), False),
     # 65,536 raw vectors: the largest K = 2 product under the default limit.
     "k2-n16-8/8": (lambda: _with_capacities(random_scenario(random.Random(16), 16, 4, 2), [8, 8]), False),
+    # Base-K block keys with digits up to K - 1 = 4, 5 and 7.
+    "k5-h3-allow-empty": (lambda: _wide(5, 3), True),
+    "k5-h5": (lambda: _wide(5, 5), False),
+    "k5-h5-allow-empty": (lambda: _wide(5, 5), True),
+    "k6-h4-allow-empty": (lambda: _wide(6, 4), True),
+    "k6-h6": (lambda: _wide(6, 6), False),
+    "k8-h3-allow-empty": (lambda: _wide(8, 3), True),
+    "k8-h5-allow-empty": (lambda: _wide(8, 5), True),
 }
 
 
@@ -167,6 +182,14 @@ def test_oracle_allocates_each_table1_block_once(monkeypatch):
     assert sum(rows) == sum(sizes) == 1869
 
 
+def test_oracle_fills_table1_in_one_call_per_block_size(monkeypatch):
+    # Every relay's blocks of one size share a call, each row under its own relay's budget.
+    rows = _count_rows(monkeypatch)
+    brute_force_assignments(load_scenario("table1"))
+    assert len(rows) == 6
+    assert sum(rows) == 1869
+
+
 def test_oracle_stores_no_block_at_two_relays(monkeypatch):
     scenario = _with_capacities(random_scenario(random.Random(14), 10, 3, 2), [5, 5])
     rows = _count_rows(monkeypatch)
@@ -216,7 +239,7 @@ def test_column_counts_match_per_relay_sums(data):
 @given(data=st.data())
 def test_block_keys_fill_each_distinct_block_once_in_sort_key_order(data):
     # Every nonempty (relay, block) pair of the feasible vectors is water-filled exactly once,
-    # its holdings in allocate's sort_key order, the order of the membership mask's bits.
+    # its holdings in allocate's sort_key order, whatever order the base-K keys give the slots.
     scenario, allow_empty_relay = _draw_scenario(data)
     entries = [scenario.entries[pair] for pair in scenario.holding_pairs]
     holding_of = {(e.weight, e.server_rate): p for p, e in enumerate(entries)}
@@ -226,7 +249,9 @@ def test_block_keys_fill_each_distinct_block_once_in_sort_key_order(data):
     original = freshcache.oracle.waterfill_rows
 
     def recording(w, s, budget):
-        filled.extend((relay_of[budget], tuple(map(holding_of.get, zip(*row)))) for row in zip(w.tolist(), s.tolist()))
+        # One call carries every relay's blocks of one size, so each row reads its own budget.
+        rows = zip(np.broadcast_to(budget, len(w)).tolist(), w.tolist(), s.tolist())
+        filled.extend((relay_of[b], tuple(map(holding_of.get, zip(*row)))) for b, *row in rows)
         return original(w, s, budget)
 
     with pytest.MonkeyPatch.context() as mp:

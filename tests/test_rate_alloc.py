@@ -243,6 +243,28 @@ class TestWaterfillRows:
             want = waterfill([e.weight for e in row], [e.server_rate for e in row], budget)[0]
             assert got[r].tobytes() == np.array(want).tobytes()
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        c=st.integers(1, 6),
+        pairs=st.lists(
+            st.tuples(st.floats(0.1, 50.0), st.one_of(st.floats(0.1, 50.0), st.floats(1e20, 1e30))), min_size=1, max_size=12
+        ),
+        budgets=st.lists(st.one_of(st.just(0.0), st.just(1e-20), st.floats(0.0, 60.0)), min_size=1, max_size=8),
+    )
+    @example(c=2, pairs=[(8.0, 4.0), (3.0, 2.5), (5.0, 1e30)], budgets=[0.0, 12.0, 0.0, 1e-20])
+    def test_a_budget_per_row_fills_each_row_as_its_own_call(self, c, pairs, budgets):
+        # One call can carry several relays' blocks: row r under budgets[r] must be a scalar call on that row alone.
+        cells = itertools.cycle(pairs)
+        rows = [
+            sorted((AllocationEntry((1, j), *next(cells)) for j in range(c)), key=lambda e: e.mu / e.server_rate)
+            for _ in budgets
+        ]
+        w = np.array([[e.weight for e in row] for row in rows])
+        s = np.array([[e.server_rate for e in row] for row in rows])
+        got = waterfill_rows(w, s, np.array(budgets))
+        for r, budget in enumerate(budgets):
+            assert got[r].tobytes() == waterfill_rows(w[r:r + 1], s[r:r + 1], budget)[0].tobytes()
+
 
 class TestKktCheck:
     def test_allocation_satisfies_kkt(self):
