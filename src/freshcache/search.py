@@ -27,9 +27,21 @@ Numpy rows of holding indices grow a relay at a time up to relay K - 2, at
 most ``_CHUNK_ROWS`` at once, from a pattern of chosen positions followed by
 their complement, both unranked; there the chosen positions and the rest are
 the last two relays' blocks, so no row is grown for them.  A block is found
-in its table by its lexicographic rank, and an assignment's block values are
-added left to right from 0.0, as a loop over the relays would add them.  Its
-full row is built only if it is re-scored.
+in its table by its lexicographic rank.  On the top-level row, ``range(n)``,
+a choice's positions are its holdings: relay k's values for a piece of
+choices are a slice of its table, and the rest's are the reversed slice of
+the last relay's, since the rest of the r-th c-subset is the
+(C(n, c) - 1 - r)-th.  Below the top level, ranks come from digit weights.
+With W[a, j] = C(n - 1 - a, d - j), a d-subset a_0 < ... < a_{d-1} has rank
+C(n, d) - 1 - sum_j W[a_j, j], so one matrix product of a chunk's gathered
+weights with a piece's 0-1 selection matrix ranks every choice on every row;
+a relay with more than ``_CHUNK_ROWS`` choices, whose pieces are rebuilt for
+each row, adds the weights position by position instead.  Each weight and
+partial sum is an integer below C(n, d), which is far below 2**53 for any
+table that fits in memory, so the ranks are exact whatever the summation
+order.  An assignment's block values are added left to right from 0.0, as a
+loop over the relays would add them.  Its full row is built only if it is
+re-scored.
 
 Block sums only rank candidates.  One that falls below the running best (in
 sampled mode, the climber's current value) by more than a tiny relative
@@ -42,13 +54,15 @@ through the public API bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import random
 import sys
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -117,22 +131,53 @@ def enumerate_partitions(n: int, capacities: Sequence[int], *, allow_empty_relay
     set, must be at least 1.  Bad arguments raise on the call, not on iteration.
     """
     caps, lo = _split_bounds(n, capacities, allow_empty_relay)
-    k = len(caps)
-    suffix_cap = [0] * (k + 1)
-    for idx in range(k - 1, -1, -1):
-        suffix_cap[idx] = suffix_cap[idx + 1] + caps[idx]
+    spare = [cap - lo for cap in caps]   # what a relay may take above lo
+    extra = n - lo * len(caps)
+    if not 0 <= extra <= sum(spare) or min(spare, default=0) < 0:
+        return iter(())
+    return (Partition(counts) for counts in _spare_splits(extra, spare, lo))
 
-    def rec(idx: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if idx == k:
-            if remaining == 0:
-                yield prefix
-            return
-        lo_c = max(lo, remaining - suffix_cap[idx + 1])
-        hi_c = min(caps[idx], remaining - lo * (k - idx - 1))
-        for c in range(lo_c, hi_c + 1):
-            yield from rec(idx + 1, remaining - c, prefix + (c,))
 
-    return (Partition(counts) for counts in rec(0, n, ()))
+def _spare_splits(extra: int, spare: list[int], lo: int) -> Iterator[tuple[int, ...]]:
+    """Every way to share ``extra`` among relays taking at most ``spare[i]`` each, lexicographically, as ``lo`` + share.
+
+    The walk visits only the relays that take a share.  From relay i on, with r left to share, the
+    splits come grouped by the first relay j that takes one, the largest j first (relays i to j - 1
+    take none), then by its share v, smallest first, then by the splits of r - v from relay j + 1 on.
+    The largest j is the last from which the relays can still hold r.  A stack frame holds (i, r, j, v),
+    and each step advances the deepest frame that has a next choice, so a split costs about as many
+    steps as relays take a share, plus one tuple copy.
+    """
+    room = list(itertools.accumulate(reversed(spare), initial=0))[::-1]   # room[i]: what relays i onwards hold
+    neg_room = [-x for x in room]   # ascending, for bisect
+    # prev[j]: the last relay before j with spare, or -1
+    prev = list(itertools.accumulate(range(len(spare) - 1), lambda p, j: j if spare[j] else p, initial=-1))
+    counts, stack = [lo] * len(spare), []
+    i, r = 0, extra
+    while True:
+        while r:   # descend to the first split of r from relay i on
+            j = bisect.bisect_right(neg_room, -r) - 1
+            stack.append([i, r, j, r - room[j + 1]])
+            counts[j] = lo + r - room[j + 1]
+            i, r = j + 1, room[j + 1]
+        yield tuple(counts)
+        while True:   # advance the deepest frame that has a next choice
+            if not stack:
+                return
+            frame = stack[-1]
+            fi, fr, j, v = frame
+            counts[j] = lo
+            if v < min(spare[j], fr):
+                v += 1
+            elif prev[j] >= fi:
+                j, v = prev[j], 1   # the relays after j can hold the rest: those after the largest j could
+            else:
+                stack.pop()
+                continue
+            frame[2:] = j, v
+            counts[j] = lo + v
+            i, r = j + 1, fr - v
+            break
 
 
 class _Search:
@@ -165,6 +210,8 @@ class _Search:
         if sum(caps) < self.n or self.min_count * len(caps) > self.n or min(caps) < self.min_count:
             raise InfeasibleError("no feasible cache scheme under the capacity constraints")
         self.capacities = tuple(caps)
+        # The table fill's layout: w, s and mu as arrays, and the n x K coefficient matrix.
+        self.arrays = tuple(np.array(column) for column in (self.weights, self.server_rates, self.mus, self.coef))
         self.memo: dict[int, _Block] = {}   # key: relay index << n | block bitmask
         # Rank-gate margin, relative.  Every term is non-negative and a block sum
         # adds the same terms as the canonical sum in another order, so the two
@@ -177,7 +224,7 @@ class _Search:
         self.floor = -math.inf   # a block sum below this cannot reach self.val
         self.vec: tuple[int, ...] | None = None   # relay ids (1-based) in canonical holding order; the tie-break
         self.trace: list[tuple[int, float]] = []
-        self.patterns: dict[tuple[int, int], list[np.ndarray]] = {}   # (m, c) -> _patterns' one piece, if it fits in one
+        self.patterns: dict[tuple[int, int], tuple[np.ndarray, tuple]] = {}   # (m, c) -> _piece, if one covers all
 
     def block(self, k: int, mask: int) -> _Block:
         """``_evaluate(k, mask)`` through the memo."""
@@ -237,8 +284,8 @@ class _Search:
         call per chunk, then the terms added left to right from 0.0.
         """
         size = comb(self.n, c)
-        weights, server_rates, mus = np.array(self.weights), np.array(self.server_rates), np.array(self.mus)
-        coef = np.array(self.coef)[:, k]
+        weights, server_rates, mus, coef = self.arrays
+        coef = coef[:, k]
         values = np.zeros(size)
         for start in range(0, size, _CHUNK_ROWS):
             idx = _unrank(self.n, c, np.arange(start, min(start + _CHUNK_ROWS, size)))
@@ -258,9 +305,11 @@ class _Search:
         then relay 1's and so on up to relay k - 1, then the holdings left, each
         group ascending.  Rows grow a relay at a time up to relay K - 2.  There a
         choice of its block and the rest it leaves are the last two relays'
-        blocks, ranked straight from ``picked``; an assignment's full row is built
-        only to re-score it.  An empty relay's block adds 0.0 to every sum, which
-        leaves a non-negative sum's bits as they are, so the walk passes over it.
+        blocks; an assignment's full row is built only to re-score it.  Blocks are
+        ranked by one matrix product per chunk of rows and piece of choices; on
+        the top-level row, ``range(n)``, a block's rank is its choice's rank.  An
+        empty relay's block adds 0.0 to every sum, which leaves a non-negative
+        sum's bits as they are, so the walk passes over it.
         """
         while counts[k] == 0 and k < len(counts) - 1:
             k += 1
@@ -268,50 +317,63 @@ class _Search:
         off = sum(counts[:k])
         m = n - off
         size = comb(m, c)
+        grows = k < len(counts) - 2
+        last = not grows and k + 1 < len(counts)   # the rest is the last relay's block; with one relay, k is the last
+        blocks = tables[k:k + 1 + last]   # the tables read here: relay k's and, if last, the last relay's
         group = max(1, _CHUNK_ROWS // size)
         for start in range(0, len(rows), group):
             head, head_acc = rows[start:start + group], acc[start:start + group]
-            for pattern in self._patterns(m, c, size):
-                picked = head[:, off:][:, pattern]          # (rows, choices, m): relay k's holdings, then the rest
-                sums = head_acc[:, None] + tables[k][self._rank(picked[:, :, :c])]
-                if k < len(counts) - 2:
+            rest = head[:, off:]
+            if off:   # the digit weights of the holdings left, for relay k's count and the last relay's
+                gathered = [_weights(n, d).take(rest, axis=0).reshape(len(head), -1) for d in (c, m - c)[:1 + last]]
+            for first in range(0, size, _CHUNK_ROWS):
+                stop = min(first + _CHUNK_ROWS, size)
+                pattern, selections = self._piece(m, c, first, stop) if off or grows else (None, ())
+                if off:   # a block's place from the end of its table, C(n, d) - 1 - rank, is its digit-weight sum
+                    from_end = [_rank_sums(g, s).astype(np.intp) for g, s in zip(gathered, selections)]
+                    values = [t[::-1].take(x) for t, x in zip(blocks, from_end)]
+                else:   # on range(n) a choice's rank is its own, and the rest it leaves has the reversed rank
+                    values = [blocks[0][first:stop], blocks[-1][::-1][first:stop]][:len(blocks)]
+                sums = head_acc[:, None] + values[0]
+                if grows:
+                    picked = rest[:, pattern]          # (rows, choices, m): relay k's holdings, then the rest
                     grown = np.empty(picked.shape[:2] + (n,), dtype=head.dtype)
                     grown[:, :, :off] = head[:, None, :off]
                     grown[:, :, off:] = picked
                     self.score(counts, tables, k + 1, grown.reshape(-1, n), sums.reshape(-1))
                     continue
-                if k + 1 < len(counts):   # the rest is the last relay's block; with one relay, k is the last
-                    sums = sums + tables[k + 1][self._rank(picked[:, :, c:])]
+                if last:
+                    sums = sums + values[1]
                 total = sums.reshape(-1)
                 for h in np.flatnonzero(total >= self.floor).tolist():
                     if total[h] >= self.floor:   # re-checked: an earlier offer in this chunk may have raised the floor
-                        r, j = divmod(h, len(pattern))
-                        row = head[r, :off].tolist() + picked[r, j].tolist()
+                        r, j = divmod(h, stop - first)
+                        chosen = _choices(m, c, np.array([first + j]))[0] if pattern is None else pattern[j]
+                        row = head[r, :off].tolist() + rest[r, chosen].tolist()
                         self.offer(self.evaluated + h + 1, self._parts(counts, row))
                 self.evaluated += len(total)
 
-    def _patterns(self, m: int, c: int, size: int) -> Iterable[np.ndarray]:
-        """The ``size`` = C(m, c) choices of c of m holdings left, in lexicographic order, at most ``_CHUNK_ROWS`` at a time.
+    def _piece(self, m: int, c: int, first: int, stop: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Choices ``first`` to ``stop`` - 1 of c of m holdings left, in lexicographic order, and how to rank them.
 
-        A row is a choice, then the rest: the (size - 1 - r)-th (m - c)-subset is the rest of the r-th
-        c-subset.  A pattern that fits in one piece is built once per solve.
+        A pattern row is a choice's positions, then the rest's.  Below the top level (m < n) each group of
+        positions comes with its selection for ``_rank_sums``.  A piece that covers all C(m, c) choices is
+        built once per solve and selects by a 0-1 matrix.  Any other piece is rebuilt for every row it
+        ranks, one row at a time, and selects by its positions, transposed: a dense matrix would cost m
+        times as much to build as the gathers it replaces.
         """
-        pieces = self.patterns.get((m, c))
-        if pieces is None:
-            ranks = (np.arange(start, min(start + _CHUNK_ROWS, size)) for start in range(0, size, _CHUNK_ROWS))
-            pieces = (np.hstack([_unrank(m, c, r), _unrank(m, m - c, size - 1 - r)]) for r in ranks)
-            if size <= _CHUNK_ROWS:
-                pieces = self.patterns[m, c] = list(pieces)
-        return pieces
-
-    def _rank(self, subsets: np.ndarray) -> np.ndarray:
-        """Lexicographic rank of each ascending row of holding indices among the subsets of its size."""
-        n, c = self.n, subsets.shape[-1]
-        size, digits = _digits(n, c)
-        rank = np.full(subsets.shape[:-1], size - 1)   # c = 0: the empty subset, rank 0
-        for j, column in enumerate(digits):
-            rank -= column[::-1][subsets[..., j] - j]   # C(n - 1 - a_j, c - j)
-        return rank
+        piece = self.patterns.get((m, c))
+        if piece is None:
+            pattern = _choices(m, c, np.arange(first, stop))
+            whole = first == 0 and stop == comb(m, c)
+            selections = ()
+            if m < self.n:
+                groups = pattern[:, :c], pattern[:, c:]
+                selections = tuple(_selection(g, m) if whole else np.ascontiguousarray(g.T) for g in groups)
+            piece = pattern, selections
+            if whole:
+                self.patterns[m, c] = piece
+        return piece
 
     def _parts(self, counts: tuple[int, ...], row: list[int]) -> list[_Block]:
         """The blocks of one scored row."""
@@ -427,6 +489,55 @@ def _digits(m: int, c: int) -> tuple[int, tuple[np.ndarray, ...]]:
     The c-subset a_0 < ... < a_{c-1} of range(m) has lexicographic rank C(m, c) - 1 - sum_j C(m - 1 - a_j, c - j).
     """
     return comb(m, c), tuple(np.array([comb(x, c - j) for x in range(m - j)], dtype=np.int64) for j in range(c))
+
+
+@functools.cache
+def _weights(n: int, d: int) -> np.ndarray:
+    """The (n, d) float64 digit weights W of d-subsets of range(n): W[a, j] = C(n - 1 - a, d - j) where a can be position j.
+
+    A d-subset a_0 < ... < a_{d-1} has lexicographic rank C(n, d) - 1 - sum_j W[a_j, j].  Position j holds
+    j <= a_j <= n - d + j; every other entry is 0, so no entry and no partial sum of that sum exceeds
+    C(n, d) - 1.  The scorer ranks d-subsets only against a table of C(n, d) float64 values, which fits
+    in memory, so C(n, d) is far below 2**53, and a matrix product that adds the weights returns the
+    exact rank whatever its summation order.
+    """
+    w = np.zeros((n, d))
+    for j in range(d):
+        for a in range(j, n - d + j + 1):
+            w[a, j] = comb(n - 1 - a, d - j)
+    return w
+
+
+def _selection(columns: np.ndarray, m: int) -> np.ndarray:
+    """The 0-1 (m * d, rows) matrix whose entry (q * d + j, t) is 1 where ``columns[t, j]`` is q."""
+    rows, d = columns.shape
+    selection = np.zeros((m, d, rows))
+    selection[columns, np.arange(d), np.arange(rows)[:, None]] = 1.0
+    return selection.reshape(m * d, rows)
+
+
+def _rank_sums(gathered: np.ndarray, selection: np.ndarray) -> np.ndarray:
+    """The digit-weight sum of each choice on each row; ``gathered`` is (rows, m * d), the weights of a row's holdings.
+
+    ``selection`` is a ``_selection`` matrix, and the sums are its product, or a (d, choices) matrix of
+    the choices' positions, and the sums are gathered one position at a time.  Both are exact, see
+    ``_weights``.
+    """
+    if selection.dtype != np.intp:
+        return gathered @ selection
+    d = len(selection)
+    total = np.zeros((len(gathered), selection.shape[1]))
+    for j, positions in enumerate(selection):
+        total += gathered[:, j::d].take(positions, axis=1)
+    return total
+
+
+def _choices(m: int, c: int, ranks: np.ndarray) -> np.ndarray:
+    """The c-subsets of range(m) with lexicographic ``ranks``, each followed by the rest of range(m).
+
+    The rest of the r-th c-subset is the (C(m, c) - 1 - r)-th (m - c)-subset.
+    """
+    return np.hstack([_unrank(m, c, ranks), _unrank(m, m - c, comb(m, c) - 1 - ranks)])
 
 
 def _unrank(m: int, c: int, ranks: np.ndarray) -> np.ndarray:

@@ -86,6 +86,26 @@ class TestEnumeratePartitions:
             with pytest.raises(DomainError):
                 enumerate_partitions(n, caps)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(0, 9),
+        caps=st.lists(st.integers(0, 4), max_size=6),
+        allow_empty_relay=st.booleans(),
+    )
+    def test_matches_the_product_filter_on_random_capacities(self, n, caps, allow_empty_relay):
+        lo = 0 if allow_empty_relay else 1
+        expected = [c for c in itertools.product(*(range(lo, cap + 1) for cap in caps)) if sum(c) == n]
+        assert [p.counts for p in enumerate_partitions(n, caps, allow_empty_relay=allow_empty_relay)] == expected
+
+    def test_wide_splits_in_order(self):
+        # Two holdings over 64 single-slot relays, empty relays allowed: every pair of relays, in order.
+        expected = [tuple(int(i in pair) for i in range(64)) for pair in itertools.combinations(range(64), 2)]
+        assert [p.counts for p in enumerate_partitions(2, [1] * 64, allow_empty_relay=True)] == sorted(expected)
+        # Spare slots on a few relays among many that must stay at one holding.
+        caps = [1] * 40 + [3] + [1] * 40 + [2]
+        got = [p.counts for p in enumerate_partitions(84, caps)]
+        assert got == [(1,) * 40 + (a,) + (1,) * 40 + (b,) for a, b in ((2, 2), (3, 1))]
+
 
 class TestCountAssignments:
     def test_table1(self):

@@ -38,7 +38,18 @@ from freshcache import (
 )
 from freshcache import search as search_module
 from freshcache.rate_alloc import waterfill
-from freshcache.search import _PATIENCE, _propose_move, _random_assignment, _Search, _unrank
+from freshcache.search import (
+    _PATIENCE,
+    _choices,
+    _digits,
+    _propose_move,
+    _random_assignment,
+    _rank_sums,
+    _Search,
+    _selection,
+    _unrank,
+    _weights,
+)
 
 from conftest import random_scenario
 
@@ -297,14 +308,12 @@ OFFERED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(OFFERED))
-def test_offers_the_walk_offers(name):
-    # Every re-scored assignment in order: its evaluation index and its relays'
-    # blocks.  Every offer on the CASES instances improves the best; most on
-    # the NEAR_TIES ones do not.  With one relay the walk offers a second,
-    # empty block past the last relay, which is left out.
-    build, allow_empty_relay = OFFERED[name]
-    scenario = build()
+def _assert_offers_the_walk_offers(scenario, allow_empty_relay, chunk_rows=None):
+    """Solve and walk ``scenario``, recording every re-scored assignment in order; return the solver's offers.
+
+    An offer is its evaluation index and its relays' blocks.  With one relay the walk offers a second,
+    empty block past the last relay, which is left out.
+    """
     offer, calls = _Search.offer, []
 
     def recorded(search, index, parts):
@@ -313,6 +322,8 @@ def test_offers_the_walk_offers(name):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Search, "offer", recorded)
+        if chunk_rows is not None:
+            patch.setattr(search_module, "_CHUNK_ROWS", chunk_rows)
         result = solve_exhaustive(scenario, allow_empty_relay=allow_empty_relay)
         solved, calls = calls, []
         expected = walk_exhaustive(scenario, allow_empty_relay)
@@ -320,21 +331,66 @@ def test_offers_the_walk_offers(name):
     assert solved
     assert (result.objective, result.best_scheme, result.trace) == (expected.objective, expected.best_scheme, expected.trace)
     assert result.evaluated_count == expected.evaluated_count
+    return solved
+
+
+@pytest.mark.parametrize("name", sorted(OFFERED))
+def test_offers_the_walk_offers(name):
+    # Every offer on the CASES instances improves the best; most on the NEAR_TIES ones do not.
+    build, allow_empty_relay = OFFERED[name]
+    solved = _assert_offers_the_walk_offers(build(), allow_empty_relay)
     if name in WIDE:
         assert any(not masks[-2] for _index, masks in solved)
         assert any(not masks[-1] for _index, masks in solved)
 
 
+# Three rows per chunk: the top-level choices of a K = 2 partition are read as table slices of three,
+# and below the top level the selection matrices of a relay's choices span several pieces.
+SMALL_PIECES = {
+    "k2-n8-4/4": (lambda: _shape(2, "k2", 8, 2, 3, 0), False),
+    "k2-n7-allow-empty": (lambda: _shape(3, "k2", 7, 2, 3, 3), True),
+    "n9k3-allow-empty": CASES["n9k3-allow-empty"],
+    "n8k4-allow-empty": CASES["n8k4-allow-empty"],
+    "two-kinds-k2": (NEAR_TIES["two-kinds-k2"], False),
+    "k16-h3-cap1": (WIDE["k16-h3-cap1"], True),
+    "k33-h2-cap2": (WIDE["k33-h2-cap2"], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_PIECES))
+def test_small_pieces_offer_what_the_walk_offers(name):
+    build, allow_empty_relay = SMALL_PIECES[name]
+    _assert_offers_the_walk_offers(build(), allow_empty_relay, chunk_rows=3)
+
+
+def _scorer_ranks(n, rest, columns):
+    """Lexicographic ranks, among the subsets of range(n), of ``rest[r, columns[t]]`` for each row r and choice t.
+
+    Ranked as the scorer ranks them: digit weights of ``rest`` times the 0-1 selection of ``columns``, and
+    the same sums gathered position by position, as the scorer ranks a piece it builds for every row.
+    """
+    rows, (choices, c) = len(rest), columns.shape
+    size, weights = math.comb(n, c), _weights(n, c).take(rest, axis=0).reshape(rows, -1)
+    product = _rank_sums(weights, _selection(columns, rest.shape[1]))
+    gathered = _rank_sums(weights, np.ascontiguousarray(columns.T))
+    assert product.shape == gathered.shape == (rows, choices)
+    assert product.tolist() == gathered.tolist()
+    return (size - 1 - product).astype(np.int64)
+
+
+def _digit_rank(n, subset):
+    """The lexicographic rank of an ascending subset of range(n), from ``_digits``' columns."""
+    size, digits = _digits(n, len(subset))
+    return size - 1 - sum(int(column[n - 1 - a]) for column, a in zip(digits, subset))
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_rank_is_the_combinations_index(n):
-    search = _Search(_duplicated([(3.0, 2.0)], (n,), 1, n, 1.0), False)
+    # On the top-level row range(n), a subset's positions are its holdings.
     for c in range(n + 1):
         size = math.comb(n, c)
         subsets = np.array(list(itertools.combinations(range(n), c)), dtype=np.intp).reshape(size, c)
-        expected = np.arange(size)
-        assert search._rank(subsets).tolist() == expected.tolist()
-        for shape in ((1, size), (size, 1)):   # (rows, choices, c), as the scorer ranks a pattern's picks
-            assert search._rank(subsets.reshape(shape + (c,))).tolist() == expected.reshape(shape).tolist()
+        assert _scorer_ranks(n, np.arange(n)[None, :], subsets).tolist() == [list(range(size))]
 
 
 def _rank_ranges(size):
@@ -355,10 +411,26 @@ def test_unrank_is_the_combinations_order(m):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_rank_inverts_unrank(n):
-    search = _Search(_duplicated([(3.0, 2.0)], (n,), 1, n, 1.0), False)
     for c in range(n + 1):
         for ranks in _rank_ranges(math.comb(n, c)):
-            assert search._rank(_unrank(n, c, ranks)).tolist() == ranks.tolist()
+            assert _scorer_ranks(n, np.arange(n)[None, :], _unrank(n, c, ranks)).tolist() == [ranks.tolist()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_digit_weight_ranks_are_the_digits_ranks(data):
+    # Rows of m ascending holdings out of n <= 30, as the scorer meets them below the top level; every
+    # count from 0 to m, and for each choice the rest it leaves, as the last relay's block is ranked.
+    n = data.draw(st.integers(1, 30))
+    m = data.draw(st.integers(1, n))
+    c = data.draw(st.integers(0, m))
+    rest = np.array([sorted(data.draw(st.permutations(range(n)))[:m]) for _ in range(data.draw(st.integers(1, 3)))])
+    size = math.comb(m, c)
+    ranks = np.array(sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=min(size, 12)))))
+    pattern = _choices(m, c, ranks)
+    for columns in (pattern[:, :c], pattern[:, c:]):
+        expected = [[_digit_rank(n, row[choice].tolist()) for choice in columns] for row in rest]
+        assert _scorer_ranks(n, rest, columns).tolist() == expected
 
 
 @pytest.mark.parametrize("chunk_rows", [search_module._CHUNK_ROWS, 3, 1])
@@ -370,7 +442,9 @@ def test_rest_of_a_choice_is_the_reversed_complement_rank(m, chunk_rows):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search_module, "_CHUNK_ROWS", chunk_rows)
         for c in range(m + 1):
-            pattern = np.vstack(list(search._patterns(m, c, math.comb(m, c))))
+            size = math.comb(m, c)
+            pieces = [search._piece(m, c, first, min(first + chunk_rows, size)) for first in range(0, size, chunk_rows)]
+            pattern = np.vstack([piece[0] for piece in pieces])
             expected = [combo + tuple(i for i in range(m) if i not in combo) for combo in itertools.combinations(range(m), c)]
             assert pattern.tolist() == [list(row) for row in expected]
 
@@ -397,6 +471,20 @@ def test_table_fill_is_the_scalar_evaluate_bit_for_bit(chunk_rows, data):
             for c in range(search.n + 1):
                 scalar = np.array([search._evaluate(k, sum(combo))[0] for combo in itertools.combinations(bits, c)])
                 assert search.table(k, c).tobytes() == scalar.tobytes()
+
+
+def test_three_level_walk_is_pinned():
+    # n14k4 (4/4/3/3, the benchmark generator's seed-1 instance) is the cheapest instance whose walk ranks
+    # a relay's blocks below the top level, by digit weights, before the last two relays.  Pinned bit for bit.
+    scenario = _shape(1, "n14k4", 14, 4, 4, 0)
+    assert [r.capacity for r in scenario.relays] == [4, 4, 3, 3]
+    result = solve_exhaustive(scenario)
+    assert result.objective.sum_form.hex() == "0x1.0f384002a8209p-1"
+    assert result.evaluated_count == 4_204_200
+    assert (len(result.trace), result.trace[-1]) == (24, (3_385_286, 0.5297260287516689))
+    assert tuple(result.best_scheme.assignment[pair] for pair in scenario.holding_pairs) == (
+        3, 4, 2, 2, 3, 1, 3, 1, 4, 1, 2, 2, 1, 4,
+    )
 
 
 SAMPLED = {
