@@ -13,11 +13,15 @@ request less often than the relay refreshes.  The primary estimator is the
 fraction of the horizon those intervals cover, with 20 batch means from a
 running total of fresh time at the batch edges.
 
-The replay is staged: the server and relay streams are reduced to each
-cycle's first refresh and end, and freed, before the user stream is drawn
-from the same generator, so a holding peaks at about 7.6-15.4 bytes per
-expected event.  ``simulate_system`` runs two holdings at once on threads,
-each with its own seeded generator, and sums them in scenario order.
+The server stream is drawn whole.  The relay and user streams are drawn in
+pieces of at most ``_PIECE`` events, the same numbers in the same order as
+whole draws, and each piece is replayed as it is drawn.  The relay pieces
+reduce to each cycle's first refresh and end, and the server stream is freed
+before the first user piece, so a user stream of any length costs a piece's
+worth and a holding peaks at about 2.8-9.3 bytes per expected event,
+server-heavy holdings at the top.  ``simulate_system`` runs two holdings at
+once on threads, each with its own seeded generator, and sums them in
+scenario order.
 
 A relay refresh at the instant of a server update serves the cycle that update
 closes, so it leaves the relay copy outdated; a user request at the instant of
@@ -30,18 +34,22 @@ import functools
 import hashlib
 import math
 import os
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SimulationScaleError
+from .errors import DomainError, SimulationScaleError
 from .freshness import ObjectiveValue, RateTable, holding_placement
 from .model import CacheScheme, Scenario, check_non_negative, check_positive
 
 _BATCHES = 20
 # Expected events one stream may draw: 16x the tests' largest (rate 12, horizon 1e5).  A holding at the limit,
-# (199, 199, 199) at horizon 1e5, peaks near 551 MiB under tracemalloc; _WORKERS of them run at once, 1.1 GiB.
+# (199, 199, 199) at horizon 1e5, peaks at 305 MiB under tracemalloc (measured); _WORKERS of them, 0.6 GiB.
 _MAX_STREAM_EVENTS = 20_000_000
+# Events per relay or user piece the replay draws and searches at once: 512 KiB of event times.
+_PIECE = 1 << 16
 # Holdings simulated at once on threads; the guard's memory above is priced for this many.
 _WORKERS = 2
 # Two-sided 95% Student-t quantile at 19 degrees of freedom (20 batch means).
@@ -67,27 +75,53 @@ def stream_seed(seed: int, user_id: int, file_id: int) -> int:
     return (int(seed) ^ int.from_bytes(digest, "big")) & (2**63 - 1)
 
 
-def _event_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
-    """Strictly increasing Poisson event times in (0, horizon)."""
+def _event_pieces(rng: np.random.Generator, rate: float, horizon: float, size: int) -> Iterator[np.ndarray]:
+    """Yield ``_event_times(rng, rate, horizon)`` in consecutive non-empty pieces of at most ``size`` events.
+
+    Draws the same numbers in the same order as one draw per batch, the unused tail of the batch that
+    crosses the horizon included, so the generator is left in the same state whatever ``size`` is.
+    """
     if rate <= 0.0:
-        return np.empty(0)
+        return
     expected = rate * horizon
     n_guess = int(expected + 4.0 * math.sqrt(expected) + 16.0)
-    times = rng.standard_exponential(n_guess)
-    times *= 1.0 / rate
-    np.cumsum(times, out=times)
-    while times[-1] < horizon:
-        extra = np.cumsum(rng.exponential(1.0 / rate, size=max(16, n_guess // 4)))
-        times = np.concatenate([times, times[-1] + extra])
-    return times[: np.searchsorted(times, horizon)]
+    batch, base = n_guess, 0.0
+    while True:
+        done, run = 0, 0.0   # run: the batch-local running sum, carried into each piece's first gap
+        while done < batch:
+            piece = rng.standard_exponential(min(size, batch - done))
+            done += piece.size
+            piece *= 1.0 / rate
+            piece[0] += run   # 0.0 + x == x, so the first piece's bits do not move
+            np.cumsum(piece, out=piece)
+            run = piece[-1]
+            if base:   # an extension batch
+                piece += base
+            if piece[-1] >= horizon:
+                if piece[0] < horizon:
+                    yield piece[: np.searchsorted(piece, horizon)]
+                while done < batch:   # the unused tail, drawn so later streams see the same numbers
+                    done += rng.standard_exponential(min(size, batch - done)).size
+                return
+            yield piece
+        batch, base = max(16, n_guess // 4), float(piece[-1])
+
+
+def _event_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
+    """Strictly increasing Poisson event times in (0, horizon), drawn one whole batch at a time."""
+    pieces = list(_event_pieces(rng, rate, horizon, sys.maxsize))
+    return pieces[0] if len(pieces) == 1 else np.concatenate([np.empty(0), *pieces])
 
 
 def _check_holding(user_rate: float, server_rate: float, relay_rate: float, horizon: float) -> None:
-    """Raise DomainError on a bad rate or horizon, SimulationScaleError if a stream expects over ``_MAX_STREAM_EVENTS``."""
+    """Raise DomainError on a bad rate or horizon, or on a horizon whose batch width is 0;
+    SimulationScaleError if a stream expects over ``_MAX_STREAM_EVENTS``."""
     check_positive("user_rate", user_rate)
     check_positive("server_rate", server_rate)
     check_non_negative("relay_rate", relay_rate)
     check_positive("horizon", horizon)
+    if horizon / _BATCHES == 0.0:
+        raise DomainError(f"horizon {horizon!r} is too small to split into {_BATCHES} batches")
     if max(user_rate, server_rate, relay_rate) * horizon > _MAX_STREAM_EVENTS:
         raise SimulationScaleError(f"horizon {horizon:g} makes a stream expect over {_MAX_STREAM_EVENTS} events")
 
@@ -99,35 +133,47 @@ def simulate_file(user_rate: float, server_rate: float, relay_rate: float, horiz
     """
     _check_holding(user_rate, server_rate, relay_rate, horizon)
     rng = np.random.default_rng(seed)
-    # Stream draw order is fixed so a seed fully determines the run.
+    # Stream draw order is fixed so a seed fully determines the run.  The relay search needs the whole server stream.
     server_t = _event_times(rng, server_rate, horizon)
-    relay_t = _event_times(rng, relay_rate, horizon)
     # Server cycle c ends at server_t[c], the last at the horizon; a refresh at the instant of an update
     # serves the cycle it closes.  Cycles ascend, so a refresh is its cycle's first where the cycle changes.
-    refresh_cycle = np.searchsorted(server_t, relay_t, side="left")
-    first = np.ones(refresh_cycle.size, dtype=bool)
-    np.not_equal(refresh_cycle[1:], refresh_cycle[:-1], out=first[1:])
-    first_t = relay_t[first]
-    del relay_t
-    cycle = refresh_cycle[first]
-    del refresh_cycle, first
-    ends = np.full(cycle.size, horizon, dtype=float)
-    closed = np.searchsorted(cycle, server_t.size)
-    ends[:closed] = server_t[cycle[:closed]]
-    del server_t, cycle
-    user_t = _event_times(rng, user_rate, horizon)
+    first_t, ends, last = [], [], -1
+    for relay_t in _event_pieces(rng, relay_rate, horizon, _PIECE):
+        cycle = np.searchsorted(server_t, relay_t, side="left")
+        first = np.empty(cycle.size, dtype=bool)
+        first[0] = cycle[0] != last
+        np.not_equal(cycle[1:], cycle[:-1], out=first[1:])
+        last = cycle[-1]
+        first_t.append(relay_t[first])
+        cycle = cycle[first]
+        end = np.full(cycle.size, horizon, dtype=float)
+        closed = np.searchsorted(cycle, server_t.size)
+        end[:closed] = server_t[cycle[:closed]]
+        ends.append(end)
+    del server_t
+    first_t, ends = np.concatenate([np.empty(0), *first_t]), np.concatenate([np.empty(0), *ends])
 
-    # A cycle turns fresh at the first request at or after its first refresh, if that comes before it ends.
-    u_first = np.searchsorted(user_t, first_t, side="left")
-    del first_t
-    seen = np.searchsorted(u_first, user_t.size)   # u_first ascends: the cycles with no later request are a suffix
-    u_first, ends = u_first[:seen], ends[:seen]
-    starts = user_t[u_first]
-    fresh = starts < ends
-    first_sum = int(u_first.sum(where=fresh))   # all the cycle count below needs of u_first
-    del u_first
-    starts = starts[fresh]
-    ends = ends[fresh]
+    # A cycle turns fresh at the first request at or after its first refresh, if that comes before it ends.  Each user
+    # piece settles the cycles whose first refresh is at or below its last request, and the request index of each fresh
+    # end up to there; only the fresh cycle spanning its last request, if any, waits for a later piece.  A cycle whose
+    # first refresh follows the last request never turns fresh.
+    starts, fresh_ends, waiting = [], [], np.empty(0)
+    done = base = first_sum = end_sum = 0   # end_sum - first_sum: the requests made in fresh cycles
+    for user_t in _event_pieces(rng, user_rate, horizon, _PIECE):
+        top = np.searchsorted(first_t, user_t[-1], side="right")
+        u_first = np.searchsorted(user_t, first_t[done:top], side="left")
+        start = user_t[u_first]
+        fresh = start < ends[done:top]
+        starts.append(start[fresh])
+        first_sum += int(u_first.sum(where=fresh)) + base * starts[-1].size
+        fresh_ends.append(ends[done:top][fresh])
+        waiting = np.concatenate((waiting, fresh_ends[-1]))
+        closed = np.searchsorted(waiting, user_t[-1], side="right")
+        end_sum += int(np.searchsorted(user_t, waiting[:closed], side="left").sum()) + base * int(closed)
+        waiting, done, base = waiting[closed:], top, base + user_t.size
+    end_sum += base * waiting.size   # no request after these ends
+    del first_t, ends
+    starts, ends = np.concatenate([np.empty(0), *starts]), np.concatenate([np.empty(0), *fresh_ends])
     lengths = ends - starts
     estimate = float(lengths.sum()) / horizon
 
@@ -144,8 +190,7 @@ def simulate_file(user_rate: float, server_rate: float, relay_rate: float, horiz
     half_width = float(_T_CRIT_19 * fractions.std(ddof=1) / math.sqrt(_BATCHES))
 
     # A fresh cycle's successful requests run from its start to its end; the renewal cycles lie between consecutive ones.
-    u_end = np.searchsorted(user_t, ends, side="left")
-    cycles = max(0, int(u_end.sum()) - first_sum - 1)
+    cycles = max(0, end_sum - first_sum - 1)
     return SimEstimate(freshness_estimate=estimate, cycles_observed=cycles, half_width_95=half_width)
 
 

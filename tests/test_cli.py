@@ -319,6 +319,14 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    def test_horizon_too_small_to_batch_exits_2(self, scheme_file, rates_file, capsys):
+        # 5e-324 / 20 is 0: the batch means would divide by a zero width and print nan half-widths.
+        code = main(["simulate", "--scenario", "table1", "--scheme", scheme_file, "--rates", rates_file, "--horizon", "5e-324"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: horizon 5e-324 is too small to split into 20 batches\n"
+
     def test_scale_guard_on_the_last_holding_exits_4(self, scheme_file, table1, tmp_path, capsys):
         rates = tmp_path / "rates.yaml"
         rates.write_text(serialize_rates({**REFERENCE_RATES, table1.holding_pairs[-1]: 1e3}))

@@ -8,7 +8,10 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freshcache import (
     CacheScheme,
@@ -25,6 +28,7 @@ from freshcache import simulator
 from freshcache.simulator import stream_seed
 
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_RATES, random_scenario
+from test_simulator_reference import reference_event_times, reference_simulate_file
 
 # (u, s, r) regimes for the memory bound: user-heavy, relay-heavy, u < r, and balanced.
 MEMORY_REGIMES = [(12.0, 5.0, 4.5), (0.5, 8.0, 15.0), (12.0, 3.0, 3.15), (5.0, 8.0, 15.0), (0.5, 8.0, 3.0), (1.0, 1.0, 1.0)]
@@ -132,8 +136,10 @@ class TestSimulateFile:
 
     @pytest.mark.parametrize("u,s,r", MEMORY_REGIMES)
     def test_peak_memory_per_expected_event(self, u, s, r):
-        # The server and relay streams are reduced and freed before the user stream is drawn: 7.6-15.4 bytes
-        # per expected event here.  Holding all three streams through the replay would take 15-26.
+        # The server stream is held whole; the relay and user streams are replayed in pieces as they are drawn,
+        # and only each cycle's first refresh and end outlive the relay stage: 3.2-9.3 bytes per expected event
+        # here, (0.5, 8, 3) at the top.  The bound leaves about 30% over that.  Holding the whole user stream
+        # through the replay took 7.6-15.4.
         expected = 2e6
         tracemalloc.start()
         try:
@@ -141,7 +147,87 @@ class TestSimulateFile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * expected
+        assert peak <= 12 * expected
+
+    def test_peak_memory_does_not_grow_with_the_user_stream(self):
+        # At fixed server and relay streams, 8x the user requests (300k -> 2.4M, 37 pieces) moves the peak by
+        # less than two pieces' worth of event times; holding the whole user stream moved it by about 30.
+        peaks = []
+        for u in (1.5, 12.0):
+            tracemalloc.start()
+            try:
+                simulate_file(u, 1.0, 1.0, horizon=2e5, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2 * 8 * simulator._PIECE
+
+
+class _ShortFirstValues:
+    """A generator whose first ``count`` gaps are a quarter of the usual length, however the draws are split,
+    so a stream's first batch ends short of the horizon and its extension batches are drawn."""
+
+    def __init__(self, seed: int, count: int):
+        self._rng = np.random.default_rng(seed)
+        self._left = count
+        self.values = 0
+
+    def standard_exponential(self, size: int) -> np.ndarray:
+        gaps = self._rng.standard_exponential(size)
+        head = min(self._left, size)
+        gaps[:head] *= 0.25
+        self._left -= head
+        self.values += size
+        return gaps
+
+    def exponential(self, scale: float, size: int) -> np.ndarray:
+        return self.standard_exponential(size) * scale
+
+
+PIECE_SIZES = [1, 2, 7, 64, simulator._PIECE]
+
+
+class TestEventPieces:
+    @pytest.mark.parametrize("size", PIECE_SIZES)
+    @pytest.mark.parametrize("rate,horizon", [(0.0, 10.0), (1e-4, 1.0), (0.7, 30.0), (3.15, 1e3), (12.0, 0.01), (5.0, 400.0)])
+    def test_pieces_are_event_times_in_order(self, size, rate, horizon):
+        whole_rng, piece_rng = np.random.default_rng(4), np.random.default_rng(4)
+        whole = simulator._event_times(whole_rng, rate, horizon)
+        pieces = list(simulator._event_pieces(piece_rng, rate, horizon, size))
+        assert all(0 < piece.size <= size for piece in pieces)
+        assert np.concatenate([np.empty(0), *pieces]).tobytes() == whole.tobytes()
+        # The unused tail of the last batch was drawn too: both generators are in the same state.
+        assert piece_rng.standard_exponential(3).tobytes() == whole_rng.standard_exponential(3).tobytes()
+
+    @pytest.mark.parametrize("size", PIECE_SIZES)
+    def test_pieces_extend_a_short_first_batch(self, size):
+        rate, horizon, n_guess = 2.0, 100.0, 272   # n_guess: 200 expected events + 4 sigma + 16
+        want_rng, got_rng = _ShortFirstValues(5, n_guess), _ShortFirstValues(5, n_guess)
+        want = reference_event_times(want_rng, rate, horizon)
+        got = np.concatenate([np.empty(0), *simulator._event_pieces(got_rng, rate, horizon, size)])
+        assert got_rng.values == want_rng.values >= n_guess + 2 * (n_guess // 4)
+        assert got.tobytes() == want.tobytes()
+        assert got[-1] < horizon < got[-1] + 5.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        u=st.floats(min_value=0.05, max_value=12.0),
+        s=st.floats(min_value=0.05, max_value=12.0),
+        r=st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=12.0)),
+        horizon=st.floats(min_value=0.01, max_value=200.0),
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+    )
+    def test_small_pieces_match_the_reference(self, u, s, r, horizon, seed):
+        # Pieces of 1, 3 and 64 events put cycle boundaries across piece boundaries in both stages.
+        want = reference_simulate_file(u, s, r, horizon, seed)
+        whole = simulate_file(u, s, r, horizon, seed)
+        for size in (1, 3, 64):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(simulator, "_PIECE", size)
+                got = simulate_file(u, s, r, horizon, seed)
+            assert got == whole
+            assert (got.freshness_estimate, got.cycles_observed) == (want.freshness_estimate, want.cycles_observed)
+            assert abs(got.half_width_95 - want.half_width_95) <= 1e-12
 
 
 class TestStreamSeed:
@@ -211,7 +297,7 @@ class TestSimulateSystem:
 
     def test_scale_guard_trips_before_any_draw(self, table1, reference_scheme, monkeypatch):
         calls = []
-        monkeypatch.setattr(simulator, "_event_times", lambda *args: calls.append(args))
+        monkeypatch.setattr(simulator, "_event_pieces", lambda *args: calls.append(args))   # every stream's draws
         rates = {**REFERENCE_RATES, table1.holding_pairs[-1]: 1e3}
         with pytest.raises(SimulationScaleError):
             simulate_system(table1, reference_scheme, rates, horizon=1e5, seed=0)

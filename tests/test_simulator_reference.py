@@ -1,11 +1,11 @@
 """The simulator against copies of its earlier per-request replay and event draws.
 
-``simulate_file`` searches the relay refreshes into the server stream, keeps
-each server cycle's first refresh and end, and frees the server and relay
-streams before it draws the user stream, so one holding peaks at about
-7.6-15.4 bytes per expected event.  It then searches the first refreshes into
-the user requests to find each cycle's first successful request; the batch
-means come off a running total of fresh time at the batch edges.
+``simulate_file`` draws the relay and user streams in pieces and replays each
+piece as it is drawn: it searches the relay refreshes into the server stream,
+keeps each server cycle's first refresh and end, and frees the server stream
+before the first user piece.  It then searches the first refreshes into the
+user requests to find each cycle's first successful request; the batch means
+come off a running total of fresh time at the batch edges.
 ``simulate_system`` runs two holdings at once on threads.  The reference
 below is an earlier body, kept verbatim: all three streams drawn up front,
 every user request searched into both other streams, an ``_event_before``
