@@ -59,60 +59,3 @@ from .scenario_io import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AllocationDiagnostics",
-    "AllocationEntry",
-    "AllocationInput",
-    "AllocationMismatchError",
-    "CacheScheme",
-    "DegeneratePopularityError",
-    "DomainError",
-    "EmptyDomainError",
-    "FileSpec",
-    "FreshCacheError",
-    "Holding",
-    "IncompleteAllocationError",
-    "InfeasibleError",
-    "KktReport",
-    "ObjectiveValue",
-    "OracleScaleError",
-    "Partition",
-    "RateAllocation",
-    "RelaySpec",
-    "Scenario",
-    "ScenarioParseError",
-    "ScenarioValidationError",
-    "SearchBudgetError",
-    "SimEstimate",
-    "SimulationScaleError",
-    "SolveResult",
-    "SystemSimResult",
-    "UserSpec",
-    "Violation",
-    "allocate",
-    "brute_force_assignments",
-    "enumerate_partitions",
-    "evaluate_scheme",
-    "file_freshness",
-    "fixture_path",
-    "grid_allocate",
-    "kkt_check",
-    "load_scenario",
-    "parse_scenario",
-    "per_user_request_probs",
-    "serialize_scenario",
-    "simulate_file",
-    "simulate_system",
-    "solve_exhaustive",
-    "solve_sampled",
-    "system_freshness",
-    "user_freshness",
-    "validate_scenario",
-    "validate_scheme",
-    "weight",
-    "with_scaled_rates",
-    "write_result_table",
-    "write_trace",
-    "zipf_popularity",
-]

@@ -8,8 +8,8 @@ relay.  All ids are 1-based and contiguous.
 
 ``AllocationEntry`` is the package's one per-holding record: built once per
 holding, it checks the holding's two rates and derives from them the
-objective factor mu, the water-filling weight and, through
-``rate_alloc.sort_key``, the processing order every layer reads.
+objective factor mu and the water-filling weight.  ``sort_key`` is the
+processing order every layer reads; ``Scenario.layout`` lays an instance out in it.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DegeneratePopularityError, DomainError, EmptyDomainError
 
@@ -97,6 +99,11 @@ class AllocationEntry:
         object.__setattr__(self, "mu", self.user_rate / (self.user_rate + self.server_rate))
 
 
+def sort_key(entry: AllocationEntry) -> tuple[float, Key]:
+    """Canonical processing order: ascending mu/s, ties broken by (user_id, file_id)."""
+    return (entry.mu / entry.server_rate, entry.key)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A complete problem instance. Immutable; derived lookups are cached."""
@@ -140,6 +147,16 @@ class Scenario:
     def coef(self) -> dict[Key, tuple[float, ...]]:
         """(user_id, file_id) -> objective weights c = request_prob * relay_pref over relays 1..K; the one place c is computed."""
         return {(u.user_id, h.file_id): tuple(h.request_prob * p for p in u.relay_prefs) for u in self.users for h in u.holdings}
+
+    @cached_property
+    def layout(self) -> tuple[np.ndarray, ...]:
+        """The holdings in ``sort_key`` order: their document positions, then w, s, mu and the (n, K) ``coef`` as arrays."""
+        entries = list(self.entries.values())
+        order = sorted(range(len(entries)), key=lambda p: sort_key(entries[p]))
+        ordered = [entries[p] for p in order]
+        columns = ([e.weight for e in ordered], [e.server_rate for e in ordered], [e.mu for e in ordered])
+        coef = np.array([self.coef[e.key] for e in ordered], dtype=float).reshape(len(order), self.n_relays)
+        return (np.array(order, dtype=np.intp), *(np.array(column, dtype=float) for column in columns), coef)
 
     @cached_property
     def holding_pairs(self) -> tuple[tuple[int, int], ...]:

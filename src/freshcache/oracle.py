@@ -5,10 +5,11 @@ simplex by exact dynamic programming, equivalent to enumerating every grid
 point; each stage fills only the lower triangle of its candidate matrix, in
 blocks of GRID_ROW_BLOCK rows.  ``brute_force_assignments`` scores the raw
 K**H assignment product in one numpy pass, sharing no enumeration or scoring
-code with the search module.  It reads each relay's holding counts and block
-keys off the product as sums of one value per holding, gives each distinct
-block a dense slot, and water-fills every relay's blocks of one size in one
-``waterfill_rows`` call, the batched pass the search's block tables use.
+code with the search module, only its input, ``Scenario.layout``.  It reads
+each relay's holding counts and block keys off the product as sums of one
+value per holding, gives each distinct block a dense slot, and water-fills
+every relay's blocks of one size in one ``waterfill_rows`` call, the batched
+pass the search's block tables use.
 Both are deliberately small-scale and guarded.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleError, OracleScaleError
 from .freshness import ObjectiveValue
 from .model import Scenario, check_non_negative, check_positive
-from .rate_alloc import AllocationInput, sort_key, waterfill_rows
+from .rate_alloc import AllocationInput, waterfill_rows
 from .search import make_solve_result
 
 GRID_MAX_ENTRIES = 4
@@ -115,7 +116,7 @@ def brute_force_assignments(
     sits on the relay, so distinct blocks get distinct keys.  Each key present
     gets a dense slot and its block is read off one vector that holds it.
     Every relay's blocks of one size go through one ``waterfill_rows`` call,
-    holdings in ``sort_key`` order, a budget per row, so rates are
+    holdings in ``Scenario.layout``'s order, a budget per row, so rates are
     ``allocate``'s bit for bit; each column is scored with
     ``system_freshness``'s float expression in its order, so values are the
     public API's bit for bit.  ``argmax`` takes the first maximum: ties
@@ -150,8 +151,7 @@ def brute_force_assignments(
     # Keys are at most sum(place): below K**H for K >= 2, H for K = 1.  So a dense table maps each to
     # one vector holding its block, and the keys present, in ascending order, are the relay's slots.
     # slot_of[relay, j] is vector j's slot; a block row marks its holdings in sort_key order.
-    entries = [scenario.entries[pair] for pair in pairs]
-    order = np.array(sorted(range(h), key=lambda p: sort_key(entries[p])))
+    order, weights, server_rates = scenario.layout[:3]
     place = k ** np.arange(h - 1, -1, -1, dtype=np.intp)
     columns = np.arange(evaluated)
     blocks, slot_of = [], np.empty((k, evaluated), dtype=np.intp)
@@ -168,8 +168,6 @@ def brute_force_assignments(
     slot_relay = np.repeat(np.arange(k), [len(b) for b in blocks])
     blocks = np.concatenate(blocks)
     budgets = np.array([r.rate_budget for r in scenario.relays])[slot_relay]
-    weights = np.array([entries[p].weight for p in order])
-    server_rates = np.array([entries[p].server_rate for p in order])
     sizes = blocks.sum(axis=1)
     table = np.zeros((len(blocks), h))
     for c in np.unique(sizes[sizes > 0]).tolist():
@@ -185,7 +183,7 @@ def brute_force_assignments(
         user_total = np.zeros(evaluated)
         prefs = np.array(user.relay_prefs)[slot_relay]
         for holding in user.holdings:
-            e, r = entries[p], rate_of[p]
+            e, r = scenario.entries[pairs[p]], rate_of[p]
             term = (holding.request_prob * prefs) * (e.mu * (r / (r + e.server_rate)))
             user_total += term[slot_of[raw[p].astype(np.intp) * evaluated + columns]]
             p += 1

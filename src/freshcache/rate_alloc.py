@@ -10,14 +10,15 @@ relay preference, ``Scenario.coef``) is not applied: the rates maximize this
 unweighted relay sum, while the reported objective weights each term by c.
 There are two entry points to the same backward pass, which sums only the
 survivors and so never subtracts a dropped entry back out.  ``waterfill``
-water-fills one block; ``allocate`` sorts the entries by mu/s and calls it,
-and so do the hill climber and the search's re-scores.  ``waterfill_rows``
-water-fills a matrix of blocks of one size, a row each, under one budget or
-one budget per row, with the same float operations per row, for the
-exhaustive search's block tables and the brute-force oracle.  ``kkt_check``
-verifies first-order optimality residuals independently of both.  ``allocate`` and ``kkt_check`` read mu and the weight
-off each ``AllocationEntry`` (defined in ``model`` and re-exported here), which
-checks its rates once, when it is built.
+water-fills one block; ``allocate`` sorts the entries by ``sort_key`` and
+calls it, and so do the hill climber and the search's re-scores.
+``waterfill_rows`` water-fills a matrix of blocks of one size, a row each,
+under one budget or one budget per row, with the same float operations per
+row, for the exhaustive search's block tables and the brute-force oracle.
+``kkt_check`` verifies first-order optimality residuals independently of
+both.  ``allocate`` and ``kkt_check`` read mu and the weight off each
+``AllocationEntry``, which checks its rates once, when it is built; it,
+``weight`` and ``sort_key`` live in ``model`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllocationMismatchError, DomainError
-from .model import AllocationEntry, Key, check_non_negative, check_positive, weight  # noqa: F401  (weight re-exported)
+from .model import AllocationEntry, Key, check_non_negative, check_positive, sort_key
+from .model import weight  # noqa: F401  (re-exported, not used here)
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,6 @@ class KktReport:
     drop_slackness_residual: float     # max |(delta - gradient) * rate| over all entries
     dual_feasibility_residual: float   # max (mu/s - delta)+ over entries with rate zero
     satisfied: bool
-
-
-def sort_key(entry: AllocationEntry) -> tuple[float, Key]:
-    """Canonical processing order: ascending mu/s, ties broken by (user_id, file_id)."""
-    return (entry.mu / entry.server_rate, entry.key)
 
 
 def waterfill(weights: list[float], server_rates: list[float], budget: float):

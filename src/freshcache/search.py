@@ -69,7 +69,7 @@ import numpy as np
 from .errors import InfeasibleError, SearchBudgetError
 from .freshness import ObjectiveValue, system_freshness
 from .model import CacheScheme, Scenario, check_non_negative, check_positive
-from .rate_alloc import AllocationEntry, AllocationInput, RateAllocation, allocate, sort_key, waterfill, waterfill_rows
+from .rate_alloc import AllocationEntry, AllocationInput, RateAllocation, allocate, waterfill, waterfill_rows
 
 DEFAULT_ENUMERATION_LIMIT = 10_000_000
 
@@ -181,28 +181,28 @@ def _spare_splits(extra: int, spare: list[int], lo: int) -> Iterator[tuple[int, 
 
 
 class _Search:
-    """Per-solve state: the scenario laid out for fast evaluation, the block memo, the count, the best and its trace.
+    """Per-solve state: the scenario's layout, the block memo, the count, the best and its trace.
 
-    Holdings are indexed in the canonical allocation processing order
-    (ascending mu/s, ties by (user_id, file_id)), so any ascending slice of
-    indices is already sorted the way ``allocate`` would sort it.  The
-    constructor checks the instance once, before any evaluation: it raises
-    InfeasibleError when there is nothing to place or the capacities admit no
-    placement, and DomainError for a bad capacity.
+    Holdings are indexed in ``Scenario.layout``'s order, the canonical
+    allocation processing order (ascending mu/s, ties by (user_id, file_id)),
+    so any ascending slice of indices is already sorted the way ``allocate``
+    would sort it.  The constructor checks the instance once, before any
+    evaluation: it raises InfeasibleError when there is nothing to place or the
+    capacities admit no placement, and DomainError for a bad capacity.
     """
 
     def __init__(self, scenario: Scenario, allow_empty_relay: bool) -> None:
         self.scenario = scenario
-        order = sorted(scenario.entries.values(), key=sort_key)
-        index_of = {e.key: i for i, e in enumerate(order)}
+        order, *columns = scenario.layout
         self.n = len(order)
-        self.weights = tuple(e.weight for e in order)
-        self.server_rates = tuple(e.server_rate for e in order)
-        self.mus = tuple(e.mu for e in order)
-        self.coef = tuple(scenario.coef[e.key] for e in order)   # coef[i][k]: Scenario.coef of holding i at relay index k
+        self.arrays = tuple(columns)   # w, s, mu and the n x K coefficient matrix, for the table fill
+        # Python floats for the scalar paths (_evaluate, offer): numpy scalars made them 1.5-2.7x slower per call,
+        # and a trace value that is an np.float64 prints as "np.float64(...)".
+        self.weights, self.server_rates, self.mus, self.coef = (column.tolist() for column in columns)
         self.budgets = tuple(r.rate_budget for r in scenario.relays)
-        self.user_plans = tuple(tuple(index_of[(u.user_id, h.file_id)] for h in u.holdings) for u in scenario.users)
-        self.canon_order = tuple(index_of[key] for key in scenario.entries)   # indices in canonical holding order
+        self.canon_order = tuple(sorted(range(self.n), key=order.tolist().__getitem__))   # indices in canonical holding order
+        ends = itertools.accumulate((len(u.holdings) for u in scenario.users), initial=0)
+        self.user_plans = tuple(self.canon_order[a:b] for a, b in itertools.pairwise(ends))   # per user, in holdings order
         if self.n == 0 or not self.budgets:
             raise InfeasibleError("scenario has no holdings or no relays to assign them to")
         caps, self.min_count = _split_bounds(self.n, [r.capacity for r in scenario.relays], allow_empty_relay)
@@ -210,8 +210,6 @@ class _Search:
         if sum(caps) < self.n or self.min_count * len(caps) > self.n or min(caps) < self.min_count:
             raise InfeasibleError("no feasible cache scheme under the capacity constraints")
         self.capacities = tuple(caps)
-        # The table fill's layout: w, s and mu as arrays, and the n x K coefficient matrix.
-        self.arrays = tuple(np.array(column) for column in (self.weights, self.server_rates, self.mus, self.coef))
         self.memo: dict[int, _Block] = {}   # key: relay index << n | block bitmask
         # Rank-gate margin, relative.  Every term is non-negative and a block sum
         # adds the same terms as the canonical sum in another order, so the two

@@ -10,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import freshcache
 from freshcache import (
@@ -24,17 +27,26 @@ from freshcache import (
     RelaySpec,
     Scenario,
     UserSpec,
+    fixture_path,
+    load_scenario,
+    parse_scenario,
     per_user_request_probs,
     rate_alloc,
+    serialize_scenario,
+    solve_exhaustive,
     validate_scenario,
     validate_scheme,
     weight,
     with_scaled_rates,
     zipf_popularity,
 )
+from freshcache.model import sort_key
 from freshcache.search import relay_inputs
 
 from conftest import REFERENCE_ASSIGNMENT, random_scenario
+from test_search_reference import _duplicated
+
+FIXTURES = sorted(path.stem for path in fixture_path("table1").parent.glob("*.yaml"))
 
 
 def codes(report):
@@ -123,6 +135,93 @@ class TestHoldingEntries:
             if pattern.search(line)
         ]
         assert hits == [], f"c written outside model.Scenario.coef and oracle: {hits}"
+
+    def test_the_layout_is_built_once(self):
+        # Scenario.layout is the one sort_key order and the one set of column arrays; allocate sorts its own
+        # input.  The search and the oracle read the layout and build no columns of their own.
+        src = Path(freshcache.__file__).parent
+        trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+
+        def defined(node, name):
+            return next(n for n in ast.walk(node) if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name)
+
+        allowed = set(ast.walk(defined(trees["rate_alloc.py"], "allocate")))
+        uses = [
+            f"{name}:{node.lineno}"
+            for name, tree in trees.items()
+            if name != "model.py"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "sort_key" and node not in allowed
+        ]
+        assert uses == [], f"sort_key used outside model and rate_alloc.allocate: {uses}"
+        columns = {"weight", "server_rate", "mu", "coef"}
+        search_init = defined(defined(trees["search.py"], "_Search"), "__init__")
+        for fn in (search_init, defined(trees["oracle.py"], "brute_force_assignments")):
+            built = [
+                f"{fn.name}:{node.lineno}"
+                for comp in ast.walk(fn)
+                if isinstance(comp, (ast.ListComp, ast.GeneratorExp, ast.DictComp, ast.SetComp))
+                for node in ast.walk(comp)
+                if isinstance(node, ast.Attribute) and node.attr in columns
+            ]
+            assert built == [], f"per-holding columns built outside Scenario.layout: {built}"
+
+
+def _assert_layout(scenario):
+    # The layout is sorted(entries, key=sort_key): document positions, then each column bit for bit.
+    entries = list(scenario.entries.values())
+    expected = sorted(entries, key=sort_key)
+    order, weights, server_rates, mus, coef = scenario.layout
+    assert order.dtype == np.intp and [entries[p] for p in order.tolist()] == expected
+    assert all(column.dtype == np.float64 for column in (weights, server_rates, mus, coef))
+    assert coef.shape == (len(entries), scenario.n_relays)
+    for column, name in ((weights, "weight"), (server_rates, "server_rate"), (mus, "mu")):
+        assert [x.hex() for x in column.tolist()] == [float(getattr(e, name)).hex() for e in expected]
+    assert [[x.hex() for x in row] for row in coef.tolist()] == [[float(c).hex() for c in scenario.coef[e.key]] for e in expected]
+
+
+class TestLayout:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixture_layouts_are_the_sort_key_order(self, name):
+        scenario = load_scenario(fixture_path(name))
+        _assert_layout(scenario)
+        assert scenario.layout is scenario.layout
+
+    @given(
+        kinds=st.lists(st.sampled_from([(3.0, 2.0), (6.0, 1.0), (1.5, 4.0), (2.5, 0.7), (1.0, 1.0)]), min_size=1, max_size=3),
+        per_user=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        n_relays=st.integers(1, 4),
+    )
+    def test_ties_on_mu_over_s_keep_document_order(self, kinds, per_user, n_relays):
+        # Repeated kinds tie on mu/s exactly, so the (user_id, file_id) tie-break decides the order.
+        _assert_layout(_duplicated(kinds, tuple(per_user), n_relays, 4, 5.0))
+
+    @pytest.mark.parametrize(
+        "users, n_relays",
+        [((), 2), ((UserSpec(1, (), (1.0,)),), 1), ((UserSpec(1, (Holding(1, 4.0, 1.0),), ()),), 0), ((), 0)],
+        ids=["no-users", "no-holdings", "no-relays", "nothing"],
+    )
+    def test_empty_instances_lay_out_empty_arrays(self, users, n_relays):
+        # The solvers raise InfeasibleError on these (tests/test_oracle.py); building the layout must not raise first.
+        relays = tuple(RelaySpec(k + 1, 1, 6.0) for k in range(n_relays))
+        scenario = Scenario(files=(FileSpec(1, 2.0),), users=users, relays=relays)
+        _assert_layout(scenario)
+        n = len(scenario.entries)
+        assert [a.shape for a in scenario.layout] == [(n,)] * 4 + [(n, n_relays)]
+
+    def test_a_scaled_copy_gets_its_own_layout(self):
+        # table1's order survives any uniform scale of either rate (no pair's mu/s crosses), so the case uses
+        # server_rates_high, whose holdings (1, 1) and (4, 9) swap below a server factor of 0.8.
+        base = load_scenario(fixture_path("server_rates_high"))
+        base_order = base.layout[0].tolist()
+        scaled = with_scaled_rates(base, "server", 0.5)
+        assert scaled.layout is not base.layout and scaled.layout[0].tolist() != base_order
+        assert base.layout[0].tolist() == base_order
+        _assert_layout(scaled)
+        result, reloaded = solve_exhaustive(scaled), solve_exhaustive(parse_scenario(serialize_scenario(scaled)))
+        assert result.objective.sum_form.hex() == reloaded.objective.sum_form.hex()
+        assert result.best_scheme == reloaded.best_scheme and result.best_rates == reloaded.best_rates
+        assert (result.trace, result.evaluated_count) == (reloaded.trace, reloaded.evaluated_count)
 
 
 class TestValidateScenario:

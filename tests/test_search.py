@@ -464,7 +464,7 @@ def test_search_imports_nothing_from_scenario_io():
 
 
 def test_each_solve_builds_and_checks_one_search():
-    # _Search lays the scenario out and checks the instance; each solver builds exactly one and decides nothing itself.
+    # _Search reads the scenario's layout and checks the instance; each solver builds exactly one and decides nothing itself.
     tree = ast.parse(inspect.getsource(search_module))
     defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
     assert not defined & {"_EvalContext", "_build_context", "_canonical_vector"}
