@@ -47,7 +47,7 @@ from .search import (
     solve_exhaustive,
     solve_sampled,
 )
-from .oracle import brute_force_assignments, grid_allocate
+from .oracle import brute_force_assignments
 from .simulator import SimEstimate, SystemSimResult, simulate_file, simulate_system
 from .scenario_io import (
     fixture_path,

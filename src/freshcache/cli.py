@@ -25,7 +25,7 @@ from .errors import (
 )
 from .freshness import file_freshness, system_freshness, user_freshness
 from .model import INFEASIBILITY_CODES, Scenario, check_positive, validate_scheme, with_scaled_rates
-from .oracle import GRID_MAX_ENTRIES, brute_force_assignments, check_grid_steps, grid_allocate
+from .oracle import brute_force_assignments
 from .rate_alloc import allocate, kkt_check
 from .search import SolveResult, relay_inputs, solve_exhaustive, solve_sampled
 from .scenario_io import (
@@ -135,6 +135,20 @@ def _cmd_solve(scenario: Scenario, args) -> tuple[str, int]:
     return text, EXIT_OK
 
 
+def _kkt_line(relay_id: int, alloc_input, alloc) -> tuple[str, bool]:
+    """One relay's diagnostics and KKT residuals as ``allocate`` and ``verify`` print them, and whether they certify."""
+    report = kkt_check(alloc_input, alloc, KKT_TOLERANCE)
+    diag = alloc.diagnostics
+    line = (
+        f"relay={relay_id} alpha={diag.alpha:.6f} beta={diag.beta:.6f} "
+        f"water_level={diag.water_level:.6f} stationarity={report.stationarity_residual:.3e} "
+        f"budget_slackness={report.budget_slackness_residual:.3e} "
+        f"drop_slackness={report.drop_slackness_residual:.3e} "
+        f"dual_feasibility={report.dual_feasibility_residual:.3e} satisfied={report.satisfied}"
+    )
+    return line, report.satisfied
+
+
 def _cmd_allocate(scenario: Scenario, args) -> tuple[str, int]:
     scheme = _load_scheme(args.scheme, scenario)
     lines = ["file_index,user_index,relay_index,relay_rate"]
@@ -145,15 +159,7 @@ def _cmd_allocate(scenario: Scenario, args) -> tuple[str, int]:
         alloc = allocate(inputs[relay_id])
         for (uid, fid), rate in alloc.rates.items():
             rows.append((fid, uid, relay_id, rate))
-        report = kkt_check(inputs[relay_id], alloc, KKT_TOLERANCE)
-        diag = alloc.diagnostics
-        reports.append(
-            f"relay={relay_id} alpha={diag.alpha:.6f} beta={diag.beta:.6f} "
-            f"water_level={diag.water_level:.6f} stationarity={report.stationarity_residual:.3e} "
-            f"budget_slackness={report.budget_slackness_residual:.3e} "
-            f"drop_slackness={report.drop_slackness_residual:.3e} "
-            f"dual_feasibility={report.dual_feasibility_residual:.3e} satisfied={report.satisfied}"
-        )
+        reports.append(_kkt_line(relay_id, inputs[relay_id], alloc)[0])
     rows.sort()
     lines.extend(f"{fid},{uid},{relay_id},{rate:.4f}" for fid, uid, relay_id, rate in rows)
     lines.extend(reports)
@@ -193,8 +199,8 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[str, int]:
 
 
 def _cmd_verify(scenario: Scenario, args) -> tuple[str, int]:
-    check_grid_steps(args.grid_steps)   # before the solve, since a relay above GRID_MAX_ENTRIES skips grid_allocate
-    check_positive("threads", args.threads, True)   # accepted and ignored, but checked as solve checks it
+    check_positive("grid steps", args.grid_steps, True)   # accepted and ignored, but checked as threads is
+    check_positive("threads", args.threads, True)         # accepted and ignored, but checked as solve checks it
     solver = solve_exhaustive(scenario, allow_empty_relay=args.allow_empty_relay)
     reference = brute_force_assignments(scenario, allow_empty_relay=args.allow_empty_relay)
     objectives_match = solver.objective.sum_form == reference.objective.sum_form
@@ -205,21 +211,14 @@ def _cmd_verify(scenario: Scenario, args) -> tuple[str, int]:
         f"objectives_match={objectives_match}",
         f"assignments_match={assignments_match}",
     ]
-    grids_ok = True
+    # Each relay's rates are certified optimal by their KKT residuals, at any number of holdings.
+    certified = True
     inputs = relay_inputs(scenario, solver.best_scheme)
     for relay_id in sorted(solver.best_rates):
-        alloc = solver.best_rates[relay_id]
-        alloc_input = inputs[relay_id]
-        entries = alloc_input.entries
-        if len(entries) > GRID_MAX_ENTRIES:
-            lines.append(f"grid_check relay={relay_id} skipped ({len(entries)} entries)")
-            continue
-        closed = sum(e.mu * alloc.rates[e.key] / (alloc.rates[e.key] + e.server_rate) for e in entries)
-        _grid_rates, grid_obj = grid_allocate(alloc_input, args.grid_steps)
-        ok = grid_obj <= closed + 1e-4
-        grids_ok = grids_ok and ok
-        lines.append(f"grid_check relay={relay_id} closed={closed:.8f} grid={grid_obj:.8f} ok={ok}")
-    passed = objectives_match and assignments_match and grids_ok
+        line, ok = _kkt_line(relay_id, inputs[relay_id], solver.best_rates[relay_id])
+        certified = certified and ok
+        lines.append(f"kkt_check {line}")
+    passed = objectives_match and assignments_match and certified
     lines.append(f"verify={'PASS' if passed else 'FAIL'}")
     return "\n".join(lines) + "\n", EXIT_OK if passed else EXIT_MISMATCH
 
@@ -281,9 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--horizon", type=float, default=100_000.0)
     p_sim.add_argument("--seed", type=int, default=0)
 
-    p_verify = sub.add_parser("verify", help="cross-check the solver against brute-force oracles")
+    p_verify = sub.add_parser("verify", help="cross-check the solver against the brute-force oracle and certify its rates")
     add_common(p_verify, solver=True)
-    p_verify.add_argument("--grid-steps", type=int, default=1000)
+    p_verify.add_argument(
+        "--grid-steps", type=int, default=1000,
+        help="accepted for compatibility; has no effect (each relay's rates are certified by their KKT residuals)",
+    )
 
     p_sweep = sub.add_parser("sweep", help="re-solve under scaled user or server rates")
     add_common(p_sweep, sampled=True)

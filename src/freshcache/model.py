@@ -136,16 +136,27 @@ class Scenario:
 
     @cached_property
     def entries(self) -> dict[Key, AllocationEntry]:
-        """(user_id, file_id) -> the holding's entry, in document order; each holding's rates checked once per scenario."""
-        return {
-            (u.user_id, h.file_id): AllocationEntry((u.user_id, h.file_id), h.user_rate, self.file_by_id[h.file_id].server_rate)
-            for u in self.users
-            for h in u.holdings
-        }
+        """(user_id, file_id) -> the holding's entry, in document order; each holding's rates checked once per scenario.
+
+        An unvalidated scenario's holding of an unknown file raises DomainError.
+        """
+        entries = {}
+        for u in self.users:
+            for h in u.holdings:
+                if h.file_id not in self.file_by_id:
+                    raise DomainError(f"user {u.user_id}: holding references unknown file {h.file_id!r}")
+                entries[u.user_id, h.file_id] = AllocationEntry((u.user_id, h.file_id), h.user_rate, self.file_by_id[h.file_id].server_rate)
+        return entries
 
     @cached_property
     def coef(self) -> dict[Key, tuple[float, ...]]:
-        """(user_id, file_id) -> objective weights c = request_prob * relay_pref over relays 1..K; the one place c is computed."""
+        """(user_id, file_id) -> objective weights c = request_prob * relay_pref over relays 1..K; the one place c is computed.
+
+        An unvalidated scenario's relay_prefs without one entry per relay raise DomainError, here and in ``layout``.
+        """
+        for u in self.users:
+            if len(u.relay_prefs) != self.n_relays:
+                raise DomainError(f"user {u.user_id}: relay_prefs length {len(u.relay_prefs)} != relay count {self.n_relays}")
         return {(u.user_id, h.file_id): tuple(h.request_prob * p for p in u.relay_prefs) for u in self.users for h in u.holdings}
 
     @cached_property

@@ -1,94 +1,27 @@
-"""Slow, independent reference implementations used to cross-check the fast paths.
+"""Slow, independent reference placement used to cross-check the exhaustive search.
 
-``grid_allocate`` maximizes the relay objective over a discretized budget
-simplex by exact dynamic programming, equivalent to enumerating every grid
-point; each stage fills only the lower triangle of its candidate matrix, in
-blocks of GRID_ROW_BLOCK rows.  ``brute_force_assignments`` scores the raw
-K**H assignment product in one numpy pass, sharing no enumeration or scoring
-code with the search module, only its input, ``Scenario.layout``.  It reads
-each relay's holding counts and block keys off the product as sums of one
-value per holding, gives each distinct block a dense slot, and water-fills
-every relay's blocks of one size in one ``waterfill_rows`` call, the batched
-pass the search's block tables use.
-Both are deliberately small-scale and guarded.
+``brute_force_assignments`` scores the raw K**H assignment product in one
+numpy pass, sharing no enumeration or scoring code with the search module,
+only its input, ``Scenario.layout``.  It reads each relay's holding counts
+and block keys off the product as sums of one value per holding, gives each
+distinct block a dense slot, and water-fills every relay's blocks of one size
+in one ``waterfill_rows`` call, the batched pass the search's block tables
+use.  It is deliberately small-scale and guarded.  Its rates come from the
+water-fill the search uses, so ``verify`` certifies them separately, with
+``rate_alloc.kkt_check``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, OracleScaleError
+from .errors import InfeasibleError, OracleScaleError
 from .freshness import ObjectiveValue
-from .model import Scenario, check_non_negative, check_positive
-from .rate_alloc import AllocationInput, waterfill_rows
+from .model import Scenario, check_non_negative
+from .rate_alloc import waterfill_rows
 from .search import make_solve_result
 
-GRID_MAX_ENTRIES = 4
-GRID_MAX_STEPS = 10_000
 BRUTE_FORCE_LIMIT = 100_000
-# DP rows per block: a stage's temporary is at most GRID_ROW_BLOCK x (steps + 1) floats.
-GRID_ROW_BLOCK = 64
-
-
-def check_grid_steps(steps) -> None:
-    """Raise DomainError unless ``steps`` is a positive integer, OracleScaleError above GRID_MAX_STEPS."""
-    check_positive("steps", steps, True)
-    if steps > GRID_MAX_STEPS:
-        raise OracleScaleError(f"grid oracle limited to {GRID_MAX_STEPS} steps, got {steps}")
-
-
-def grid_allocate(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float, ...], float]:
-    """Best allocation on the grid {0, G/steps, ..., G} per entry, total <= G.
-
-    Returns (rates, objective) with rates ordered like the input entries.
-    Exact over the grid: dynamic programming over budget units visits the same
-    optimum plain enumeration of all grid points would.  Each stage fills only
-    the lower triangle of its (steps+1)**2 candidate matrix, GRID_ROW_BLOCK
-    rows at a time, keeping each row's maximum; the backtrack re-forms the one
-    row it reads per stage and picks the same first maximum as the full matrix.
-    """
-    entries = alloc_input.entries
-    n = len(entries)
-    if n == 0:
-        raise DomainError("grid allocation requires at least one entry")
-    if n > GRID_MAX_ENTRIES:
-        raise OracleScaleError(f"grid oracle limited to {GRID_MAX_ENTRIES} entries, got {n}")
-    check_grid_steps(steps)
-    budget = alloc_input.rate_budget
-    check_non_negative("rate budget", budget)
-
-    grid = budget * np.arange(steps + 1) / steps
-    gains = [e.mu * grid / (grid + e.server_rate) for e in entries]
-
-    # values[j][b] = best objective of the first j + 1 entries using exactly b units.  The backtrack
-    # reads the last stage only at b = steps, so the forward pass stops one stage short of it.
-    values = [gains[0]]
-    padded = np.full(2 * steps + 1, -np.inf)
-    for g in gains[1:-1]:
-        # window[b, k] = value[b - k]: a reversed sliding window over value behind
-        # `steps` -inf slots, so k > b is infeasible.  Rows below b1 are -inf from
-        # column b1 on, so a block of rows needs only its first b1 columns.
-        padded[steps:] = values[-1]
-        window = np.lib.stride_tricks.sliding_window_view(padded, steps + 1)[:, ::-1]
-        value = np.empty(steps + 1)
-        for b0 in range(0, steps + 1, GRID_ROW_BLOCK):
-            b1 = min(b0 + GRID_ROW_BLOCK, steps + 1)
-            value[b0:b1] = (window[b0:b1, :b1] + g[:b1]).max(axis=1)
-        values.append(value)
-
-    # Each stage re-forms the one candidate row the backtrack reads; its first argmax is the units given.
-    units = [0] * n
-    b = steps
-    for j in range(n - 1, 0, -1):
-        units[j] = int(np.argmax(values[j - 1][b::-1] + gains[j][:b + 1]))
-        b -= units[j]
-    units[0] = b
-
-    rates = tuple(budget * u / steps for u in units)
-    objective = 0.0
-    for e, r in zip(entries, rates):
-        objective += e.mu * r / (r + e.server_rate)
-    return rates, objective
 
 
 def _product_sum(rows) -> np.ndarray:

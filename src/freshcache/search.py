@@ -111,16 +111,31 @@ def _split_bounds(n: int, capacities: Sequence[int], allow_empty_relay: bool) ->
     return caps, 0 if allow_empty_relay else 1
 
 
-def count_assignments(n: int, capacities: Sequence[int], *, allow_empty_relay: bool = False) -> int:
+def count_assignments(n: int, capacities: Sequence[int], *, allow_empty_relay: bool = False, at_most: int | None = None) -> int:
     """Distinct assignments of ``n`` holdings over ``enumerate_partitions``' splits, without enumerating one.
 
     Equals the sum of n! / prod(c_k!) over the partitions, counted by a DP over
-    relays: ways[m] assignments of m holdings to the relays so far.
+    relays: ways[m] assignments of m holdings to the relays so far.  With
+    ``at_most``, every partial sum stops once it reaches that value, and the
+    result is min(count, at_most): terms are non-negative and every binomial
+    is at least 1, so a ways[m] that reaches it stays there.  Only non-zero
+    terms are visited: after k relays, ways[x] is zero unless
+    lo * k <= x <= top, the sum of their capacities.
     """
     caps, lo = _split_bounds(n, capacities, allow_empty_relay)
-    ways = [1] + [0] * n
-    for cap in caps:
-        ways = [sum(ways[m - c] * comb(m, c) for c in range(lo, min(cap, m) + 1)) for m in range(n + 1)]
+    stop = math.inf if at_most is None else at_most
+    ways, top = [1] + [0] * n, 0
+    for k, cap in enumerate(caps):
+        row = []
+        for m in range(n + 1):
+            total = 0
+            for c in range(max(lo, m - top), min(cap, m - lo * k) + 1):
+                total += ways[m - c] * comb(m, c)
+                if total >= stop:
+                    total = stop
+                    break
+            row.append(total)
+        ways, top = row, top + cap
     return ways[n]
 
 
@@ -461,9 +476,9 @@ def solve_exhaustive(
     """
     check_positive("limit", limit, True)
     search = _Search(scenario, allow_empty_relay)
-    total = count_assignments(search.n, search.capacities, allow_empty_relay=allow_empty_relay)
+    total = count_assignments(search.n, search.capacities, allow_empty_relay=allow_empty_relay, at_most=limit + 1)
     if total > limit:
-        raise SearchBudgetError(f"distinct assignment count {total} exceeds the enumeration limit {limit}")
+        raise SearchBudgetError(f"distinct assignment count exceeds the enumeration limit {limit}")
 
     partitions = [p.counts for p in enumerate_partitions(search.n, search.capacities, allow_empty_relay=allow_empty_relay)]
     last_read = {key: p for p, counts in enumerate(partitions) for key in enumerate(counts)}

@@ -20,7 +20,6 @@ from freshcache import (
     brute_force_assignments,
     evaluate_scheme,
     file_freshness,
-    grid_allocate,
     kkt_check,
     load_scenario,
     simulate_file,
@@ -36,6 +35,7 @@ from conftest import (
     make_allocation_input,
     random_scenario,
 )
+from grid_oracle import grid_allocate
 
 REFERENCE_SUM = 0.5319
 

@@ -167,6 +167,13 @@ class TestAllocateCommand:
         assert all("satisfied=True" in l for l in relay_lines)
         assert all("water_level=" in l for l in relay_lines)
 
+    def test_prints_the_certificate_verify_prints(self, scheme_file, capsys):
+        # The scheme is table1's optimum, so both commands certify the same rates on the same relays.
+        assert main(["allocate", "--scenario", "table1", "--scheme", scheme_file]) == 0
+        relay_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("relay=")]
+        assert main(["verify", "--scenario", "table1"]) == 0
+        assert [f"kkt_check {line}" for line in relay_lines] == _kkt_lines(capsys.readouterr().out)
+
     def test_invalid_scheme_exit_code(self, tmp_path, capsys):
         partial = dict(REFERENCE_ASSIGNMENT)
         del partial[(1, 1)]
@@ -350,9 +357,9 @@ exhaustive_objective=0.531856297758
 oracle_objective=0.531856297758
 objectives_match=True
 assignments_match=True
-grid_check relay=1 skipped (5 entries)
-grid_check relay=2 closed=1.04847840 grid=1.04847809 ok=True
-grid_check relay=3 closed=0.45208980 grid=0.45208975 ok=True
+kkt_check relay=1 alpha=8.312019 beta=33.000000 water_level=0.063443 stationarity=4.375e-16 budget_slackness=4.441e-16 drop_slackness=1.149e-16 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=2 alpha=4.899457 beta=21.000000 water_level=0.054432 stationarity=2.550e-16 budget_slackness=0.000e+00 drop_slackness=8.273e-17 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=3 alpha=3.668542 beta=20.000000 water_level=0.033646 stationarity=0.000e+00 budget_slackness=0.000e+00 drop_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
 verify=PASS
 """
 
@@ -364,9 +371,9 @@ exhaustive_objective=0.501177064225
 oracle_objective=0.501177064225
 objectives_match=True
 assignments_match=True
-grid_check relay=1 closed=1.33822481 grid=1.33822435 ok=True
-grid_check relay=2 closed=1.06278442 grid=1.06278395 ok=True
-grid_check relay=3 closed=0.45208980 grid=0.45208975 ok=True
+kkt_check relay=1 alpha=6.579968 beta=27.000000 water_level=0.059391 stationarity=2.337e-16 budget_slackness=1.480e-16 drop_slackness=5.275e-17 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=2 alpha=6.631508 beta=27.000000 water_level=0.060325 stationarity=4.601e-16 budget_slackness=0.000e+00 drop_slackness=1.326e-16 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=3 alpha=3.668542 beta=20.000000 water_level=0.033646 stationarity=0.000e+00 budget_slackness=0.000e+00 drop_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
 verify=PASS
 """,
     "popularity_var_2": """\
@@ -374,9 +381,9 @@ exhaustive_objective=0.543693666112
 oracle_objective=0.543693666112
 objectives_match=True
 assignments_match=True
-grid_check relay=1 closed=1.33822481 grid=1.33822435 ok=True
-grid_check relay=2 closed=0.81358886 grid=0.81358886 ok=True
-grid_check relay=3 closed=0.72114735 grid=0.72114713 ok=True
+kkt_check relay=1 alpha=6.579968 beta=27.000000 water_level=0.059391 stationarity=2.337e-16 budget_slackness=1.480e-16 drop_slackness=5.275e-17 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=2 alpha=3.422359 beta=18.000000 water_level=0.036150 stationarity=0.000e+00 budget_slackness=0.000e+00 drop_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=3 alpha=6.877691 beta=29.000000 water_level=0.056246 stationarity=2.467e-16 budget_slackness=2.220e-16 drop_slackness=6.678e-17 dual_feasibility=0.000e+00 satisfied=True
 verify=PASS
 """,
     "popularity_var_3": """\
@@ -384,9 +391,9 @@ exhaustive_objective=0.621958955388
 oracle_objective=0.621958955388
 objectives_match=True
 assignments_match=True
-grid_check relay=1 closed=1.23685832 grid=1.23685775 ok=True
-grid_check relay=2 closed=0.81358886 grid=0.81358886 ok=True
-grid_check relay=3 closed=0.81709226 grid=0.81709194 ok=True
+kkt_check relay=1 alpha=6.679026 beta=29.000000 water_level=0.053043 stationarity=3.924e-16 budget_slackness=0.000e+00 drop_slackness=8.125e-17 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=2 alpha=3.422359 beta=18.000000 water_level=0.036150 stationarity=0.000e+00 budget_slackness=0.000e+00 drop_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=3 alpha=6.778634 beta=27.000000 water_level=0.063031 stationarity=2.202e-16 budget_slackness=2.220e-16 drop_slackness=7.936e-17 dual_feasibility=0.000e+00 satisfied=True
 verify=PASS
 """,
     "popularity_var_4": """\
@@ -394,9 +401,9 @@ exhaustive_objective=0.724516013024
 oracle_objective=0.724516013024
 objectives_match=True
 assignments_match=True
-grid_check relay=1 closed=1.02153171 grid=1.02153131 ok=True
-grid_check relay=2 closed=0.81358886 grid=0.81358886 ok=True
-grid_check relay=3 closed=0.99199064 grid=0.99199059 ok=True
+kkt_check relay=1 alpha=6.891968 beta=32.000000 water_level=0.046386 stationarity=2.992e-16 budget_slackness=2.961e-16 drop_slackness=1.045e-16 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=2 alpha=3.422359 beta=18.000000 water_level=0.036150 stationarity=0.000e+00 budget_slackness=0.000e+00 drop_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=3 alpha=6.565692 beta=24.000000 water_level=0.074841 stationarity=1.854e-16 budget_slackness=0.000e+00 drop_slackness=5.561e-17 dual_feasibility=0.000e+00 satisfied=True
 verify=PASS
 """,
     "server_rates_high": """\
@@ -404,9 +411,9 @@ exhaustive_objective=0.289363243163
 oracle_objective=0.289363243163
 objectives_match=True
 assignments_match=True
-grid_check relay=1 closed=0.69035625 grid=0.69035613 ok=True
-grid_check relay=2 closed=0.54477174 grid=0.54477153 ok=True
-grid_check relay=3 closed=0.32539984 grid=0.32539977 ok=True
+kkt_check relay=1 alpha=5.936492 beta=32.000000 water_level=0.034416 stationarity=4.032e-16 budget_slackness=2.961e-16 drop_slackness=1.491e-16 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=2 alpha=8.087207 beta=42.000000 water_level=0.037076 stationarity=3.743e-16 budget_slackness=1.776e-16 drop_slackness=5.518e-17 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=3 alpha=6.440346 beta=37.000000 water_level=0.030298 stationarity=3.435e-16 budget_slackness=4.441e-16 drop_slackness=1.730e-16 dual_feasibility=0.000e+00 satisfied=True
 verify=PASS
 """,
     "server_rates_mid": """\
@@ -414,9 +421,9 @@ exhaustive_objective=0.400255128140
 oracle_objective=0.400255128140
 objectives_match=True
 assignments_match=True
-grid_check relay=1 closed=0.96590387 grid=0.96590376 ok=True
-grid_check relay=2 closed=0.76710780 grid=0.76710746 ok=True
-grid_check relay=3 closed=0.43011356 grid=0.43011344 ok=True
+kkt_check relay=1 alpha=5.274000 beta=26.000000 water_level=0.041147 stationarity=3.373e-16 budget_slackness=0.000e+00 drop_slackness=8.793e-17 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=2 alpha=7.421125 beta=34.000000 water_level=0.047641 stationarity=2.913e-16 budget_slackness=0.000e+00 drop_slackness=1.014e-16 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=3 alpha=6.062455 beta=31.000000 water_level=0.038245 stationarity=5.443e-16 budget_slackness=0.000e+00 drop_slackness=1.891e-16 dual_feasibility=0.000e+00 satisfied=True
 verify=PASS
 """,
     "table1_zipf": """\
@@ -424,9 +431,9 @@ exhaustive_objective=0.474197354167
 oracle_objective=0.474197354167
 objectives_match=True
 assignments_match=True
-grid_check relay=1 closed=1.33822481 grid=1.33822435 ok=True
-grid_check relay=2 closed=1.06278442 grid=1.06278395 ok=True
-grid_check relay=3 closed=0.45208980 grid=0.45208975 ok=True
+kkt_check relay=1 alpha=6.579968 beta=27.000000 water_level=0.059391 stationarity=2.337e-16 budget_slackness=1.480e-16 drop_slackness=5.275e-17 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=2 alpha=6.631508 beta=27.000000 water_level=0.060325 stationarity=4.601e-16 budget_slackness=0.000e+00 drop_slackness=1.326e-16 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=3 alpha=3.668542 beta=20.000000 water_level=0.033646 stationarity=0.000e+00 budget_slackness=0.000e+00 drop_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
 verify=PASS
 """,
 }
@@ -457,10 +464,14 @@ def test_json_table_carries_the_csv_rows_and_footer(name, capsys):
     ]
 
 
-def _all_grid_checks_skipped_scenario():
-    """12 holdings on 2 relays of capacity 6: every relay holds more than GRID_MAX_ENTRIES, so verify never calls grid_allocate."""
+def _six_per_relay_scenario():
+    """12 holdings on 2 relays of capacity 6: every placement puts six holdings on each relay."""
     scenario = random_scenario(random.Random(5), n_files=12, n_users=3, n_relays=2)
     return dataclasses.replace(scenario, relays=tuple(dataclasses.replace(r, capacity=6) for r in scenario.relays))
+
+
+def _kkt_lines(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("kkt_check ")]
 
 
 class TestVerifyCommand:
@@ -472,9 +483,10 @@ class TestVerifyCommand:
         assert "objectives_match=True" in lines
         assert "assignments_match=True" in lines
         assert lines[-1] == "verify=PASS"
-        # relay 1 holds five entries, above the grid oracle's guard
-        assert any(l.startswith("grid_check relay=1 skipped") for l in lines)
-        assert any(l.startswith("grid_check relay=2 closed=") and l.endswith("ok=True") for l in lines)
+        # One certificate per relay of the best placement, relay 1 with its five holdings included.
+        kkt = _kkt_lines(captured.out)
+        assert [line.split()[1] for line in kkt] == ["relay=1", "relay=2", "relay=3"]
+        assert all(line.endswith("satisfied=True") for line in kkt)
 
     @pytest.mark.parametrize("flags", [[], ["--allow-empty-relay"]], ids=["strict", "allow-empty"])
     def test_table1_output_is_pinned(self, flags, capsys):
@@ -486,10 +498,38 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("flags", [[], ["--allow-empty-relay"]], ids=["strict", "allow-empty"])
     @pytest.mark.parametrize("fixture", sorted(FIXTURE_VERIFY_OUT))
     def test_fixture_output_is_pinned(self, fixture, flags, capsys):
-        # With table1 above, every bundled fixture: the oracle's and the grid's printed values must not drift.
+        # With table1 above, every bundled fixture: the oracle's value and the KKT residuals must not drift.
         code = main(["verify", "--scenario", fixture, *flags])
         assert code == 0
         assert capsys.readouterr().out == FIXTURE_VERIFY_OUT[fixture]
+
+    @pytest.mark.parametrize("scenario", ["table1", "six-per-relay"])
+    def test_a_moved_rate_fails_the_certificate(self, scenario, monkeypatch, tmp_path, capsys):
+        # Relay 1 holds five holdings on table1 and six on the other scenario.  Shifting 1e-3 of
+        # budget between two of its rates keeps the placement, the objective and the budget spent,
+        # so only stationarity sees it.
+        if scenario == "six-per-relay":
+            path = tmp_path / "six.yaml"
+            path.write_text(serialize_scenario(_six_per_relay_scenario()))
+            scenario = str(path)
+        solve = freshcache.cli.solve_exhaustive
+
+        def shifted(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            alloc = result.best_rates[1]
+            first, second = sorted(key for key, rate in alloc.rates.items() if rate > 1e-3)[:2]
+            rates = {**alloc.rates, first: alloc.rates[first] + 1e-3, second: alloc.rates[second] - 1e-3}
+            return dataclasses.replace(result, best_rates={**result.best_rates, 1: dataclasses.replace(alloc, rates=rates)})
+
+        assert main(["verify", "--scenario", scenario]) == 0
+        kept = capsys.readouterr().out
+        monkeypatch.setattr(freshcache.cli, "solve_exhaustive", shifted)
+        assert main(["verify", "--scenario", scenario]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "verify=FAIL"
+        assert out.splitlines()[:4] == kept.splitlines()[:4]   # the objectives and the placement still match the oracle
+        certified = [line.endswith("satisfied=True") for line in _kkt_lines(out)]
+        assert certified == [False] + [True] * (len(_kkt_lines(kept)) - 1)
 
     def test_scale_guard_exit_code(self, tmp_path, capsys):
         rng = random.Random(13)
@@ -501,19 +541,24 @@ class TestVerifyCommand:
         assert code == 4
         assert "error" in captured.err
 
-
-    @pytest.mark.parametrize("steps, expected", [("0", 2), ("-3", 2), ("100000", 4)])
+    @pytest.mark.parametrize("steps, expected", [("0", 2), ("-3", 2)])
     @pytest.mark.parametrize("scenario", ["table1", "all-skipped"])
     def test_grid_steps_checked_before_the_solve(self, scenario, steps, expected, tmp_path, capsys):
+        # "all-skipped" is the six-per-relay scenario, whose relays all hold more than four holdings.
         if scenario == "all-skipped":
-            path = tmp_path / "skipped.yaml"
-            path.write_text(serialize_scenario(_all_grid_checks_skipped_scenario()))
+            path = tmp_path / "six.yaml"
+            path.write_text(serialize_scenario(_six_per_relay_scenario()))
             scenario = str(path)
         code = main(["verify", "--scenario", scenario, "--grid-steps", steps])
         captured = capsys.readouterr()
         assert code == expected
         assert captured.out == ""
-        assert captured.err.startswith("error: steps must be a positive integer" if expected == 2 else "error: grid oracle limited")
+        assert captured.err.startswith("error: grid steps must be a positive integer")
+
+    @pytest.mark.parametrize("steps", ["1", "100000"])
+    def test_grid_steps_has_no_effect(self, steps, capsys):
+        assert main(["verify", "--scenario", "table1", "--grid-steps", steps]) == 0
+        assert capsys.readouterr().out == TABLE1_VERIFY_OUT
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_threads_checked_as_solve_checks_it(self, value, capsys):

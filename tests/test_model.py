@@ -41,6 +41,8 @@ from freshcache import (
     zipf_popularity,
 )
 from freshcache.model import sort_key
+from freshcache.oracle import brute_force_assignments
+from freshcache.search import solve_sampled
 from freshcache.search import relay_inputs
 
 from conftest import REFERENCE_ASSIGNMENT, random_scenario
@@ -208,6 +210,26 @@ class TestLayout:
         _assert_layout(scenario)
         n = len(scenario.entries)
         assert [a.shape for a in scenario.layout] == [(n,)] * 4 + [(n, n_relays)]
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [("short-relay-prefs", "user 2: relay_prefs length 1 != relay count 2"), ("unknown-file", "user 2: holding references unknown file 99")],
+    )
+    @pytest.mark.parametrize(
+        "solve",
+        [solve_exhaustive, lambda scenario: solve_sampled(scenario, 10, 0), brute_force_assignments],
+        ids=["exhaustive", "sampled", "oracle"],
+    )
+    def test_an_unvalidated_scenario_fails_with_a_domain_error(self, solve, defect, message):
+        # Built through the API, so no validation ran: the solvers read entries and layout first, which name the defect.
+        holding = Holding(99 if defect == "unknown-file" else 2, 1.0, 1.0)
+        users = (
+            UserSpec(1, (Holding(1, 1.0, 1.0),), (0.5, 0.5)),
+            UserSpec(2, (holding,), (1.0,) if defect == "short-relay-prefs" else (0.5, 0.5)),
+        )
+        scenario = Scenario(files=(FileSpec(1, 2.0), FileSpec(2, 3.0)), users=users, relays=(RelaySpec(1, 2, 4.0), RelaySpec(2, 2, 4.0)))
+        with pytest.raises(DomainError, match=re.escape(message)):
+            solve(scenario)
 
     def test_a_scaled_copy_gets_its_own_layout(self):
         # table1's order survives any uniform scale of either rate (no pair's mu/s crosses), so the case uses
@@ -513,6 +535,37 @@ def test_every_dataclass_field_is_read():
     ]
     assert len(fields) > 30
     assert [name for name in fields if name.rsplit(".", 1)[1] not in read] == []
+
+
+def test_every_top_level_name_is_read():
+    # A function, class or constant that nothing in the package or its benchmark reads is carried for the
+    # tests alone, and belongs under tests/.  A re-export in __init__.py is not a read, nor is a definition's
+    # use of itself; main looks the cli._cmd_* functions up by name, so they are exempt.
+    src = Path(freshcache.__file__).parent
+    bench = [path for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")) if not path.name.startswith("test_")]
+    assert bench, "perfbench/ not found beside tests/"
+    trees = {path: ast.parse(path.read_text()) for path in [*sorted(src.glob("*.py")), *bench]}
+
+    def loads(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+    readers = [(stmt, loads(stmt)) for path, tree in trees.items() if path.name != "__init__.py" for stmt in tree.body]
+    defined = []
+    for path, tree in trees.items():
+        for stmt in tree.body if path.parent == src else ():
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, stmt, stmt.name))
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined += [(path.stem, stmt, t.id) for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
+    assert len(defined) > 100
+    unread = [
+        f"{module}.{name}" for module, stmt, name in defined
+        if not any(name in names for other, names in readers if other is not stmt)
+        and not (module == "cli" and name.startswith("_cmd_"))
+    ]
+    assert unread == []
 
 
 @pytest.mark.parametrize("module", ["conftest", "workloads"])

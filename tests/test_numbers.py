@@ -25,7 +25,6 @@ from freshcache import (
     UserSpec,
     allocate,
     file_freshness,
-    grid_allocate,
     kkt_check,
     load_scenario,
     per_user_request_probs,
@@ -37,6 +36,8 @@ from freshcache import (
     with_scaled_rates,
     zipf_popularity,
 )
+
+from grid_oracle import grid_allocate
 
 ENTRY = AllocationEntry((1, 1), 5.0, 2.0)
 INPUT = AllocationInput((ENTRY,), 4.0)

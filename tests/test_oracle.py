@@ -28,15 +28,14 @@ from freshcache import (
     allocate,
     brute_force_assignments,
     evaluate_scheme,
-    grid_allocate,
     solve_exhaustive,
     solve_sampled,
 )
-from freshcache.oracle import GRID_MAX_STEPS, GRID_ROW_BLOCK
 
 from freshcache.search import count_assignments, relay_inputs
 
 from conftest import REFERENCE_ASSIGNMENT, make_allocation_input, random_scenario
+from grid_oracle import GRID_MAX_STEPS, GRID_ROW_BLOCK, grid_allocate
 
 
 def grid_allocate_dense(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float, ...], float]:

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from freshcache import (
     weight,
 )
 
-from freshcache.rate_alloc import waterfill, waterfill_rows
+from freshcache.rate_alloc import sort_key, waterfill, waterfill_rows
 
 from conftest import REFERENCE_RATES, make_allocation_input
 
@@ -129,13 +130,30 @@ class TestAllocate:
         assert (alloc.diagnostics.alpha, alloc.diagnostics.beta) == (0.0, 0.0)
         assert alloc.diagnostics.water_level == math.inf
 
-    def test_negligible_budget_drops_everything_without_residue(self):
-        # 1e-20 vanishes next to the server rates, so the pass drops every entry, leaving alpha at ~1e-16 unless cleared.
+    def test_negligible_budget_goes_to_the_best_entry(self):
+        # 1e-20 is below an ulp of every server rate, but it is still the budget: the entry with the
+        # largest mu/s takes all of it, and the others get no residue.
         entries = (AllocationEntry((1, 1), 1.0, 1.0), AllocationEntry((1, 2), 1.0, 2.0), AllocationEntry((1, 3), 2.0, 2.0))
-        alloc = allocate(AllocationInput(entries, 1e-20))
-        assert list(alloc.rates.values()) == [0.0] * 3
-        assert (alloc.diagnostics.alpha, alloc.diagnostics.beta) == (0.0, 0.0)
-        assert alloc.diagnostics.water_level == math.inf
+        alloc_input = AllocationInput(entries, 1e-20)
+        alloc = allocate(alloc_input)
+        assert alloc.rates == {(1, 1): 1e-20, (1, 2): 0.0, (1, 3): 0.0}
+        assert alloc.diagnostics.dropped_keys == {(1, 2), (1, 3)}
+        assert (alloc.diagnostics.alpha, alloc.diagnostics.beta) == (entries[0].weight, 1.0)
+        assert kkt_check(alloc_input, alloc, 1e-6).satisfied
+
+    @pytest.mark.parametrize("server_rate", [1e17, 1e20, 1e30])
+    def test_lone_entry_beside_a_huge_server_rate_gets_the_budget(self, server_rate):
+        # G + s rounds to s here, so a form that adds G to s and subtracts s again gave rate 0.
+        alloc_input = AllocationInput((AllocationEntry((1, 1), 1.0, server_rate),), 1.0)
+        alloc = allocate(alloc_input)
+        assert abs(alloc.rates[(1, 1)] - 1.0) <= math.ulp(1.0)
+        assert alloc.diagnostics.dropped_keys == frozenset()
+        assert kkt_check(alloc_input, alloc, 1e-6).satisfied
+
+    def test_tiny_budget_on_a_lone_entry_is_spent(self):
+        # beta + s rounded to s at G = 1.33e-18, so the entry used to drop and the budget went unspent.
+        alloc = allocate(AllocationInput((AllocationEntry((1, 1), 1.0, 1.0),), 1.33e-18))
+        assert alloc.rates[(1, 1)] == 1.33e-18
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -229,6 +247,8 @@ class TestWaterfillRows:
     @example(c=4, n_rows=2, pairs=[(8.0, 4.0), (3.0, 2.5), (5.0, 6.0), (1.0, 1.0)], budget=0.0)   # every row dropped
     @example(c=3, n_rows=1, pairs=[(0.1, 10.0), (10.0, 1.0), (8.0, 2.0)], budget=1.0)   # a dropped prefix
     @example(c=4, n_rows=2, pairs=[(8.0, 4.0), (3.0, 2.5), (5.0, 6.0), (1.0, 1e30)], budget=10.0)
+    # Runs of exact ties that survive at a tiny budget, beside a tied run that drops.
+    @example(c=9, n_rows=2, pairs=[(33.765625, 0.109375)] * 3 + [(1.0, 1.0)] * 6, budget=2.225073858507e-311)
     def test_each_row_is_the_scalar_waterfill_bit_for_bit(self, c, n_rows, pairs, budget):
         # Rows of c (u, s) pairs, cycled from ``pairs`` so that rows repeat and share entries, each in mu/s order.
         cells = itertools.cycle(pairs)
@@ -264,6 +284,73 @@ class TestWaterfillRows:
         got = waterfill_rows(w, s, np.array(budgets))
         for r, budget in enumerate(budgets):
             assert got[r].tobytes() == waterfill_rows(w[r:r + 1], s[r:r + 1], budget)[0].tobytes()
+
+
+def exact_waterfill(weights, server_rates, budget):
+    """``waterfill``'s backward pass in exact rationals over the same float inputs.
+
+    Returns (cut, rates, margin, scale): the first survivor's index, the exact
+    rates, a function giving entry j's exact margin against every entry after
+    it, and one giving the size of the terms that form entry j's margin or rate
+    numerator over the entries in ``among`` whose (w, s) differ from j's.  An
+    exact tie's terms are exactly 0, so the pass needs no runs.
+    """
+    w, s, g = [Fraction(x) for x in weights], [Fraction(x) for x in server_rates], Fraction(budget)
+    n = len(w)
+
+    def margin(j):
+        return w[j] * g + sum(w[j] * s[i] - s[j] * w[i] for i in range(j + 1, n))
+
+    def scale(j, among):
+        others = [i for i in among if (w[i], s[i]) != (w[j], s[j])]
+        return w[j] * g + w[j] * sum(s[i] for i in others) + s[j] * sum(w[i] for i in others)
+
+    cut = n
+    while cut and margin(cut - 1) > 0:
+        cut -= 1
+    total = sum(w[cut:], Fraction(0))
+    rates = [Fraction(0)] * cut + [
+        (w[j] * g + sum(w[j] * s[i] - s[j] * w[i] for i in range(cut, n))) / total for j in range(cut, n)
+    ]
+    return cut, rates, margin, scale
+
+
+EPS = Fraction(2) ** -52
+TINY = Fraction(2) ** -1074   # the least subnormal: below about 1e-308 an operation's error is absolute
+RATE_OR_HUGE = st.one_of(st.floats(0.1, 50.0), st.floats(1.0, 1e30))
+PAIR = st.tuples(RATE_OR_HUGE, RATE_OR_HUGE)
+
+
+class TestExactReference:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        pool=st.lists(PAIR, min_size=1, max_size=4),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=9),   # repeated picks are exact ties
+        budget=st.one_of(st.just(0.0), st.floats(0.0, 60.0), st.floats(1e-320, 1e-290), st.floats(60.0, 1e30)),
+    )
+    # Rounding among exactly tied entries in w*S - s*A gave the three survivors -1.4e-17 each.
+    @example(pool=[(33.765625, 0.109375), (1.0, 1.0)], picks=[0, 0, 0, 1, 1, 1, 1, 1, 1], budget=2.225073858507e-311)
+    @example(pool=[(1.0, 1e17)], picks=[0], budget=1.0)
+    @example(pool=[(1.0, 1.0)], picks=[0], budget=1.33e-18)
+    def test_rates_are_the_exact_pass_within_rounding(self, pool, picks, budget):
+        entries = sorted((AllocationEntry((1, j), *pool[p % len(pool)]) for j, p in enumerate(picks)), key=sort_key)
+        weights, server_rates = [e.weight for e in entries], [e.server_rate for e in entries]
+        rates, dropped, _alpha, _beta = waterfill(weights, server_rates, budget)
+        assert min(rates) >= 0.0
+        cut, exact, margin, scale = exact_waterfill(weights, server_rates, budget)
+        float_cut = dropped.count(True)
+        if float_cut != cut:
+            # The passes part at the later of the two cuts: there the exact margin is within rounding of zero.
+            j = max(float_cut, cut) - 1
+            assert abs(margin(j)) <= 16 * EPS * scale(j, range(j + 1, len(entries))) + 4 * TINY
+            return
+        total = sum(Fraction(x) for x in weights[cut:])
+        for j, (rate, want) in enumerate(zip(rates, exact)):
+            if j < cut:
+                assert rate == 0.0
+                continue
+            slack = 16 * EPS * scale(j, range(cut, len(entries))) / total + 4 * TINY / total + EPS * want + TINY
+            assert abs(Fraction(rate) - want) <= slack, (j, rate, float(want))
 
 
 class TestKktCheck:
@@ -309,9 +396,23 @@ class TestKktCheck:
         report = kkt_check(alloc_input, lopsided, 1e-6)
         assert report.stationarity_residual == 0.0
         assert report.budget_slackness_residual == 0.0
-        assert report.dual_feasibility_residual == pytest.approx(5 / 14 - 5 / 7 * 2 / 36)
+        # mu/s = 5/14 for the idle entry against delta = (5/7) * 2/36: (5/14) / delta - 1 = 9 - 1.
+        assert report.dual_feasibility_residual == pytest.approx(8.0)
         assert not report.satisfied
         assert kkt_check(alloc_input, allocate(alloc_input), 1e-6).dual_feasibility_residual == 0.0
+
+    @pytest.mark.parametrize(
+        "rate, budget, server_rate",
+        [(0.0, 1.0, 1e17), (0.0, 1e-20, 1.0), (4.0, 5.0, 3.0), (5.0 - 1e-5, 5.0, 3.0), (0.0, 5e-324, 1.0)],
+    )
+    def test_any_unspent_budget_fails(self, rate, budget, server_rate):
+        # Every term of the objective grows with its rate, so leaving budget unspent is never optimal,
+        # whatever the water level: the residual is relative to the budget.
+        alloc_input = AllocationInput((AllocationEntry((1, 1), 1.0, server_rate),), budget)
+        short = RateAllocation(rates={(1, 1): rate}, diagnostics=allocate(alloc_input).diagnostics)
+        report = kkt_check(alloc_input, short, 1e-6)
+        assert report.budget_slackness_residual == pytest.approx((budget - rate) / budget)
+        assert not report.satisfied
 
     def test_zero_budget_is_degenerate_but_satisfied(self):
         alloc_input = AllocationInput((AllocationEntry((1, 1), 5.0, 3.0),), 0.0)

@@ -7,6 +7,7 @@ import inspect
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,20 @@ class TestCountAssignments:
             )
             assert count_assignments(n, caps, allow_empty_relay=empty) == expected, (n, caps, empty)
 
+    def test_a_large_count_is_exact(self):
+        onto_six_relays = sum((-1) ** j * math.comb(6, j) * (6 - j) ** 60 for j in range(7))   # inclusion-exclusion
+        assert count_assignments(60, [60] * 6) == onto_six_relays
+
+    def test_at_most_caps_the_count(self):
+        rng = random.Random(20261020)
+        for _ in range(300):
+            n = rng.randint(0, 9)
+            caps = [rng.randint(0, n + 1) for _ in range(rng.randint(0, 4))]
+            empty = rng.random() < 0.5
+            count = count_assignments(n, caps, allow_empty_relay=empty)
+            for cap in (1, count, count + 1, rng.randint(1, 2 * count + 2)):
+                assert count_assignments(n, caps, allow_empty_relay=empty, at_most=cap) == min(count, cap), (n, caps, empty, cap)
+
     def test_bad_arguments(self):
         for n, caps in ((-1, [2]), (1.0, [2]), (2, [True]), (2, [2, -1])):
             with pytest.raises(DomainError):
@@ -187,10 +202,21 @@ class TestSolveExhaustive:
         result = solve_exhaustive(scenario)
         assert result.evaluated_count == 2
 
-    def test_limit_guard_names_the_count(self, table1):
-        with pytest.raises(SearchBudgetError) as err:
+    def test_limit_guard_names_the_limit(self, table1):
+        # The count stops once it passes the limit, so the message names the limit, not the count.
+        with pytest.raises(SearchBudgetError, match="^distinct assignment count exceeds the enumeration limit 100$"):
             solve_exhaustive(table1, limit=100)
-        assert str(TABLE1_ASSIGNMENT_COUNT) in str(err.value)
+        assert solve_exhaustive(table1, limit=TABLE1_ASSIGNMENT_COUNT).evaluated_count == TABLE1_ASSIGNMENT_COUNT
+
+    def test_limit_guard_stops_counting_past_the_limit(self):
+        # About 8e73 assignments: the full big-integer count took 1.5 s before the guard could trip.
+        scenario = uncapped_scenario(1000, 10)
+        scenario = dataclasses.replace(scenario, relays=tuple(dataclasses.replace(r, capacity=100) for r in scenario.relays))
+        scenario.layout   # the layout's cost is not the guard's
+        start = time.perf_counter()
+        with pytest.raises(SearchBudgetError):
+            solve_exhaustive(scenario)
+        assert time.perf_counter() - start < 0.5
 
     def test_infeasible_scenario(self):
         scenario = Scenario(
@@ -209,8 +235,7 @@ class TestSolveExhaustive:
         monkeypatch.setattr(search_module, "enumerate_partitions", refuse)
         with pytest.raises(SearchBudgetError) as err:
             solve_exhaustive(uncapped_scenario(60, 6))
-        onto_six_relays = sum((-1) ** j * math.comb(6, j) * (6 - j) ** 60 for j in range(7))   # inclusion-exclusion
-        assert f"count {onto_six_relays} exceeds" in str(err.value)
+        assert "exceeds the enumeration limit 10000000" in str(err.value)
 
     def test_beats_random_feasible_schemes(self):
         rng = random.Random(21)
@@ -314,20 +339,20 @@ class TestSolveExhaustive:
 # Holding counts far above any fixture, pinned at their values before the scorer unranked its rows: no rank or
 # digit may overflow int64.  (name, scenario, evaluated_count, objective, holdings off relay 1, trace)
 LARGE_SOLVES = [
-    ("k1-n100", lambda: uncapped_scenario(100, 1), 1, 0.0503566687639763, {}, ((1, 0.0503566687639763),)),
+    ("k1-n100", lambda: uncapped_scenario(100, 1), 1, 0.050356668763976306, {}, ((1, 0.050356668763976306),)),
     (
         "caps-98-1-1", lambda: _with_capacities(random_scenario(random.Random(3), 100, 4, 3), (98, 1, 1)),
         9900, 0.07010224776244628, {(2, 7): 2, (3, 38): 3},
-        ((1, 0.04744632384186752), (2, 0.04957530032256658), (3, 0.053286086140139494), (4, 0.05673148898327733),
-         (32, 0.05808454104531506), (74, 0.062469649904904764), (112, 0.07010224776244628)),
+        ((1, 0.047446323841867526), (2, 0.04957530032256659), (3, 0.05328608614013951), (4, 0.05673148898327733),
+         (32, 0.05808454104531507), (74, 0.062469649904904764), (112, 0.07010224776244628)),
     ),
     (
         "caps-38-2", lambda: _with_capacities(random_scenario(random.Random(4), 40, 4, 2), (38, 2)),
-        780, 0.31014541114377503, {(2, 22): 2, (4, 27): 2},
-        ((1, 0.24017158754605544), (2, 0.24753791361551536), (3, 0.2669504122972162), (18, 0.27251531660135253),
-         (174, 0.27412493314022834), (187, 0.27957604162721106), (291, 0.2807480880389368),
-         (292, 0.2926795271781158), (296, 0.30146372126101617), (553, 0.30914114712545354),
-         (655, 0.31014541114377503)),
+        780, 0.3101454111437749, {(2, 22): 2, (4, 27): 2},
+        ((1, 0.24017158754605544), (2, 0.24753791361551547), (3, 0.26695041229721633), (18, 0.27251531660135253),
+         (174, 0.2741249331402283), (187, 0.279576041627211), (291, 0.2807480880389368),
+         (292, 0.29267952717811574), (296, 0.3014637212610161), (553, 0.30914114712545354),
+         (655, 0.3101454111437749)),
     ),
 ]
 

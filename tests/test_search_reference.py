@@ -505,7 +505,7 @@ def test_sampled_matches_the_canonical_climber(name, allow_empty_relay):
 # Seed-1 sweep instances (``perfbench``'s generator) at the default budget, under the plateau rule.
 SWEEP_PINS = {
     "n30k4": (lambda: _shape(1, "n30k4", 30, 4, 6, 4), 0.3713453502989092),
-    "n45k5": (lambda: _shape(1, "n45k5", 45, 5, 9, 5), 0.3681738629905087),
+    "n45k5": (lambda: _shape(1, "n45k5", 45, 5, 9, 5), 0.36817386299050875),
 }
 
 
