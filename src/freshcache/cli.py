@@ -156,7 +156,10 @@ def _cmd_allocate(scenario: Scenario, args) -> tuple[str, int]:
     inputs = relay_inputs(scenario, scheme)
     rows = []
     for relay_id in sorted(inputs):
-        alloc = allocate(inputs[relay_id])
+        try:
+            alloc = allocate(inputs[relay_id])
+        except DomainError as exc:   # a budget out of scale: name its relay
+            raise DomainError(f"relay {relay_id}: {exc}") from exc
         for (uid, fid), rate in alloc.rates.items():
             rows.append((fid, uid, relay_id, rate))
         reports.append(_kkt_line(relay_id, inputs[relay_id], alloc)[0])

@@ -79,6 +79,19 @@ def weight(user_rate: float, server_rate: float) -> float:
     return w
 
 
+def check_scale(what: str, budget: float, weight_sum: float, server_sum: float) -> None:
+    """Raise DomainError unless ``what``'s budget G is a number of at least 0 that keeps the water-fill in float range.
+
+    With W and S the sums of the weights and server rates of the holdings it may take, every float of
+    either water-fill is at most 2*W*(G + S), and ``kkt_check`` squares at most G + S, so both are finite
+    when 4*W*(G + S) and (G + S)**2 are.
+    """
+    check_non_negative(f"{what} rate budget", budget)
+    reach = budget + server_sum
+    if not math.isfinite(4.0 * weight_sum * reach) or not math.isfinite(reach * reach):
+        raise DomainError(f"{what} rate budget {budget!r} would overflow the water-fill")
+
+
 @dataclass(frozen=True)
 class AllocationEntry:
     """One holding, identified by (user_id, file_id), with its fixed rates and the values they set.
@@ -111,8 +124,6 @@ class Scenario:
     files: tuple[FileSpec, ...]
     users: tuple[UserSpec, ...]
     relays: tuple[RelaySpec, ...]
-    popularity_mode: str = "explicit"  # "explicit" or "zipf"
-    zipf_exponent: float | None = None
 
     @property
     def n_files(self) -> int:
@@ -161,12 +172,18 @@ class Scenario:
 
     @cached_property
     def layout(self) -> tuple[np.ndarray, ...]:
-        """The holdings in ``sort_key`` order: their document positions, then w, s, mu and the (n, K) ``coef`` as arrays."""
+        """The holdings in ``sort_key`` order: their document positions, then w, s, mu and the (n, K) ``coef`` as arrays.
+
+        Raises DomainError (``check_scale``) for a relay budget that is negative, not finite or too large to water-fill.
+        """
         entries = list(self.entries.values())
         order = sorted(range(len(entries)), key=lambda p: sort_key(entries[p]))
         ordered = [entries[p] for p in order]
         columns = ([e.weight for e in ordered], [e.server_rate for e in ordered], [e.mu for e in ordered])
         coef = np.array([self.coef[e.key] for e in ordered], dtype=float).reshape(len(order), self.n_relays)
+        weight_sum, server_sum = sum(columns[0]), sum(columns[1])
+        for r in self.relays:   # any relay may take every holding
+            check_scale(f"relay {r.relay_id}", r.rate_budget, weight_sum, server_sum)
         return (np.array(order, dtype=np.intp), *(np.array(column, dtype=float) for column in columns), coef)
 
     @cached_property
@@ -288,13 +305,6 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     for fid in sorted(valid_file_ids - set(holder_of)):
         add(Violation("file-unheld", f"file {fid} not held by any user"))
 
-    if scenario.popularity_mode not in ("explicit", "zipf"):
-        add(Violation("popularity-mode", f"unknown popularity mode {scenario.popularity_mode!r}"))
-    if scenario.popularity_mode == "zipf":
-        e = scenario.zipf_exponent
-        if not is_number(e) or e < 0:
-            add(Violation("zipf-exponent", f"zipf mode requires a non-negative exponent, got {e!r}"))
-
     return report
 
 
@@ -324,11 +334,6 @@ def validate_scheme(scenario: Scenario, scheme: CacheScheme) -> list[Violation]:
     for r in scenario.relays:
         if counts[r.relay_id] > r.capacity:
             add(Violation("relay-over-capacity", f"relay {r.relay_id} over capacity: {counts[r.relay_id]} > {r.capacity}"))
-
-    # Redundant with the per-holding checks above, but cheap: every holding
-    # assigned exactly once means the per-relay counts add up to the total.
-    if sum(counts.values()) != len(expected):
-        add(Violation("assignment-count", f"assigned holding count {sum(counts.values())} != total holdings {len(expected)}"))
 
     return report
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InfeasibleError, OracleScaleError
 from .freshness import ObjectiveValue
-from .model import Scenario, check_non_negative
+from .model import Scenario
 from .rate_alloc import waterfill_rows
 from .search import make_solve_result
 
@@ -54,8 +54,9 @@ def brute_force_assignments(
     ``system_freshness``'s float expression in its order, so values are the
     public API's bit for bit.  ``argmax`` takes the first maximum: ties
     resolve to the lexicographically smallest vector.  Raises InfeasibleError
-    as the solvers do, and OracleScaleError past ``BRUTE_FORCE_LIMIT`` raw
-    assignments or 256 times that many relay passes over them.
+    and DomainError as the solvers do, and OracleScaleError past
+    ``BRUTE_FORCE_LIMIT`` raw assignments or 256 times that many relay passes
+    over them.
     """
     pairs = scenario.holding_pairs
     k, h = scenario.n_relays, len(pairs)
@@ -88,16 +89,13 @@ def brute_force_assignments(
     place = k ** np.arange(h - 1, -1, -1, dtype=np.intp)
     columns = np.arange(evaluated)
     blocks, slot_of = [], np.empty((k, evaluated), dtype=np.intp)
-    for idx, relay in enumerate(scenario.relays):
+    for idx in range(k):
         keys = _product_sum(place[:, None] * (np.arange(k) == idx)).take(feasible)
         holder = np.full(int(place.sum()) + 1, evaluated)
         holder[keys] = columns
         present = holder < evaluated
         slot_of[idx] = (np.cumsum(present) + (sum(map(len, blocks)) - 1))[keys]
-        block = (raw[order[:, None], holder[present]] == idx).T
-        if block.any():
-            check_non_negative("rate budget", relay.rate_budget)   # where allocate would check it
-        blocks.append(block)
+        blocks.append((raw[order[:, None], holder[present]] == idx).T)
     slot_relay = np.repeat(np.arange(k), [len(b) for b in blocks])
     blocks = np.concatenate(blocks)
     budgets = np.array([r.rate_budget for r in scenario.relays])[slot_relay]

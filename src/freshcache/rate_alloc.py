@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllocationMismatchError, DomainError
-from .model import AllocationEntry, Key, check_non_negative, check_positive, sort_key
+from .model import AllocationEntry, Key, check_non_negative, check_positive, check_scale, sort_key
 from .model import weight  # noqa: F401  (re-exported, not used here)
 
 
@@ -158,11 +158,12 @@ def waterfill_rows(w: np.ndarray, s: np.ndarray, budget: float | np.ndarray) -> 
 
 
 def _validate_input(alloc_input: AllocationInput) -> None:
-    """Structural checks of an allocation input; its entries checked their own rates when built."""
-    if not alloc_input.entries:
+    """Structural and scale checks of an allocation input; its entries checked their own rates when built."""
+    entries = alloc_input.entries
+    if not entries:
         raise DomainError("allocation requires at least one entry")
-    check_non_negative("rate budget", alloc_input.rate_budget)
-    keys = [e.key for e in alloc_input.entries]
+    check_scale("allocation", alloc_input.rate_budget, sum(e.weight for e in entries), sum(e.server_rate for e in entries))
+    keys = [e.key for e in entries]
     if len(set(keys)) != len(keys):
         raise DomainError("allocation entries contain duplicate keys")
 

@@ -3,7 +3,8 @@
 Scenario files are YAML mappings with ``files``, ``users``, ``relays`` and an
 optional ``popularity`` block.  Request probabilities are given per holding
 (explicit mode, the default) or derived from a rank-based popularity law
-(zipf mode), never both.
+(zipf mode), never both.  A scenario keeps only the probabilities, so
+``serialize_scenario`` writes every scenario in explicit mode.
 """
 
 from __future__ import annotations
@@ -158,13 +159,7 @@ def parse_scenario(text: str) -> Scenario:
         users.append(UserSpec(uid, tuple(holdings), tuple(prefs)))
 
     relays = tuple(RelaySpec(*_record(node, "relay entry", _RELAY_FIELDS)) for node in _require_list(relay_nodes, "relays"))
-    scenario = Scenario(
-        files=files,
-        users=tuple(users),
-        relays=relays,
-        popularity_mode=mode,
-        zipf_exponent=exponent,
-    )
+    scenario = Scenario(files=files, users=tuple(users), relays=relays)
     report = validate_scenario(scenario)
     if report:
         summary = "; ".join(v.message for v in report[:4])
@@ -183,17 +178,9 @@ def serialize_scenario(scenario: Scenario) -> str:
             {"id": r.relay_id, "capacity": r.capacity, "rate_budget": r.rate_budget} for r in scenario.relays
         ],
     }
-    explicit = scenario.popularity_mode == "explicit"
     for u in scenario.users:
-        holdings = []
-        for h in u.holdings:
-            node = {"file": h.file_id, "user_rate": h.user_rate}
-            if explicit:
-                node["request_prob"] = h.request_prob
-            holdings.append(node)
+        holdings = [{"file": h.file_id, "user_rate": h.user_rate, "request_prob": h.request_prob} for h in u.holdings]
         doc["users"].append({"id": u.user_id, "holdings": holdings, "relay_prefs": list(u.relay_prefs)})
-    if not explicit:
-        doc["popularity"] = {"mode": scenario.popularity_mode, "exponent": scenario.zipf_exponent}
     return yaml.safe_dump(doc, sort_keys=False)
 
 

@@ -13,25 +13,27 @@ and block bitmask keeps its values, rates included, and is cleared when it
 reaches ``_MEMO_ENTRIES``: the hill climber revisits recent blocks, a move
 changes two of them, and exhaustive search reads it only for re-scores.
 
-The exhaustive scorer works one partition at a time, in two steps.  For each
-(relay k, count c) the partition uses, it fills a table of relay k's block
-values over every c-subset of the holdings, in lexicographic order, in numpy,
-``_CHUNK_ROWS`` blocks at a time and without the memo: a chunk's rows are
-built by unranking its ranks, one ``waterfill_rows`` call water-fills it, and
-its terms are added a column at a time, so each value is the one
-``_evaluate`` gives, bit for bit.  A table is dropped after the last
-partition that reads it.  It then scores the partition's assignments in
-enumeration order: relay k takes each ``counts[k]``-subset of what the relays
-before it left, in lexicographic order, and the last relay takes the rest.
-Numpy rows of holding indices grow a relay at a time up to relay K - 2, at
-most ``_CHUNK_ROWS`` at once, from a pattern of chosen positions followed by
-their complement, both unranked; there the chosen positions and the rest are
-the last two relays' blocks, so no row is grown for them.  A block is found
-in its table by its lexicographic rank.  On the top-level row, ``range(n)``,
-a choice's positions are its holdings: relay k's values for a piece of
-choices are a slice of its table, and the rest's are the reversed slice of
-the last relay's, since the rest of the r-th c-subset is the
-(C(n, c) - 1 - r)-th.  Below the top level, ranks come from digit weights.
+The exhaustive scorer works one partition at a time, in two steps, and sees
+it only as the (relay k, count c) keys of the relays that take holdings: an
+empty relay has one block, which adds 0.0, and that leaves a non-negative
+sum's bits and the enumeration order as they are.  For each key it fills a
+table of relay k's block values over every c-subset of the holdings, in
+lexicographic order, in numpy, ``_CHUNK_ROWS`` blocks at a time and without
+the memo: a chunk's rows are built by unranking its ranks, one
+``waterfill_rows`` call water-fills it, and its terms are added a column at a
+time, so each value is the one ``_evaluate`` gives, bit for bit.  A table is
+dropped after the last partition that reads it.  It then scores the
+partition's assignments in enumeration order: each key's relay takes each
+c-subset of what the keys before it left, in lexicographic order, and the
+last key takes the rest.  Numpy rows of holding indices grow a key at a time
+up to the last but one, at most ``_CHUNK_ROWS`` at once, from a pattern of
+chosen positions followed by their complement, both unranked; there the
+chosen positions and the rest are the last two keys' blocks, so no row is
+grown for them.  A block is found in its table by its lexicographic rank.  On
+the top-level row, ``range(n)``, a choice's positions are its holdings: the
+first key's values for a piece of choices are a slice of its table, and the
+rest's are the reversed slice of the last key's, since the rest of the r-th
+c-subset is the (C(n, c) - 1 - r)-th.  Below it, ranks come from digit weights.
 With W[a, j] = C(n - 1 - a, d - j), a d-subset a_0 < ... < a_{d-1} has rank
 C(n, d) - 1 - sum_j W[a_j, j], so one matrix product of a chunk's gathered
 weights with a piece's 0-1 selection matrix ranks every choice on every row;
@@ -83,6 +85,7 @@ _MEMO_ENTRIES = 1 << 12
 _CHUNK_ROWS = 1 << 12
 
 _Block = tuple[float, list[int], list[float], int]   # (block value, ascending holding indices, their rates, bitmask)
+_EMPTY: _Block = (0.0, [], [], 0)   # an empty relay's block, whatever the relay
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,7 @@ class _Search:
     so any ascending slice of indices is already sorted the way ``allocate``
     would sort it.  The constructor checks the instance once, before any
     evaluation: it raises InfeasibleError when there is nothing to place or the
-    capacities admit no placement, and DomainError for a bad capacity.
+    capacities admit no placement, and DomainError for a bad capacity or budget.
     """
 
     def __init__(self, scenario: Scenario, allow_empty_relay: bool) -> None:
@@ -310,34 +313,29 @@ class _Search:
         return values
 
     def score(
-        self, counts: tuple[int, ...], tables: Sequence[np.ndarray], k: int, rows: np.ndarray, acc: np.ndarray
+        self, keys: Sequence[tuple[int, int]], tables: Sequence[np.ndarray], i: int, off: int, rows: np.ndarray, acc: np.ndarray
     ) -> None:
-        """Score every assignment that places relays k onwards on ``rows``, whose block sums so far are ``acc``, in order.
+        """Score every assignment that places keys i onwards on ``rows``, whose block sums so far are ``acc``, in order.
 
-        ``tables[k]`` is ``table(k, counts[k])``.  A row lists relay 0's holdings,
-        then relay 1's and so on up to relay k - 1, then the holdings left, each
-        group ascending.  Rows grow a relay at a time up to relay K - 2.  There a
-        choice of its block and the rest it leaves are the last two relays'
-        blocks; an assignment's full row is built only to re-score it.  Blocks are
-        ranked by one matrix product per chunk of rows and piece of choices; on
-        the top-level row, ``range(n)``, a block's rank is its choice's rank.  An
-        empty relay's block adds 0.0 to every sum, which leaves a non-negative
-        sum's bits as they are, so the walk passes over it.
+        ``keys`` are the (relay index, count) pairs of the relays that take holdings, in relay order;
+        ``tables[i]`` is ``table(*keys[i])``.  A row lists key 0's holdings, then key 1's and so on up
+        to key i - 1, ``off`` holdings in all, then the holdings left, each group ascending.  Rows grow
+        a key at a time up to the last but one.  There a choice of its block and the rest it leaves are
+        the last two keys' blocks; an assignment's full row is built only to re-score it.  Blocks are
+        ranked by one matrix product per chunk of rows and piece of choices; on the top-level row,
+        ``range(n)``, a block's rank is its choice's rank.
         """
-        while counts[k] == 0 and k < len(counts) - 1:
-            k += 1
-        n, c = self.n, counts[k]
-        off = sum(counts[:k])
+        n, c = self.n, keys[i][1]
         m = n - off
         size = comb(m, c)
-        grows = k < len(counts) - 2
-        last = not grows and k + 1 < len(counts)   # the rest is the last relay's block; with one relay, k is the last
-        blocks = tables[k:k + 1 + last]   # the tables read here: relay k's and, if last, the last relay's
+        grows = i < len(keys) - 2
+        last = not grows and i + 1 < len(keys)   # the rest is the last key's block; with one key, i is the last
+        blocks = tables[i:i + 1 + last]   # the tables read here: key i's and, if last, the last key's
         group = max(1, _CHUNK_ROWS // size)
         for start in range(0, len(rows), group):
             head, head_acc = rows[start:start + group], acc[start:start + group]
             rest = head[:, off:]
-            if off:   # the digit weights of the holdings left, for relay k's count and the last relay's
+            if off:   # the digit weights of the holdings left, for key i's count and the last key's
                 gathered = [_weights(n, d).take(rest, axis=0).reshape(len(head), -1) for d in (c, m - c)[:1 + last]]
             for first in range(0, size, _CHUNK_ROWS):
                 stop = min(first + _CHUNK_ROWS, size)
@@ -349,11 +347,11 @@ class _Search:
                     values = [blocks[0][first:stop], blocks[-1][::-1][first:stop]][:len(blocks)]
                 sums = head_acc[:, None] + values[0]
                 if grows:
-                    picked = rest[:, pattern]          # (rows, choices, m): relay k's holdings, then the rest
+                    picked = rest[:, pattern]          # (rows, choices, m): key i's holdings, then the rest
                     grown = np.empty(picked.shape[:2] + (n,), dtype=head.dtype)
                     grown[:, :, :off] = head[:, None, :off]
                     grown[:, :, off:] = picked
-                    self.score(counts, tables, k + 1, grown.reshape(-1, n), sums.reshape(-1))
+                    self.score(keys, tables, i + 1, off + c, grown.reshape(-1, n), sums.reshape(-1))
                     continue
                 if last:
                     sums = sums + values[1]
@@ -363,7 +361,7 @@ class _Search:
                         r, j = divmod(h, stop - first)
                         chosen = _choices(m, c, np.array([first + j]))[0] if pattern is None else pattern[j]
                         row = head[r, :off].tolist() + rest[r, chosen].tolist()
-                        self.offer(self.evaluated + h + 1, self._parts(counts, row))
+                        self.offer(self.evaluated + h + 1, self._parts(keys, row))
                 self.evaluated += len(total)
 
     def _piece(self, m: int, c: int, first: int, stop: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -388,11 +386,11 @@ class _Search:
                 self.patterns[m, c] = piece
         return piece
 
-    def _parts(self, counts: tuple[int, ...], row: list[int]) -> list[_Block]:
-        """The blocks of one scored row."""
-        parts, off = [], 0
-        for k, c in enumerate(counts):
-            parts.append(self.block(k, sum(1 << i for i in row[off:off + c])))
+    def _parts(self, keys: Sequence[tuple[int, int]], row: list[int]) -> list[_Block]:
+        """The blocks of one scored row, one per relay: a relay that takes nothing holds ``_evaluate(k, 0)``."""
+        parts, off = [_EMPTY] * len(self.budgets), 0
+        for k, c in keys:
+            parts[k] = self.block(k, sum(1 << i for i in row[off:off + c]))
             off += c
         return parts
 
@@ -480,15 +478,17 @@ def solve_exhaustive(
     if total > limit:
         raise SearchBudgetError(f"distinct assignment count exceeds the enumeration limit {limit}")
 
-    partitions = [p.counts for p in enumerate_partitions(search.n, search.capacities, allow_empty_relay=allow_empty_relay)]
-    last_read = {key: p for p, counts in enumerate(partitions) for key in enumerate(counts)}
-    tables: dict[tuple[int, int], np.ndarray] = {}   # (relay index, count) -> search.table
-    for p, counts in enumerate(partitions):
-        for key in enumerate(counts):
+    # Each partition as the keys of the relays that take holdings, in relay order; see the module docstring.
+    walk = enumerate_partitions(search.n, search.capacities, allow_empty_relay=allow_empty_relay)
+    partitions = [[(k, p.counts[k]) for k in itertools.compress(range(len(p.counts)), p.counts)] for p in walk]
+    last_read = {key: p for p, keys in enumerate(partitions) for key in keys}
+    tables: dict[tuple[int, int], np.ndarray] = {}   # key -> search.table
+    for p, keys in enumerate(partitions):
+        for key in keys:
             if key not in tables:
                 tables[key] = search.table(*key)
-        search.score(counts, [tables[key] for key in enumerate(counts)], 0, np.arange(search.n)[None, :], np.zeros(1))
-        for key in enumerate(counts):
+        search.score(keys, [tables[key] for key in keys], 0, 0, np.arange(search.n)[None, :], np.zeros(1))
+        for key in keys:
             if last_read[key] == p:
                 del tables[key]
     assert search.evaluated == total

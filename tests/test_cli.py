@@ -761,6 +761,30 @@ def test_rate_that_overflows_the_weight_exit_code(old, new, mode, tmp_path, caps
     assert "overflow the water-filling weight" in captured.err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "allocate"])
+@pytest.mark.parametrize("budget", ["1.0e+308", "1.0e+200"])
+def test_budget_that_overflows_the_water_fill_exit_code(budget, command, scheme_file, tmp_path, capsys):
+    # Both budgets passed validation.  At 1e308, w*G overflowed, every block holding a weight above
+    # about 1.8 scored nan, and solve exited 0 with a wrong optimum; at 1e200 the certificate's
+    # (rate + s)**2 raised OverflowError, a traceback from allocate and verify.
+    path = tmp_path / "huge.yaml"
+    path.write_text(freshcache.scenario_io.fixture_path("table1").read_text().replace("rate_budget: 12}", f"rate_budget: {budget}}}", 1))
+    extra = ["--scheme", scheme_file] if command == "allocate" else []
+    code = main([command, "--scenario", str(path), *extra])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: relay 1") and captured.err.count("\n") == 1
+    assert f"rate budget {float(budget)!r} would overflow the water-fill" in captured.err
+
+
+def test_budget_inside_the_float_range_still_verifies(tmp_path, capsys):
+    # sqrt(float max) is about 1.34e154, so the certificate's square of G + S still fits here.
+    path = tmp_path / "large.yaml"
+    path.write_text(freshcache.scenario_io.fixture_path("table1").read_text().replace("rate_budget: 12}", "rate_budget: 1.3e+154}", 1))
+    code = main(["verify", "--scenario", str(path)])
+    assert (code, capsys.readouterr().out.splitlines()[-1]) == (0, "verify=PASS")
+
+
 # Documents the reader crashed on with a traceback (exit 1): two unknown keys that do not sort together
 # (an int and a str), an int past the float range in a number field, and values PyYAML fails to build.
 READER_CRASHES = {

@@ -368,25 +368,6 @@ class TestValidateScenario:
         assert validate_scenario(base) == []
         assert codes(validate_scenario(broken[code])) == [code.removesuffix("-float")]
 
-    def test_zipf_mode_requires_exponent(self):
-        scenario = Scenario(
-            files=(FileSpec(1, 1.0),),
-            users=(UserSpec(1, (Holding(1, 1.0, 1.0),), (1.0,)),),
-            relays=(RelaySpec(1, 1, 5.0),),
-            popularity_mode="zipf",
-            zipf_exponent=None,
-        )
-        assert codes(validate_scenario(scenario)) == ["zipf-exponent"]
-
-    def test_unknown_popularity_mode(self):
-        scenario = Scenario(
-            files=(FileSpec(1, 1.0),),
-            users=(UserSpec(1, (Holding(1, 1.0, 1.0),), (1.0,)),),
-            relays=(RelaySpec(1, 1, 5.0),),
-            popularity_mode="uniform",
-        )
-        assert codes(validate_scenario(scenario)) == ["popularity-mode"]
-
 
 class TestValidateScheme:
     def test_reference_scheme_is_valid(self, table1, reference_scheme):
@@ -396,7 +377,7 @@ class TestValidateScheme:
         partial = dict(REFERENCE_ASSIGNMENT)
         del partial[(4, 10)]
         report = validate_scheme(table1, CacheScheme(partial))
-        assert [v.code for v in report] == ["holding-unassigned", "assignment-count"]
+        assert [v.code for v in report] == ["holding-unassigned"]
         assert report[0].message == "unassigned holding (user 4, file 10)"
 
     def test_over_capacity_message(self, table1):
@@ -419,7 +400,7 @@ class TestValidateScheme:
         bad = dict(REFERENCE_ASSIGNMENT)
         bad[(1, 1)] = relay_id
         report = validate_scheme(table1, CacheScheme(bad))
-        assert [v.code for v in report] == ["relay-unknown", "assignment-count"]
+        assert [v.code for v in report] == ["relay-unknown"]
         assert report[0].message == f"holding (user 1, file 1) assigned to unknown relay {relay_id}"
 
 

@@ -231,6 +231,9 @@ class TestAllocate:
             allocate(AllocationInput((entry, entry), 5.0))
         with pytest.raises(DomainError):
             allocate(AllocationInput((AllocationEntry((1, 1), 0.0, 3.0),), 5.0))
+        for budget in (1e308, 1e200):   # finite, but w*G or the certificate's (rate + s)**2 would overflow
+            with pytest.raises(DomainError, match="would overflow the water-fill"):
+                allocate(AllocationInput((entry,), budget))
 
 
 class TestWaterfillRows:
@@ -435,6 +438,8 @@ class TestKktCheck:
         for bad in (0.0, -1e-6, math.nan):
             with pytest.raises(DomainError):
                 kkt_check(alloc_input, alloc, bad)
+        with pytest.raises(DomainError, match="would overflow the water-fill"):   # the input's budget, checked as allocate checks it
+            kkt_check(dataclasses.replace(alloc_input, rate_budget=1e200), alloc, 1e-6)
 
     def test_negative_rate_raises(self):
         alloc_input = AllocationInput((AllocationEntry((1, 1), 5.0, 3.0),), 5.0)

@@ -23,6 +23,7 @@ from freshcache import (
     write_trace,
 )
 from freshcache.errors import DomainError, EmptyDomainError, FreshCacheError
+from freshcache.model import per_user_request_probs, zipf_popularity
 from freshcache.scenario_io import _YAML_LOADER, parse_rates, parse_scheme, result_rows, serialize_rates, serialize_scheme
 from freshcache.search import make_solve_result
 
@@ -64,7 +65,8 @@ class TestParseScenario:
         assert table1.n_relays == 3
         assert tuple(r.rate_budget for r in table1.relays) == (12, 10, 8)
         assert tuple(r.capacity for r in table1.relays) == (6, 5, 4)
-        assert table1.popularity_mode == "explicit"
+        probs = [[h.request_prob for h in u.holdings] for u in table1.users]
+        assert probs == [[0.3, 0.3, 0.4], [0.2, 0.3, 0.5], [0.4, 0.6], [0.5, 0.5]]   # as the document gives them
         user1 = table1.user_by_id[1]
         assert [h.file_id for h in user1.holdings] == [1, 2, 3]
         assert [h.user_rate for h in user1.holdings] == [8, 10, 12]
@@ -497,8 +499,9 @@ def test_malformed_document_error_is_pinned(parse, text, prefix, line):
 class TestZipfMode:
     def test_bundled_zipf_fixture(self):
         scenario = load_scenario("table1_zipf")
-        assert scenario.popularity_mode == "zipf"
-        assert scenario.zipf_exponent == 1.0
+        popularity = zipf_popularity(1.0, scenario.n_files)   # the document's law: zipf, exponent 1.0
+        for u in scenario.users:
+            assert tuple(h.request_prob for h in u.holdings) == per_user_request_probs(popularity, u)
         user1 = scenario.user_by_id[1]
         assert [h.request_prob for h in user1.holdings] == pytest.approx(
             [6 / 11, 3 / 11, 2 / 11], abs=1e-12

@@ -335,6 +335,47 @@ class TestSolveExhaustive:
         assert offers == [38]
         assert len(result.trace) == 38
 
+    @pytest.mark.parametrize("scenario", [random_scenario(random.Random(3), 2, 1, 8), uncapped_scenario(4, 5)], ids=["h2-k8", "h4-k5"])
+    def test_the_scorer_sees_only_the_relays_that_take_holdings(self, scenario, monkeypatch):
+        # With empty relays allowed, every table filled and every key list scored names a relay that takes holdings.
+        filled, scored = [], []
+        table, score = search_module._Search.table, search_module._Search.score
+
+        def recording_table(self, k, c):
+            filled.append((k, c))
+            return table(self, k, c)
+
+        def recording_score(self, keys, tables, i, *rest):
+            scored.append((list(keys), i))
+            return score(self, keys, tables, i, *rest)
+
+        monkeypatch.setattr(search_module._Search, "table", recording_table)
+        monkeypatch.setattr(search_module._Search, "score", recording_score)
+        solve_exhaustive(scenario, allow_empty_relay=True)
+        walk = enumerate_partitions(len(scenario.holding_pairs), [r.capacity for r in scenario.relays], allow_empty_relay=True)
+        partitions = [[(k, c) for k, c in enumerate(p.counts) if c] for p in walk]
+        assert all(c > 0 for k, c in filled) and sorted(filled) == sorted({key for keys in partitions for key in keys})
+        assert all(c > 0 for keys, _ in scored for k, c in keys)
+        assert [keys for keys, i in scored if i == 0] == partitions
+
+    @pytest.mark.parametrize("budget", [1e308, 1e200])
+    def test_a_budget_out_of_scale_fails_before_any_water_fill(self, table1, budget):
+        # Each solver reads Scenario.layout, which checks every relay's budget, before it water-fills.
+        relays = (dataclasses.replace(table1.relays[0], rate_budget=budget),) + table1.relays[1:]
+        scenario = dataclasses.replace(table1, relays=relays)
+        for solve in (solve_exhaustive, lambda s: solve_sampled(s, 10, 1), brute_force_assignments):
+            with pytest.raises(DomainError, match="relay 1 rate budget .* would overflow the water-fill"):
+                solve(scenario)
+
+    def test_many_empty_relays_match_the_oracle(self):
+        # 2 holdings over 128 capacity-1 relays: nearly every relay is empty in every assignment.
+        scenario = random_scenario(random.Random(3), 2, 1, 128)
+        result = solve_exhaustive(scenario, allow_empty_relay=True)
+        reference = brute_force_assignments(scenario, allow_empty_relay=True)
+        assert result.objective.sum_form.hex() == reference.objective.sum_form.hex()
+        assert result.best_scheme == reference.best_scheme
+        assert result.evaluated_count == count_assignments(2, [1] * 128, allow_empty_relay=True) == 128 * 127
+
 
 # Holding counts far above any fixture, pinned at their values before the scorer unranked its rows: no rank or
 # digit may overflow int64.  (name, scenario, evaluated_count, objective, holdings off relay 1, trace)
