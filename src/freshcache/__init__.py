@@ -2,7 +2,6 @@
 
 from .errors import (
     AllocationMismatchError,
-    DegeneratePopularityError,
     DomainError,
     EmptyDomainError,
     FreshCacheError,
@@ -23,11 +22,9 @@ from .model import (
     Scenario,
     UserSpec,
     Violation,
-    per_user_request_probs,
     validate_scenario,
     validate_scheme,
     with_scaled_rates,
-    zipf_popularity,
 )
 from .rate_alloc import (
     AllocationDiagnostics,

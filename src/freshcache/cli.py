@@ -204,8 +204,9 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[str, int]:
 def _cmd_verify(scenario: Scenario, args) -> tuple[str, int]:
     check_positive("grid steps", args.grid_steps, True)   # accepted and ignored, but checked as threads is
     check_positive("threads", args.threads, True)         # accepted and ignored, but checked as solve checks it
-    solver = solve_exhaustive(scenario, allow_empty_relay=args.allow_empty_relay)
+    scenario.layout   # the search's first check, cached: a budget out of scale exits 2 before the oracle's guard
     reference = brute_force_assignments(scenario, allow_empty_relay=args.allow_empty_relay)
+    solver = solve_exhaustive(scenario, allow_empty_relay=args.allow_empty_relay)
     objectives_match = solver.objective.sum_form == reference.objective.sum_form
     assignments_match = solver.best_scheme.assignment == reference.best_scheme.assignment
     lines = [
@@ -233,11 +234,12 @@ def _cmd_sweep(scenario: Scenario, args) -> tuple[str, int]:
         raise DomainError(f"factors must be a comma-separated list of numbers, got {args.factors!r}") from exc
     if not factors:
         raise DomainError("factors must contain at least one number")
+    scaled = [with_scaled_rates(scenario, args.scale, factor) for factor in factors]
+    for each in scaled:   # every factor's scale checks, cached, before the first solve
+        each.layout
     lines = ["factor,objective_sum"]
-    for factor in factors:
-        scaled = with_scaled_rates(scenario, args.scale, factor)
-        result = _run_solve(scaled, args)
-        lines.append(f"{factor:g},{result.objective.sum_form:.6f}")
+    for factor, each in zip(factors, scaled):
+        lines.append(f"{factor:g},{_run_solve(each, args).objective.sum_form:.6f}")
     return "\n".join(lines) + "\n", EXIT_OK
 
 

@@ -15,10 +15,6 @@ class EmptyDomainError(DomainError):
     """A distribution was requested over an empty index set."""
 
 
-class DegeneratePopularityError(DomainError):
-    """A popularity vector restricted to a user's files has zero total mass."""
-
-
 class IncompleteAllocationError(FreshCacheError):
     """A rate table or assignment is missing an entry required by the evaluation."""
 

@@ -1,4 +1,4 @@
-"""Problem-instance types, feasibility validation, and derived request probabilities.
+"""Problem-instance types and feasibility validation.
 
 A scenario describes an update server that keeps N files current, a set of
 relays that cache copies subject to a per-relay capacity and a total
@@ -18,11 +18,10 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DegeneratePopularityError, DomainError, EmptyDomainError
+from .errors import DomainError
 
 # Probability vectors (request probabilities, relay preferences) must sum to
 # one within this absolute tolerance.
@@ -336,38 +335,6 @@ def validate_scheme(scenario: Scenario, scheme: CacheScheme) -> list[Violation]:
             add(Violation("relay-over-capacity", f"relay {r.relay_id} over capacity: {counts[r.relay_id]} > {r.capacity}"))
 
     return report
-
-
-def zipf_popularity(exponent: float, n: int) -> tuple[float, ...]:
-    """Rank-based request probabilities p_i proportional to i**(-exponent), ranks 1..n."""
-    check_non_negative("file count", n, True)
-    if n == 0:
-        raise EmptyDomainError("popularity distribution over zero files")
-    check_non_negative("zipf exponent", exponent)
-    weights = [float(rank) ** -exponent for rank in range(1, n + 1)]
-    total = math.fsum(weights)
-    return tuple(w / total for w in weights)
-
-
-def per_user_request_probs(popularity: Sequence[float], user: UserSpec) -> tuple[float, ...]:
-    """Restrict a global popularity vector to a user's holdings and renormalize.
-
-    ``popularity`` is indexed by file id (entry 0 is file 1).  The result is
-    ordered like ``user.holdings``.
-    """
-    if not user.holdings:
-        raise EmptyDomainError(f"user {user.user_id} holds no files")
-    restricted = []
-    for h in user.holdings:
-        if not is_number(h.file_id, integer=True) or not 0 < h.file_id <= len(popularity):
-            raise DomainError(f"popularity vector has no entry for file {h.file_id}")
-        p = popularity[h.file_id - 1]
-        check_non_negative(f"popularity for file {h.file_id}", p)
-        restricted.append(float(p))
-    total = math.fsum(restricted)
-    if total <= 0.0:
-        raise DegeneratePopularityError(f"popularity restricted to user {user.user_id}'s files is all zero")
-    return tuple(p / total for p in restricted)
 
 
 def with_scaled_rates(scenario: Scenario, target: str, factor: float) -> Scenario:

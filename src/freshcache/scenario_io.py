@@ -3,12 +3,14 @@
 Scenario files are YAML mappings with ``files``, ``users``, ``relays`` and an
 optional ``popularity`` block.  Request probabilities are given per holding
 (explicit mode, the default) or derived from a rank-based popularity law
-(zipf mode), never both.  A scenario keeps only the probabilities, so
+(zipf mode), never both; ``validate_scenario`` reports a faulty document of
+either mode.  A scenario keeps only the probabilities, so
 ``serialize_scenario`` writes every scenario in explicit mode.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from collections.abc import Hashable
@@ -27,9 +29,7 @@ from .model import (
     Scenario,
     UserSpec,
     is_number,
-    per_user_request_probs,
     validate_scenario,
-    zipf_popularity,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -133,7 +133,10 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioParseError("popularity: field 'exponent' is only valid in zipf mode", field="exponent")
 
     files = tuple(FileSpec(*_record(node, "file entry", _FILE_FIELDS)) for node in _require_list(file_nodes, "files"))
-    popularity = zipf_popularity(exponent, len(files)) if mode == "zipf" else None
+    if mode == "zipf":   # p_i proportional to i**(-exponent) over ranks 1..N; zero files make an empty law
+        ranked = [float(rank) ** -exponent for rank in range(1, len(files) + 1)]
+        total = math.fsum(ranked)
+        popularity = [w / total for w in ranked]
 
     users = []
     for node in _require_list(user_nodes, "users"):
@@ -153,9 +156,10 @@ def parse_scenario(text: str) -> Scenario:
             if not _is_yaml_number(p):
                 raise ScenarioParseError(f"user {uid}: relay_prefs entries must be numbers, got {p!r}", field="relay_prefs")
             prefs.append(float(p))
-        if mode == "zipf":
-            probs = per_user_request_probs(popularity, UserSpec(uid, tuple(holdings), ()))
-            holdings = [Holding(h.file_id, h.user_rate, q) for h, q in zip(holdings, probs)]
+        if mode == "zipf":   # the law restricted to the user's files; a file outside 1..N or a user of zero mass gets 0
+            mass = [popularity[h.file_id - 1] if 0 < h.file_id <= len(popularity) else 0.0 for h in holdings]
+            total = math.fsum(mass)
+            holdings = [Holding(h.file_id, h.user_rate, q / total if total else 0.0) for h, q in zip(holdings, mass)]
         users.append(UserSpec(uid, tuple(holdings), tuple(prefs)))
 
     relays = tuple(RelaySpec(*_record(node, "relay entry", _RELAY_FIELDS)) for node in _require_list(relay_nodes, "relays"))

@@ -515,9 +515,8 @@ def _weights(n: int, d: int) -> np.ndarray:
     exact rank whatever its summation order.
     """
     w = np.zeros((n, d))
-    for j in range(d):
-        for a in range(j, n - d + j + 1):
-            w[a, j] = comb(n - 1 - a, d - j)
+    for j, column in enumerate(_digits(n, d)[1]):   # column[x] = C(x, d - j) for x < n - j
+        w[j:, j] = column[::-1]
     return w
 
 

@@ -470,6 +470,10 @@ def _six_per_relay_scenario():
     return dataclasses.replace(scenario, relays=tuple(dataclasses.replace(r, capacity=6) for r in scenario.relays))
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the exhaustive search ran")
+
+
 def _kkt_lines(out: str) -> list[str]:
     return [line for line in out.splitlines() if line.startswith("kkt_check ")]
 
@@ -531,15 +535,17 @@ class TestVerifyCommand:
         certified = [line.endswith("satisfied=True") for line in _kkt_lines(out)]
         assert certified == [False] + [True] * (len(_kkt_lines(kept)) - 1)
 
-    def test_scale_guard_exit_code(self, tmp_path, capsys):
+    def test_scale_guard_exit_code(self, tmp_path, monkeypatch, capsys):
+        # The oracle refuses 3**12 raw assignments at once, so the search never runs.
         rng = random.Random(13)
         scenario = random_scenario(rng, n_files=12, n_users=2, n_relays=3)
         path = tmp_path / "big.yaml"
         path.write_text(serialize_scenario(scenario))
+        monkeypatch.setattr(freshcache.cli, "solve_exhaustive", _no_solve)
         code = main(["verify", "--scenario", str(path)])
         captured = capsys.readouterr()
         assert code == 4
-        assert "error" in captured.err
+        assert captured.err == "error: 531441 raw assignments exceed the oracle limit 100000\n"
 
     @pytest.mark.parametrize("steps, expected", [("0", 2), ("-3", 2)])
     @pytest.mark.parametrize("scenario", ["table1", "all-skipped"])
@@ -590,6 +596,20 @@ class TestSweepCommand:
         assert code == 0
         values = [float(l.split(",")[1]) for l in captured.out.splitlines()[1:]]
         assert values[0] > values[1] > values[2]
+
+    @pytest.mark.parametrize(
+        "scale, factors, message",
+        [
+            ("user", "1,-1", "scale factor must be a positive finite number, got -1.0"),
+            ("server", "1,1e300", "relay 1 rate budget 12.0 would overflow the water-fill"),
+        ],
+        ids=["negative-factor", "overflowing-factor"],
+    )
+    def test_every_factor_is_checked_before_the_first_solve(self, scale, factors, message, monkeypatch, capsys):
+        monkeypatch.setattr(freshcache.cli, "solve_exhaustive", _no_solve)
+        code = main(["sweep", "--scenario", "table1", "--scale", scale, "--factors", factors])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_bad_factors_exit_code(self, capsys):
         for factors, message in [("1,a", "comma-separated list of numbers"), (",", "at least one number")]:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,18 +20,17 @@ import freshcache
 from freshcache import (
     AllocationEntry,
     CacheScheme,
-    DegeneratePopularityError,
     DomainError,
-    EmptyDomainError,
     FileSpec,
     Holding,
     RelaySpec,
     Scenario,
+    ScenarioParseError,
+    ScenarioValidationError,
     UserSpec,
     fixture_path,
     load_scenario,
     parse_scenario,
-    per_user_request_probs,
     rate_alloc,
     serialize_scenario,
     solve_exhaustive,
@@ -38,7 +38,6 @@ from freshcache import (
     validate_scheme,
     weight,
     with_scaled_rates,
-    zipf_popularity,
 )
 from freshcache.model import sort_key
 from freshcache.oracle import brute_force_assignments
@@ -404,65 +403,97 @@ class TestValidateScheme:
         assert report[0].message == f"holding (user 1, file 1) assigned to unknown relay {relay_id}"
 
 
+def _zipf_document(exponent, held, n_files=None) -> str:
+    """A zipf-mode document: files 1..n_files, user u holding the file ids held[u - 1], one relay that takes them all."""
+    n_files = sum(map(len, held)) if n_files is None else n_files
+    doc = {
+        "files": [{"id": i, "server_rate": 1.0} for i in range(1, n_files + 1)],
+        "users": [
+            {"id": uid, "holdings": [{"file": fid, "user_rate": 1.0} for fid in files], "relay_prefs": [1.0]}
+            for uid, files in enumerate(held, 1)
+        ],
+        "relays": [{"id": 1, "capacity": n_files, "rate_budget": 1.0}],
+        "popularity": {"mode": "zipf", "exponent": exponent},
+    }
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+def _zipf_probs(exponent, n) -> tuple[float, ...]:
+    """The request probabilities the reader derives for one user holding files 1..n, in rank order."""
+    (user,) = parse_scenario(_zipf_document(exponent, [range(1, n + 1)])).users
+    return tuple(h.request_prob for h in user.holdings)
+
+
+def _violation_codes(text: str) -> list[str]:
+    """The codes of the violation report a document fails with; a bare DomainError fails the calling test."""
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(text)
+    return [v.code for v in err.value.report]
+
+
 class TestZipfPopularity:
+    """The rank law p_i proportional to i**(-exponent), as the reader applies it to one-user documents."""
+
     def test_exponent_zero_is_uniform(self):
-        assert zipf_popularity(0, 4) == (0.25, 0.25, 0.25, 0.25)
+        assert _zipf_probs(0, 4) == (0.25, 0.25, 0.25, 0.25)
 
     def test_exponent_one_two_files(self):
-        probs = zipf_popularity(1, 2)
-        assert probs == pytest.approx((2 / 3, 1 / 3), abs=1e-15)
+        assert _zipf_probs(1, 2) == pytest.approx((2 / 3, 1 / 3), abs=1e-15)
 
     def test_exponent_two_three_files(self):
-        probs = zipf_popularity(2, 3)
-        assert probs == pytest.approx((36 / 49, 9 / 49, 4 / 49), abs=1e-15)
+        assert _zipf_probs(2, 3) == pytest.approx((36 / 49, 9 / 49, 4 / 49), abs=1e-15)
 
     @pytest.mark.parametrize("exponent", [0.0, 0.5, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("n", [1, 2, 17, 1000])
     def test_distribution_properties(self, exponent, n):
-        probs = zipf_popularity(exponent, n)
+        probs = _zipf_probs(exponent, n)
         assert len(probs) == n
         assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
         assert all(p > 0 for p in probs)
         assert all(a >= b for a, b in zip(probs, probs[1:]))
 
     def test_zero_files_raises(self):
-        with pytest.raises(EmptyDomainError):
-            zipf_popularity(1.0, 0)
+        # The law over no files is empty, so the user's holding is unknown and its probability 0.
+        text = _zipf_document(1.0, [[1]], n_files=0)
+        assert _violation_codes(text) == ["files-empty", "holding-unknown-file", "request-prob-sum"]
 
     def test_bad_arguments_raise(self):
-        with pytest.raises(DomainError):
-            zipf_popularity(-1.0, 3)
-        with pytest.raises(DomainError):
-            zipf_popularity(1.0, -3)
-        with pytest.raises(DomainError):
-            zipf_popularity(math.nan, 3)
+        # The reader refuses a law it cannot apply before it builds any holding.
+        for exponent in (-1, math.nan, math.inf):
+            with pytest.raises(ScenarioParseError) as err:
+                parse_scenario(_zipf_document(exponent, [[1, 2, 3]]))
+            assert err.value.field == "exponent"
 
 
 class TestPerUserRequestProbs:
+    """The law restricted to each user's files and renormalized, as the reader applies it."""
+
     def test_three_file_example(self):
-        user = UserSpec(1, (Holding(1, 1.0, 0.0), Holding(2, 1.0, 0.0), Holding(3, 1.0, 0.0)), (1.0,))
-        probs = per_user_request_probs(zipf_popularity(1, 10), user)
-        assert probs == pytest.approx((6 / 11, 3 / 11, 2 / 11), abs=1e-15)
+        first, _ = parse_scenario(_zipf_document(1, [[1, 2, 3], range(4, 11)])).users
+        assert [h.request_prob for h in first.holdings] == pytest.approx([6 / 11, 3 / 11, 2 / 11], abs=1e-15)
 
     def test_scaling_invariance(self):
-        rng = random.Random(7)
-        user = UserSpec(1, (Holding(2, 1.0, 0.0), Holding(5, 1.0, 0.0)), (1.0,))
-        popularity = [rng.uniform(0.01, 1.0) for _ in range(6)]
-        doubled = [2 * p for p in popularity]
-        assert per_user_request_probs(popularity, user) == pytest.approx(
-            per_user_request_probs(doubled, user), abs=1e-15
-        )
+        # More files scale the law's first six ranks by one factor; user 1's renormalized share of them stays put.
+        def probs(n_files):
+            held = [[2, 5], [f for f in range(1, n_files + 1) if f not in (2, 5)]]
+            return [h.request_prob for h in parse_scenario(_zipf_document(1.3, held)).users[0].holdings]
+
+        assert probs(6) == pytest.approx(probs(60), abs=1e-15)
+
+    def test_empty_user_raises(self):
+        assert _violation_codes(_zipf_document(1.0, [[], [1, 2]], n_files=2)) == ["holdings-empty"]
+        assert _violation_codes(_zipf_document(1.0, [[]], n_files=1)) == ["holdings-empty", "file-unheld"]
 
     def test_zero_mass_raises(self):
-        user = UserSpec(1, (Holding(1, 1.0, 0.0),), (1.0,))
-        with pytest.raises(DegeneratePopularityError):
-            per_user_request_probs([0.0, 1.0], user)
+        # At exponent 5000 every rank from 2 up underflows to 0.0, so only user 1, who holds file 1, has mass.
+        doc = yaml.safe_load(fixture_path("table1_zipf").read_text())
+        doc["popularity"]["exponent"] = 5000
+        assert _violation_codes(yaml.safe_dump(doc)) == ["request-prob-sum"] * 3
 
     def test_missing_entry_raises(self):
-        for file_id in (5, 0, True, 1.0):   # True and 1.0 equal 1, but neither names file 1
-            user = UserSpec(1, (Holding(file_id, 1.0, 0.0),), (1.0,))
-            with pytest.raises(DomainError, match=f"no entry for file {file_id}"):
-                per_user_request_probs([1.0, 1.0], user)
+        # File ids outside 1..N get no mass; the user's other file keeps all of it.
+        for file_id in (5, 0, 99):
+            assert _violation_codes(_zipf_document(1.0, [[file_id, 2]])) == ["holding-unknown-file", "file-unheld"]
 
 
 class TestWithScaledRates:

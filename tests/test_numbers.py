@@ -27,21 +27,18 @@ from freshcache import (
     file_freshness,
     kkt_check,
     load_scenario,
-    per_user_request_probs,
     simulate_file,
     solve_exhaustive,
     solve_sampled,
     system_freshness,
     weight,
     with_scaled_rates,
-    zipf_popularity,
 )
 
 from grid_oracle import grid_allocate
 
 ENTRY = AllocationEntry((1, 1), 5.0, 2.0)
 INPUT = AllocationInput((ENTRY,), 4.0)
-USER = UserSpec(1, (Holding(1, 1.0, 0.5), Holding(2, 1.0, 0.5)), (1.0,))
 TABLE1 = load_scenario("table1")
 
 
@@ -70,13 +67,10 @@ REAL_ARGS = [
     ("simulate_file.server_rate", lambda v: simulate_file(5.0, v, 1.0, 100.0, 0)),
     ("simulate_file.relay_rate", lambda v: simulate_file(5.0, 2.0, v, 100.0, 0)),
     ("simulate_file.horizon", lambda v: simulate_file(5.0, 2.0, 1.0, v, 0)),
-    ("zipf_popularity.exponent", lambda v: zipf_popularity(v, 3)),
-    ("per_user_request_probs.popularity", lambda v: per_user_request_probs([v, 0.5], USER)),
     ("with_scaled_rates.factor", lambda v: with_scaled_rates(TABLE1, "user", v)),
 ]
 INT_ARGS = [
     ("grid_allocate.steps", lambda v: grid_allocate(INPUT, v)),
-    ("zipf_popularity.n", lambda v: zipf_popularity(1.0, v)),
     ("solve_exhaustive.limit", lambda v: solve_exhaustive(TABLE1, limit=v)),
     ("solve_sampled.budget", lambda v: solve_sampled(TABLE1, v, 0)),
 ]

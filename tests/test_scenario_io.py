@@ -22,8 +22,7 @@ from freshcache import (
     write_result_table,
     write_trace,
 )
-from freshcache.errors import DomainError, EmptyDomainError, FreshCacheError
-from freshcache.model import per_user_request_probs, zipf_popularity
+from freshcache.errors import FreshCacheError
 from freshcache.scenario_io import _YAML_LOADER, parse_rates, parse_scheme, result_rows, serialize_rates, serialize_scheme
 from freshcache.search import make_solve_result
 
@@ -340,9 +339,15 @@ PARSE_ERRORS = [
     ("zipf", H0 + ("user_rate",), None,
      ScenarioParseError, "user 1 holding: field 'user_rate' must be a number, got None", "user_rate"),
     ("zipf", H0 + ("zz",), 1, ScenarioParseError, "user 1 holding: unknown field 'zz'", "zz"),
-    ("zipf", H0 + ("file",), 9, DomainError, "popularity vector has no entry for file 9", None),
-    ("zipf", ("users", 0, "holdings"), [], EmptyDomainError, "user 1 holds no files", None),
-    ("zipf", ("files",), [], EmptyDomainError, "popularity distribution over zero files", None),
+    # A zipf document's faults are the validator's to report, as in explicit mode.
+    ("zipf", H0 + ("file",), 9, ScenarioValidationError,
+     "scenario failed validation: user 1: holding references unknown file 9; file 1 not held by any user", None),
+    ("zipf", ("users", 0, "holdings"), [], ScenarioValidationError,
+     "scenario failed validation: user 1: holdings are empty; file 1 not held by any user; "
+     "file 2 not held by any user", None),
+    ("zipf", ("files",), [], ScenarioValidationError,
+     "scenario failed validation: scenario has no files; user 1: holding references unknown file 1; "
+     "user 1: holding references unknown file 2; user 1: request probabilities sum != 1", None),
     ("explicit", ("relays", 0), "x", ScenarioParseError, "relay entry must be a mapping, got str", None),
     ("explicit", ("relays", 0), None, ScenarioParseError, "relay entry must be a mapping, got NoneType", None),
     ("explicit", ("relays", 0, "zz"), 1, ScenarioParseError, "relay entry: unknown field 'zz'", "zz"),
@@ -499,9 +504,13 @@ def test_malformed_document_error_is_pinned(parse, text, prefix, line):
 class TestZipfMode:
     def test_bundled_zipf_fixture(self):
         scenario = load_scenario("table1_zipf")
-        popularity = zipf_popularity(1.0, scenario.n_files)   # the document's law: zipf, exponent 1.0
-        for u in scenario.users:
-            assert tuple(h.request_prob for h in u.holdings) == per_user_request_probs(popularity, u)
+        # The document's law, zipf with exponent 1.0, restricted to each user's files, bit for bit.
+        assert [[h.request_prob.hex() for h in u.holdings] for u in scenario.users] == [
+            ["0x1.1745d1745d174p-1", "0x1.1745d1745d174p-2", "0x1.745d1745d1745p-3"],
+            ["0x1.9f22983759f23p-2", "0x1.4c1bacf914c1cp-2", "0x1.14c1bacf914c1p-2"],
+            ["0x1.1111111111111p-1", "0x1.dddddddddddddp-2"],
+            ["0x1.0d79435e50d79p-1", "0x1.e50d79435e50fp-2"],
+        ]
         user1 = scenario.user_by_id[1]
         assert [h.request_prob for h in user1.holdings] == pytest.approx(
             [6 / 11, 3 / 11, 2 / 11], abs=1e-12
