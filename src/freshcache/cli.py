@@ -295,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="re-solve under scaled user or server rates")
     add_common(p_sweep, sampled=True)
     p_sweep.add_argument("--scale", choices=("user", "server"), required=True)
-    p_sweep.add_argument("--factors", required=True, help="comma-separated scale factors")
+    p_sweep.add_argument(
+        "--factors", required=True, help="comma-separated scale factors; a leading '-' needs --factors=LIST"
+    )
 
     return parser
 

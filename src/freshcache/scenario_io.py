@@ -36,7 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .search import SolveResult
 
 
-# libyaml's safe loader where PyYAML was built with it: the same resolver as SafeLoader, so the same values, faster.
+# libyaml's safe dumper and loader where PyYAML was built with it: the same representer and resolver as SafeDumper
+# and SafeLoader, so the same bytes and values, faster.
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 class _YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """The safe loader, refusing a key written twice in one mapping rather than keeping the last."""
 
@@ -185,7 +189,7 @@ def serialize_scenario(scenario: Scenario) -> str:
     for u in scenario.users:
         holdings = [{"file": h.file_id, "user_rate": h.user_rate, "request_prob": h.request_prob} for h in u.holdings]
         doc["users"].append({"id": u.user_id, "holdings": holdings, "relay_prefs": list(u.relay_prefs)})
-    return yaml.safe_dump(doc, sort_keys=False)
+    return yaml.dump(doc, Dumper=_YAML_DUMPER, sort_keys=False)
 
 
 def fixture_path(name: str) -> Path:
@@ -233,7 +237,7 @@ def _parse_holding_doc(text: str, kind: str, top: str, entry: str, field: str, f
 def _holding_doc(top: str, field: str, values: Mapping[tuple[int, int], object], cast) -> str:
     """Write ``values`` as a ``{top: [{user, file, field}, ...]}`` document, sorted by holding."""
     entries = [{"user": uid, "file": fid, field: cast(value)} for (uid, fid), value in sorted(values.items())]
-    return yaml.safe_dump({top: entries}, sort_keys=False)
+    return yaml.dump({top: entries}, Dumper=_YAML_DUMPER, sort_keys=False)
 
 
 def parse_scheme(text: str) -> CacheScheme:

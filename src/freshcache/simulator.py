@@ -13,12 +13,13 @@ request less often than the relay refreshes.  The primary estimator is the
 fraction of the horizon those intervals cover, with 20 batch means from a
 running total of fresh time at the batch edges.
 
-The server stream is drawn whole.  The relay and user streams are drawn in
-pieces of at most ``_PIECE`` events, the same numbers in the same order as
-whole draws, and each piece is replayed as it is drawn.  The relay pieces
-reduce to each cycle's first refresh and end, and the server stream is freed
-before the first user piece, so a user stream of any length costs a piece's
-worth and a holding peaks at about 2.8-9.3 bytes per expected event,
+All three streams are drawn in pieces of at most ``_PIECE`` events, the same
+numbers in the same order as whole draws.  The server stream comes first, so
+its pieces are held until the relay refreshes pass them; each relay piece is
+replayed as it is drawn and reduces to a queue of each cycle's first refresh
+and end, which the user pieces then take from the front.  Only the fresh
+intervals are joined whole.  A user stream of any length so costs a piece's
+worth, and a holding peaks at about 2.4-6.2 bytes per expected event,
 server-heavy holdings at the top.  ``simulate_system`` runs two holdings at
 once on threads, each with its own seeded generator, and sums them in
 scenario order.
@@ -34,7 +35,7 @@ import functools
 import hashlib
 import math
 import os
-import sys
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -46,9 +47,9 @@ from .model import CacheScheme, Scenario, check_non_negative, check_positive
 
 _BATCHES = 20
 # Expected events one stream may draw: 16x the tests' largest (rate 12, horizon 1e5).  A holding at the limit,
-# (199, 199, 199) at horizon 1e5, peaks at 305 MiB under tracemalloc (measured); _WORKERS of them, 0.6 GiB.
+# (199, 199, 199) at horizon 1e5, peaks at 155 MiB under tracemalloc (measured); _WORKERS of them, 0.3 GiB.
 _MAX_STREAM_EVENTS = 20_000_000
-# Events per relay or user piece the replay draws and searches at once: 512 KiB of event times.
+# Events per piece the replay draws and searches at once: 512 KiB of event times.
 _PIECE = 1 << 16
 # Holdings simulated at once on threads; the guard's memory above is priced for this many.
 _WORKERS = 2
@@ -76,7 +77,7 @@ def stream_seed(seed: int, user_id: int, file_id: int) -> int:
 
 
 def _event_pieces(rng: np.random.Generator, rate: float, horizon: float, size: int) -> Iterator[np.ndarray]:
-    """Yield ``_event_times(rng, rate, horizon)`` in consecutive non-empty pieces of at most ``size`` events.
+    """Yield strictly increasing Poisson event times in (0, horizon) in non-empty pieces of at most ``size`` events.
 
     Draws the same numbers in the same order as one draw per batch, the unused tail of the batch that
     crosses the horizon included, so the generator is left in the same state whatever ``size`` is.
@@ -107,12 +108,6 @@ def _event_pieces(rng: np.random.Generator, rate: float, horizon: float, size: i
         batch, base = max(16, n_guess // 4), float(piece[-1])
 
 
-def _event_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
-    """Strictly increasing Poisson event times in (0, horizon), drawn one whole batch at a time."""
-    pieces = list(_event_pieces(rng, rate, horizon, sys.maxsize))
-    return pieces[0] if len(pieces) == 1 else np.concatenate([np.empty(0), *pieces])
-
-
 def _check_holding(user_rate: float, server_rate: float, relay_rate: float, horizon: float) -> None:
     """Raise DomainError on a bad rate or horizon, or on a horizon whose batch width is 0;
     SimulationScaleError if a stream expects over ``_MAX_STREAM_EVENTS``."""
@@ -133,59 +128,78 @@ def simulate_file(user_rate: float, server_rate: float, relay_rate: float, horiz
     """
     _check_holding(user_rate, server_rate, relay_rate, horizon)
     rng = np.random.default_rng(seed)
-    # Stream draw order is fixed so a seed fully determines the run.  The relay search needs the whole server stream.
-    server_t = _event_times(rng, server_rate, horizon)
-    # Server cycle c ends at server_t[c], the last at the horizon; a refresh at the instant of an update
-    # serves the cycle it closes.  Cycles ascend, so a refresh is its cycle's first where the cycle changes.
-    first_t, ends, last = [], [], -1
+    # Stream draw order is fixed so a seed fully determines the run.  The server stream is drawn before the relay
+    # stream, so its pieces are all held at first; a final piece holding the horizon closes the last cycle.
+    server = deque(_event_pieces(rng, server_rate, horizon, _PIECE))
+    server.append(np.array([horizon]))
+    # Each server cycle ends at the next update, the last at the horizon; a refresh at the instant of an update serves
+    # the cycle it closes.  Each relay segment is searched into the one server piece its cycles end in, and a server
+    # piece is dropped once the refreshes pass its last update.  Cycles ascend, so a refresh is its cycle's first where
+    # the cycle changes.  The queue keeps each segment's first refreshes and their cycles' ends.
+    queue, last = deque(), -1   # last: the latest refresh's cycle, counted within server[0]
     for relay_t in _event_pieces(rng, relay_rate, horizon, _PIECE):
-        cycle = np.searchsorted(server_t, relay_t, side="left")
-        first = np.empty(cycle.size, dtype=bool)
-        first[0] = cycle[0] != last
-        np.not_equal(cycle[1:], cycle[:-1], out=first[1:])
-        last = cycle[-1]
-        first_t.append(relay_t[first])
-        cycle = cycle[first]
-        end = np.full(cycle.size, horizon, dtype=float)
-        closed = np.searchsorted(cycle, server_t.size)
-        end[:closed] = server_t[cycle[:closed]]
-        ends.append(end)
-    del server_t
-    first_t, ends = np.concatenate([np.empty(0), *first_t]), np.concatenate([np.empty(0), *ends])
+        lo = 0
+        while lo < relay_t.size:
+            while server[0][-1] < relay_t[lo]:
+                server.popleft()
+                last = -1
+            piece = server[0]
+            hi = np.searchsorted(relay_t, piece[-1], side="right")
+            cycle = np.searchsorted(piece, relay_t[lo:hi], side="left")
+            first = np.empty(cycle.size, dtype=bool)
+            first[0] = cycle[0] != last
+            np.not_equal(cycle[1:], cycle[:-1], out=first[1:])
+            last = cycle[-1]
+            if first.any():   # the user stage reads each entry's first refresh
+                queue.append((relay_t[lo:hi][first], piece[cycle[first]]))
+            lo = hi
+    del server
 
     # A cycle turns fresh at the first request at or after its first refresh, if that comes before it ends.  Each user
-    # piece settles the cycles whose first refresh is at or below its last request, and the request index of each fresh
-    # end up to there; only the fresh cycle spanning its last request, if any, waits for a later piece.  A cycle whose
-    # first refresh follows the last request never turns fresh.
+    # piece takes from the queue's front the cycles whose first refresh is at or below its last request, and settles
+    # the request index of each fresh end up to there; only the fresh cycle spanning its last request, if any, waits
+    # for a later piece.  A cycle whose first refresh follows the last request never turns fresh.
     starts, fresh_ends, waiting = [], [], np.empty(0)
-    done = base = first_sum = end_sum = 0   # end_sum - first_sum: the requests made in fresh cycles
+    base = first_sum = end_sum = 0   # end_sum - first_sum: the requests made in fresh cycles
     for user_t in _event_pieces(rng, user_rate, horizon, _PIECE):
-        top = np.searchsorted(first_t, user_t[-1], side="right")
-        u_first = np.searchsorted(user_t, first_t[done:top], side="left")
-        start = user_t[u_first]
-        fresh = start < ends[done:top]
-        starts.append(start[fresh])
-        first_sum += int(u_first.sum(where=fresh)) + base * starts[-1].size
-        fresh_ends.append(ends[done:top][fresh])
-        waiting = np.concatenate((waiting, fresh_ends[-1]))
-        closed = np.searchsorted(waiting, user_t[-1], side="right")
-        end_sum += int(np.searchsorted(user_t, waiting[:closed], side="left").sum()) + base * int(closed)
-        waiting, done, base = waiting[closed:], top, base + user_t.size
+        now, settle = user_t[-1], [waiting]
+        while queue and queue[0][0][0] <= now:
+            first_t, ends = queue.popleft()
+            top = np.searchsorted(first_t, now, side="right")
+            if top < first_t.size:
+                queue.appendleft((first_t[top:], ends[top:]))
+                first_t, ends = first_t[:top], ends[:top]
+            u_first = np.searchsorted(user_t, first_t, side="left")
+            start = user_t[u_first]
+            fresh = start < ends
+            starts.append(start[fresh])
+            first_sum += int(u_first.sum(where=fresh)) + base * starts[-1].size
+            fresh_ends.append(ends[fresh])
+            settle.append(fresh_ends[-1])
+        for ends in settle:
+            closed = np.searchsorted(ends, now, side="right")
+            end_sum += int(np.searchsorted(user_t, ends[:closed], side="left").sum()) + base * int(closed)
+        waiting, base = ends[closed:], base + user_t.size
     end_sum += base * waiting.size   # no request after these ends
-    del first_t, ends
-    starts, ends = np.concatenate([np.empty(0), *starts]), np.concatenate([np.empty(0), *fresh_ends])
-    lengths = ends - starts
-    estimate = float(lengths.sum()) / horizon
+    del queue
+    # Only the fresh intervals are joined whole.  ends[i + 1] closes the interval starts[i] opens, and fresh_before[i]
+    # is the fresh time before it: its lengths are summed in place, and 0.0 + x == x, so no bit moves.
+    starts = np.concatenate([np.empty(0), *starts])
+    ends = np.concatenate([[-np.inf], *fresh_ends])
+    del fresh_ends
+    fresh_before = np.empty(ends.size)
+    fresh_before[0] = 0.0
+    np.subtract(ends[1:], starts, out=fresh_before[1:])
+    estimate = float(fresh_before[1:].sum()) / horizon
 
     # Fresh time up to each batch edge: the intervals started by then, less the last one's overrun.
     edges = np.linspace(0.0, horizon, _BATCHES + 1)
     started = np.searchsorted(starts, edges, side="right")
-    fresh_before = np.concatenate(([0.0], lengths))   # summed in place: 0.0 + x == x, so no bit moves
-    del lengths
+    del starts
     np.cumsum(fresh_before, out=fresh_before)
     fresh_to_edge = fresh_before[started]
     del fresh_before
-    fresh_to_edge -= np.maximum(np.concatenate(([-np.inf], ends))[started] - edges, 0.0)
+    fresh_to_edge -= np.maximum(ends[started] - edges, 0.0)
     fractions = np.diff(fresh_to_edge) / (horizon / _BATCHES)
     half_width = float(_T_CRIT_19 * fractions.std(ddof=1) / math.sqrt(_BATCHES))
 

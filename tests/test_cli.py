@@ -611,6 +611,18 @@ class TestSweepCommand:
         assert code == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_negative_first_factor_is_written_with_an_equals_sign(self, monkeypatch, capsys):
+        # argparse reads "-1,1" after a space as an option and exits 2 with its usage error; "--factors=-1,1" reaches
+        # the factor check.
+        monkeypatch.setattr(freshcache.cli, "solve_exhaustive", _no_solve)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--scenario", "table1", "--scale", "user", "--factors", "-1,1"])
+        assert exc.value.code == 2
+        assert "argument --factors: expected one argument" in capsys.readouterr().err
+        code = main(["sweep", "--scenario", "table1", "--scale", "user", "--factors=-1,1"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: scale factor must be a positive finite number, got -1.0\n")
+
     def test_bad_factors_exit_code(self, capsys):
         for factors, message in [("1,a", "comma-separated list of numbers"), (",", "at least one number")]:
             code = main(["sweep", "--scenario", "table1", "--scale", "user", "--factors", factors])

@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from freshcache import (
+    CacheScheme,
     ScenarioParseError,
     ScenarioValidationError,
     evaluate_scheme,
@@ -22,6 +23,7 @@ from freshcache import (
     write_result_table,
     write_trace,
 )
+from freshcache import scenario_io
 from freshcache.errors import FreshCacheError
 from freshcache.scenario_io import _YAML_LOADER, parse_rates, parse_scheme, result_rows, serialize_rates, serialize_scheme
 from freshcache.search import make_solve_result
@@ -570,6 +572,25 @@ class TestRoundTrips:
     def test_rates_round_trip(self):
         rates = {(1, 1): 2.4832, (2, 5): 3.4239, (4, 10): 3.4427}
         assert parse_rates(serialize_rates(rates)) == rates
+
+    def test_writers_match_safe_dump(self, monkeypatch):
+        # The writers dump through libyaml's CSafeDumper; yaml.safe_dump's pure-Python SafeDumper writes the same bytes.
+        assert scenario_io._YAML_DUMPER is getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+        rng = random.Random(47)
+        scenarios = [parse_scenario(f.read_text()) for f in sorted(FIXTURE_DIR.iterdir(), key=str) if f.name.endswith(".yaml")]
+        for _ in range(60):
+            n_files = rng.randint(1, 25)
+            scenarios.append(random_scenario(rng, n_files, rng.randint(1, min(5, n_files)), rng.randint(1, 4)))
+        assert len(scenarios) == 68
+        docs = []
+        for scenario in scenarios:
+            pairs = scenario.holding_pairs
+            scheme = CacheScheme({key: rng.randint(1, scenario.n_relays) for key in pairs})
+            rates = {key: rng.choice([0.0, 10.0 ** rng.uniform(-30, 30), rng.uniform(0.0, 12.0)]) for key in pairs}
+            docs += [(serialize_scenario, scenario), (serialize_scheme, scheme), (serialize_rates, rates)]
+        fast = [write(value) for write, value in docs]
+        monkeypatch.setattr(scenario_io, "_YAML_DUMPER", yaml.SafeDumper)
+        assert fast == [write(value) for write, value in docs]
 
     def test_scheme_duplicate_entry_rejected(self):
         text = "assignment:\n- {user: 1, file: 1, relay: 1}\n- {user: 1, file: 1, relay: 2}\n"

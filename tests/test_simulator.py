@@ -28,7 +28,7 @@ from freshcache import simulator
 from freshcache.simulator import stream_seed
 
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_RATES, random_scenario
-from test_simulator_reference import reference_event_times, reference_simulate_file
+from test_simulator_reference import _event_times, reference_event_times, reference_simulate_file
 
 # (u, s, r) regimes for the memory bound: user-heavy, relay-heavy, u < r, and balanced.
 MEMORY_REGIMES = [(12.0, 5.0, 4.5), (0.5, 8.0, 15.0), (12.0, 3.0, 3.15), (5.0, 8.0, 15.0), (0.5, 8.0, 3.0), (1.0, 1.0, 1.0)]
@@ -134,20 +134,29 @@ class TestSimulateFile:
             with pytest.raises(SimulationScaleError):
                 simulate_file(*rates, horizon=1e16, seed=0)
 
-    @pytest.mark.parametrize("u,s,r", MEMORY_REGIMES)
-    def test_peak_memory_per_expected_event(self, u, s, r):
-        # The server stream is held whole; the relay and user streams are replayed in pieces as they are drawn,
-        # and only each cycle's first refresh and end outlive the relay stage: 3.2-9.3 bytes per expected event
-        # here, (0.5, 8, 3) at the top.  The bound leaves about 30% over that.  Holding the whole user stream
-        # through the replay took 7.6-15.4.
+    @staticmethod
+    def _peak_per_expected_event(u, s, r):
         expected = 2e6
         tracemalloc.start()
         try:
             simulate_file(u, s, r, horizon=expected / (u + s + r), seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1] / expected
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * expected
+
+    @pytest.mark.parametrize("u,s,r", MEMORY_REGIMES)
+    def test_peak_memory_per_expected_event(self, u, s, r):
+        # The server pieces are dropped as the relay refreshes pass them, the user pieces take each cycle's first
+        # refresh and end from the front of a queue, and only the fresh intervals are joined whole: 2.4-6.2 bytes per
+        # expected event here, (0.5, 8, 3) at the top, where the server stream is held at the start of the relay stage.
+        # The bound leaves about 30% over that.  Holding the whole server stream and joining the cycle list took
+        # 3.2-9.3; holding the whole user stream through the replay too took 7.6-15.4.
+        assert self._peak_per_expected_event(u, s, r) <= 8.0
+
+    def test_refresh_heavy_holding_joins_no_cycle_list(self):
+        # Refreshes far outnumber requests, so the queue of first refreshes and ends is the largest thing held:
+        # 4.5 bytes per expected event.  Joining it whole before the user stage held it twice, 8.17.
+        assert self._peak_per_expected_event(0.5, 8.0, 15.0) <= 6.0
 
     def test_peak_memory_does_not_grow_with_the_user_stream(self):
         # At fixed server and relay streams, 8x the user requests (300k -> 2.4M, 37 pieces) moves the peak by
@@ -192,7 +201,7 @@ class TestEventPieces:
     @pytest.mark.parametrize("rate,horizon", [(0.0, 10.0), (1e-4, 1.0), (0.7, 30.0), (3.15, 1e3), (12.0, 0.01), (5.0, 400.0)])
     def test_pieces_are_event_times_in_order(self, size, rate, horizon):
         whole_rng, piece_rng = np.random.default_rng(4), np.random.default_rng(4)
-        whole = simulator._event_times(whole_rng, rate, horizon)
+        whole = _event_times(whole_rng, rate, horizon)
         pieces = list(simulator._event_pieces(piece_rng, rate, horizon, size))
         assert all(0 < piece.size <= size for piece in pieces)
         assert np.concatenate([np.empty(0), *pieces]).tobytes() == whole.tobytes()

@@ -1,11 +1,12 @@
 """The simulator against copies of its earlier per-request replay and event draws.
 
-``simulate_file`` draws the relay and user streams in pieces and replays each
-piece as it is drawn: it searches the relay refreshes into the server stream,
-keeps each server cycle's first refresh and end, and frees the server stream
-before the first user piece.  It then searches the first refreshes into the
-user requests to find each cycle's first successful request; the batch means
-come off a running total of fresh time at the batch edges.
+``simulate_file`` draws all three streams in pieces.  It holds the server
+pieces until the relay refreshes pass them, searching each relay segment into
+the one server piece it falls in, and queues each server cycle's first
+refresh and end.  Each user piece takes the cycles at the queue's front and
+searches their first refreshes into its requests to find each cycle's first
+successful request; only the fresh intervals are joined whole, and the batch
+means come off a running total of fresh time at the batch edges.
 ``simulate_system`` runs two holdings at once on threads.  The reference
 below is an earlier body, kept verbatim: all three streams drawn up front,
 every user request searched into both other streams, an ``_event_before``
@@ -15,12 +16,14 @@ seed in the same order, so the estimate and the cycle count must be equal;
 the half-width sums in another order and must agree within 1e-12.  The
 reference also keeps the renewal (cycle-ratio) estimator, fresh time over the
 span of the successful requests, which cross-checks the simulator's
-time-fraction estimate.  ``_event_times`` is pinned bit for bit to its earlier
-body, extension loop included, and a plain event loop confirms that the edge
-cases below reach the edges they name.
+time-fraction estimate.  ``_event_times``, the pieces of one stream joined
+whole, is pinned bit for bit to its earlier body, extension loop included, and
+a plain event loop confirms that the edge cases below reach the edges they
+name.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,7 @@ from hypothesis import strategies as st
 
 from freshcache import SimulationScaleError, simulate_file
 from freshcache.model import check_non_negative, check_positive
-from freshcache.simulator import _BATCHES, _MAX_STREAM_EVENTS, _T_CRIT_19, _event_times
+from freshcache.simulator import _BATCHES, _MAX_STREAM_EVENTS, _T_CRIT_19, _event_pieces
 
 
 def reference_event_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
@@ -44,6 +47,12 @@ def reference_event_times(rng: np.random.Generator, rate: float, horizon: float)
         extra = np.cumsum(rng.exponential(1.0 / rate, size=max(16, n_guess // 4)))
         times = np.concatenate([times, times[-1] + extra])
     return times[times < horizon]
+
+
+def _event_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
+    """Strictly increasing Poisson event times in (0, horizon), drawn one whole batch at a time."""
+    pieces = list(_event_pieces(rng, rate, horizon, sys.maxsize))
+    return pieces[0] if len(pieces) == 1 else np.concatenate([np.empty(0), *pieces])
 
 
 def _event_before(times: np.ndarray, counts: np.ndarray) -> np.ndarray:
