@@ -1,11 +1,8 @@
 """Freshness-optimal cache placement and update-rate allocation for relay caching systems."""
 
 from .errors import (
-    AllocationMismatchError,
     DomainError,
-    EmptyDomainError,
     FreshCacheError,
-    IncompleteAllocationError,
     InfeasibleError,
     OracleScaleError,
     ScenarioParseError,

@@ -11,18 +11,6 @@ class DomainError(FreshCacheError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class EmptyDomainError(DomainError):
-    """A distribution was requested over an empty index set."""
-
-
-class IncompleteAllocationError(FreshCacheError):
-    """A rate table or assignment is missing an entry required by the evaluation."""
-
-
-class AllocationMismatchError(FreshCacheError):
-    """Allocation keys do not match the input entries they are checked against."""
-
-
 class InfeasibleError(FreshCacheError):
     """No cache scheme satisfies the capacity constraints."""
 

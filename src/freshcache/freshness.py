@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import DomainError, EmptyDomainError, IncompleteAllocationError
+from .errors import DomainError
 from .model import CacheScheme, Scenario, check_non_negative, check_positive, is_number
 
 # Flat rate table: (user_id, file_id) -> relay refresh rate for that holding.
@@ -26,9 +26,9 @@ class ObjectiveValue:
 
     @classmethod
     def of_sum(cls, sum_form: float, scenario: Scenario) -> ObjectiveValue:
-        """Both forms of ``sum_form`` over the scenario's users; EmptyDomainError when it has none."""
+        """Both forms of ``sum_form`` over the scenario's users; DomainError when it has none."""
         if scenario.n_users == 0:
-            raise EmptyDomainError("the objective's mean form needs at least one user")
+            raise DomainError("the objective's mean form needs at least one user")
         return cls(sum_form, sum_form / scenario.n_users)
 
 
@@ -48,14 +48,14 @@ def file_freshness(user_rate: float, server_rate: float, relay_rate: float) -> f
 def holding_placement(scenario: Scenario, scheme: CacheScheme, rates: RateTable, key: tuple[int, int]) -> tuple[int, float]:
     """The relay id and refresh rate of holding ``key``.
 
-    Raises IncompleteAllocationError when the scheme or the rate table lacks
-    the holding, and DomainError when its relay id is not an int in 1..K.
+    Raises DomainError when the scheme or the rate table lacks the holding, or
+    when its relay id is not an int in 1..K.
     """
     relay_id = scheme.assignment.get(key)
     if relay_id is None:
-        raise IncompleteAllocationError(f"no relay assigned for user {key[0]}, file {key[1]}")
+        raise DomainError(f"no relay assigned for user {key[0]}, file {key[1]}")
     if key not in rates:
-        raise IncompleteAllocationError(f"missing refresh rate for user {key[0]}, file {key[1]}")
+        raise DomainError(f"missing refresh rate for user {key[0]}, file {key[1]}")
     if not is_number(relay_id, integer=True) or not 0 < relay_id <= scenario.n_relays:   # True and 1.0 would pass the range
         raise DomainError(f"holding (user {key[0]}, file {key[1]}) assigned to unknown relay {relay_id}")
     return relay_id, rates[key]

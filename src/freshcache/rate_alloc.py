@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllocationMismatchError, DomainError
+from .errors import DomainError
 from .model import AllocationEntry, Key, check_non_negative, check_positive, check_scale, sort_key
 from .model import weight  # noqa: F401  (re-exported, not used here)
 
@@ -210,7 +210,7 @@ def kkt_check(alloc_input: AllocationInput, allocation: RateAllocation, toleranc
     _validate_input(alloc_input)
     input_keys = {e.key for e in alloc_input.entries}
     if set(allocation.rates) != input_keys:
-        raise AllocationMismatchError("allocation keys do not match the input entries")
+        raise DomainError("allocation keys do not match the input entries")
 
     active = []      # (rate, gradient) of entries with positive rate
     idle = []        # mu/s of entries with rate zero

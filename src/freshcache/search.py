@@ -13,37 +13,39 @@ and block bitmask keeps its values, rates included, and is cleared when it
 reaches ``_MEMO_ENTRIES``: the hill climber revisits recent blocks, a move
 changes two of them, and exhaustive search reads it only for re-scores.
 
-The exhaustive scorer works one partition at a time, in two steps, and sees
-it only as the (relay k, count c) keys of the relays that take holdings: an
-empty relay has one block, which adds 0.0, and that leaves a non-negative
-sum's bits and the enumeration order as they are.  For each key it fills a
-table of relay k's block values over every c-subset of the holdings, in
-lexicographic order, in numpy, ``_CHUNK_ROWS`` blocks at a time and without
-the memo: a chunk's rows are built by unranking its ranks, one
-``waterfill_rows`` call water-fills it, and its terms are added a column at a
-time, so each value is the one ``_evaluate`` gives, bit for bit.  A table is
-dropped after the last partition that reads it.  It then scores the
-partition's assignments in enumeration order: each key's relay takes each
-c-subset of what the keys before it left, in lexicographic order, and the
-last key takes the rest.  Numpy rows of holding indices grow a key at a time
-up to the last but one, at most ``_CHUNK_ROWS`` at once, from a pattern of
-chosen positions followed by their complement, both unranked; there the
-chosen positions and the rest are the last two keys' blocks, so no row is
-grown for them.  A block is found in its table by its lexicographic rank.  On
-the top-level row, ``range(n)``, a choice's positions are its holdings: the
-first key's values for a piece of choices are a slice of its table, and the
-rest's are the reversed slice of the last key's, since the rest of the r-th
-c-subset is the (C(n, c) - 1 - r)-th.  Below it, ranks come from digit weights.
-With W[a, j] = C(n - 1 - a, d - j), a d-subset a_0 < ... < a_{d-1} has rank
-C(n, d) - 1 - sum_j W[a_j, j], so one matrix product of a chunk's gathered
-weights with a piece's 0-1 selection matrix ranks every choice on every row;
-a relay with more than ``_CHUNK_ROWS`` choices, whose pieces are rebuilt for
-each row, adds the weights position by position instead.  Each weight and
-partial sum is an integer below C(n, d), which is far below 2**53 for any
-table that fits in memory, so the ranks are exact whatever the summation
-order.  An assignment's block values are added left to right from 0.0, as a
-loop over the relays would add them.  Its full row is built only if it is
-re-scored.
+The exhaustive scorer sees each partition only as the (relay k, count c) keys
+of the relays that take holdings: an empty relay has one block, which adds
+0.0, and that leaves a non-negative sum's bits and the enumeration order as
+they are.  A key's table holds relay k's block values over every c-subset of
+the holdings, in lexicographic order, filled in numpy without the memo: a
+chunk of ``_CHUNK_ROWS`` subsets is unranked and gathered once, its rows under
+every relay that reads them go through ``waterfill_rows`` calls of at most
+``_CHUNK_ROWS`` rows, a budget per row, and each relay's terms are added a
+column at a time, so each value is the one ``_evaluate`` gives, bit for bit.
+The tables of one chunk are filled before the walk, one ``fill`` per count, a
+larger one at its first read; each is dropped after its last.  The scorer then
+scores each partition's assignments in enumeration order: each key's relay
+takes each c-subset of what the keys before it left, in lexicographic order,
+and the last key takes the rest.  Numpy rows of holding indices grow a key at
+a time up to the last but one, at most ``_CHUNK_ROWS`` at once, from a pattern
+of chosen positions followed by their complement; there the chosen positions
+and the rest are the last two keys' blocks, so no row is grown for them.  The
+c-subsets of range(m) that fill a chunk are unranked once per solve, for the
+tables and the patterns alike.  A block is found in its table by its
+lexicographic rank.  On the top-level row, ``range(n)``, a choice's positions
+are its holdings: the first key's values for a piece of choices are a slice of
+its table, and the rest's are the reversed slice of the last key's, since the
+rest of the r-th c-subset is the (C(n, c) - 1 - r)-th.  Below it, ranks come
+from digit weights.  With W[a, j] = C(n - 1 - a, d - j), a d-subset
+a_0 < ... < a_{d-1} has rank C(n, d) - 1 - sum_j W[a_j, j], so one matrix
+product of a chunk's gathered weights with a piece's 0-1 selection matrix
+ranks every choice on every row; a relay with more than ``_CHUNK_ROWS``
+choices, whose pieces are rebuilt for each row, adds the weights position by
+position instead.  Each weight and partial sum is an integer below C(n, d),
+which is far below 2**53 for any table that fits in memory, so the ranks are
+exact whatever the summation order.  An assignment's block values are added
+left to right from 0.0, as a loop over the relays would add them.  Its full
+row is built only if it is re-scored.
 
 Block sums only rank candidates.  One that falls below the running best (in
 sampled mode, the climber's current value) by more than a tiny relative
@@ -51,7 +53,9 @@ margin cannot tie it and is only counted; the rest are re-scored through the
 canonical sum, per user in the order of ``system_freshness``, with rates from
 the ``waterfill`` the public ``allocate`` uses.  Reported values, the trace
 and the tie-break come only from that sum, so they match a re-evaluation
-through the public API bit for bit.
+through the public API bit for bit.  A chunk's sums that pass the gate are
+re-checked one by one, but only those at least (1 - 3 margin) times every
+earlier one: ``score`` shows that no other can be re-scored.
 """
 
 from __future__ import annotations
@@ -241,6 +245,7 @@ class _Search:
         self.vec: tuple[int, ...] | None = None   # relay ids (1-based) in canonical holding order; the tie-break
         self.trace: list[tuple[int, float]] = []
         self.patterns: dict[tuple[int, int], tuple[np.ndarray, tuple]] = {}   # (m, c) -> _piece, if one covers all
+        self.subset_rows: dict[tuple[int, int], np.ndarray] = {}   # (m, c) -> subsets(m, c)
 
     def block(self, k: int, mask: int) -> _Block:
         """``_evaluate(k, mask)`` through the memo."""
@@ -292,25 +297,37 @@ class _Search:
                 self.vec = min(self.vec, vec)
         return val
 
-    def table(self, k: int, c: int) -> np.ndarray:
-        """Relay k's block values over every c-subset of the holdings, in lexicographic order.
+    def fill(self, ks: Sequence[int], c: int) -> np.ndarray:
+        """Relay ``ks[a]``'s block values over every c-subset of the holdings, in lexicographic order, in row a.
 
-        Filled ``_CHUNK_ROWS`` blocks at a time, unranked a row per block, with ``_evaluate``'s float
-        operations in its order, so each value is ``_evaluate``'s bit for bit: one ``waterfill_rows``
-        call per chunk, then the terms added left to right from 0.0.
+        A chunk of ``_CHUNK_ROWS`` subsets is unranked (``subsets``, if one chunk holds them all) and
+        gathered once.  Its rows under each relay are stacked, a budget per row, into ``waterfill_rows``
+        calls of at most ``_CHUNK_ROWS`` rows, and each relay's terms are added left to right from 0.0:
+        ``_evaluate``'s float operations in its order, so each value is its bit for bit.
         """
-        size = comb(self.n, c)
-        weights, server_rates, mus, coef = self.arrays
-        coef = coef[:, k]
-        values = np.zeros(size)
+        size, (weights, server_rates, mus, coef) = comb(self.n, c), self.arrays
+        budgets, values = np.array(self.budgets)[ks], np.zeros((len(ks), size))
         for start in range(0, size, _CHUNK_ROWS):
-            idx = _unrank(self.n, c, np.arange(start, min(start + _CHUNK_ROWS, size)))
-            s = server_rates[idx]
-            rates = waterfill_rows(weights[idx], s, self.budgets[k])
-            chunk = values[start:start + len(idx)]
-            for term in (coef[idx] * (mus[idx] * (rates / (rates + s)))).T:
-                chunk += term
+            stop = min(start + _CHUNK_ROWS, size)
+            idx = self.subsets(self.n, c) if size <= _CHUNK_ROWS else _unrank(self.n, c, np.arange(start, stop))
+            rows, s, mu = len(idx), server_rates[idx], mus[idx]
+            w, ss = (np.tile(x, (len(ks), 1)) if len(ks) > 1 else x for x in (weights[idx], s))   # ks[a]'s rows from a * rows
+            budget = np.repeat(budgets, rows) if len(ks) > 1 else budgets   # a (1,) budget multiplies 3x as fast as a row
+            calls = [slice(a, a + _CHUNK_ROWS) for a in range(0, len(w), _CHUNK_ROWS)]
+            rates = [waterfill_rows(w[at], ss[at], budget[at]) for at in calls]
+            rates = rates[0] if len(rates) == 1 else np.vstack(rates)
+            for a, k in enumerate(ks):
+                r, chunk = rates[a * rows:(a + 1) * rows], values[a, start:stop]
+                for term in (coef[:, k][idx] * (mu * (r / (r + s)))).T:
+                    chunk += term
         return values
+
+    def subsets(self, m: int, c: int) -> np.ndarray:
+        """Every c-subset of range(m), in lexicographic order; unranked once per solve."""
+        rows = self.subset_rows.get((m, c))
+        if rows is None:
+            rows = self.subset_rows[m, c] = _unrank(m, c, np.arange(comb(m, c)))
+        return rows
 
     def score(
         self, keys: Sequence[tuple[int, int]], tables: Sequence[np.ndarray], i: int, off: int, rows: np.ndarray, acc: np.ndarray
@@ -318,7 +335,7 @@ class _Search:
         """Score every assignment that places keys i onwards on ``rows``, whose block sums so far are ``acc``, in order.
 
         ``keys`` are the (relay index, count) pairs of the relays that take holdings, in relay order;
-        ``tables[i]`` is ``table(*keys[i])``.  A row lists key 0's holdings, then key 1's and so on up
+        ``tables[i]`` is key i's ``fill`` row.  A row lists key 0's holdings, then key 1's and so on up
         to key i - 1, ``off`` holdings in all, then the holdings left, each group ascending.  Rows grow
         a key at a time up to the last but one.  There a choice of its block and the rest it leaves are
         the last two keys' blocks; an assignment's full row is built only to re-score it.  Blocks are
@@ -356,7 +373,15 @@ class _Search:
                 if last:
                     sums = sums + values[1]
                 total = sums.reshape(-1)
-                for h in np.flatnonzero(total >= self.floor).tolist():
+                hits = np.flatnonzero(total >= self.floor)
+                if len(hits) > 1:
+                    # A hit below (1 - 3 rel) times an earlier hit's sum t is never offered.  If the earlier one
+                    # was offered, its canonical value is at least t / (1 + 2n eps), so the floor rose to at
+                    # least (1 - rel) / (1 + 2n eps) times t, which exceeds (1 - 3 rel) t as rel >= 2n eps;
+                    # if it was not, it was already below the floor, and the floor only rises.
+                    top = np.maximum.accumulate(total[hits[:-1]])
+                    hits = hits[np.concatenate(([True], total[hits[1:]] >= (1 - 3 * self.rel) * top))]
+                for h in hits.tolist():
                     if total[h] >= self.floor:   # re-checked: an earlier offer in this chunk may have raised the floor
                         r, j = divmod(h, stop - first)
                         chosen = _choices(m, c, np.array([first + j]))[0] if pattern is None else pattern[j]
@@ -369,14 +394,15 @@ class _Search:
 
         A pattern row is a choice's positions, then the rest's.  Below the top level (m < n) each group of
         positions comes with its selection for ``_rank_sums``.  A piece that covers all C(m, c) choices is
-        built once per solve and selects by a 0-1 matrix.  Any other piece is rebuilt for every row it
-        ranks, one row at a time, and selects by its positions, transposed: a dense matrix would cost m
-        times as much to build as the gathers it replaces.
+        built once per solve, from ``subsets``, and selects by a 0-1 matrix.  Any other piece is rebuilt
+        for every row it ranks, one row at a time, and selects by its positions, transposed: a dense matrix
+        would cost m times as much to build as the gathers it replaces.
         """
         piece = self.patterns.get((m, c))
         if piece is None:
-            pattern = _choices(m, c, np.arange(first, stop))
             whole = first == 0 and stop == comb(m, c)
+            pattern = (np.hstack([self.subsets(m, c), self.subsets(m, m - c)[::-1]]) if whole   # as _choices builds it
+                       else _choices(m, c, np.arange(first, stop)))
             selections = ()
             if m < self.n:
                 groups = pattern[:, :c], pattern[:, c:]
@@ -482,11 +508,13 @@ def solve_exhaustive(
     walk = enumerate_partitions(search.n, search.capacities, allow_empty_relay=allow_empty_relay)
     partitions = [[(k, p.counts[k]) for k in itertools.compress(range(len(p.counts)), p.counts)] for p in walk]
     last_read = {key: p for p, keys in enumerate(partitions) for key in keys}
-    tables: dict[tuple[int, int], np.ndarray] = {}   # key -> search.table
+    one_chunk = [key for key in sorted(last_read) if comb(search.n, key[1]) <= _CHUNK_ROWS]
+    readers = {c: [k for k, d in one_chunk if d == c] for c in sorted({d for _, d in one_chunk})}   # count -> its relays
+    tables = {(k, c): row for c, ks in readers.items() for k, row in zip(ks, search.fill(ks, c))}   # key -> its fill row
     for p, keys in enumerate(partitions):
-        for key in keys:
-            if key not in tables:
-                tables[key] = search.table(*key)
+        for k, c in keys:
+            if (k, c) not in tables:   # larger than one chunk: filled at its first read
+                tables[k, c] = search.fill([k], c)[0]
         search.score(keys, [tables[key] for key in keys], 0, 0, np.arange(search.n)[None, :], np.zeros(1))
         for key in keys:
             if last_read[key] == p:

@@ -127,6 +127,8 @@ def simulate_file(user_rate: float, server_rate: float, relay_rate: float, horiz
     Raises SimulationScaleError, before any draw, if a stream's rate * horizon exceeds ``_MAX_STREAM_EVENTS``.
     """
     _check_holding(user_rate, server_rate, relay_rate, horizon)
+    if relay_rate == 0.0:   # no refresh, so no cycle turns fresh: the replay's result, without its draws
+        return SimEstimate(0.0, 0, 0.0)
     rng = np.random.default_rng(seed)
     # Stream draw order is fixed so a seed fully determines the run.  The server stream is drawn before the relay
     # stream, so its pieces are all held at first; a final piece holding the horizon closes the last cycle.

@@ -166,14 +166,14 @@ def _count_rows(monkeypatch):
 def test_oracle_allocates_each_table1_block_once(monkeypatch):
     table1 = load_scenario("table1")
     sizes = []
-    table = freshcache.search._Search.table
+    fill = freshcache.search._Search.fill
 
-    def recording_table(self, k, c):
-        values = table(self, k, c)
-        sizes.append(len(values))
+    def recording_fill(self, ks, c):
+        values = fill(self, ks, c)
+        sizes.extend(len(row) for row in values)
         return values
 
-    monkeypatch.setattr(freshcache.search._Search, "table", recording_table)
+    monkeypatch.setattr(freshcache.search._Search, "fill", recording_fill)
     solve_exhaustive(table1)
     rows = _count_rows(monkeypatch)
     brute_force_assignments(table1)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from freshcache import (
     AllocationEntry,
     AllocationInput,
-    AllocationMismatchError,
     DomainError,
     RateAllocation,
     allocate,
@@ -429,7 +428,7 @@ class TestKktCheck:
         alloc_input = AllocationInput((AllocationEntry((1, 1), 5.0, 3.0),), 5.0)
         alloc = allocate(alloc_input)
         other = AllocationInput((AllocationEntry((2, 2), 5.0, 3.0),), 5.0)
-        with pytest.raises(AllocationMismatchError):
+        with pytest.raises(DomainError, match="allocation keys do not match the input entries"):
             kkt_check(other, alloc, 1e-6)
 
     def test_bad_tolerance_raises(self):

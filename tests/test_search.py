@@ -315,19 +315,19 @@ class TestSolveExhaustive:
         # water-filled once, and only assignments whose block sum could tie or
         # beat the best so far are re-scored canonically.
         offers, tables = [0], []
-        offer, table = search_module._Search.offer, search_module._Search.table
+        offer, fill = search_module._Search.offer, search_module._Search.fill
 
         def counting_offer(self, *args):
             offers[0] += 1
             return offer(self, *args)
 
-        def recording_table(self, k, c):
-            values = table(self, k, c)
-            tables.append(((k, c), len(values)))
+        def recording_fill(self, ks, c):
+            values = fill(self, ks, c)
+            tables.extend(((k, c), len(row)) for k, row in zip(ks, values))
             return values
 
         monkeypatch.setattr(search_module._Search, "offer", counting_offer)
-        monkeypatch.setattr(search_module._Search, "table", recording_table)
+        monkeypatch.setattr(search_module._Search, "fill", recording_fill)
         result = solve_exhaustive(table1)
         used = {key for p in enumerate_partitions(10, (6, 5, 4)) for key in enumerate(p.counts)}
         assert sorted(key for key, _ in tables) == sorted(used)
@@ -335,21 +335,48 @@ class TestSolveExhaustive:
         assert offers == [38]
         assert len(result.trace) == 38
 
+    def test_table1_fills_each_count_in_one_call_and_unranks_each_subset_once(self, table1, monkeypatch):
+        # A count guard on the fixed work of a solve: every table1 table is one chunk, so each of the six
+        # counts is water-filled in one call over every relay that reads it, and no (m, c) subset list is
+        # unranked twice.
+        rows, unranked, offers = [], [], [0]
+        waterfill_rows, unrank, offer = search_module.waterfill_rows, search_module._unrank, search_module._Search.offer
+
+        def counting_waterfill_rows(w, s, budget):
+            rows.append(len(w))
+            return waterfill_rows(w, s, budget)
+
+        def counting_unrank(m, c, ranks):
+            unranked.append((m, c))
+            return unrank(m, c, ranks)
+
+        def counting_offer(self, *args):
+            offers[0] += 1
+            return offer(self, *args)
+
+        monkeypatch.setattr(search_module, "waterfill_rows", counting_waterfill_rows)
+        monkeypatch.setattr(search_module, "_unrank", counting_unrank)
+        monkeypatch.setattr(search_module._Search, "offer", counting_offer)
+        solve_exhaustive(table1)
+        assert (len(rows), sum(rows)) == (6, 1869)
+        assert unranked and len(unranked) == len(set(unranked))
+        assert offers == [38]
+
     @pytest.mark.parametrize("scenario", [random_scenario(random.Random(3), 2, 1, 8), uncapped_scenario(4, 5)], ids=["h2-k8", "h4-k5"])
     def test_the_scorer_sees_only_the_relays_that_take_holdings(self, scenario, monkeypatch):
         # With empty relays allowed, every table filled and every key list scored names a relay that takes holdings.
         filled, scored = [], []
-        table, score = search_module._Search.table, search_module._Search.score
+        fill, score = search_module._Search.fill, search_module._Search.score
 
-        def recording_table(self, k, c):
-            filled.append((k, c))
-            return table(self, k, c)
+        def recording_fill(self, ks, c):
+            filled.extend((k, c) for k in ks)
+            return fill(self, ks, c)
 
         def recording_score(self, keys, tables, i, *rest):
             scored.append((list(keys), i))
             return score(self, keys, tables, i, *rest)
 
-        monkeypatch.setattr(search_module._Search, "table", recording_table)
+        monkeypatch.setattr(search_module._Search, "fill", recording_fill)
         monkeypatch.setattr(search_module._Search, "score", recording_score)
         solve_exhaustive(scenario, allow_empty_relay=True)
         walk = enumerate_partitions(len(scenario.holding_pairs), [r.capacity for r in scenario.relays], allow_empty_relay=True)

@@ -302,9 +302,14 @@ WIDE = {
 }
 
 OFFERED = {
-    **{name: CASES[name] for name in ("table1", "table1-allow-empty", "k1", "k2-n14-7/7", "n10k4")},
+    **{name: CASES[name] for name in ("table1", "table1-allow-empty", "k1", "k2-n14-7/7", "n10k4", "n13k3")},
     **{name: (build, False) for name, build in NEAR_TIES.items()},
     **{name: (build, True) for name, build in WIDE.items()},
+    # Like n13k3 (5/4/4), the first chunk passes 4,060 block sums while the floor is still -inf.  Here most
+    # offers tie the best, or, with two kinds 4e-13 apart, fall a little below it but within the rank gate's
+    # margin: the re-check must still offer each of them.
+    "two-kinds-k3-n11": (lambda: _duplicated([(3.0, 2.0), (6.0, 1.0)], (5, 6), 3, 4, 4.0), False),
+    "near-kinds-k3-n11": (lambda: _duplicated([(3.0, 2.0), (3.0 * (1 + 4e-13), 2.0)], (5, 6), 3, 4, 4.0), False),
 }
 
 
@@ -456,7 +461,9 @@ def test_table_fill_is_the_scalar_evaluate_bit_for_bit(chunk_rows, data):
     # Holding kinds repeat, so entries tie on mu/s.  A server rate of 1e30 beside
     # a budget of 10 drops its holding after the others survive, so a row's pass
     # stops partway; at a zero budget nothing survives, and alpha = 0.  Every
-    # count from 0 (an empty relay's [0.0]) to n is filled.
+    # count from 0 (an empty relay's [0.0]) to n is filled, for every relay in
+    # one stacked fill, as a solve fills a table of one chunk, and for each
+    # relay alone, as it fills a larger one.
     server_rate = st.sampled_from([1e30]) | st.floats(0.5, 8.0)
     kinds = data.draw(st.lists(st.tuples(st.floats(0.5, 12.0), server_rate), min_size=1, max_size=4))
     per_user = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
@@ -467,10 +474,12 @@ def test_table_fill_is_the_scalar_evaluate_bit_for_bit(chunk_rows, data):
     bits = [1 << i for i in range(search.n)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search_module, "_CHUNK_ROWS", chunk_rows)
-        for k in range(len(budgets)):
-            for c in range(search.n + 1):
-                scalar = np.array([search._evaluate(k, sum(combo))[0] for combo in itertools.combinations(bits, c)])
-                assert search.table(k, c).tobytes() == scalar.tobytes()
+        for c in range(search.n + 1):
+            relays = list(range(len(budgets)))
+            scalar = np.array([[search._evaluate(k, sum(combo))[0] for combo in itertools.combinations(bits, c)] for k in relays])
+            assert search.fill(relays, c).tobytes() == scalar.tobytes()
+            for k in relays:
+                assert search.fill([k], c)[0].tobytes() == scalar[k].tobytes()
 
 
 def test_three_level_walk_is_pinned():

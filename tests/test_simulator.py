@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 from freshcache import (
     CacheScheme,
     DomainError,
-    EmptyDomainError,
-    IncompleteAllocationError,
     Scenario,
+    SimEstimate,
     SimulationScaleError,
     file_freshness,
     simulate_file,
@@ -67,6 +66,17 @@ class TestSimulateFile:
         est = simulate_file(5.0, 2.0, 0.0, horizon=1e4, seed=3)
         assert est.freshness_estimate == 0.0
         assert est.cycles_observed == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("horizon", [0.01, 1.0, 1e4])
+    def test_zero_relay_rate_draws_no_stream(self, seed, horizon, monkeypatch):
+        # No refresh, so no cycle turns fresh: the reference replay's result, with no stream drawn.
+        want = reference_simulate_file(5.0, 2.0, 0.0, horizon, seed)
+        calls = []
+        monkeypatch.setattr(simulator, "_event_pieces", lambda *args: calls.append(args))
+        got = simulate_file(5.0, 2.0, 0.0, horizon, seed)
+        assert got == SimEstimate(0.0, 0, 0.0) == SimEstimate(want.freshness_estimate, want.cycles_observed, want.half_width_95)
+        assert calls == []
 
     def test_deterministic_given_seed(self):
         a = simulate_file(4.0, 2.5, 3.0, horizon=5e3, seed=17)
@@ -252,7 +262,7 @@ class TestStreamSeed:
 
 class TestSimulateSystem:
     def test_no_users_has_no_mean(self, table1):
-        with pytest.raises(EmptyDomainError, match="at least one user"):
+        with pytest.raises(DomainError, match="at least one user"):
             simulate_system(Scenario(files=table1.files, users=(), relays=table1.relays), CacheScheme({}), {}, 10.0, 0)
 
     def test_aggregate_matches_manual_weighting(self, table1, reference_scheme):
@@ -292,7 +302,7 @@ class TestSimulateSystem:
     def test_missing_rate_raises(self, table1, reference_scheme):
         partial = dict(REFERENCE_RATES)
         del partial[(3, 7)]
-        with pytest.raises(IncompleteAllocationError):
+        with pytest.raises(DomainError, match="missing refresh rate for user 3, file 7"):
             simulate_system(table1, reference_scheme, partial, horizon=1e3, seed=0)
 
     def test_missing_last_rate_raises_before_any_draw(self, table1, reference_scheme, monkeypatch):
@@ -300,7 +310,7 @@ class TestSimulateSystem:
         monkeypatch.setattr(simulator, "simulate_file", lambda *args: calls.append(args))
         partial = dict(REFERENCE_RATES)
         del partial[table1.holding_pairs[-1]]
-        with pytest.raises(IncompleteAllocationError):
+        with pytest.raises(DomainError, match="missing refresh rate for user {}, file {}".format(*table1.holding_pairs[-1])):
             simulate_system(table1, reference_scheme, partial, horizon=1e3, seed=0)
         assert calls == []
 
