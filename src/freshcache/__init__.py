@@ -3,12 +3,10 @@
 from .errors import (
     DomainError,
     FreshCacheError,
+    GuardError,
     InfeasibleError,
-    OracleScaleError,
     ScenarioParseError,
     ScenarioValidationError,
-    SearchBudgetError,
-    SimulationScaleError,
 )
 from .freshness import ObjectiveValue, file_freshness, system_freshness, user_freshness
 from .model import (

@@ -14,15 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import (
-    DomainError,
-    FreshCacheError,
-    InfeasibleError,
-    OracleScaleError,
-    ScenarioValidationError,
-    SearchBudgetError,
-    SimulationScaleError,
-)
+from .errors import DomainError, FreshCacheError, GuardError, InfeasibleError, ScenarioValidationError
 from .freshness import file_freshness, system_freshness, user_freshness
 from .model import INFEASIBILITY_CODES, Scenario, check_positive, validate_scheme, with_scaled_rates
 from .oracle import brute_force_assignments
@@ -46,8 +38,6 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_GUARD = 4
 EXIT_IO = 5
-
-KKT_TOLERANCE = 1e-6
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -137,13 +127,12 @@ def _cmd_solve(scenario: Scenario, args) -> tuple[str, int]:
 
 def _kkt_line(relay_id: int, alloc_input, alloc) -> tuple[str, bool]:
     """One relay's diagnostics and KKT residuals as ``allocate`` and ``verify`` print them, and whether they certify."""
-    report = kkt_check(alloc_input, alloc, KKT_TOLERANCE)
+    report = kkt_check(alloc_input, alloc)
     diag = alloc.diagnostics
     line = (
         f"relay={relay_id} alpha={diag.alpha:.6f} beta={diag.beta:.6f} "
         f"water_level={diag.water_level:.6f} stationarity={report.stationarity_residual:.3e} "
         f"budget_slackness={report.budget_slackness_residual:.3e} "
-        f"drop_slackness={report.drop_slackness_residual:.3e} "
         f"dual_feasibility={report.dual_feasibility_residual:.3e} satisfied={report.satisfied}"
     )
     return line, report.satisfied
@@ -202,8 +191,7 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[str, int]:
 
 
 def _cmd_verify(scenario: Scenario, args) -> tuple[str, int]:
-    check_positive("grid steps", args.grid_steps, True)   # accepted and ignored, but checked as threads is
-    check_positive("threads", args.threads, True)         # accepted and ignored, but checked as solve checks it
+    check_positive("threads", args.threads, True)   # accepted and ignored, but checked as solve checks it
     scenario.layout   # the search's first check, cached: a budget out of scale exits 2 before the oracle's guard
     reference = brute_force_assignments(scenario, allow_empty_relay=args.allow_empty_relay)
     solver = solve_exhaustive(scenario, allow_empty_relay=args.allow_empty_relay)
@@ -287,10 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-check the solver against the brute-force oracle and certify its rates")
     add_common(p_verify, solver=True)
-    p_verify.add_argument(
-        "--grid-steps", type=int, default=1000,
-        help="accepted for compatibility; has no effect (each relay's rates are certified by their KKT residuals)",
-    )
 
     p_sweep = sub.add_parser("sweep", help="re-solve under scaled user or server rates")
     add_common(p_sweep, sampled=True)
@@ -305,13 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
 # Exit code of each error type; an error takes the entry of the first class in its MRO listed here.
 _EXIT_CODES = {
     InfeasibleError: EXIT_INFEASIBLE,
-    SearchBudgetError: EXIT_GUARD,
-    OracleScaleError: EXIT_GUARD,
-    SimulationScaleError: EXIT_GUARD,
+    GuardError: EXIT_GUARD,
     FreshCacheError: EXIT_VALIDATION,
     OSError: EXIT_IO,
 }
-
 
 
 def _exit_code(exc: Exception) -> int:

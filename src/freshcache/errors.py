@@ -15,16 +15,8 @@ class InfeasibleError(FreshCacheError):
     """No cache scheme satisfies the capacity constraints."""
 
 
-class SearchBudgetError(FreshCacheError):
-    """The assignment space exceeds the configured enumeration limit."""
-
-
-class OracleScaleError(FreshCacheError):
-    """A brute-force oracle was asked to handle more than it safely can."""
-
-
-class SimulationScaleError(FreshCacheError):
-    """A simulation would draw more events than the simulator safely holds in memory."""
+class GuardError(FreshCacheError):
+    """A size guard tripped: the search's enumeration limit, the oracle's scale or the simulator's event count."""
 
 
 class ScenarioParseError(FreshCacheError):

@@ -48,16 +48,18 @@ def file_freshness(user_rate: float, server_rate: float, relay_rate: float) -> f
 def holding_placement(scenario: Scenario, scheme: CacheScheme, rates: RateTable, key: tuple[int, int]) -> tuple[int, float]:
     """The relay id and refresh rate of holding ``key``.
 
-    Raises DomainError when the scheme or the rate table lacks the holding, or
-    when its relay id is not an int in 1..K.
+    Raises DomainError, naming the holding, when the scheme lacks it or its
+    relay id is not an int in 1..K, then when the rate table lacks it or its
+    rate is not a non-negative finite number.
     """
     relay_id = scheme.assignment.get(key)
     if relay_id is None:
         raise DomainError(f"no relay assigned for user {key[0]}, file {key[1]}")
-    if key not in rates:
-        raise DomainError(f"missing refresh rate for user {key[0]}, file {key[1]}")
     if not is_number(relay_id, integer=True) or not 0 < relay_id <= scenario.n_relays:   # True and 1.0 would pass the range
         raise DomainError(f"holding (user {key[0]}, file {key[1]}) assigned to unknown relay {relay_id}")
+    if key not in rates:
+        raise DomainError(f"missing refresh rate for user {key[0]}, file {key[1]}")
+    check_non_negative(f"relay rate for user {key[0]}, file {key[1]}", rates[key])
     return relay_id, rates[key]
 
 
@@ -70,7 +72,6 @@ def user_freshness(scenario: Scenario, scheme: CacheScheme, rates: RateTable, us
     for h in user.holdings:
         key = (user.user_id, h.file_id)
         relay_id, r = holding_placement(scenario, scheme, rates, key)
-        check_non_negative("relay_rate", r)
         e = scenario.entries[key]
         # file_freshness, with the scenario's rates checked once, weighted by the holding's c at its relay
         total += scenario.coef[key][relay_id - 1] * (e.mu * (r / (r + e.server_rate)))

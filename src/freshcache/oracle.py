@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InfeasibleError, OracleScaleError
+from .errors import GuardError, InfeasibleError
 from .freshness import ObjectiveValue
 from .model import Scenario
 from .rate_alloc import waterfill_rows
@@ -54,7 +54,7 @@ def brute_force_assignments(
     ``system_freshness``'s float expression in its order, so values are the
     public API's bit for bit.  ``argmax`` takes the first maximum: ties
     resolve to the lexicographically smallest vector.  Raises InfeasibleError
-    and DomainError as the solvers do, and OracleScaleError past
+    and DomainError as the solvers do, and GuardError past
     ``BRUTE_FORCE_LIMIT`` raw assignments or 256 times that many relay passes
     over them.
     """
@@ -64,9 +64,9 @@ def brute_force_assignments(
         raise InfeasibleError("scenario has no holdings or no relays to assign them to")
     raw_total = k**h
     if raw_total > BRUTE_FORCE_LIMIT:
-        raise OracleScaleError(f"{raw_total} raw assignments exceed the oracle limit {BRUTE_FORCE_LIMIT}")
+        raise GuardError(f"{raw_total} raw assignments exceed the oracle limit {BRUTE_FORCE_LIMIT}")
     if k * raw_total > 256 * BRUTE_FORCE_LIMIT:   # a pass per relay over the product, a K x (feasible vectors) slot table
-        raise OracleScaleError(f"{k} relays x {raw_total} raw assignments exceed the oracle limit {256 * BRUTE_FORCE_LIMIT}")
+        raise GuardError(f"{k} relays x {raw_total} raw assignments exceed the oracle limit {256 * BRUTE_FORCE_LIMIT}")
 
     # Row p repeats each relay k**(h-1-p) times, so the last holding varies fastest; column j is vector j.
     raw = np.empty((h, raw_total), dtype=np.min_scalar_type(k - 1))

@@ -17,11 +17,11 @@ calls it, and so do the hill climber and the search's re-scores.
 under one budget or one budget per row, with the same float operations per
 row, for the exhaustive search's block tables and the brute-force oracle.
 ``kkt_check`` certifies an allocation by its first-order (KKT) conditions,
-independently of both: the problem is concave, so residuals within tolerance
-prove the rates optimal at any block size.  ``allocate`` and ``kkt_check``
-read mu and the weight off each ``AllocationEntry``, which checks its rates
-once, when it is built; it, ``weight`` and ``sort_key`` live in ``model`` and
-are re-exported here.
+independently of both: the problem is concave, so residuals within
+``KKT_TOLERANCE`` prove the rates optimal at any block size.  ``allocate``
+and ``kkt_check`` read mu and the weight off each ``AllocationEntry``, which
+checks its rates once, when it is built; it, ``weight`` and ``sort_key`` live
+in ``model`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -32,8 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import AllocationEntry, Key, check_non_negative, check_positive, check_scale, sort_key
+from .model import AllocationEntry, Key, check_non_negative, check_scale, sort_key
 from .model import weight  # noqa: F401  (re-exported, not used here)
+
+KKT_TOLERANCE = 1e-6   # the bound on every KKT residual; scale-free, so one value serves every block
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,10 @@ class RateAllocation:
 
 @dataclass(frozen=True)
 class KktReport:
-    """``kkt_check``'s residuals, each scale-free; ``satisfied`` when none exceeds the tolerance."""
+    """``kkt_check``'s residuals, each scale-free; ``satisfied`` when none exceeds ``KKT_TOLERANCE``."""
 
     stationarity_residual: float       # max |delta - gradient| / delta over entries with positive rate
     budget_slackness_residual: float   # |sum(rates) - budget| / budget; any unspent budget counts
-    drop_slackness_residual: float     # max |delta - gradient| / delta * rate / sum(rates) over those entries
     dual_feasibility_residual: float   # max (mu/s - delta)+ / delta over entries with rate zero
     satisfied: bool
 
@@ -191,49 +192,45 @@ def _relative(residual: float, scale: float) -> float:
     return residual / scale if scale else (0.0 if residual == 0.0 else math.inf)
 
 
-def kkt_check(alloc_input: AllocationInput, allocation: RateAllocation, tolerance: float) -> KktReport:
+def kkt_check(alloc_input: AllocationInput, allocation: RateAllocation) -> KktReport:
     """First-order optimality certificate for a proposed allocation.
 
     The relay problem is concave, so an allocation whose residuals are all
-    within ``tolerance`` is optimal.  Every residual is scale-free.  The water
-    level delta is derived from the allocation itself, never from its
+    within ``KKT_TOLERANCE`` is optimal.  Every residual is scale-free.  The
+    water level delta is derived from the allocation itself, never from its
     diagnostics: the largest gradient over entries with positive rate, or the
     largest mu/s when no entry has one.
     Stationarity: active entries must sit at the water level.
     Budget slackness: every term of the objective increases with its rate, so
     the budget must be spent, whatever the water level.
-    Drop slackness: an entry below the water level must carry rate zero.
     Dual feasibility: a zero-rate entry's marginal return at rate zero, mu/s,
     must not exceed the water level.
     """
-    check_positive("tolerance", tolerance)
     _validate_input(alloc_input)
     input_keys = {e.key for e in alloc_input.entries}
     if set(allocation.rates) != input_keys:
         raise DomainError("allocation keys do not match the input entries")
 
-    active = []      # (rate, gradient) of entries with positive rate
+    active = []      # gradients of entries with positive rate
     idle = []        # mu/s of entries with rate zero
     for e in alloc_input.entries:
         lam = allocation.rates[e.key]
         check_non_negative(f"rate for {e.key}", lam)
         if lam > 0.0:
-            active.append((lam, e.mu * e.server_rate / (lam + e.server_rate) ** 2))
+            active.append(e.mu * e.server_rate / (lam + e.server_rate) ** 2)
         else:
             idle.append(e.mu / e.server_rate)
 
     total = sum(allocation.rates.values())
-    delta = max(g for _lam, g in active) if active else max(idle)
-    stationarity = max((_relative(delta - g, delta) for _lam, g in active), default=0.0)
-    drop_slack = max((_relative(delta - g, delta) * lam / total for lam, g in active), default=0.0)
+    delta = max(active) if active else max(idle)
+    stationarity = max((_relative(delta - g, delta) for g in active), default=0.0)
     dual = max((_relative(max(m - delta, 0.0), delta) for m in idle), default=0.0)
     budget_res = _relative(abs(total - alloc_input.rate_budget), alloc_input.rate_budget)
 
-    satisfied = max(stationarity, budget_res, drop_slack, dual) <= tolerance
+    satisfied = max(stationarity, budget_res, dual) <= KKT_TOLERANCE
     return KktReport(
         stationarity_residual=stationarity,
         budget_slackness_residual=budget_res,
-        drop_slackness_residual=drop_slack,
         dual_feasibility_residual=dual,
         satisfied=satisfied,
     )

@@ -72,7 +72,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, SearchBudgetError
+from .errors import GuardError, InfeasibleError
 from .freshness import ObjectiveValue, system_freshness
 from .model import CacheScheme, Scenario, check_non_negative, check_positive
 from .rate_alloc import AllocationEntry, AllocationInput, RateAllocation, allocate, waterfill, waterfill_rows
@@ -495,14 +495,14 @@ def solve_exhaustive(
 ) -> SolveResult:
     """Provably optimal placement by deduplicated enumeration.
 
-    Raises SearchBudgetError if the distinct assignment count exceeds
+    Raises GuardError if the distinct assignment count exceeds
     ``limit`` and InfeasibleError if the capacities admit no placement.
     """
     check_positive("limit", limit, True)
     search = _Search(scenario, allow_empty_relay)
     total = count_assignments(search.n, search.capacities, allow_empty_relay=allow_empty_relay, at_most=limit + 1)
     if total > limit:
-        raise SearchBudgetError(f"distinct assignment count exceeds the enumeration limit {limit}")
+        raise GuardError(f"distinct assignment count exceeds the enumeration limit {limit}")
 
     # Each partition as the keys of the relays that take holdings, in relay order; see the module docstring.
     walk = enumerate_partitions(search.n, search.capacities, allow_empty_relay=allow_empty_relay)

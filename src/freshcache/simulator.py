@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SimulationScaleError
+from .errors import DomainError, GuardError
 from .freshness import ObjectiveValue, RateTable, holding_placement
 from .model import CacheScheme, Scenario, check_non_negative, check_positive
 
@@ -110,7 +110,7 @@ def _event_pieces(rng: np.random.Generator, rate: float, horizon: float, size: i
 
 def _check_holding(user_rate: float, server_rate: float, relay_rate: float, horizon: float) -> None:
     """Raise DomainError on a bad rate or horizon, or on a horizon whose batch width is 0;
-    SimulationScaleError if a stream expects over ``_MAX_STREAM_EVENTS``."""
+    GuardError if a stream expects over ``_MAX_STREAM_EVENTS``."""
     check_positive("user_rate", user_rate)
     check_positive("server_rate", server_rate)
     check_non_negative("relay_rate", relay_rate)
@@ -118,13 +118,13 @@ def _check_holding(user_rate: float, server_rate: float, relay_rate: float, hori
     if horizon / _BATCHES == 0.0:
         raise DomainError(f"horizon {horizon!r} is too small to split into {_BATCHES} batches")
     if max(user_rate, server_rate, relay_rate) * horizon > _MAX_STREAM_EVENTS:
-        raise SimulationScaleError(f"horizon {horizon:g} makes a stream expect over {_MAX_STREAM_EVENTS} events")
+        raise GuardError(f"horizon {horizon:g} makes a stream expect over {_MAX_STREAM_EVENTS} events")
 
 
 def simulate_file(user_rate: float, server_rate: float, relay_rate: float, horizon: float, seed: int) -> SimEstimate:
     """Simulate one holding and estimate the long-run freshness fraction.
 
-    Raises SimulationScaleError, before any draw, if a stream's rate * horizon exceeds ``_MAX_STREAM_EVENTS``.
+    Raises GuardError, before any draw, if a stream's rate * horizon exceeds ``_MAX_STREAM_EVENTS``.
     """
     _check_holding(user_rate, server_rate, relay_rate, horizon)
     if relay_rate == 0.0:   # no refresh, so no cycle turns fresh: the replay's result, without its draws

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from freshcache.errors import DomainError, OracleScaleError
+from freshcache.errors import DomainError, GuardError
 from freshcache.model import check_non_negative, check_positive
 from freshcache.rate_alloc import AllocationInput
 
@@ -23,10 +23,10 @@ GRID_ROW_BLOCK = 64
 
 
 def check_grid_steps(steps) -> None:
-    """Raise DomainError unless ``steps`` is a positive integer, OracleScaleError above GRID_MAX_STEPS."""
+    """Raise DomainError unless ``steps`` is a positive integer, GuardError above GRID_MAX_STEPS."""
     check_positive("steps", steps, True)
     if steps > GRID_MAX_STEPS:
-        raise OracleScaleError(f"grid oracle limited to {GRID_MAX_STEPS} steps, got {steps}")
+        raise GuardError(f"grid oracle limited to {GRID_MAX_STEPS} steps, got {steps}")
 
 
 def grid_allocate(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float, ...], float]:
@@ -44,7 +44,7 @@ def grid_allocate(alloc_input: AllocationInput, steps: int) -> tuple[tuple[float
     if n == 0:
         raise DomainError("grid allocation requires at least one entry")
     if n > GRID_MAX_ENTRIES:
-        raise OracleScaleError(f"grid oracle limited to {GRID_MAX_ENTRIES} entries, got {n}")
+        raise GuardError(f"grid oracle limited to {GRID_MAX_ENTRIES} entries, got {n}")
     check_grid_steps(steps)
     budget = alloc_input.rate_budget
     check_non_negative("rate budget", budget)

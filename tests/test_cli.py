@@ -1,5 +1,6 @@
 """End-to-end command-line interface tests."""
 
+import argparse
 import ast
 import contextlib
 import copy
@@ -21,14 +22,7 @@ from hypothesis import strategies as st
 import freshcache.cli
 from freshcache import serialize_scenario
 from freshcache.cli import main
-from freshcache.errors import (
-    FreshCacheError,
-    InfeasibleError,
-    OracleScaleError,
-    ScenarioValidationError,
-    SearchBudgetError,
-    SimulationScaleError,
-)
+from freshcache.errors import FreshCacheError, GuardError, InfeasibleError, ScenarioValidationError
 from freshcache.model import Violation
 from freshcache.scenario_io import serialize_rates, serialize_scheme
 
@@ -259,6 +253,18 @@ def test_rate_table_with_unknown_holding_exit_code(command, scheme_file, unknown
     assert "unknown holdings: (user 9, file 99)" in captured.err
 
 
+@pytest.mark.parametrize("rate", [-1.0, math.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("command", ["freshness", "simulate"])
+def test_bad_rate_names_its_holding(command, rate, scheme_file, tmp_path, capsys):
+    rates = tmp_path / "rates.yaml"
+    rates.write_text(serialize_rates({**REFERENCE_RATES, (3, 7): rate}))
+    code = main([command, "--scenario", "table1", "--scheme", scheme_file, "--rates", str(rates)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: relay rate for user 3, file 7 must be a non-negative finite number, got {rate!r}\n"
+
+
 # simulate's stdout on table1 at --horizon 20000 --seed 1: the reference rates, and the same rates with
 # holding (2, 4) refreshed faster than its user requests (u < r) and holding (4, 10) never refreshed.
 SIMULATE_OUT = {
@@ -357,9 +363,9 @@ exhaustive_objective=0.531856297758
 oracle_objective=0.531856297758
 objectives_match=True
 assignments_match=True
-kkt_check relay=1 alpha=8.312019 beta=33.000000 water_level=0.063443 stationarity=4.375e-16 budget_slackness=4.441e-16 drop_slackness=1.149e-16 dual_feasibility=0.000e+00 satisfied=True
-kkt_check relay=2 alpha=4.899457 beta=21.000000 water_level=0.054432 stationarity=2.550e-16 budget_slackness=0.000e+00 drop_slackness=8.273e-17 dual_feasibility=0.000e+00 satisfied=True
-kkt_check relay=3 alpha=3.668542 beta=20.000000 water_level=0.033646 stationarity=0.000e+00 budget_slackness=0.000e+00 drop_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=1 alpha=8.312019 beta=33.000000 water_level=0.063443 stationarity=4.375e-16 budget_slackness=4.441e-16 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=2 alpha=4.899457 beta=21.000000 water_level=0.054432 stationarity=2.550e-16 budget_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=3 alpha=3.668542 beta=20.000000 water_level=0.033646 stationarity=0.000e+00 budget_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
 verify=PASS
 """
 
@@ -371,9 +377,9 @@ exhaustive_objective=0.501177064225
 oracle_objective=0.501177064225
 objectives_match=True
 assignments_match=True
-kkt_check relay=1 alpha=6.579968 beta=27.000000 water_level=0.059391 stationarity=2.337e-16 budget_slackness=1.480e-16 drop_slackness=5.275e-17 dual_feasibility=0.000e+00 satisfied=True
-kkt_check relay=2 alpha=6.631508 beta=27.000000 water_level=0.060325 stationarity=4.601e-16 budget_slackness=0.000e+00 drop_slackness=1.326e-16 dual_feasibility=0.000e+00 satisfied=True
-kkt_check relay=3 alpha=3.668542 beta=20.000000 water_level=0.033646 stationarity=0.000e+00 budget_slackness=0.000e+00 drop_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=1 alpha=6.579968 beta=27.000000 water_level=0.059391 stationarity=2.337e-16 budget_slackness=1.480e-16 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=2 alpha=6.631508 beta=27.000000 water_level=0.060325 stationarity=4.601e-16 budget_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=3 alpha=3.668542 beta=20.000000 water_level=0.033646 stationarity=0.000e+00 budget_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
 verify=PASS
 """,
     "popularity_var_2": """\
@@ -381,9 +387,9 @@ exhaustive_objective=0.543693666112
 oracle_objective=0.543693666112
 objectives_match=True
 assignments_match=True
-kkt_check relay=1 alpha=6.579968 beta=27.000000 water_level=0.059391 stationarity=2.337e-16 budget_slackness=1.480e-16 drop_slackness=5.275e-17 dual_feasibility=0.000e+00 satisfied=True
-kkt_check relay=2 alpha=3.422359 beta=18.000000 water_level=0.036150 stationarity=0.000e+00 budget_slackness=0.000e+00 drop_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
-kkt_check relay=3 alpha=6.877691 beta=29.000000 water_level=0.056246 stationarity=2.467e-16 budget_slackness=2.220e-16 drop_slackness=6.678e-17 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=1 alpha=6.579968 beta=27.000000 water_level=0.059391 stationarity=2.337e-16 budget_slackness=1.480e-16 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=2 alpha=3.422359 beta=18.000000 water_level=0.036150 stationarity=0.000e+00 budget_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=3 alpha=6.877691 beta=29.000000 water_level=0.056246 stationarity=2.467e-16 budget_slackness=2.220e-16 dual_feasibility=0.000e+00 satisfied=True
 verify=PASS
 """,
     "popularity_var_3": """\
@@ -391,9 +397,9 @@ exhaustive_objective=0.621958955388
 oracle_objective=0.621958955388
 objectives_match=True
 assignments_match=True
-kkt_check relay=1 alpha=6.679026 beta=29.000000 water_level=0.053043 stationarity=3.924e-16 budget_slackness=0.000e+00 drop_slackness=8.125e-17 dual_feasibility=0.000e+00 satisfied=True
-kkt_check relay=2 alpha=3.422359 beta=18.000000 water_level=0.036150 stationarity=0.000e+00 budget_slackness=0.000e+00 drop_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
-kkt_check relay=3 alpha=6.778634 beta=27.000000 water_level=0.063031 stationarity=2.202e-16 budget_slackness=2.220e-16 drop_slackness=7.936e-17 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=1 alpha=6.679026 beta=29.000000 water_level=0.053043 stationarity=3.924e-16 budget_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=2 alpha=3.422359 beta=18.000000 water_level=0.036150 stationarity=0.000e+00 budget_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=3 alpha=6.778634 beta=27.000000 water_level=0.063031 stationarity=2.202e-16 budget_slackness=2.220e-16 dual_feasibility=0.000e+00 satisfied=True
 verify=PASS
 """,
     "popularity_var_4": """\
@@ -401,9 +407,9 @@ exhaustive_objective=0.724516013024
 oracle_objective=0.724516013024
 objectives_match=True
 assignments_match=True
-kkt_check relay=1 alpha=6.891968 beta=32.000000 water_level=0.046386 stationarity=2.992e-16 budget_slackness=2.961e-16 drop_slackness=1.045e-16 dual_feasibility=0.000e+00 satisfied=True
-kkt_check relay=2 alpha=3.422359 beta=18.000000 water_level=0.036150 stationarity=0.000e+00 budget_slackness=0.000e+00 drop_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
-kkt_check relay=3 alpha=6.565692 beta=24.000000 water_level=0.074841 stationarity=1.854e-16 budget_slackness=0.000e+00 drop_slackness=5.561e-17 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=1 alpha=6.891968 beta=32.000000 water_level=0.046386 stationarity=2.992e-16 budget_slackness=2.961e-16 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=2 alpha=3.422359 beta=18.000000 water_level=0.036150 stationarity=0.000e+00 budget_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=3 alpha=6.565692 beta=24.000000 water_level=0.074841 stationarity=1.854e-16 budget_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
 verify=PASS
 """,
     "server_rates_high": """\
@@ -411,9 +417,9 @@ exhaustive_objective=0.289363243163
 oracle_objective=0.289363243163
 objectives_match=True
 assignments_match=True
-kkt_check relay=1 alpha=5.936492 beta=32.000000 water_level=0.034416 stationarity=4.032e-16 budget_slackness=2.961e-16 drop_slackness=1.491e-16 dual_feasibility=0.000e+00 satisfied=True
-kkt_check relay=2 alpha=8.087207 beta=42.000000 water_level=0.037076 stationarity=3.743e-16 budget_slackness=1.776e-16 drop_slackness=5.518e-17 dual_feasibility=0.000e+00 satisfied=True
-kkt_check relay=3 alpha=6.440346 beta=37.000000 water_level=0.030298 stationarity=3.435e-16 budget_slackness=4.441e-16 drop_slackness=1.730e-16 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=1 alpha=5.936492 beta=32.000000 water_level=0.034416 stationarity=4.032e-16 budget_slackness=2.961e-16 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=2 alpha=8.087207 beta=42.000000 water_level=0.037076 stationarity=3.743e-16 budget_slackness=1.776e-16 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=3 alpha=6.440346 beta=37.000000 water_level=0.030298 stationarity=3.435e-16 budget_slackness=4.441e-16 dual_feasibility=0.000e+00 satisfied=True
 verify=PASS
 """,
     "server_rates_mid": """\
@@ -421,9 +427,9 @@ exhaustive_objective=0.400255128140
 oracle_objective=0.400255128140
 objectives_match=True
 assignments_match=True
-kkt_check relay=1 alpha=5.274000 beta=26.000000 water_level=0.041147 stationarity=3.373e-16 budget_slackness=0.000e+00 drop_slackness=8.793e-17 dual_feasibility=0.000e+00 satisfied=True
-kkt_check relay=2 alpha=7.421125 beta=34.000000 water_level=0.047641 stationarity=2.913e-16 budget_slackness=0.000e+00 drop_slackness=1.014e-16 dual_feasibility=0.000e+00 satisfied=True
-kkt_check relay=3 alpha=6.062455 beta=31.000000 water_level=0.038245 stationarity=5.443e-16 budget_slackness=0.000e+00 drop_slackness=1.891e-16 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=1 alpha=5.274000 beta=26.000000 water_level=0.041147 stationarity=3.373e-16 budget_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=2 alpha=7.421125 beta=34.000000 water_level=0.047641 stationarity=2.913e-16 budget_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=3 alpha=6.062455 beta=31.000000 water_level=0.038245 stationarity=5.443e-16 budget_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
 verify=PASS
 """,
     "table1_zipf": """\
@@ -431,9 +437,9 @@ exhaustive_objective=0.474197354167
 oracle_objective=0.474197354167
 objectives_match=True
 assignments_match=True
-kkt_check relay=1 alpha=6.579968 beta=27.000000 water_level=0.059391 stationarity=2.337e-16 budget_slackness=1.480e-16 drop_slackness=5.275e-17 dual_feasibility=0.000e+00 satisfied=True
-kkt_check relay=2 alpha=6.631508 beta=27.000000 water_level=0.060325 stationarity=4.601e-16 budget_slackness=0.000e+00 drop_slackness=1.326e-16 dual_feasibility=0.000e+00 satisfied=True
-kkt_check relay=3 alpha=3.668542 beta=20.000000 water_level=0.033646 stationarity=0.000e+00 budget_slackness=0.000e+00 drop_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=1 alpha=6.579968 beta=27.000000 water_level=0.059391 stationarity=2.337e-16 budget_slackness=1.480e-16 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=2 alpha=6.631508 beta=27.000000 water_level=0.060325 stationarity=4.601e-16 budget_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
+kkt_check relay=3 alpha=3.668542 beta=20.000000 water_level=0.033646 stationarity=0.000e+00 budget_slackness=0.000e+00 dual_feasibility=0.000e+00 satisfied=True
 verify=PASS
 """,
 }
@@ -547,24 +553,22 @@ class TestVerifyCommand:
         assert code == 4
         assert captured.err == "error: 531441 raw assignments exceed the oracle limit 100000\n"
 
-    @pytest.mark.parametrize("steps, expected", [("0", 2), ("-3", 2)])
+    @pytest.mark.parametrize("steps, expected", [("0", 2), ("-3", 2), ("5", 2)])
     @pytest.mark.parametrize("scenario", ["table1", "all-skipped"])
-    def test_grid_steps_checked_before_the_solve(self, scenario, steps, expected, tmp_path, capsys):
+    def test_grid_steps_checked_before_the_solve(self, scenario, steps, expected, tmp_path, monkeypatch, capsys):
+        # The flag is gone: argparse refuses every value, before the scenario loads or the search runs.
         # "all-skipped" is the six-per-relay scenario, whose relays all hold more than four holdings.
         if scenario == "all-skipped":
             path = tmp_path / "six.yaml"
             path.write_text(serialize_scenario(_six_per_relay_scenario()))
             scenario = str(path)
-        code = main(["verify", "--scenario", scenario, "--grid-steps", steps])
+        monkeypatch.setattr(freshcache.cli, "solve_exhaustive", _no_solve)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--scenario", scenario, "--grid-steps", steps])
         captured = capsys.readouterr()
-        assert code == expected
+        assert exc.value.code == expected
         assert captured.out == ""
-        assert captured.err.startswith("error: grid steps must be a positive integer")
-
-    @pytest.mark.parametrize("steps", ["1", "100000"])
-    def test_grid_steps_has_no_effect(self, steps, capsys):
-        assert main(["verify", "--scenario", "table1", "--grid-steps", steps]) == 0
-        assert capsys.readouterr().out == TABLE1_VERIFY_OUT
+        assert f"unrecognized arguments: --grid-steps {steps}" in captured.err
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_threads_checked_as_solve_checks_it(self, value, capsys):
@@ -658,6 +662,26 @@ def test_solver_flags_are_defined_once(argv):
     assert source.count('"--threads"') == source.count('"--allow-empty-relay"') == 1
 
 
+# Each subcommand's option strings, in the order its help lists them.  A flag appears or disappears only here.
+CLI_OPTIONS = {
+    "solve": ["--scenario", "--out", "--mode", "--budget", "--seed", "--allow-empty-relay", "--threads", "--format", "--trace"],
+    "allocate": ["--scenario", "--out", "--scheme"],
+    "freshness": ["--scenario", "--out", "--scheme", "--rates"],
+    "simulate": ["--scenario", "--out", "--scheme", "--rates", "--horizon", "--seed"],
+    "verify": ["--scenario", "--out", "--allow-empty-relay", "--threads"],
+    "sweep": ["--scenario", "--out", "--mode", "--budget", "--seed", "--allow-empty-relay", "--threads", "--scale", "--factors"],
+}
+
+
+def test_cli_surface_is_pinned():
+    (commands,) = [a for a in freshcache.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {name: [a for a in sub._actions if "--help" not in a.option_strings] for name, sub in commands.choices.items()}
+    assert {name: [o for a in each for o in a.option_strings] for name, each in actions.items()} == CLI_OPTIONS
+    # --threads is the one flag kept only for compatibility (criterion 8 pins it); no other flag is a no-op.
+    no_ops = {o for each in actions.values() for a in each if "no effect" in (a.help or "") for o in a.option_strings}
+    assert no_ops == {"--threads"}
+
+
 def _main_node():
     tree = ast.parse(inspect.getsource(freshcache.cli))
     return tree, next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
@@ -689,7 +713,7 @@ def _subclasses(cls):
 def _expected_exit_code(cls):
     if issubclass(cls, InfeasibleError):
         return 3
-    if issubclass(cls, (SearchBudgetError, OracleScaleError, SimulationScaleError)):
+    if issubclass(cls, GuardError):
         return 4
     return 2
 

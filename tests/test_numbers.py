@@ -58,8 +58,7 @@ REAL_ARGS = [
     ("AllocationEntry.server_rate", lambda v: AllocationEntry((1, 1), 5.0, v)),
     ("allocate.budget", lambda v: allocate(AllocationInput((ENTRY,), v))),
     ("allocate.user_rate", lambda v: allocate(AllocationInput((AllocationEntry((1, 1), v, 2.0),), 4.0))),
-    ("kkt_check.tolerance", lambda v: kkt_check(INPUT, allocate(INPUT), v)),
-    ("kkt_check.rate", lambda v: kkt_check(INPUT, _with_rate(v), 1e-6)),
+    ("kkt_check.rate", lambda v: kkt_check(INPUT, _with_rate(v))),
     ("grid_allocate.budget", lambda v: grid_allocate(AllocationInput((ENTRY,), v), 10)),
     ("grid_allocate.user_rate", lambda v: grid_allocate(AllocationInput((AllocationEntry((1, 1), v, 2.0),), 4.0), 10)),
     ("grid_allocate.server_rate", lambda v: grid_allocate(AllocationInput((AllocationEntry((1, 1), 5.0, v),), 4.0), 10)),

@@ -19,9 +19,9 @@ from freshcache import (
     CacheScheme,
     DomainError,
     FileSpec,
+    GuardError,
     Holding,
     InfeasibleError,
-    OracleScaleError,
     RelaySpec,
     Scenario,
     UserSpec,
@@ -81,7 +81,7 @@ def grid_allocate_enumerated(alloc_input: AllocationInput, steps: int) -> tuple[
     if n == 0:
         raise DomainError("grid allocation requires at least one entry")
     if (steps + 1) ** n > 2_000_000:
-        raise OracleScaleError(f"literal grid enumeration too large: ({steps + 1})**{n}")
+        raise GuardError(f"literal grid enumeration too large: ({steps + 1})**{n}")
     budget = alloc_input.rate_budget
     mus = [e.user_rate / (e.user_rate + e.server_rate) for e in entries]
     best_units: tuple[int, ...] | None = None
@@ -186,12 +186,12 @@ class TestGridAllocate:
 
     def test_entry_guard(self):
         entries = tuple(AllocationEntry((1, j), 2.0, 3.0) for j in range(1, 6))
-        with pytest.raises(OracleScaleError):
+        with pytest.raises(GuardError):
             grid_allocate(AllocationInput(entries, 5.0), steps=10)
 
     def test_steps_guard(self):
         alloc_input = AllocationInput((AllocationEntry((1, 1), 2.0, 3.0),), 5.0)
-        with pytest.raises(OracleScaleError):
+        with pytest.raises(GuardError):
             grid_allocate(alloc_input, steps=20_000)
         with pytest.raises(DomainError):
             grid_allocate(alloc_input, steps=0)
@@ -205,7 +205,7 @@ class TestGridAllocate:
 
     def test_enumeration_guard(self):
         entries = tuple(AllocationEntry((1, j), 2.0, 3.0) for j in range(1, 5))
-        with pytest.raises(OracleScaleError):
+        with pytest.raises(GuardError):
             grid_allocate_enumerated(AllocationInput(entries, 5.0), steps=40)
 
 
@@ -254,7 +254,7 @@ class TestBruteForceAssignments:
         # 2**17 = 131,072 raw assignments exceed BRUTE_FORCE_LIMIT; the guard trips before any array is built.
         rng = random.Random(3)
         scenario = random_scenario(rng, n_files=17, n_users=2, n_relays=2)
-        with pytest.raises(OracleScaleError, match="131072 raw assignments exceed the oracle limit 100000"):
+        with pytest.raises(GuardError, match="131072 raw assignments exceed the oracle limit 100000"):
             brute_force_assignments(scenario)
 
     @pytest.mark.parametrize(
@@ -346,7 +346,7 @@ class TestBruteForceAssignments:
         # slot table would take seconds and most of a gigabyte; K * K**H past 256 * BRUTE_FORCE_LIMIT exits at once.
         scenario = self._many_relays(1, 10_000)
         start = time.perf_counter()
-        with pytest.raises(OracleScaleError, match="^10000 relays x 10000 raw assignments exceed the oracle limit 25600000$"):
+        with pytest.raises(GuardError, match="^10000 relays x 10000 raw assignments exceed the oracle limit 25600000$"):
             brute_force_assignments(scenario, allow_empty_relay=True)
         assert time.perf_counter() - start < 0.1
 

@@ -4,6 +4,7 @@ Every property runs derandomized and without an example database, so a run
 is reproducible and leaves nothing behind.
 """
 
+import dataclasses
 import random
 
 from hypothesis import example, given, settings
@@ -13,13 +14,15 @@ from freshcache import (
     AllocationEntry,
     AllocationInput,
     CacheScheme,
+    KktReport,
+    RateAllocation,
     allocate,
     kkt_check,
     parse_scenario,
     serialize_scenario,
     weight,
 )
-from freshcache.cli import KKT_TOLERANCE
+from freshcache.rate_alloc import KKT_TOLERANCE
 from freshcache.scenario_io import parse_rates, parse_scheme, serialize_rates, serialize_scheme
 
 from conftest import random_scenario
@@ -83,8 +86,35 @@ def test_grid_never_beats_the_closed_form(alloc_input):
 @example(alloc_input=AllocationInput((AllocationEntry((1, 1), 1.0, 1.0),), 1.33e-18))
 @example(alloc_input=AllocationInput((AllocationEntry((1, 1), 1.0, 1e17),), 1.0))
 def test_allocation_satisfies_kkt(alloc_input):
-    report = kkt_check(alloc_input, allocate(alloc_input), KKT_TOLERANCE)
+    report = kkt_check(alloc_input, allocate(alloc_input))
     assert report.satisfied, report
+
+
+RESIDUALS = ["stationarity_residual", "budget_slackness_residual", "dual_feasibility_residual"]
+
+
+@PROPERTY
+@given(
+    alloc_input=allocation_inputs(10),
+    spent=st.sampled_from([1.0, 1 - 1e-7, 1 - 1e-5, 0.5]),
+    moved=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.1, 1.0]),
+)
+# Two active entries, a little rate moved between them: only stationarity fails.
+@example(alloc_input=AllocationInput((AllocationEntry((1, 1), 5.0, 2.0), AllocationEntry((1, 2), 4.0, 3.0)), 4.0), spent=1.0, moved=1e-3)
+# Two tied entries, the whole budget on the second: only dual feasibility fails.
+@example(alloc_input=AllocationInput((AllocationEntry((1, 1), 5.0, 2.0), AllocationEntry((1, 2), 5.0, 2.0)), 4.0), spent=1.0, moved=1.0)
+def test_every_residual_takes_part_in_the_verdict(alloc_input, spent, moved):
+    # The optimum with a share of its budget unspent, then a share of its first entry's rate moved to its last
+    # entry, which may be a dropped one: each residual moves on its own, and the verdict reads all of them.
+    alloc = allocate(alloc_input)
+    rates = {key: rate * spent for key, rate in alloc.rates.items()}
+    first, last = alloc_input.entries[0].key, alloc_input.entries[-1].key
+    shift = rates[first] * moved
+    rates[first] -= shift
+    rates[last] += shift
+    report = kkt_check(alloc_input, RateAllocation(rates, alloc.diagnostics))
+    assert [f.name for f in dataclasses.fields(KktReport)] == [*RESIDUALS, "satisfied"]
+    assert report.satisfied == (max(getattr(report, name) for name in RESIDUALS) <= KKT_TOLERANCE)
 
 
 @PROPERTY

@@ -21,7 +21,7 @@ from freshcache import (
     weight,
 )
 
-from freshcache.rate_alloc import sort_key, waterfill, waterfill_rows
+from freshcache.rate_alloc import KKT_TOLERANCE, sort_key, waterfill, waterfill_rows
 
 from conftest import REFERENCE_RATES, make_allocation_input
 
@@ -138,7 +138,7 @@ class TestAllocate:
         assert alloc.rates == {(1, 1): 1e-20, (1, 2): 0.0, (1, 3): 0.0}
         assert alloc.diagnostics.dropped_keys == {(1, 2), (1, 3)}
         assert (alloc.diagnostics.alpha, alloc.diagnostics.beta) == (entries[0].weight, 1.0)
-        assert kkt_check(alloc_input, alloc, 1e-6).satisfied
+        assert kkt_check(alloc_input, alloc).satisfied
 
     @pytest.mark.parametrize("server_rate", [1e17, 1e20, 1e30])
     def test_lone_entry_beside_a_huge_server_rate_gets_the_budget(self, server_rate):
@@ -147,7 +147,7 @@ class TestAllocate:
         alloc = allocate(alloc_input)
         assert abs(alloc.rates[(1, 1)] - 1.0) <= math.ulp(1.0)
         assert alloc.diagnostics.dropped_keys == frozenset()
-        assert kkt_check(alloc_input, alloc, 1e-6).satisfied
+        assert kkt_check(alloc_input, alloc).satisfied
 
     def test_tiny_budget_on_a_lone_entry_is_spent(self):
         # beta + s rounded to s at G = 1.33e-18, so the entry used to drop and the budget went unspent.
@@ -360,11 +360,10 @@ class TestKktCheck:
         rng = random.Random(505)
         for _ in range(50):
             alloc_input = make_allocation_input(rng, rng.randint(1, 8))
-            report = kkt_check(alloc_input, allocate(alloc_input), 1e-6)
+            report = kkt_check(alloc_input, allocate(alloc_input))
             assert report.satisfied
             assert report.stationarity_residual <= 1e-6
             assert report.budget_slackness_residual <= 1e-6
-            assert report.drop_slackness_residual <= 1e-6
 
     def test_perturbed_allocation_fails(self):
         rng = random.Random(606)
@@ -376,13 +375,13 @@ class TestKktCheck:
         rates[survivors[0]] += 0.1
         rates[survivors[1]] -= 0.1
         moved = RateAllocation(rates=rates, diagnostics=alloc.diagnostics)
-        assert not kkt_check(alloc_input, moved, 1e-6).satisfied
+        assert not kkt_check(alloc_input, moved).satisfied
 
     def test_unspent_budget_fails(self):
         alloc_input = AllocationInput((AllocationEntry((1, 1), 5.0, 3.0),), 5.0)
         alloc = allocate(alloc_input)
         short = RateAllocation(rates={(1, 1): 4.0}, diagnostics=alloc.diagnostics)
-        report = kkt_check(alloc_input, short, 1e-6)
+        report = kkt_check(alloc_input, short)
         assert report.budget_slackness_residual > 1e-6
         assert not report.satisfied
 
@@ -395,13 +394,13 @@ class TestKktCheck:
             allocate(alloc_input).diagnostics, water_level=5 / 7 * 2 / 36, dropped_keys=frozenset({(1, 2)})
         )
         lopsided = RateAllocation(rates={(1, 1): 4.0, (1, 2): 0.0}, diagnostics=claimed)
-        report = kkt_check(alloc_input, lopsided, 1e-6)
+        report = kkt_check(alloc_input, lopsided)
         assert report.stationarity_residual == 0.0
         assert report.budget_slackness_residual == 0.0
         # mu/s = 5/14 for the idle entry against delta = (5/7) * 2/36: (5/14) / delta - 1 = 9 - 1.
         assert report.dual_feasibility_residual == pytest.approx(8.0)
         assert not report.satisfied
-        assert kkt_check(alloc_input, allocate(alloc_input), 1e-6).dual_feasibility_residual == 0.0
+        assert kkt_check(alloc_input, allocate(alloc_input)).dual_feasibility_residual == 0.0
 
     @pytest.mark.parametrize(
         "rate, budget, server_rate",
@@ -412,40 +411,43 @@ class TestKktCheck:
         # whatever the water level: the residual is relative to the budget.
         alloc_input = AllocationInput((AllocationEntry((1, 1), 1.0, server_rate),), budget)
         short = RateAllocation(rates={(1, 1): rate}, diagnostics=allocate(alloc_input).diagnostics)
-        report = kkt_check(alloc_input, short, 1e-6)
+        report = kkt_check(alloc_input, short)
         assert report.budget_slackness_residual == pytest.approx((budget - rate) / budget)
         assert not report.satisfied
 
     def test_zero_budget_is_degenerate_but_satisfied(self):
         alloc_input = AllocationInput((AllocationEntry((1, 1), 5.0, 3.0),), 0.0)
-        report = kkt_check(alloc_input, allocate(alloc_input), 1e-6)
+        report = kkt_check(alloc_input, allocate(alloc_input))
         assert report.satisfied
         assert report.stationarity_residual == 0.0
         assert report.budget_slackness_residual == 0.0
-        assert report.drop_slackness_residual == 0.0
 
     def test_key_mismatch_raises(self):
         alloc_input = AllocationInput((AllocationEntry((1, 1), 5.0, 3.0),), 5.0)
         alloc = allocate(alloc_input)
         other = AllocationInput((AllocationEntry((2, 2), 5.0, 3.0),), 5.0)
         with pytest.raises(DomainError, match="allocation keys do not match the input entries"):
-            kkt_check(other, alloc, 1e-6)
+            kkt_check(other, alloc)
 
-    def test_bad_tolerance_raises(self):
+    def test_tolerance_is_a_constant(self):
         alloc_input = AllocationInput((AllocationEntry((1, 1), 5.0, 3.0),), 5.0)
         alloc = allocate(alloc_input)
-        for bad in (0.0, -1e-6, math.nan):
-            with pytest.raises(DomainError):
-                kkt_check(alloc_input, alloc, bad)
+        assert KKT_TOLERANCE == 1e-6
+        with pytest.raises(TypeError):
+            kkt_check(alloc_input, alloc, 1e-6)
+
+    def test_out_of_scale_budget_raises(self):
+        alloc_input = AllocationInput((AllocationEntry((1, 1), 5.0, 3.0),), 5.0)
+        alloc = allocate(alloc_input)
         with pytest.raises(DomainError, match="would overflow the water-fill"):   # the input's budget, checked as allocate checks it
-            kkt_check(dataclasses.replace(alloc_input, rate_budget=1e200), alloc, 1e-6)
+            kkt_check(dataclasses.replace(alloc_input, rate_budget=1e200), alloc)
 
     def test_negative_rate_raises(self):
         alloc_input = AllocationInput((AllocationEntry((1, 1), 5.0, 3.0),), 5.0)
         alloc = allocate(alloc_input)
         bad = RateAllocation(rates={(1, 1): -1.0}, diagnostics=alloc.diagnostics)
         with pytest.raises(DomainError):
-            kkt_check(alloc_input, bad, 1e-6)
+            kkt_check(alloc_input, bad)
 
 
 class TestDataShapes:

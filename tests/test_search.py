@@ -19,12 +19,12 @@ from freshcache import (
     CacheScheme,
     DomainError,
     FileSpec,
+    GuardError,
     Holding,
     InfeasibleError,
     ObjectiveValue,
     RelaySpec,
     Scenario,
-    SearchBudgetError,
     UserSpec,
     allocate,
     brute_force_assignments,
@@ -174,6 +174,13 @@ class TestEvaluateScheme:
         assert per_relay[1].rates == direct.rates
         assert objective == system_freshness(scenario, scheme, direct.rates)
 
+    @pytest.mark.parametrize("relay_id", [0, 4, True, 1.0, 9], ids=["relay-0", "relay-K+1", "bool", "float", "relay-9"])
+    def test_unknown_relay_is_named(self, table1, relay_id):
+        # Relays 0, 4 and 9 get no allocation, so the holding has no rate: the relay id is checked first.
+        assignment = {**REFERENCE_ASSIGNMENT, (1, 1): relay_id}
+        with pytest.raises(DomainError, match=rf"^holding \(user 1, file 1\) assigned to unknown relay {relay_id}$"):
+            evaluate_scheme(table1, CacheScheme(assignment))
+
 
 class TestSolveExhaustive:
     def test_table1_optimum(self, table1):
@@ -204,7 +211,7 @@ class TestSolveExhaustive:
 
     def test_limit_guard_names_the_limit(self, table1):
         # The count stops once it passes the limit, so the message names the limit, not the count.
-        with pytest.raises(SearchBudgetError, match="^distinct assignment count exceeds the enumeration limit 100$"):
+        with pytest.raises(GuardError, match="^distinct assignment count exceeds the enumeration limit 100$"):
             solve_exhaustive(table1, limit=100)
         assert solve_exhaustive(table1, limit=TABLE1_ASSIGNMENT_COUNT).evaluated_count == TABLE1_ASSIGNMENT_COUNT
 
@@ -214,7 +221,7 @@ class TestSolveExhaustive:
         scenario = dataclasses.replace(scenario, relays=tuple(dataclasses.replace(r, capacity=100) for r in scenario.relays))
         scenario.layout   # the layout's cost is not the guard's
         start = time.perf_counter()
-        with pytest.raises(SearchBudgetError):
+        with pytest.raises(GuardError):
             solve_exhaustive(scenario)
         assert time.perf_counter() - start < 0.5
 
@@ -233,7 +240,7 @@ class TestSolveExhaustive:
             raise AssertionError("a partition was enumerated before the limit guard")
 
         monkeypatch.setattr(search_module, "enumerate_partitions", refuse)
-        with pytest.raises(SearchBudgetError) as err:
+        with pytest.raises(GuardError) as err:
             solve_exhaustive(uncapped_scenario(60, 6))
         assert "exceeds the enumeration limit 10000000" in str(err.value)
 

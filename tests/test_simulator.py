@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from freshcache import (
     CacheScheme,
     DomainError,
+    GuardError,
     Scenario,
     SimEstimate,
-    SimulationScaleError,
     file_freshness,
     simulate_file,
     simulate_system,
@@ -141,7 +141,7 @@ class TestSimulateFile:
         assert 10 * 12 * 1e5 <= simulator._MAX_STREAM_EVENTS <= 1e8
         # Each of the three streams is checked, the relay's too.
         for rates in ((12.0, 1.0, 1.0), (1.0, 12.0, 1.0), (1.0, 1.0, 12.0)):
-            with pytest.raises(SimulationScaleError):
+            with pytest.raises(GuardError):
                 simulate_file(*rates, horizon=1e16, seed=0)
 
     @staticmethod
@@ -318,7 +318,7 @@ class TestSimulateSystem:
         calls = []
         monkeypatch.setattr(simulator, "_event_pieces", lambda *args: calls.append(args))   # every stream's draws
         rates = {**REFERENCE_RATES, table1.holding_pairs[-1]: 1e3}
-        with pytest.raises(SimulationScaleError):
+        with pytest.raises(GuardError):
             simulate_system(table1, reference_scheme, rates, horizon=1e5, seed=0)
         assert calls == []
 

@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freshcache import SimulationScaleError, simulate_file
+from freshcache import GuardError, simulate_file
 from freshcache.model import check_non_negative, check_positive
 from freshcache.simulator import _BATCHES, _MAX_STREAM_EVENTS, _T_CRIT_19, _event_pieces
 
@@ -73,14 +73,14 @@ class ReferenceEstimate:
 def reference_simulate_file(user_rate: float, server_rate: float, relay_rate: float, horizon: float, seed: int) -> ReferenceEstimate:
     """Simulate one holding and estimate the long-run freshness fraction.
 
-    Raises SimulationScaleError, before any draw, if a stream's rate * horizon exceeds ``_MAX_STREAM_EVENTS``.
+    Raises GuardError, before any draw, if a stream's rate * horizon exceeds ``_MAX_STREAM_EVENTS``.
     """
     check_positive("user_rate", user_rate)
     check_positive("server_rate", server_rate)
     check_non_negative("relay_rate", relay_rate)
     check_positive("horizon", horizon)
     if max(user_rate, server_rate, relay_rate) * horizon > _MAX_STREAM_EVENTS:
-        raise SimulationScaleError(f"horizon {horizon:g} makes a stream expect over {_MAX_STREAM_EVENTS} events")
+        raise GuardError(f"horizon {horizon:g} makes a stream expect over {_MAX_STREAM_EVENTS} events")
     rng = np.random.default_rng(seed)
     # Stream draw order is fixed so a seed fully determines the run.
     server_t = _event_times(rng, server_rate, horizon)
