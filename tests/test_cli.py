@@ -726,6 +726,9 @@ EXIT_CASES += [
     ("OSError", OSError("boom"), 5),
     ("FileNotFoundError", FileNotFoundError("boom"), 5),
 ]
+# One GuardError case per guard (search, oracle, simulator), each under the name of the
+# error class that guard raised before the three were merged into GuardError.
+EXIT_CASES += [(name, GuardError("boom"), 4) for name in ("SearchBudgetError", "OracleScaleError", "SimulationScaleError")]
 
 
 @pytest.mark.parametrize("exc, expected", [case[1:] for case in EXIT_CASES], ids=[case[0] for case in EXIT_CASES])
