@@ -17,9 +17,9 @@ from pathlib import Path
 from .errors import DomainError, FreshCacheError, GuardError, InfeasibleError, ScenarioValidationError
 from .freshness import file_freshness, system_freshness, user_freshness
 from .model import INFEASIBILITY_CODES, Scenario, check_positive, validate_scheme, with_scaled_rates
-from .oracle import brute_force_assignments
+from .oracle import brute_force_assignments, check_oracle_limits
 from .rate_alloc import allocate, kkt_check
-from .search import SolveResult, relay_inputs, solve_exhaustive, solve_sampled
+from .search import SolveResult, check_enumeration_limit, relay_inputs, solve_exhaustive, solve_sampled
 from .scenario_io import (
     _TABLE_HEADER,
     load_scenario,
@@ -193,6 +193,8 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[str, int]:
 def _cmd_verify(scenario: Scenario, args) -> tuple[str, int]:
     check_positive("threads", args.threads, True)   # accepted and ignored, but checked as solve checks it
     scenario.layout   # the search's first check, cached: a budget out of scale exits 2 before the oracle's guard
+    check_oracle_limits(scenario)   # then both guards, so neither solver runs on an instance the other refuses
+    check_enumeration_limit(scenario, allow_empty_relay=args.allow_empty_relay)
     reference = brute_force_assignments(scenario, allow_empty_relay=args.allow_empty_relay)
     solver = solve_exhaustive(scenario, allow_empty_relay=args.allow_empty_relay)
     objectives_match = solver.objective.sum_form == reference.objective.sum_form

@@ -1,17 +1,22 @@
 """Slow, independent reference placement used to cross-check the exhaustive search.
 
-``brute_force_assignments`` scores the raw K**H assignment product in one
-numpy pass, sharing no enumeration or scoring code with the search module,
-only its input, ``Scenario.layout``.  It reads each relay's holding counts
-and block keys off the product as sums of one value per holding, gives each
-distinct block a dense slot, and water-fills every relay's blocks of one size
-in one ``waterfill_rows`` call, the batched pass the search's block tables
-use.  It is deliberately small-scale and guarded.  Its rates come from the
-water-fill the search uses, so ``verify`` certifies them separately, with
+``brute_force_assignments`` scores every raw assignment of the K**H product
+with numpy, sharing no enumeration or scoring code with the search module,
+only its input, ``Scenario.layout``.  It walks the product a chunk at a time,
+so its memory does not grow with the product: a chunk is one prefix of the
+leading digits times every vector of the trailing ones.  Each relay's
+block is keyed by its H-bit holding mask, and every block a feasible vector
+can hold is water-filled up front, every relay's blocks of one size in one
+``waterfill_rows`` call, the batched pass the search's block tables use.  It
+is deliberately small-scale and guarded.  Its rates come from the water-fill
+the search uses, so ``verify`` certifies them separately, with
 ``rate_alloc.kkt_check``.
 """
 
 from __future__ import annotations
+
+import itertools
+from math import comb
 
 import numpy as np
 
@@ -21,17 +26,26 @@ from .model import Scenario
 from .rate_alloc import waterfill_rows
 from .search import make_solve_result
 
-BRUTE_FORCE_LIMIT = 100_000
+BRUTE_FORCE_LIMIT = 50_000_000
+RELAY_PASS_LIMIT = 3 * BRUTE_FORCE_LIMIT   # K * K**H: every chunk takes a pass per relay over its vectors
+MASK_BITS = 16   # at K >= 2 a relay's block is looked up by its H-bit mask in a table of 2**H slots per relay
+_CHUNK = 1 << 13   # most tail vectors in a chunk; its per-relay arrays stay under 64 times that many cells
 
 
-def _product_sum(rows) -> np.ndarray:
-    """Entry j is the sum over holdings p of rows[p][digit p of vector j], for the whole K**H product.
+def check_oracle_limits(scenario: Scenario) -> None:
+    """Raise GuardError, naming the quantity and its limit, before any array is built, for a pass too large to run.
 
-    Built from the last holding outward, so the long axis stays innermost."""
-    acc = rows[-1]
-    for row in rows[-2::-1]:
-        acc = (row[:, None] + acc).ravel()
-    return acc
+    The limits bound the raw K**H product, a pass per relay over it, and the
+    holding-mask table; K = 1 has one block and needs no table.
+    """
+    k, h = scenario.n_relays, len(scenario.holding_pairs)
+    raw_total = k**h
+    if raw_total > BRUTE_FORCE_LIMIT:
+        raise GuardError(f"{raw_total} raw assignments exceed the oracle limit {BRUTE_FORCE_LIMIT}")
+    if k * raw_total > RELAY_PASS_LIMIT:
+        raise GuardError(f"{k} relays x {raw_total} raw assignments exceed the oracle limit {RELAY_PASS_LIMIT}")
+    if k > 1 and h > MASK_BITS:
+        raise GuardError(f"{h} holdings over {k} relays exceed the oracle's holding-mask limit {MASK_BITS}")
 
 
 def brute_force_assignments(
@@ -41,88 +55,89 @@ def brute_force_assignments(
 ):
     """Exhaustively try every raw relay assignment of every holding; returns a SolveResult.
 
-    The K**H product is an (H, K**H) array of relay indices in the smallest
-    unsigned type that fits K - 1, columns in ``itertools.product`` order,
-    less those that break a capacity or leave a relay empty.  A relay's
-    holding counts and block keys are sums over the product, one value per
-    holding: the key is the base-K number whose digit p is 1 where holding p
-    sits on the relay, so distinct blocks get distinct keys.  Each key present
-    gets a dense slot and its block is read off one vector that holds it.
-    Every relay's blocks of one size go through one ``waterfill_rows`` call,
-    holdings in ``Scenario.layout``'s order, a budget per row, so rates are
-    ``allocate``'s bit for bit; each column is scored with
-    ``system_freshness``'s float expression in its order, so values are the
-    public API's bit for bit.  ``argmax`` takes the first maximum: ties
-    resolve to the lexicographically smallest vector.  Raises InfeasibleError
-    and DomainError as the solvers do, and GuardError past
-    ``BRUTE_FORCE_LIMIT`` raw assignments or 256 times that many relay passes
-    over them.
+    Vectors are the K**H product in ``itertools.product`` order, less those
+    that break a capacity or leave a relay empty.  The last t digits, with
+    K**t at most ``_CHUNK`` vectors, are the tail: its per-relay holding
+    counts and masks are built once, and a chunk, one prefix of the leading
+    digits times the whole tail, adds the prefix's own, whose bits are
+    disjoint from the tail's.  A relay's mask sets bit p where holding p sits
+    on it, so it keys the relay's block.  A block of c holdings appears on
+    relay k exactly when c fits relay k and the other H - c holdings fit the
+    other relays, so every such block is filled up front, once: one
+    ``waterfill_rows`` call per block size over every relay, holdings in
+    ``Scenario.layout``'s order, a budget per row, so rates are
+    ``allocate``'s bit for bit.  Each holding's term is computed
+    once per block, and a chunk's vectors add them user by user in
+    ``system_freshness``'s order, so values are the public API's bit for
+    bit.  The running maximum, the trace and the first maximum carry from
+    chunk to chunk: ties resolve to the lexicographically smallest vector.
+    Raises InfeasibleError and DomainError as the solvers do, and GuardError
+    past one of ``check_oracle_limits``' limits.
     """
     pairs = scenario.holding_pairs
     k, h = scenario.n_relays, len(pairs)
     if k == 0 or not pairs:
         raise InfeasibleError("scenario has no holdings or no relays to assign them to")
-    raw_total = k**h
-    if raw_total > BRUTE_FORCE_LIMIT:
-        raise GuardError(f"{raw_total} raw assignments exceed the oracle limit {BRUTE_FORCE_LIMIT}")
-    if k * raw_total > 256 * BRUTE_FORCE_LIMIT:   # a pass per relay over the product, a K x (feasible vectors) slot table
-        raise GuardError(f"{k} relays x {raw_total} raw assignments exceed the oracle limit {256 * BRUTE_FORCE_LIMIT}")
-
-    # Row p repeats each relay k**(h-1-p) times, so the last holding varies fastest; column j is vector j.
-    raw = np.empty((h, raw_total), dtype=np.min_scalar_type(k - 1))
-    for p in range(h):
-        raw[p].reshape(k**p, k, -1)[...] = np.arange(k, dtype=raw.dtype)[:, None]
-    feasible = np.ones(raw_total, dtype=bool)
-    for idx, relay in enumerate(scenario.relays):
-        count = _product_sum([(np.arange(k) == idx).astype(np.min_scalar_type(h))] * h)
-        feasible &= (count >= (0 if allow_empty_relay else 1)) & (count <= relay.capacity)
-    feasible = np.flatnonzero(feasible)
-    evaluated = len(feasible)
-    if evaluated == 0:
+    check_oracle_limits(scenario)
+    lo, caps = (0 if allow_empty_relay else 1), [min(r.capacity, h) for r in scenario.relays]
+    room = sum(caps)
+    if room < h or lo * k > h or min(caps) < lo:
         raise InfeasibleError("no feasible cache scheme under the capacity constraints")
-    raw = raw.take(feasible, axis=1)
 
-    # Keys are at most sum(place): below K**H for K >= 2, H for K = 1.  So a dense table maps each to
-    # one vector holding its block, and the keys present, in ascending order, are the relay's slots.
-    # slot_of[relay, j] is vector j's slot; a block row marks its holdings in sort_key order.
-    order, weights, server_rates = scenario.layout[:3]
-    place = k ** np.arange(h - 1, -1, -1, dtype=np.intp)
-    columns = np.arange(evaluated)
-    blocks, slot_of = [], np.empty((k, evaluated), dtype=np.intp)
-    for idx in range(k):
-        keys = _product_sum(place[:, None] * (np.arange(k) == idx)).take(feasible)
-        holder = np.full(int(place.sum()) + 1, evaluated)
-        holder[keys] = columns
-        present = holder < evaluated
-        slot_of[idx] = (np.cumsum(present) + (sum(map(len, blocks)) - 1))[keys]
-        blocks.append((raw[order[:, None], holder[present]] == idx).T)
-    slot_relay = np.repeat(np.arange(k), [len(b) for b in blocks])
-    blocks = np.concatenate(blocks)
-    budgets = np.array([r.rate_budget for r in scenario.relays])[slot_relay]
-    sizes = blocks.sum(axis=1)
-    table = np.zeros((len(blocks), h))
-    for c in np.unique(sizes[sizes > 0]).tolist():
-        slots = np.flatnonzero(sizes == c)
-        cols = (np.flatnonzero(blocks[slots]) % h).reshape(len(slots), c)
-        table[slots[:, None], order[cols]] = waterfill_rows(weights[cols], server_rates[cols], budgets[slots])
-    rate_of, slot_of = table.T, slot_of.ravel()
+    # Block c-subsets of layout positions, relay by relay for each c; slot_of[idx, mask] is a block's row.
+    order, weights, server_rates, mus, coef = scenario.layout
+    bit = 1 << np.arange(h) if k > 1 else np.zeros(h, dtype=np.intp)   # K = 1: one block, one mask
+    sizes = [
+        (c, [idx for idx in range(k) if c <= caps[idx] and lo * (k - 1) <= h - c <= room - caps[idx]])
+        for c in range(max(lo, 1), h + 1)
+    ]
+    sizes = [(c, np.array(ks)) for c, ks in sizes if ks]
+    slot_of = np.zeros((k, int(bit.sum()) + 1), dtype=np.intp)
+    terms = np.zeros((h, sum(len(ks) * comb(h, c) for c, ks in sizes)))   # terms[p, row]: holding p's, on its row
+    budgets, first = np.array([r.rate_budget for r in scenario.relays]), 0
+    for c, ks in sizes:
+        cols = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(h), c)), np.intp).reshape(-1, c)
+        rows = first + np.arange(len(ks) * len(cols))
+        slot_of[ks[:, None], bit[order[cols]].sum(axis=1)] = rows.reshape(len(ks), -1)
+        cols, rel = np.tile(cols, (len(ks), 1)), np.repeat(ks, len(cols))
+        r = waterfill_rows(weights[cols], server_rates[cols], budgets[rel])
+        terms[order[cols], rows[:, None]] = coef[cols, rel[:, None]] * (mus[cols] * (r / (r + server_rates[cols])))
+        first += len(cols)
 
-    # A holding's term depends only on its slot, whose relay is known: score each slot once, gather per
-    # column through the flat slot table, where vector j's slot on relay idx sits at idx * evaluated + j.
-    values, p = np.zeros(evaluated), 0
-    for user in scenario.users:
-        user_total = np.zeros(evaluated)
-        prefs = np.array(user.relay_prefs)[slot_relay]
-        for holding in user.holdings:
-            e, r = scenario.entries[pairs[p]], rate_of[p]
-            term = (holding.request_prob * prefs) * (e.mu * (r / (r + e.server_rate)))
-            user_total += term[slot_of[raw[p].astype(np.intp) * evaluated + columns]]
-            p += 1
-        values += user_total
-
-    # The trace keeps each vector that beats every earlier one, numbered from 1 like evaluated_count.
-    improving = np.flatnonzero(values > np.concatenate(([-np.inf], np.maximum.accumulate(values)[:-1])))
-    trace = [(int(i) + 1, float(values[i])) for i in improving]
-    best = int(np.argmax(values))
-    best_val, best_vector = float(values[best]), tuple(int(v) + 1 for v in raw[:, best])
-    return make_solve_result(scenario, best_vector, ObjectiveValue.of_sum(best_val, scenario), trace, evaluated)
+    t = max(t for t in range(h + 1) if k**t <= _CHUNK and k ** (t + 1) <= 64 * _CHUNK)
+    width, head_bits = k**t, bit[: h - t]
+    # Tail digit q of vector j is d on the d-th of k runs inside each of its k**q runs; q's bit then counts for d.
+    tail_at, tail_counts = np.empty((t, width), dtype=np.int32), np.zeros((k, width), dtype=np.min_scalar_type(t))
+    tail_keys = np.zeros((k, width), dtype=np.int32)
+    for q, b in enumerate(bit[h - t :]):
+        tail_at[q].reshape(k**q, k, -1)[...] = np.arange(k)[:, None]
+        for d in range(k):
+            tail_counts[d].reshape(k**q, k, -1)[:, d] += 1
+            tail_keys[d].reshape(k**q, k, -1)[:, d] += b
+    tail_keys += np.arange(k)[:, None] * slot_of.shape[1]   # keys into the flat slot_of
+    tail_at *= width
+    tail_at += np.arange(width)   # tail holding q's own relay's entry in a flat (K, width) array
+    caps = np.array(caps)[:, None]
+    users = [len(u.holdings) for u in scenario.users]
+    best, trace, evaluated = -np.inf, [], 0
+    for head in itertools.product(range(k), repeat=h - t):
+        counts = np.bincount(head, minlength=k)[:, None]
+        cols = np.flatnonzero(((tail_counts >= lo - counts) & (tail_counts <= caps - counts)).all(axis=0))
+        # Each relay's block row for every tail vector; holding p's term is read at its own relay's.
+        slots = slot_of.take(tail_keys + np.bincount(head, head_bits, k).astype(np.intp)[:, None]).ravel()
+        at = itertools.chain((cols + d * width for d in head), (q.take(cols) for q in tail_at))
+        found = (term.take(slots.take(a)) for term, a in zip(terms, at))
+        values = np.zeros(len(cols))
+        for n in users:
+            user_total = np.zeros(len(cols))
+            for term in itertools.islice(found, n):
+                user_total += term
+            values += user_total
+        # The trace keeps each vector that beats every earlier one, numbered from 1 like evaluated_count.
+        improving = np.flatnonzero(values > np.maximum.accumulate(np.concatenate(([best], values)))[:-1])
+        trace += [(evaluated + int(i) + 1, float(values[i])) for i in improving]
+        if len(improving):
+            best, j = values[improving[-1]], cols[improving[-1]]
+            best_vector = tuple(d + 1 for d in head + tuple((tail_at[:, j] // width).tolist()))
+        evaluated += len(cols)
+    return make_solve_result(scenario, best_vector, ObjectiveValue.of_sum(trace[-1][1], scenario), trace, evaluated)

@@ -487,6 +487,15 @@ def make_solve_result(
     )
 
 
+def check_enumeration_limit(scenario: Scenario, *, allow_empty_relay: bool = False, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
+    """The exhaustive search's guard, before any enumeration: the distinct assignment count, or GuardError past ``limit``."""
+    caps = [r.capacity for r in scenario.relays]
+    total = count_assignments(len(scenario.holding_pairs), caps, allow_empty_relay=allow_empty_relay, at_most=limit + 1)
+    if total > limit:   # the count stops once past the limit, so the message names the limit
+        raise GuardError(f"distinct assignment count exceeds the enumeration limit {limit}")
+    return total
+
+
 def solve_exhaustive(
     scenario: Scenario,
     *,
@@ -500,9 +509,7 @@ def solve_exhaustive(
     """
     check_positive("limit", limit, True)
     search = _Search(scenario, allow_empty_relay)
-    total = count_assignments(search.n, search.capacities, allow_empty_relay=allow_empty_relay, at_most=limit + 1)
-    if total > limit:
-        raise GuardError(f"distinct assignment count exceeds the enumeration limit {limit}")
+    total = check_enumeration_limit(scenario, allow_empty_relay=allow_empty_relay, limit=limit)
 
     # Each partition as the keys of the relays that take holdings, in relay order; see the module docstring.
     walk = enumerate_partitions(search.n, search.capacities, allow_empty_relay=allow_empty_relay)

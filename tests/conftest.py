@@ -104,6 +104,15 @@ def uncapped_scenario(n_files: int, n_relays: int, seed: int = 0) -> Scenario:
     return dataclasses.replace(scenario, relays=tuple(dataclasses.replace(r, capacity=n_files) for r in scenario.relays))
 
 
+def capped_instance(n_files: int, capacities: list[int]) -> Scenario:
+    """The instance ``n{n_files}k{K}`` with the listed relay capacities: the benchmark's seed-1, 4-user draw for that name."""
+    label = f"n{n_files}k{len(capacities)}"
+    scenario = random_scenario(random.Random(f"1:{label}"), n_files, 4, len(capacities))
+    return dataclasses.replace(
+        scenario, relays=tuple(dataclasses.replace(r, capacity=c) for r, c in zip(scenario.relays, capacities))
+    )
+
+
 def make_allocation_input(rng: random.Random, n_entries: int) -> AllocationInput:
     """Seeded random single-relay allocation problem."""
     entries = tuple(

@@ -12,6 +12,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from freshcache.model import Violation
 from freshcache.scenario_io import serialize_rates, serialize_scheme
 
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_RATES
-from conftest import random_scenario, uncapped_scenario
+from conftest import capped_instance, random_scenario, uncapped_scenario
 
 from freshcache import CacheScheme
 
@@ -542,16 +543,63 @@ class TestVerifyCommand:
         assert certified == [False] + [True] * (len(_kkt_lines(kept)) - 1)
 
     def test_scale_guard_exit_code(self, tmp_path, monkeypatch, capsys):
-        # The oracle refuses 3**12 raw assignments at once, so the search never runs.
+        # The oracle refuses 3**17 raw assignments at once, so the search never runs.
         rng = random.Random(13)
-        scenario = random_scenario(rng, n_files=12, n_users=2, n_relays=3)
+        scenario = random_scenario(rng, n_files=17, n_users=2, n_relays=3)
         path = tmp_path / "big.yaml"
         path.write_text(serialize_scenario(scenario))
         monkeypatch.setattr(freshcache.cli, "solve_exhaustive", _no_solve)
         code = main(["verify", "--scenario", str(path)])
         captured = capsys.readouterr()
         assert code == 4
-        assert captured.err == "error: 531441 raw assignments exceed the oracle limit 100000\n"
+        assert captured.err == "error: 129140163 raw assignments exceed the oracle limit 50000000\n"
+
+    def test_an_infeasible_instance_past_the_oracle_limit_exits_4(self, tmp_path, monkeypatch, capsys):
+        # 11 relays cannot each take one of 10 holdings; the guards run before either solver finds that out.
+        path = tmp_path / "big.yaml"
+        path.write_text(serialize_scenario(random_scenario(random.Random(13), n_files=10, n_users=2, n_relays=11)))
+        monkeypatch.setattr(freshcache.cli, "solve_exhaustive", _no_solve)
+        assert main(["verify", "--scenario", str(path)]) == 4
+        assert capsys.readouterr().err == "error: 25937424601 raw assignments exceed the oracle limit 50000000\n"
+
+    def test_oracle_guard_runs_before_the_search_guard(self, tmp_path, monkeypatch, capsys):
+        # Both guards refuse 60 uncapped holdings over 6 relays; the oracle's speaks first.
+        path = tmp_path / "uncapped.yaml"
+        path.write_text(serialize_scenario(uncapped_scenario(60, 6)))
+        monkeypatch.setattr(freshcache.cli, "solve_exhaustive", _no_solve)
+        assert main(["verify", "--scenario", str(path)]) == 4
+        assert capsys.readouterr().err == f"error: {6**60} raw assignments exceed the oracle limit 50000000\n"
+
+    def test_search_guard_runs_before_the_oracle(self, tmp_path, monkeypatch, capsys):
+        # n16k3 6/6/6: the oracle admits its 43.0M raw assignments, but the search refuses its 11.1M
+        # distinct ones, so verify exits before the oracle's seconds of work.
+        path = tmp_path / "n16k3.yaml"
+        path.write_text(serialize_scenario(capped_instance(16, [6, 6, 6])))
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(freshcache.cli, "brute_force_assignments", no_oracle)
+        monkeypatch.setattr(freshcache.cli, "solve_exhaustive", _no_solve)
+        start = time.perf_counter()
+        code = main(["verify", "--scenario", str(path)])
+        assert time.perf_counter() - start < 0.5
+        assert code == 4
+        assert capsys.readouterr() == ("", "error: distinct assignment count exceeds the enumeration limit 10000000\n")
+
+    def test_n15k3_passes(self, tmp_path, capsys):
+        # 14.3M raw assignments, with 5,005-row block tables that span two of the search's chunks.
+        path = tmp_path / "n15k3.yaml"
+        path.write_text(serialize_scenario(capped_instance(15, [6, 6, 6])))
+        assert main(["verify", "--scenario", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:4] == [
+            "exhaustive_objective=0.179583149184",
+            "oracle_objective=0.179583149184",
+            "objectives_match=True",
+            "assignments_match=True",
+        ]
+        assert lines[-1] == "verify=PASS"
 
     @pytest.mark.parametrize("steps, expected", [("0", 2), ("-3", 2), ("5", 2)])
     @pytest.mark.parametrize("scenario", ["table1", "all-skipped"])

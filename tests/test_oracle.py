@@ -1,10 +1,12 @@
 """Tests for the brute-force reference implementations."""
 
+import ast
 import itertools
 import math
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from freshcache import (
 
 from freshcache.search import count_assignments, relay_inputs
 
-from conftest import REFERENCE_ASSIGNMENT, make_allocation_input, random_scenario
+from conftest import REFERENCE_ASSIGNMENT, capped_instance, make_allocation_input, random_scenario
 from grid_oracle import GRID_MAX_STEPS, GRID_ROW_BLOCK, grid_allocate
 
 
@@ -251,10 +253,16 @@ class TestBruteForceAssignments:
             brute_force_assignments(scenario)
 
     def test_scale_guard(self):
-        # 2**17 = 131,072 raw assignments exceed BRUTE_FORCE_LIMIT; the guard trips before any array is built.
+        # 3**17 = 129,140,163 raw assignments exceed BRUTE_FORCE_LIMIT; the guard trips before any array is built.
         rng = random.Random(3)
-        scenario = random_scenario(rng, n_files=17, n_users=2, n_relays=2)
-        with pytest.raises(GuardError, match="131072 raw assignments exceed the oracle limit 100000"):
+        scenario = random_scenario(rng, n_files=17, n_users=2, n_relays=3)
+        with pytest.raises(GuardError, match="^129140163 raw assignments exceed the oracle limit 50000000$"):
+            brute_force_assignments(scenario)
+
+    def test_mask_guard(self):
+        # 2**17 = 131,072 raw assignments pass the raw limit, but a relay's block key would need 17 mask bits.
+        scenario = random_scenario(random.Random(3), n_files=17, n_users=2, n_relays=2)
+        with pytest.raises(GuardError, match="^17 holdings over 2 relays exceed the oracle's holding-mask limit 16$"):
             brute_force_assignments(scenario)
 
     @pytest.mark.parametrize(
@@ -341,17 +349,44 @@ class TestBruteForceAssignments:
         assert result.evaluated_count == count_assignments(2, [1] * k, allow_empty_relay=True) == k * (k - 1)
         assert result.best_scheme.assignment == {(1, 1): k - 1, (1, 2): k}
 
+    def test_chunks_stay_bounded_at_many_relays(self):
+        # One holding over 1,000 relays: a chunk of all 1,000 vectors would hold a million relay-vector
+        # cells per array, past 64 * _CHUNK, so each chunk is one vector instead.
+        scenario = self._many_relays(1, 1000)
+        scenario.layout
+        tracemalloc.start()
+        try:
+            result = brute_force_assignments(scenario, allow_empty_relay=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.best_scheme.assignment == {(1, 1): 1000}
+        assert peak < 4 * 2**20
+
     def test_relay_passes_guard_trips_before_any_array(self):
-        # 10,000 raw assignments pass the raw limit, but a pass per relay over them and a 10,000 x 10,000
-        # slot table would take seconds and most of a gigabyte; K * K**H past 256 * BRUTE_FORCE_LIMIT exits at once.
-        scenario = self._many_relays(1, 10_000)
+        # 20,000 raw assignments pass the raw limit, but a pass per relay over each of them would make
+        # 400M relay-vector cells; K * K**H past RELAY_PASS_LIMIT exits at once.
+        scenario = self._many_relays(1, 20_000)
         start = time.perf_counter()
-        with pytest.raises(GuardError, match="^10000 relays x 10000 raw assignments exceed the oracle limit 25600000$"):
+        with pytest.raises(GuardError, match="^20000 relays x 20000 raw assignments exceed the oracle limit 150000000$"):
             brute_force_assignments(scenario, allow_empty_relay=True)
         assert time.perf_counter() - start < 0.1
 
+    def test_peak_memory_does_not_grow_with_the_product(self):
+        # n12k3 4/4/4 has 531,441 raw assignments; held at once with their slot table they took about 10 MiB.
+        scenario = capped_instance(12, [4, 4, 4])
+        scenario.layout   # the layout's arrays are the scenario's, not the oracle's
+        tracemalloc.start()
+        try:
+            result = brute_force_assignments(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.evaluated_count == math.factorial(12) // math.factorial(4) ** 3
+        assert peak < 5 * 2**20
+
     def test_one_relay_with_70_holdings_fills_one_block(self, monkeypatch):
-        # 70 holdings on one relay: every base-K digit of the key is 1, so the one block must hold them all.
+        # 70 holdings on one relay: no 2**70 mask table, and the one block must hold them all.
         scenario = random_scenario(random.Random(15), n_files=70, n_users=5, n_relays=1)
         shapes = []
         original = freshcache.oracle.waterfill_rows
@@ -366,3 +401,19 @@ class TestBruteForceAssignments:
         assert result.evaluated_count == 1
         assert set(result.best_scheme.assignment.values()) == {1}
         assert result.objective.sum_form == evaluate_scheme(scenario, result.best_scheme)[0].sum_form
+
+
+def test_oracle_imports_only_the_result_packaging_and_the_batched_water_fill():
+    # The oracle is the search's independent check: from the search it may take only the packaging of a
+    # result, and from rate_alloc only the water-fill.  Sharing more must show up as a change to this test.
+    tree = ast.parse(Path(freshcache.oracle.__file__).read_text())
+    shared = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("freshcache") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("freshcache")):
+            module = (node.module or "").removeprefix("freshcache").lstrip(".")
+            for alias in node.names:
+                shared.setdefault(module or alias.name, set()).add(alias.name)
+    assert shared["search"] == {"make_solve_result"}
+    assert shared["rate_alloc"] == {"waterfill_rows"}

@@ -1,12 +1,12 @@
 """The brute-force oracle against a plain loop over its assignments.
 
-``brute_force_assignments`` scores the whole K**H product in one numpy pass
-and water-fills each distinct (relay, block) pair once, a ``waterfill_rows``
-row per block and one call per block size.  The reference below walks
-``itertools.product``, calls the public ``allocate`` afresh for every relay
-of every feasible assignment and scores each one through
-``system_freshness``, so objective, best vector, trace and evaluation count
-must all match exactly.
+``brute_force_assignments`` walks the K**H product a chunk at a time and
+water-fills each (relay, block) pair a feasible vector can hold once, a
+``waterfill_rows`` row per block and one call per block size.  The
+reference below walks ``itertools.product``, calls the public ``allocate``
+afresh for every relay of every feasible assignment and scores each one
+through ``system_freshness``, so objective, best vector, trace and
+evaluation count must all match exactly.
 """
 
 import dataclasses
@@ -29,6 +29,7 @@ from freshcache import (
     allocate,
     brute_force_assignments,
     evaluate_scheme,
+    fixture_path,
     load_scenario,
     solve_exhaustive,
     system_freshness,
@@ -107,9 +108,9 @@ CASES = {
     "k1": (lambda: random_scenario(random.Random(11), 8, 3, 1), False),
     "k2-n14-7/7": (lambda: _with_capacities(random_scenario(random.Random(12), 14, 4, 2), [7, 7]), False),
     "n8k4": (lambda: _with_capacities(random_scenario(random.Random(13), 8, 3, 4), [3, 2, 2, 2]), False),
-    # One raw vector, but 70 holdings: with K = 1 every base-K place value is 1, so the key is the count.
+    # One raw vector, but 70 holdings: too many for a 2**H mask table, so K = 1's one block takes mask 0.
     "k1-h70": (lambda: random_scenario(random.Random(15), 70, 5, 1), False),
-    # 65,536 raw vectors: the largest K = 2 product under the default limit.
+    # 65,536 raw vectors: the largest K = 2 product under the 16-holding mask limit.
     "k2-n16-8/8": (lambda: _with_capacities(random_scenario(random.Random(16), 16, 4, 2), [8, 8]), False),
     # Base-K block keys with digits up to K - 1 = 4, 5 and 7.
     "k5-h3-allow-empty": (lambda: _wide(5, 3), True),
@@ -266,3 +267,40 @@ def test_block_keys_fill_each_distinct_block_once_in_sort_key_order(data):
     assert len(filled) == len(set(filled))
     assert {(idx, frozenset(block)) for idx, block in filled} == want
     assert all(list(block) == sorted(block, key=lambda p: sort_key(entries[p])) for _, block in filled)
+
+
+def _chunked(scenario, allow_empty_relay, chunk):
+    """The oracle's result with ``_CHUNK`` set to ``chunk``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(freshcache.oracle, "_CHUNK", chunk)
+        return brute_force_assignments(scenario, allow_empty_relay=allow_empty_relay)
+
+
+FIXTURES = sorted(path.stem for path in fixture_path("table1").parent.glob("*.yaml"))
+
+# Chunks of 1 and 3 vectors put every digit, or all but one, in the leading prefix; 40 puts 3 of table1's 10
+# digits in the tail, and the default 8.  The chunks split the product differently, never the result.
+CHUNKS = [1, 3]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_chunk_size_leaves_table1_unchanged(chunk):
+    table1 = load_scenario("table1")
+    assert _chunked(table1, False, chunk) == brute_force_assignments(table1)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_chunk_size_leaves_each_fixture_unchanged(fixture):
+    scenario = load_scenario(fixture)
+    for allow_empty_relay in (False, True):
+        want = brute_force_assignments(scenario, allow_empty_relay=allow_empty_relay)
+        assert _chunked(scenario, allow_empty_relay, 40) == want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_chunk_size_leaves_random_scenarios_unchanged(data):
+    scenario, allow_empty_relay = _draw_scenario(data)
+    want = brute_force_assignments(scenario, allow_empty_relay=allow_empty_relay)
+    for chunk in CHUNKS:
+        assert _chunked(scenario, allow_empty_relay, chunk) == want

@@ -540,7 +540,7 @@ class TestRelayMemo:
     @given(data=st.data())
     def test_exhaustive_equals_brute_force(self, data):
         n_relays = data.draw(st.integers(1, 4))
-        # Largest file count whose raw n_relays**n_files stays within the oracle's limit, capped at 9.
+        # At most 9 files, and 8 at K = 4 (65,536 raw assignments), keep the oracle's run time short.
         n_files = data.draw(st.integers(n_relays, 8 if n_relays == 4 else 9))
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         scenario = random_scenario(rng, n_files, rng.randint(1, n_files), n_relays)
