@@ -18,8 +18,8 @@ from .errors import DomainError, FreshCacheError, GuardError, InfeasibleError, S
 from .freshness import file_freshness, system_freshness, user_freshness
 from .model import INFEASIBILITY_CODES, Scenario, check_positive, validate_scheme, with_scaled_rates
 from .oracle import brute_force_assignments, check_oracle_limits
-from .rate_alloc import allocate, kkt_check
-from .search import SolveResult, check_enumeration_limit, relay_inputs, solve_exhaustive, solve_sampled
+from .rate_alloc import kkt_check
+from .search import SolveResult, check_enumeration_limit, evaluate_scheme, relay_inputs, solve_exhaustive, solve_sampled
 from .scenario_io import (
     _TABLE_HEADER,
     load_scenario,
@@ -125,37 +125,28 @@ def _cmd_solve(scenario: Scenario, args) -> tuple[str, int]:
     return text, EXIT_OK
 
 
-def _kkt_line(relay_id: int, alloc_input, alloc) -> tuple[str, bool]:
-    """One relay's diagnostics and KKT residuals as ``allocate`` and ``verify`` print them, and whether they certify."""
-    report = kkt_check(alloc_input, alloc)
-    diag = alloc.diagnostics
-    line = (
-        f"relay={relay_id} alpha={diag.alpha:.6f} beta={diag.beta:.6f} "
-        f"water_level={diag.water_level:.6f} stationarity={report.stationarity_residual:.3e} "
-        f"budget_slackness={report.budget_slackness_residual:.3e} "
-        f"dual_feasibility={report.dual_feasibility_residual:.3e} satisfied={report.satisfied}"
-    )
-    return line, report.satisfied
+def _relay_lines(scenario: Scenario, scheme, per_relay) -> tuple[list[str], bool]:
+    """Each relay's diagnostics and KKT residuals as ``allocate`` and ``verify`` print them, and whether all certify."""
+    inputs, lines, certified = relay_inputs(scenario, scheme), [], True
+    for relay_id, alloc in sorted(per_relay.items()):
+        report, diag = kkt_check(inputs[relay_id], alloc), alloc.diagnostics
+        lines.append(
+            f"relay={relay_id} alpha={diag.alpha:.6f} beta={diag.beta:.6f} "
+            f"water_level={diag.water_level:.6f} stationarity={report.stationarity_residual:.3e} "
+            f"budget_slackness={report.budget_slackness_residual:.3e} "
+            f"dual_feasibility={report.dual_feasibility_residual:.3e} satisfied={report.satisfied}"
+        )
+        certified = certified and report.satisfied
+    return lines, certified
 
 
 def _cmd_allocate(scenario: Scenario, args) -> tuple[str, int]:
     scheme = _load_scheme(args.scheme, scenario)
+    per_relay = evaluate_scheme(scenario, scheme)[1]
+    rows = sorted((fid, uid, relay_id, rate) for relay_id, alloc in per_relay.items() for (uid, fid), rate in alloc.rates.items())
     lines = ["file_index,user_index,relay_index,relay_rate"]
-    reports = []
-    inputs = relay_inputs(scenario, scheme)
-    rows = []
-    for relay_id in sorted(inputs):
-        try:
-            alloc = allocate(inputs[relay_id])
-        except DomainError as exc:   # a budget out of scale: name its relay
-            raise DomainError(f"relay {relay_id}: {exc}") from exc
-        for (uid, fid), rate in alloc.rates.items():
-            rows.append((fid, uid, relay_id, rate))
-        reports.append(_kkt_line(relay_id, inputs[relay_id], alloc)[0])
-    rows.sort()
     lines.extend(f"{fid},{uid},{relay_id},{rate:.4f}" for fid, uid, relay_id, rate in rows)
-    lines.extend(reports)
-    return "\n".join(lines) + "\n", EXIT_OK
+    return "\n".join(lines + _relay_lines(scenario, scheme, per_relay)[0]) + "\n", EXIT_OK
 
 
 def _cmd_freshness(scenario: Scenario, args) -> tuple[str, int]:
@@ -206,12 +197,8 @@ def _cmd_verify(scenario: Scenario, args) -> tuple[str, int]:
         f"assignments_match={assignments_match}",
     ]
     # Each relay's rates are certified optimal by their KKT residuals, at any number of holdings.
-    certified = True
-    inputs = relay_inputs(scenario, solver.best_scheme)
-    for relay_id in sorted(solver.best_rates):
-        line, ok = _kkt_line(relay_id, inputs[relay_id], solver.best_rates[relay_id])
-        certified = certified and ok
-        lines.append(f"kkt_check {line}")
+    relay_lines, certified = _relay_lines(scenario, solver.best_scheme, solver.best_rates)
+    lines.extend(f"kkt_check {line}" for line in relay_lines)
     passed = objectives_match and assignments_match and certified
     lines.append(f"verify={'PASS' if passed else 'FAIL'}")
     return "\n".join(lines) + "\n", EXIT_OK if passed else EXIT_MISMATCH

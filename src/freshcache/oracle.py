@@ -8,7 +8,8 @@ leading digits times every vector of the trailing ones.  Each relay's
 block is keyed by its H-bit holding mask, and every block a feasible vector
 can hold is water-filled up front, every relay's blocks of one size in one
 ``waterfill_rows`` call, the batched pass the search's block tables use.  It
-is deliberately small-scale and guarded.  Its rates come from the water-fill
+is deliberately small-scale, guarded on its work, K passes over K**H
+vectors, and on its mask table.  Its rates come from the water-fill
 the search uses, so ``verify`` certifies them separately, with
 ``rate_alloc.kkt_check``.
 """
@@ -26,8 +27,7 @@ from .model import Scenario
 from .rate_alloc import waterfill_rows
 from .search import make_solve_result
 
-BRUTE_FORCE_LIMIT = 50_000_000
-RELAY_PASS_LIMIT = 3 * BRUTE_FORCE_LIMIT   # K * K**H: every chunk takes a pass per relay over its vectors
+RELAY_PASS_LIMIT = 150_000_000   # K * K**H: every chunk takes a pass per relay over its vectors
 MASK_BITS = 16   # at K >= 2 a relay's block is looked up by its H-bit mask in a table of 2**H slots per relay
 _CHUNK = 1 << 13   # most tail vectors in a chunk; its per-relay arrays stay under 64 times that many cells
 
@@ -35,13 +35,11 @@ _CHUNK = 1 << 13   # most tail vectors in a chunk; its per-relay arrays stay und
 def check_oracle_limits(scenario: Scenario) -> None:
     """Raise GuardError, naming the quantity and its limit, before any array is built, for a pass too large to run.
 
-    The limits bound the raw K**H product, a pass per relay over it, and the
-    holding-mask table; K = 1 has one block and needs no table.
+    The limits bound a pass per relay over the raw K**H product and the holding-mask table, which K = 1 does
+    not need, and so the product: one vector at K = 1, 2**16 at K = 2, 150M / K at K >= 3 (3**16 at most).
     """
     k, h = scenario.n_relays, len(scenario.holding_pairs)
     raw_total = k**h
-    if raw_total > BRUTE_FORCE_LIMIT:
-        raise GuardError(f"{raw_total} raw assignments exceed the oracle limit {BRUTE_FORCE_LIMIT}")
     if k * raw_total > RELAY_PASS_LIMIT:
         raise GuardError(f"{k} relays x {raw_total} raw assignments exceed the oracle limit {RELAY_PASS_LIMIT}")
     if k > 1 and h > MASK_BITS:
@@ -72,7 +70,7 @@ def brute_force_assignments(
     bit.  The running maximum, the trace and the first maximum carry from
     chunk to chunk: ties resolve to the lexicographically smallest vector.
     Raises InfeasibleError and DomainError as the solvers do, and GuardError
-    past one of ``check_oracle_limits``' limits.
+    past one of ``check_oracle_limits``' two limits.
     """
     pairs = scenario.holding_pairs
     k, h = scenario.n_relays, len(pairs)

@@ -9,7 +9,7 @@ hill climber that spends an exact evaluation budget.
 Relay k's rates depend only on its block of holdings, so the objective is a
 sum over relays of block values: relay k's water-filled objective terms over
 its block.  ``_evaluate`` water-fills one block; a memo keyed by relay index
-and block bitmask keeps its values, rates included, and is cleared when it
+and block bitmask keeps its values, terms included, and is cleared when it
 reaches ``_MEMO_ENTRIES``: the hill climber revisits recent blocks, a move
 changes two of them, and exhaustive search reads it only for re-scores.
 
@@ -48,14 +48,14 @@ left to right from 0.0, as a loop over the relays would add them.  Its full
 row is built only if it is re-scored.
 
 Block sums only rank candidates.  One that falls below the running best (in
-sampled mode, the climber's current value) by more than a tiny relative
-margin cannot tie it and is only counted; the rest are re-scored through the
-canonical sum, per user in the order of ``system_freshness``, with rates from
-the ``waterfill`` the public ``allocate`` uses.  Reported values, the trace
-and the tie-break come only from that sum, so they match a re-evaluation
-through the public API bit for bit.  A chunk's sums that pass the gate are
-re-checked one by one, but only those at least (1 - 3 margin) times every
-earlier one: ``score`` shows that no other can be re-scored.
+sampled mode, the climber's current value) by more than a tiny relative margin
+cannot tie it and is only counted; the rest are re-scored through the canonical
+sum of their blocks' terms, per user in the order of ``system_freshness``, with
+rates from the ``waterfill`` the public ``allocate`` uses.  Reported values,
+the trace and the tie-break come only from that sum, so they match a
+re-evaluation through the public API bit for bit.  A chunk's sums that pass the
+gate are re-checked one by one, but only those at least (1 - 3 margin) times
+every earlier one: ``score`` shows that no other can be re-scored.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import GuardError, InfeasibleError
+from .errors import DomainError, GuardError, InfeasibleError
 from .freshness import ObjectiveValue, system_freshness
 from .model import CacheScheme, Scenario, check_non_negative, check_positive
 from .rate_alloc import AllocationEntry, AllocationInput, RateAllocation, allocate, waterfill, waterfill_rows
@@ -88,7 +88,7 @@ _MEMO_ENTRIES = 1 << 12
 # Rows the exhaustive scorer fills or builds in one numpy step; see the module docstring.
 _CHUNK_ROWS = 1 << 12
 
-_Block = tuple[float, list[int], list[float], int]   # (block value, ascending holding indices, their rates, bitmask)
+_Block = tuple[float, list[int], list[float], int]   # (block value, ascending holding indices, their terms, bitmask)
 _EMPTY: _Block = (0.0, [], [], 0)   # an empty relay's block, whatever the relay
 
 
@@ -258,7 +258,7 @@ class _Search:
         return hit
 
     def _evaluate(self, k: int, mask: int) -> _Block:
-        """Relay k over the holdings in ``mask``: its objective terms summed in index order, indices, rates, mask."""
+        """Relay k over the holdings in ``mask``: its objective terms summed in index order, indices, terms, mask."""
         idx = []
         bits = mask
         while bits:
@@ -267,26 +267,25 @@ class _Search:
             bits ^= low
         ss = [self.server_rates[i] for i in idx]
         rates = waterfill([self.weights[i] for i in idx], ss, self.budgets[k])[0] if idx else []
-        value = 0.0
-        for i, r, s in zip(idx, rates, ss):
-            value += self.coef[i][k] * (self.mus[i] * (r / (r + s)))
-        return value, idx, rates, mask
+        terms = [self.coef[i][k] * (self.mus[i] * (r / (r + s))) for i, r, s in zip(idx, rates, ss)]
+        value = 0.0   # a loop from 0.0, not sum(), which compensates float sums from Python 3.12 on
+        for term in terms:
+            value += term
+        return value, idx, terms, mask
 
     def offer(self, index: int, parts: Sequence[_Block]) -> float:
         """Canonical value of evaluation ``index``, whose relay k holds ``parts[k]``; a tie keeps the smaller vector."""
-        rates = [0.0] * self.n
+        terms = [0.0] * self.n
         rel_of = [0] * self.n
-        for k, (_value, idx, block_rates, _mask) in enumerate(parts):
-            for i, r in zip(idx, block_rates):
-                rates[i] = r
+        for k, (_value, idx, block_terms, _mask) in enumerate(parts):
+            for i, term in zip(idx, block_terms):
+                terms[i] = term
                 rel_of[i] = k
         val = 0.0
         for plan in self.user_plans:
             acc = 0.0
             for i in plan:
-                r = rates[i]
-                fresh = self.mus[i] * (r / (r + self.server_rates[i]))
-                acc += self.coef[i][rel_of[i]] * fresh
+                acc += terms[i]
             val += acc
         if val >= self.val:
             vec = tuple(rel_of[i] + 1 for i in self.canon_order)
@@ -455,10 +454,15 @@ def relay_inputs(scenario: Scenario, scheme: CacheScheme) -> dict[int, Allocatio
 def evaluate_scheme(scenario: Scenario, scheme: CacheScheme) -> tuple[ObjectiveValue, dict[int, RateAllocation]]:
     """Allocate each relay's budget over its assigned holdings, then score the placement.
 
-    The scheme must be valid for the scenario.  Relays with no holdings are
-    omitted from the returned allocation map.
+    The scheme must be valid for the scenario.  Relays with no holdings are omitted from the returned
+    allocation map.  A DomainError from ``allocate``, such as a budget out of scale, names its relay.
     """
-    per_relay = {relay_id: allocate(alloc_input) for relay_id, alloc_input in relay_inputs(scenario, scheme).items()}
+    per_relay = {}
+    for relay_id, alloc_input in relay_inputs(scenario, scheme).items():
+        try:
+            per_relay[relay_id] = allocate(alloc_input)
+        except DomainError as exc:
+            raise DomainError(f"relay {relay_id}: {exc}") from exc
     flat = {key: r for alloc in per_relay.values() for key, r in alloc.rates.items()}
     return system_freshness(scenario, scheme, flat), per_relay
 

@@ -25,12 +25,16 @@ from freshcache import serialize_scenario
 from freshcache.cli import main
 from freshcache.errors import FreshCacheError, GuardError, InfeasibleError, ScenarioValidationError
 from freshcache.model import Violation
-from freshcache.scenario_io import serialize_rates, serialize_scheme
+from freshcache.scenario_io import fixture_path, load_scenario, serialize_rates, serialize_scheme
+from freshcache.search import solve_exhaustive
 
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_RATES
 from conftest import capped_instance, random_scenario, uncapped_scenario
 
 from freshcache import CacheScheme
+
+
+FIXTURES = sorted(path.stem for path in fixture_path("table1").parent.glob("*.yaml"))
 
 
 @pytest.fixture()
@@ -162,11 +166,15 @@ class TestAllocateCommand:
         assert all("satisfied=True" in l for l in relay_lines)
         assert all("water_level=" in l for l in relay_lines)
 
-    def test_prints_the_certificate_verify_prints(self, scheme_file, capsys):
-        # The scheme is table1's optimum, so both commands certify the same rates on the same relays.
-        assert main(["allocate", "--scenario", "table1", "--scheme", scheme_file]) == 0
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_prints_the_certificate_verify_prints(self, fixture, tmp_path, capsys):
+        # The scheme is the fixture's optimum, so both commands certify the same rates on the same relays:
+        # allocate prints verify's kkt_check lines without the prefix.
+        path = tmp_path / "scheme.yaml"
+        path.write_text(serialize_scheme(solve_exhaustive(load_scenario(fixture)).best_scheme))
+        assert main(["allocate", "--scenario", fixture, "--scheme", str(path)]) == 0
         relay_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("relay=")]
-        assert main(["verify", "--scenario", "table1"]) == 0
+        assert main(["verify", "--scenario", fixture]) == 0
         assert [f"kkt_check {line}" for line in relay_lines] == _kkt_lines(capsys.readouterr().out)
 
     def test_invalid_scheme_exit_code(self, tmp_path, capsys):
@@ -543,7 +551,7 @@ class TestVerifyCommand:
         assert certified == [False] + [True] * (len(_kkt_lines(kept)) - 1)
 
     def test_scale_guard_exit_code(self, tmp_path, monkeypatch, capsys):
-        # The oracle refuses 3**17 raw assignments at once, so the search never runs.
+        # The oracle refuses 3 passes over 3**17 raw assignments at once, so the search never runs.
         rng = random.Random(13)
         scenario = random_scenario(rng, n_files=17, n_users=2, n_relays=3)
         path = tmp_path / "big.yaml"
@@ -552,7 +560,7 @@ class TestVerifyCommand:
         code = main(["verify", "--scenario", str(path)])
         captured = capsys.readouterr()
         assert code == 4
-        assert captured.err == "error: 129140163 raw assignments exceed the oracle limit 50000000\n"
+        assert captured.err == "error: 3 relays x 129140163 raw assignments exceed the oracle limit 150000000\n"
 
     def test_an_infeasible_instance_past_the_oracle_limit_exits_4(self, tmp_path, monkeypatch, capsys):
         # 11 relays cannot each take one of 10 holdings; the guards run before either solver finds that out.
@@ -560,7 +568,7 @@ class TestVerifyCommand:
         path.write_text(serialize_scenario(random_scenario(random.Random(13), n_files=10, n_users=2, n_relays=11)))
         monkeypatch.setattr(freshcache.cli, "solve_exhaustive", _no_solve)
         assert main(["verify", "--scenario", str(path)]) == 4
-        assert capsys.readouterr().err == "error: 25937424601 raw assignments exceed the oracle limit 50000000\n"
+        assert capsys.readouterr().err == "error: 11 relays x 25937424601 raw assignments exceed the oracle limit 150000000\n"
 
     def test_oracle_guard_runs_before_the_search_guard(self, tmp_path, monkeypatch, capsys):
         # Both guards refuse 60 uncapped holdings over 6 relays; the oracle's speaks first.
@@ -568,7 +576,7 @@ class TestVerifyCommand:
         path.write_text(serialize_scenario(uncapped_scenario(60, 6)))
         monkeypatch.setattr(freshcache.cli, "solve_exhaustive", _no_solve)
         assert main(["verify", "--scenario", str(path)]) == 4
-        assert capsys.readouterr().err == f"error: {6**60} raw assignments exceed the oracle limit 50000000\n"
+        assert capsys.readouterr().err == f"error: 6 relays x {6**60} raw assignments exceed the oracle limit 150000000\n"
 
     def test_search_guard_runs_before_the_oracle(self, tmp_path, monkeypatch, capsys):
         # n16k3 6/6/6: the oracle admits its 43.0M raw assignments, but the search refuses its 11.1M
@@ -750,6 +758,29 @@ def test_main_is_the_one_command_path():
         assert len(find(main_node)) == 1
     handlers = [h for t in ast.walk(main_node) if isinstance(t, ast.Try) for h in t.handlers]
     assert len(handlers) == 1
+
+
+def _call_sites(path: Path) -> list[tuple[str, str]]:
+    """(called name, module.function) for every call in ``path``, under its innermost enclosing function."""
+    module, sites = path.stem, []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                sites.append((getattr(child.func, "id", getattr(child.func, "attr", None)), where))
+            visit(child, f"{module}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(path.read_text()), module)
+    return sites
+
+
+def test_allocate_and_kkt_check_each_have_one_call_site():
+    # Every placement's rates come from evaluate_scheme, which names the relay of an allocate error,
+    # and allocate and verify print their certificates through the one relay-line helper.
+    package = Path(freshcache.cli.__file__).parent
+    sites = [site for path in sorted(package.glob("*.py")) for site in _call_sites(path)]
+    assert [where for name, where in sites if name == "allocate"] == ["search.evaluate_scheme"]
+    assert [where for name, where in sites if name == "kkt_check"] == ["cli._relay_lines"]
 
 
 def _subclasses(cls):

@@ -6,6 +6,7 @@ import math
 import random
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -253,14 +254,14 @@ class TestBruteForceAssignments:
             brute_force_assignments(scenario)
 
     def test_scale_guard(self):
-        # 3**17 = 129,140,163 raw assignments exceed BRUTE_FORCE_LIMIT; the guard trips before any array is built.
+        # 3 passes over 3**17 = 129,140,163 raw assignments exceed RELAY_PASS_LIMIT; the guard trips before any array is built.
         rng = random.Random(3)
         scenario = random_scenario(rng, n_files=17, n_users=2, n_relays=3)
-        with pytest.raises(GuardError, match="^129140163 raw assignments exceed the oracle limit 50000000$"):
+        with pytest.raises(GuardError, match="^3 relays x 129140163 raw assignments exceed the oracle limit 150000000$"):
             brute_force_assignments(scenario)
 
     def test_mask_guard(self):
-        # 2**17 = 131,072 raw assignments pass the raw limit, but a relay's block key would need 17 mask bits.
+        # 2 passes over 2**17 = 131,072 raw assignments pass the work limit, but a relay's block key would need 17 mask bits.
         scenario = random_scenario(random.Random(3), n_files=17, n_users=2, n_relays=2)
         with pytest.raises(GuardError, match="^17 holdings over 2 relays exceed the oracle's holding-mask limit 16$"):
             brute_force_assignments(scenario)
@@ -364,7 +365,7 @@ class TestBruteForceAssignments:
         assert peak < 4 * 2**20
 
     def test_relay_passes_guard_trips_before_any_array(self):
-        # 20,000 raw assignments pass the raw limit, but a pass per relay over each of them would make
+        # 20,000 raw assignments are few, but a pass per relay over each of them would make
         # 400M relay-vector cells; K * K**H past RELAY_PASS_LIMIT exits at once.
         scenario = self._many_relays(1, 20_000)
         start = time.perf_counter()
@@ -401,6 +402,23 @@ class TestBruteForceAssignments:
         assert result.evaluated_count == 1
         assert set(result.best_scheme.assignment.values()) == {1}
         assert result.objective.sum_form == evaluate_scheme(scenario, result.best_scheme)[0].sum_form
+
+
+def test_one_work_limit_and_the_mask_table_bound_the_product():
+    # The oracle refuses exactly a pass per relay over more than 150M relay-vector cells and a mask
+    # table past 16 holdings at K >= 2.  Together they cap the raw product itself, at 3**16.
+    accepted = []
+    for k, h in itertools.product(range(13), range(41)):
+        stub = types.SimpleNamespace(n_relays=k, holding_pairs=((1, 1),) * h)
+        refused = k * k**h > 150_000_000 or (k > 1 and h > 16)
+        try:
+            freshcache.oracle.check_oracle_limits(stub)
+        except GuardError:
+            assert refused, (k, h)
+        else:
+            assert not refused, (k, h)
+            accepted.append(k**h)
+    assert max(accepted) == 3**16 == 43_046_721
 
 
 def test_oracle_imports_only_the_result_packaging_and_the_batched_water_fill():

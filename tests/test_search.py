@@ -392,6 +392,13 @@ class TestSolveExhaustive:
         assert all(c > 0 for keys, _ in scored for k, c in keys)
         assert [keys for keys, i in scored if i == 0] == partitions
 
+    def test_evaluate_scheme_names_the_relay_of_a_budget_out_of_scale(self, table1, reference_scheme):
+        # 1e308 passes validation but not check_scale, which allocate applies to its own input.
+        relays = (table1.relays[0], dataclasses.replace(table1.relays[1], rate_budget=1e308), table1.relays[2])
+        scenario = dataclasses.replace(table1, relays=relays)
+        with pytest.raises(DomainError, match=r"^relay 2: allocation rate budget 1e\+308 would overflow the water-fill$"):
+            evaluate_scheme(scenario, reference_scheme)
+
     @pytest.mark.parametrize("budget", [1e308, 1e200])
     def test_a_budget_out_of_scale_fails_before_any_water_fill(self, table1, budget):
         # Each solver reads Scenario.layout, which checks every relay's budget, before it water-fills.

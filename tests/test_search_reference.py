@@ -23,12 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freshcache import (
+    AllocationInput,
     CacheScheme,
     FileSpec,
     Holding,
     RelaySpec,
     Scenario,
     UserSpec,
+    allocate,
     brute_force_assignments,
     enumerate_partitions,
     evaluate_scheme,
@@ -480,6 +482,30 @@ def test_table_fill_is_the_scalar_evaluate_bit_for_bit(chunk_rows, data):
             assert search.fill(relays, c).tobytes() == scalar.tobytes()
             for k in relays:
                 assert search.fill([k], c)[0].tobytes() == scalar[k].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_block_keeps_the_terms_it_sums(seed):
+    # Each term is coef * (mu * (r / (r + s))) with allocate's rate r, and the block value is the terms
+    # added left to right from 0.0, so offer adds the same floats per user without recomputing them.
+    rng = random.Random(seed)
+    n_relays = rng.randint(1, 4)
+    n_files = rng.randint(n_relays, 9)
+    scenario = random_scenario(rng, n_files, rng.randint(1, n_files), n_relays)
+    search = _Search(scenario, False)
+    keys = [scenario.holding_pairs[p] for p in scenario.layout[0]]   # layout index -> holding
+    for _ in range(100):
+        k, mask = rng.randrange(n_relays), rng.randrange(1, 1 << search.n)
+        value, idx, terms, block_mask = search._evaluate(k, mask)
+        assert block_mask == mask and idx == [i for i in range(search.n) if mask >> i & 1]
+        entries = [scenario.entries[keys[i]] for i in idx]
+        rates = allocate(AllocationInput(tuple(entries), scenario.relays[k].rate_budget)).rates
+        expected = [scenario.coef[e.key][k] * (e.mu * (rates[e.key] / (rates[e.key] + e.server_rate))) for e in entries]
+        assert [t.hex() for t in terms] == [t.hex() for t in expected]
+        total = 0.0
+        for term in terms:
+            total += term
+        assert total.hex() == value.hex()
 
 
 def test_three_level_walk_is_pinned():
